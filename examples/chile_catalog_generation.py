@@ -82,17 +82,19 @@ print(
     f"c={fit.c:.2f} (<0: decays with distance), sd={fit.residual_std:.2f}"
 )
 
-# Archive products with labels (what FDW does on OSG storage).
+# Archive products with labels (what FDW does on OSG storage); the
+# batch writes the manifest once, not once per product.
 archive = ProductArchive(workdir / "archive", name="chile_catalog")
-for rupture, ws in zip(ruptures, waveform_sets):
-    rupt_tmp = workdir / f"{rupture.rupture_id}.rupt"
-    write_rupt(rupture, fq.geometry, rupt_tmp)
-    archive.add_file(rupt_tmp, "ruptures", rupture.rupture_id,
-                     metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
-    ws_tmp = workdir / f"{ws.rupture_id}.npz"
-    ws.save(ws_tmp)
-    archive.add_file(ws_tmp, "waveforms", ws.rupture_id,
-                     metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
+with archive.batch():
+    for rupture, ws in zip(ruptures, waveform_sets):
+        rupt_tmp = workdir / f"{rupture.rupture_id}.rupt"
+        write_rupt(rupture, fq.geometry, rupt_tmp)
+        archive.add_file(rupt_tmp, "ruptures", rupture.rupture_id,
+                         metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
+        ws_tmp = workdir / f"{ws.rupture_id}.npz"
+        ws.save(ws_tmp)
+        archive.add_file(ws_tmp, "waveforms", ws.rupture_id,
+                         metadata={"mw": round(rupture.actual_mw, 3)}, move=True)
 
 big_events = archive.find(kind="waveforms")
 big_events = [e for e in big_events if e["metadata"]["mw"] >= 8.5]

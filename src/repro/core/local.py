@@ -26,6 +26,7 @@ Phase-B archive from the Stash/OSDF cache instead of recomputing it.
 
 from __future__ import annotations
 
+import shutil
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +37,7 @@ from pathlib import Path
 from repro import obs
 from repro.errors import ConfigError
 from repro.resilience import RetryPolicy, retry_call
-from repro.core.checkpoint import RunCheckpoint
+from repro.core.checkpoint import CRow, RunCheckpoint
 from repro.core.config import FdwConfig
 from repro.core.gfcache import (
     GFCache,
@@ -49,10 +50,11 @@ from repro.core.phases import chunk_bounds, plan_phases
 from repro.osg.runtimes import RuntimeModel
 from repro.rng import RngFactory
 from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
+from repro.seismo.geometry import FaultGeometry
 from repro.seismo.klcache import KLCache
 from repro.seismo.mudpy_io import ProductArchive, write_rupt
 from repro.seismo.ruptures import Rupture
-from repro.seismo.waveforms import GnssNoiseModel, WaveformSynthesizer
+from repro.seismo.waveforms import GnssNoiseModel, WaveformSet, WaveformSynthesizer
 
 __all__ = ["LocalRunResult", "LocalRunner", "estimate_sequential_runtime_s"]
 
@@ -149,20 +151,35 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     return fq.phase_a_ruptures(start, count)
 
 
+#: Subdirectory of the archive where products wait to be renamed in.
+_SPOOL = "_spool"
+
 #: Pool task: (shared-bank handle, parameters, rupture chunk, spool dir).
 _ChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], str | None]
 
 
-def _synthesize_chunk_shared(
-    task: _ChunkTask,
-) -> list[tuple[str, float, float, str | None]]:
+def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
+    """One Phase-C result row, spooling the product when the run archives:
+    ``(rupture_id, max PGD, target Mw, spooled path or None)``."""
+    path: str | None = None
+    if spool_dir is not None:
+        path = str(Path(spool_dir) / f"{ws.rupture_id}.npz")
+        ws.save(path)
+    return (
+        ws.rupture_id,
+        float(ws.pgd_m().max()),
+        float(ws.metadata.get("target_mw", 0.0)),
+        path,
+    )
+
+
+def _synthesize_chunk_shared(task: _ChunkTask) -> list[CRow]:
     """Worker: synthesize one C chunk against the shared GF bank.
 
     Attaches the published bank (idempotent per worker process — the
     segments are mapped once and reused for every subsequent chunk),
     runs the batched synthesis kernel, and spools each product to
-    ``spool_dir`` when the run archives. Returns one row per rupture:
-    ``(rupture_id, max PGD, target Mw, spooled path or None)``.
+    ``spool_dir`` when the run archives (see :func:`_spool_row`).
     """
     handle, params, ruptures, spool_dir = task
     bank = attach_shared_bank(handle)
@@ -173,21 +190,51 @@ def _synthesize_chunk_shared(
         if params.with_noise
         else None
     )
-    rows: list[tuple[str, float, float, str | None]] = []
-    for ws in synth.synthesize_batch(ruptures, rngs=rngs):
-        path: str | None = None
-        if spool_dir is not None:
-            path = str(Path(spool_dir) / f"{ws.rupture_id}.npz")
-            ws.save(path)
-        rows.append(
-            (
-                ws.rupture_id,
-                float(ws.pgd_m().max()),
-                float(ws.metadata.get("target_mw", 0.0)),
-                path,
+    return [_spool_row(ws, spool_dir) for ws in synth.synthesize_batch(ruptures, rngs=rngs)]
+
+
+def _assemble_archive(
+    archive: ProductArchive,
+    rows_by_chunk: list[list[CRow]],
+    ruptures: list[Rupture],
+    geometry: FaultGeometry,
+    keep_waveforms: bool,
+) -> None:
+    """Congregate a run's products into ``archive`` with one manifest write.
+
+    Waveforms go in catalog order, then ruptures — the canonical order
+    every execution path shares, so the manifest is byte-identical
+    across sequential, pooled, checkpointed and resumed runs. Spooled
+    waveforms are renamed into place. Checkpointed ones
+    (``keep_waveforms``) must stay until the checkpoint is finalized,
+    because a resume needs them, so the archive hard-links them: the
+    bytes of a copy without writing a new file (products are never
+    rewritten in place). ``.rupt`` files are written to the archive's
+    ``_spool/`` and renamed in; whatever is left in the spool after
+    that (stale files of an interrupted earlier run) is garbage.
+    """
+    spool = archive.root / _SPOOL
+    with archive.batch():
+        for chunk_rows in rows_by_chunk:
+            for rupture_id, _pgd_max, target_mw, path in chunk_rows:
+                if path is not None:
+                    archive.add_file(
+                        path,
+                        kind="waveforms",
+                        label=rupture_id,
+                        metadata={"mw": round(target_mw, 3)},
+                        move=not keep_waveforms,
+                        link=keep_waveforms,
+                    )
+        for rupture in ruptures:
+            archive.add_file(
+                write_rupt(rupture, geometry, spool / f"{rupture.rupture_id}.rupt"),
+                kind="ruptures",
+                label=rupture.rupture_id,
+                metadata={"mw": round(rupture.actual_mw, 3)},
+                move=True,
             )
-        )
-    return rows
+    shutil.rmtree(spool, ignore_errors=True)
 
 
 def _release_state(state: dict) -> None:
@@ -299,6 +346,10 @@ class LocalRunner:
     ) -> LocalRunResult:
         """Execute all three phases; optionally archive the products.
 
+        Archiving is its own timed phase, ``phase_seconds["archive"]``,
+        after Phase C: products are congregated in catalog order with
+        one manifest write for the whole run.
+
         With ``checkpoint=True`` (implied by ``resume=True``) the run
         keeps a chunk-granular :class:`~repro.core.checkpoint.RunCheckpoint`
         under ``archive_dir`` and assembles the product archive only once
@@ -335,13 +386,20 @@ class LocalRunner:
                 n_c_chunks=len(c_chunks),
                 resume=resume,
             )
-        # Checkpointed runs assemble the archive only after every chunk
-        # is durable, so a crash never leaves a partial manifest behind.
+        # Phase C spools waveforms (into the checkpoint when there is
+        # one) and the archive is assembled once, after Phase C. A
+        # checkpointed run creates no archive until every chunk is
+        # durable, so a crash never leaves a partial manifest behind.
         archive = (
             ProductArchive(Path(archive_dir), name=config.name)
             if archive_dir is not None and ckpt is None
             else None
         )
+        spool: Path | None = None
+        if ckpt is not None:
+            spool = ckpt.waveforms_dir
+        elif archive is not None:
+            spool = archive.root / _SPOOL
 
         t0 = time.perf_counter()
         fq.phase_a_distances()
@@ -475,9 +533,7 @@ class LocalRunner:
                      category="local", track="runner")
 
         t0 = time.perf_counter()
-        rows_by_chunk: list[list[tuple[str, float, float, "str | None"]]] = [
-            [] for _ in c_chunks
-        ]
+        rows_by_chunk: list[list[CRow]] = [[] for _ in c_chunks]
         pending_c: list[int] = []
         for i in range(len(c_chunks)):
             c_rows = ckpt.try_load_c_chunk(i) if ckpt is not None and ckpt.is_done("C", i) else None
@@ -491,7 +547,7 @@ class LocalRunner:
             else:
                 pending_c.append(i)
 
-        def c_done(index: int, rows: list[tuple[str, float, float, "str | None"]]) -> None:
+        def c_done(index: int, rows: list[CRow]) -> None:
             rows_by_chunk[index] = rows
             if ckpt is not None:
                 ckpt.store_c_chunk(index, rows)
@@ -504,41 +560,17 @@ class LocalRunner:
                 faults.chunk_completed("C")
 
         if self.n_workers == 1:
-
-            def run_c_chunk(start: int, count: int) -> list[tuple[str, float, float, "str | None"]]:
-                sets = fq.phase_c_waveforms(ruptures[start : start + count])
-                rows: list[tuple[str, float, float, "str | None"]] = []
-                for ws in sets:
-                    path: str | None = None
-                    if ckpt is not None:
-                        path = str(ckpt.waveforms_dir / f"{ws.rupture_id}.npz")
-                        ws.save(path)
-                    elif archive is not None:
-                        tmp = archive.root / f"_tmp_{ws.rupture_id}.npz"
-                        ws.save(tmp)
-                        archive.add_file(
-                            tmp,
-                            kind="waveforms",
-                            label=ws.rupture_id,
-                            metadata={"mw": round(ws.metadata.get("target_mw", 0.0), 3)},
-                            move=True,
-                        )
-                    rows.append(
-                        (
-                            ws.rupture_id,
-                            float(ws.pgd_m().max()),
-                            float(ws.metadata.get("target_mw", 0.0)),
-                            path,
-                        )
-                    )
-                return rows
-
             for i in pending_c:
                 start, count = c_chunks[i]
                 c_done(
                     i,
                     attempted(
-                        "C", i, lambda s=start, c=count: run_c_chunk(s, c)
+                        "C",
+                        i,
+                        lambda s=start, c=count: [
+                            _spool_row(ws, spool)
+                            for ws in fq.phase_c_waveforms(ruptures[s : s + c])
+                        ],
                     ),
                 )
         else:
@@ -549,12 +581,6 @@ class LocalRunner:
                 dtype=fq.params.gf_dtype,
             )
             handle = self._shared_handle(key, fq)
-            spool: Path | None = None
-            if ckpt is not None:
-                spool = ckpt.waveforms_dir
-            elif archive is not None:
-                spool = archive.root / "_spool"
-                spool.mkdir(parents=True, exist_ok=True)
             c_tasks: dict[int, _ChunkTask] = {
                 i: (
                     handle,
@@ -589,24 +615,7 @@ class LocalRunner:
                     for i in pending_c
                 )
             for i, chunk_rows in chunk_results:
-                if archive is not None:
-                    for rupture_id, pgd_max, target_mw, path in chunk_rows:
-                        if path is not None:
-                            # Workers spool; the parent owns the manifest (the
-                            # archive index is not multiprocess-safe).
-                            archive.add_file(
-                                Path(path),
-                                kind="waveforms",
-                                label=rupture_id,
-                                metadata={"mw": round(target_mw, 3)},
-                                move=True,
-                            )
                 c_done(i, chunk_rows)
-            if archive is not None and spool is not None:
-                try:
-                    spool.rmdir()
-                except OSError:  # pragma: no cover - stray spool files
-                    pass
         pgd: dict[str, float] = {}
         n_sets = 0
         for chunk_rows in rows_by_chunk:
@@ -618,36 +627,22 @@ class LocalRunner:
                      category="local", track="runner",
                      args={"executed": executed["C"], "skipped": skipped["C"]})
 
-        if ckpt is not None:
-            # All chunks durable: rebuild the archive from the checkpoint
-            # in canonical order (waveforms in catalog order, then
-            # ruptures) so the manifest matches an uninterrupted run's
-            # byte for byte, then retire the checkpoint.
-            ckpt.reset_archive()
-            archive = ProductArchive(Path(archive_dir), name=config.name)  # type: ignore[arg-type]
-            for chunk_rows in rows_by_chunk:
-                for rupture_id, _pgd_max, target_mw, path in chunk_rows:
-                    if path is not None:
-                        archive.add_file(
-                            Path(path),
-                            kind="waveforms",
-                            label=rupture_id,
-                            metadata={"mw": round(target_mw, 3)},
-                            move=False,
-                        )
-        if archive is not None:
-            for rupture in ruptures:
-                tmp = archive.root / f"_tmp_{rupture.rupture_id}.rupt"
-                write_rupt(rupture, fq.geometry, tmp)
-                archive.add_file(
-                    tmp,
-                    kind="ruptures",
-                    label=rupture.rupture_id,
-                    metadata={"mw": round(rupture.actual_mw, 3)},
-                    move=True,
-                )
-        if ckpt is not None:
-            ckpt.finalize()
+        if archive_dir is not None:
+            # Workers only spool; the parent owns the manifest (the
+            # archive index is not multiprocess-safe).
+            t0 = time.perf_counter()
+            if ckpt is not None:
+                ckpt.reset_archive()
+                archive = ProductArchive(Path(archive_dir), name=config.name)
+            _assemble_archive(
+                archive, rows_by_chunk, ruptures, fq.geometry,  # type: ignore[arg-type]
+                keep_waveforms=ckpt is not None,
+            )
+            if ckpt is not None:
+                ckpt.finalize()
+            timings["archive"] = time.perf_counter() - t0
+            obs.complete("phase:archive", ts=t0, dur=timings["archive"],
+                         category="local", track="runner")
 
         return LocalRunResult(
             config=config,

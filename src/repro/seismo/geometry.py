@@ -13,6 +13,7 @@ needs — per-subfault coordinates, strike/dip, area, and the along-strike
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,11 +125,15 @@ class FaultGeometry:
         east, north = self.projection.to_enu(self.lon, self.lat)
         return east, north, self.depth_km.copy()
 
-    def subset(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns for a subset of subfaults, used when writing ``.rupt``."""
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_subfaults):
             raise GeometryError("subfault index out of range")
+        return idx
+
+    def subset(self, indices: np.ndarray) -> dict[str, np.ndarray]:
+        """Columns for a subset of subfaults."""
+        idx = self._checked(indices)
         return {
             "lon": self.lon[idx],
             "lat": self.lat[idx],
@@ -138,6 +143,29 @@ class FaultGeometry:
             "length_km": self.length_km[idx],
             "width_km": self.width_km[idx],
         }
+
+    #: printf codes of the geometry columns of a ``.rupt`` row: subfault
+    #: index, lon, lat, depth_km, strike_deg, dip_deg, length_km, width_km.
+    _RUPT_ROW = "%d %.5f %.5f %.3f %.2f %.2f %.3f %.3f"
+
+    @cached_property
+    def _rupt_rows(self) -> tuple[str, ...]:
+        columns = (self.lon, self.lat, self.depth_km, self.strike_deg,
+                   self.dip_deg, self.length_km, self.width_km)
+        return tuple(
+            self._RUPT_ROW % row
+            for row in zip(range(self.n_subfaults), *(c.tolist() for c in columns))
+        )
+
+    def rupt_rows(self, indices: np.ndarray) -> list[str]:
+        """The formatted ``.rupt`` geometry columns of a subset of subfaults.
+
+        Every rupture on a mesh shares these strings, so each subfault
+        is formatted once per geometry, not once per rupture (the arrays
+        of a frozen geometry are never written in place).
+        """
+        rows = self._rupt_rows
+        return [rows[i] for i in self._checked(indices).tolist()]
 
 
 def build_chile_slab(

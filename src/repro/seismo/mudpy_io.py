@@ -18,13 +18,20 @@ files are congregated, labeled, and archived on OSG storage capacity").
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import shutil
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ArchiveError, RuptureError
+from repro.integrity import _atomic_write
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.ruptures import Rupture
 
@@ -39,6 +46,10 @@ _RUPT_COLUMNS = (
     "slip_m rise_s onset_s"
 ).split()
 
+#: printf codes of one ``.rupt`` row after its geometry columns
+#: (:meth:`FaultGeometry.rupt_rows`): slip and kinematics.
+_RUPT_ROW = "%s %.6f %.4f %.4f\n"
+
 
 def write_rupt(
     rupture: Rupture, geometry: FaultGeometry, path: str | Path
@@ -46,22 +57,23 @@ def write_rupt(
     """Write a rupture as a MudPy-style ``.rupt`` whitespace table."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = geometry.subset(rupture.subfault_indices)
-    lines = [
-        f"# rupt {rupture.rupture_id} target_mw={rupture.target_mw:.4f} "
-        f"actual_mw={rupture.actual_mw:.4f} hypo={rupture.hypocenter_index}",
-        "# " + " ".join(_RUPT_COLUMNS),
-    ]
-    for i in range(rupture.n_subfaults):
-        lines.append(
-            f"{rupture.subfault_indices[i]:d} "
-            f"{cols['lon'][i]:.5f} {cols['lat'][i]:.5f} {cols['depth_km'][i]:.3f} "
-            f"{cols['strike_deg'][i]:.2f} {cols['dip_deg'][i]:.2f} "
-            f"{cols['length_km'][i]:.3f} {cols['width_km'][i]:.3f} "
-            f"{rupture.slip_m[i]:.6f} {rupture.rise_time_s[i]:.4f} "
-            f"{rupture.onset_time_s[i]:.4f}"
+    # One %-format over every row: the %-codes round exactly like the
+    # equivalent f-string specs (a property test holds them to a
+    # per-row f-string formatter).
+    values = chain.from_iterable(
+        zip(
+            geometry.rupt_rows(rupture.subfault_indices),
+            rupture.slip_m.tolist(),
+            rupture.rise_time_s.tolist(),
+            rupture.onset_time_s.tolist(),
         )
-    path.write_text("\n".join(lines) + "\n")
+    )
+    rows = (_RUPT_ROW * rupture.n_subfaults) % tuple(values)
+    path.write_text(
+        f"# rupt {rupture.rupture_id} target_mw={rupture.target_mw:.4f} "
+        f"actual_mw={rupture.actual_mw:.4f} hypo={rupture.hypocenter_index}\n"
+        "# " + " ".join(_RUPT_COLUMNS) + "\n" + rows
+    )
     return path
 
 
@@ -113,6 +125,26 @@ def read_rupt(path: str | Path) -> Rupture:
     )
 
 
+def _move(source: Path, dest: Path) -> None:
+    """Rename ``source`` to ``dest``; copy and unlink across filesystems."""
+    try:
+        os.replace(source, dest)
+    except OSError as exc:
+        if exc.errno != errno.EXDEV:
+            raise
+        shutil.copyfile(source, dest)
+        source.unlink()
+
+
+def _link(source: Path, dest: Path) -> None:
+    """Hard-link ``source`` as ``dest``; copy where links are unsupported."""
+    dest.unlink(missing_ok=True)
+    try:
+        os.link(source, dest)
+    except OSError:
+        shutil.copyfile(source, dest)
+
+
 @dataclass
 class ProductArchive:
     """A labeled directory of simulation products with a JSON manifest.
@@ -122,6 +154,11 @@ class ProductArchive:
     station count), and can be reopened for discovery — this is the
     labeled-and-archived output store of FDW runs and the unit the VDC
     catalog ingests (DESIGN.md Fig-7 story).
+
+    Every manifest write is atomic (fsynced temp file, then rename), so
+    a crash leaves the previous manifest, never a torn one. Outside a
+    :meth:`batch`, each :meth:`add_file` rewrites the manifest; inside
+    one, the manifest is written once when the batch exits.
     """
 
     root: Path
@@ -133,6 +170,7 @@ class ProductArchive:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._manifest_path = self.root / self.MANIFEST
+        self._batch_depth = 0
         if self._manifest_path.exists():
             self._manifest = json.loads(self._manifest_path.read_text())
             if self._manifest.get("archive") != self.name:
@@ -142,11 +180,34 @@ class ProductArchive:
         else:
             self._manifest = {"archive": self.name, "entries": []}
             self._flush()
+        #: (kind, label) -> manifest entry, for O(1) duplicate checks.
+        self._index = {(e["kind"], e["label"]): e for e in self._manifest["entries"]}
 
     def _flush(self) -> None:
-        self._manifest_path.write_text(json.dumps(self._manifest, indent=2, sort_keys=True))
+        data = json.dumps(self._manifest, indent=2, sort_keys=True).encode()
+        try:
+            _atomic_write(self._manifest_path, data)
+        except OSError as exc:
+            raise ArchiveError(f"cannot write manifest {self._manifest_path}: {exc}") from exc
 
     # -- writing -----------------------------------------------------------
+
+    @contextmanager
+    def batch(self) -> Iterator["ProductArchive"]:
+        """Defer manifest writes to one write when the batch exits.
+
+        Files still land as each :meth:`add_file` runs; only the
+        manifest rewrite is deferred. The write happens even when the
+        batch body raises, so every file that did land is recorded.
+        Batches nest; the outermost one writes.
+        """
+        self._batch_depth += 1
+        try:
+            yield self
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0:
+                self._flush()
 
     def add_file(
         self,
@@ -155,8 +216,13 @@ class ProductArchive:
         label: str,
         metadata: dict | None = None,
         move: bool = False,
+        link: bool = False,
     ) -> Path:
         """Congregate ``source`` into the archive under ``kind/``.
+
+        A missing source or a duplicate ``(kind, label)`` — including
+        one added earlier in the same :meth:`batch` — raises
+        :class:`~repro.errors.ArchiveError` before any file is touched.
 
         Parameters
         ----------
@@ -168,30 +234,42 @@ class ProductArchive:
             Unique label within the kind (used as the stored filename
             stem, suffix preserved).
         move:
-            Move instead of copy, for large intermediates.
+            Move (rename) instead of copy, for large intermediates.
+        link:
+            Without ``move``: hard-link instead of copying (a copy where
+            the filesystem has no hard links). The archived file shares
+            its bytes with ``source``, so only for sources that are
+            never rewritten in place.
         """
         source = Path(source)
         if not source.is_file():
             raise ArchiveError(f"source file not found: {source}")
-        if any(e["kind"] == kind and e["label"] == label for e in self._manifest["entries"]):
+        if (kind, label) in self._index:
             raise ArchiveError(f"duplicate archive entry {kind}/{label}")
         dest_dir = self.root / kind
         dest_dir.mkdir(parents=True, exist_ok=True)
         dest = dest_dir / (label + source.suffix)
-        data = source.read_bytes()
-        dest.write_bytes(data)
-        if move:
-            source.unlink()
-        self._manifest["entries"].append(
-            {
-                "kind": kind,
-                "label": label,
-                "path": str(dest.relative_to(self.root)),
-                "bytes": len(data),
-                "metadata": metadata or {},
-            }
-        )
-        self._flush()
+        try:
+            if move:
+                _move(source, dest)
+            elif link:
+                _link(source, dest)
+            else:
+                shutil.copyfile(source, dest)
+            size = dest.stat().st_size
+        except OSError as exc:
+            raise ArchiveError(f"cannot archive {source} as {kind}/{label}: {exc}") from exc
+        entry = {
+            "kind": kind,
+            "label": label,
+            "path": str(dest.relative_to(self.root)),
+            "bytes": size,
+            "metadata": metadata or {},
+        }
+        self._manifest["entries"].append(entry)
+        self._index[(kind, label)] = entry
+        if not self._batch_depth:
+            self._flush()
         return dest
 
     # -- discovery -----------------------------------------------------------
@@ -217,10 +295,10 @@ class ProductArchive:
 
     def path_of(self, kind: str, label: str) -> Path:
         """Absolute path of an archived file."""
-        for e in self._manifest["entries"]:
-            if e["kind"] == kind and e["label"] == label:
-                return self.root / e["path"]
-        raise ArchiveError(f"no archive entry {kind}/{label}")
+        entry = self._index.get((kind, label))
+        if entry is None:
+            raise ArchiveError(f"no archive entry {kind}/{label}")
+        return self.root / entry["path"]
 
     def total_bytes(self) -> int:
         """Total archived payload size."""

@@ -17,8 +17,8 @@ def tiny_config():
 
 
 @pytest.fixture(scope="module")
-def run_result(tiny_config):
-    return LocalRunner().run(tiny_config)
+def run_result(tiny_config, tmp_path_factory):
+    return LocalRunner().run(tiny_config, archive_dir=tmp_path_factory.mktemp("run") / "arch")
 
 
 def test_produces_all_waveform_sets(run_result, tiny_config):
@@ -27,7 +27,8 @@ def test_produces_all_waveform_sets(run_result, tiny_config):
 
 
 def test_phase_timings_recorded(run_result):
-    assert set(run_result.phase_seconds) == {"dist", "A", "B", "C"}
+    # Archiving is a phase of its own, so total_seconds covers it.
+    assert set(run_result.phase_seconds) == {"dist", "A", "B", "C", "archive"}
     assert all(t >= 0 for t in run_result.phase_seconds.values())
     assert run_result.total_seconds > 0
 
@@ -45,6 +46,18 @@ def test_archiving(tmp_path, tiny_config):
     assert result.archive_root == archive.root
     # No temp files left behind.
     assert not list(archive.root.glob("_tmp_*"))
+
+
+def test_archiving_clears_a_stale_spool(tmp_path, tiny_config):
+    """A killed run leaves its spooled products behind; the next run
+    into the same directory archives its own and removes the rest."""
+    stale = tmp_path / "arch" / "_spool" / "other.000000.npz"
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"left by an interrupted run")
+    LocalRunner().run(tiny_config, archive_dir=tmp_path / "arch")
+    archive = ProductArchive(tmp_path / "arch")
+    assert len(archive.find(kind="waveforms")) == tiny_config.n_waveforms
+    assert not stale.parent.exists()
 
 
 def test_deterministic_products(tiny_config):
@@ -337,3 +350,50 @@ def test_flake_exhaustion_raises_transient_fault(tiny_config):
 def test_no_faults_reports_zero_retries(run_result):
     assert run_result.chunk_retries == {"A": 0, "C": 0}
     assert run_result.retry_backoff_s == 0.0
+
+
+# -- one archive assembly step: identical bytes on every path -----------------
+
+
+def _archive_digest(root):
+    """sha256 over the sorted relative paths and bytes of every file."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def test_archive_digest_identical_on_every_path(tmp_path):
+    """Sequential, pooled, checkpointed and crash+resumed runs of one
+    seed assemble byte-identical archives, manifest included, and leave
+    no spool, temp or checkpoint files behind."""
+    from repro.faults import ChunkCrash, FaultInjected, FaultPlan
+
+    config = FdwConfig(
+        n_waveforms=6, n_stations=3, mesh=(8, 5), chunk_a=2, chunk_c=2,
+        name="paths", seed=23,
+    )
+    LocalRunner().run(config, archive_dir=tmp_path / "sequential")
+    with LocalRunner(n_workers=2) as runner:
+        runner.run(config, archive_dir=tmp_path / "pooled")
+        runner.run(config, archive_dir=tmp_path / "pooled-ckpt", checkpoint=True)
+    LocalRunner().run(config, archive_dir=tmp_path / "checkpointed", checkpoint=True)
+    with pytest.raises(FaultInjected):
+        LocalRunner().run(
+            config, archive_dir=tmp_path / "resumed", checkpoint=True,
+            faults=FaultPlan(crashes=(ChunkCrash("C", 2),)),
+        )
+    resumed = LocalRunner().run(config, archive_dir=tmp_path / "resumed", resume=True)
+    assert resumed.chunks_skipped["C"] == 2
+
+    roots = [tmp_path / name for name in
+             ("sequential", "pooled", "pooled-ckpt", "checkpointed", "resumed")]
+    digests = {root.name: _archive_digest(root) for root in roots}
+    assert len(set(digests.values())) == 1, digests
+    for root in roots:
+        assert sorted(p.name for p in root.iterdir()) == [
+            "manifest.json", "ruptures", "waveforms",
+        ], root.name

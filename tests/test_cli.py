@@ -98,6 +98,7 @@ def test_run_local_checkpoint_and_resume(config_path, tmp_path, capsys):
     assert main(args + ["--resume"]) == 0
     out = capsys.readouterr().out
     assert "chunks" in out and "resumed" in out
+    assert "phase archive" in out
 
 
 def test_recover_resubmits_remainder(config_path, tmp_path, capsys):

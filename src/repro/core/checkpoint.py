@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import shutil
 from pathlib import Path
@@ -50,6 +49,7 @@ from pathlib import Path
 from repro.errors import CheckpointError, IntegrityError
 from repro.core.config import FdwConfig
 from repro.integrity import (
+    _atomic_write,
     quarantine_artifact,
     read_verified,
     sha256_bytes,
@@ -74,19 +74,9 @@ def config_digest(config: FdwConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp-file-then-rename.
-
-    The temp file lives in the same directory (``os.replace`` must not
-    cross filesystems) and is fsynced before the rename, so ``path``
-    never exposes a torn write.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+#: Write ``data`` to ``path`` via an fsynced, uniquely named temp file in
+#: the same directory, then rename: ``path`` never exposes a torn write.
+atomic_write_bytes = _atomic_write
 
 
 class RunCheckpoint:

@@ -42,12 +42,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import CacheError, IntegrityError, ReproError
-from repro.integrity import (
-    quarantine_artifact,
-    read_verified,
-    sha256_bytes,
-    write_digest,
-)
+from repro.integrity import publish_artifact, quarantine_artifact, read_verified
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.greens import (
     DEFAULT_RAKE_DEG,
@@ -306,12 +301,8 @@ class GFCache:
         bank = self._memory.get(key)
         if bank is None:
             return None
-        tmp = path.with_suffix(".tmp.npz")
         try:
-            bank.save(tmp)
-            digest = sha256_bytes(tmp.read_bytes())
-            os.replace(tmp, path)  # atomic against concurrent readers
-            write_digest(path, digest)
+            publish_artifact(path, bank.save)
         except OSError as exc:
             raise CacheError(
                 f"cannot write GF bank to cache_dir {self.cache_dir}: {exc}"

@@ -102,23 +102,6 @@ def _fakequakes_for(
     return FakeQuakes.from_parameters(params, gf_cache=gf_cache, kl_cache=kl_cache)
 
 
-def _run_c_chunk(args: tuple[FdwConfig, int, int]) -> list[float]:
-    """Legacy worker: rebuild everything, synthesize one C chunk.
-
-    This is the seed pool path — every worker re-derives geometry,
-    distances, the rupture chunk, *and the full GF bank* per chunk. Kept
-    only as the "before" arm of ``benchmarks/bench_kernels.py``;
-    :class:`LocalRunner` now dispatches :func:`_synthesize_chunk_shared`
-    instead.
-    """
-    config, start, count = args
-    fq = _fakequakes_for(config)
-    fq.phase_a_distances()
-    ruptures = fq.phase_a_ruptures(start, count)
-    sets = fq.phase_c_waveforms(ruptures)
-    return [float(ws.pgd_m().max()) for ws in sets]
-
-
 #: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
 _AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
 

@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.core.config import FdwConfig
 
-__all__ = ["PhasePlan", "plan_phases", "chunk_bounds", "gf_product_id"]
+__all__ = ["PhasePlan", "plan_phases", "count_jobs", "chunk_bounds", "gf_product_id"]
 
 #: Bytes per float64 sample; sizes below are reported in MB.
 _B = 8
@@ -46,6 +46,22 @@ def chunk_bounds(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
 
 
+def count_jobs(config: FdwConfig) -> int:
+    """Jobs in the DAG of ``config``, without building its job specs.
+
+    The bootstrap job unless distances are recycled, one A job per
+    ``chunk_a`` waveforms, the B job, and one C job per ``chunk_c``
+    waveforms (:func:`chunk_bounds` rounds each chunk count up).
+    """
+    n = config.n_waveforms
+    return (
+        (0 if config.recycle_distances else 1)
+        + -(-n // config.chunk_a)
+        + 1
+        + -(-n // config.chunk_c)
+    )
+
+
 @dataclass(frozen=True)
 class PhasePlan:
     """The complete job plan of one FDW instance."""
@@ -59,12 +75,7 @@ class PhasePlan:
     @property
     def n_jobs(self) -> int:
         """Total jobs in the DAG."""
-        return (
-            (1 if self.dist_job is not None else 0)
-            + len(self.a_jobs)
-            + 1
-            + len(self.c_jobs)
-        )
+        return count_jobs(self.config)
 
     def all_specs(self) -> list[JobSpec]:
         """Every job spec in phase order."""

@@ -28,8 +28,10 @@ recompute, never a wrong answer or a crash.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from collections import OrderedDict
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.errors import IntegrityError
@@ -40,6 +42,7 @@ __all__ = [
     "sha256_bytes",
     "digest_path",
     "write_artifact",
+    "publish_artifact",
     "write_digest",
     "read_digest",
     "read_verified",
@@ -65,14 +68,60 @@ def digest_path(path: str | Path) -> Path:
     return path.with_name(path.name + DIGEST_SUFFIX)
 
 
+_TEMP_SEQ = itertools.count()
+
+
+def _temp_path(path: Path, suffix: str = ".tmp") -> Path:
+    """A same-directory temp name for one write of ``path``.
+
+    The name carries the pid and a process-local counter, so concurrent
+    writers of one artifact (threads, or forked pool workers) never
+    share a temp file and never rename one another's bytes away. The
+    leading dot keeps it out of the caches' ``<prefix>_*.npz`` globs.
+    """
+    return path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_SEQ)}{suffix}")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Temp-then-rename write (same-directory temp, fsynced)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Temp-then-rename write (unique same-directory temp, fsynced)."""
+    tmp = _temp_path(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
+    """Create an artifact and its sidecar unless a writer got there first.
+
+    ``write(tmp)`` produces the payload in a unique temp file
+    (:func:`_temp_path`, ending in the artifact's own suffix so writers
+    like ``np.savez`` keep the name). The temp is then hard-linked as
+    ``path``, which fails if ``path`` exists: the first writer wins and
+    writes the only sidecar, and a later writer of the same key discards
+    its bytes. The artifact and sidecar therefore always describe one
+    write, however many processes race on the key. Where hard links are
+    unsupported the temp is renamed over ``path`` instead. The temp
+    never outlives the call.
+    """
+    tmp = _temp_path(path, ".tmp" + path.suffix)
+    try:
+        write(tmp)
+        data = tmp.read_bytes()
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return
+        except OSError:
+            os.replace(tmp, path)
+        write_digest(path, sha256_bytes(data))
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_artifact(path: str | Path, data: bytes) -> Path:

@@ -48,12 +48,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import CacheError, IntegrityError, ReproError
-from repro.integrity import (
-    quarantine_artifact,
-    read_verified,
-    sha256_bytes,
-    write_digest,
-)
+from repro.integrity import publish_artifact, quarantine_artifact, read_verified
 from repro.seismo.distance import DistanceMatrices
 from repro.seismo.spectra import KarhunenLoeveBasis, von_karman_correlation
 
@@ -275,17 +270,16 @@ class KLCache:
         self._remember(key, basis)
         path = self.disk_path(key)
         if path is not None and not path.exists():
-            tmp = path.with_suffix(".tmp.npz")
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                np.savez(
-                    tmp,
-                    eigenvalues=basis.eigenvalues,
-                    eigenvectors=basis.eigenvectors,
+                publish_artifact(
+                    path,
+                    lambda tmp: np.savez(
+                        tmp,
+                        eigenvalues=basis.eigenvalues,
+                        eigenvectors=basis.eigenvectors,
+                    ),
                 )
-                digest = sha256_bytes(tmp.read_bytes())
-                os.replace(tmp, path)  # atomic against concurrent readers
-                write_digest(path, digest)
             except OSError as exc:
                 raise CacheError(
                     f"cannot write K-L basis to cache_dir {self.cache_dir}: {exc}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.core.config import FdwConfig
-from repro.core.phases import plan_phases
+from repro.core.phases import count_jobs
 
 __all__ = [
     "RunnerOutcome",
@@ -243,7 +243,7 @@ class SimulatedRunner:
 
         from repro.rng import derive_seed
 
-        n_jobs = plan_phases(config).n_jobs
+        n_jobs = count_jobs(config)
         rng = np.random.default_rng(
             derive_seed(seed, "service-sim", config.content_digest())
         )

@@ -7,6 +7,12 @@ JSON-persistable index of :class:`ProductRecord` entries with free-form
 tags and typed metadata, plus a small query language (exact match,
 ranges on numeric fields, tag subsets).
 
+Discovery costs what it returns, not what the catalog holds: the
+catalog keeps postings (id lists) per kind, per tag and per (kind, tag)
+pair, a query intersects the postings it names (smallest first), and
+only the surviving candidates are sorted and checked against ``ranges``
+and exact-match metadata.
+
 Persistence goes through :mod:`repro.integrity`: :meth:`DataCatalog.save`
 writes the JSON via temp-then-rename with a sha256 sidecar, and
 :meth:`DataCatalog.load` verifies the digest before parsing, quarantining
@@ -19,15 +25,69 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import CatalogError, IntegrityError
 from repro.integrity import quarantine_artifact, read_verified, write_artifact
 
-__all__ = ["ProductRecord", "DataCatalog"]
+__all__ = ["ProductRecord", "DataCatalog", "normalize_tags"]
 
 _ID_RE = re.compile(r"^[A-Za-z0-9._\-]{1,128}$")
+
+
+def normalize_tags(tags: object) -> frozenset[str] | None:
+    """A query's ``tags=`` as a ``frozenset`` of strings (``None`` stays).
+
+    Any iterable of ``str`` is accepted. A bare string is rejected
+    rather than read as its characters, and so is any non-``str``
+    member.
+    """
+    if tags is None:
+        return None
+    if isinstance(tags, str):
+        raise CatalogError(
+            f"tags must be an iterable of strings, not the string {tags!r}"
+        )
+    try:
+        normalized = frozenset(tags)  # type: ignore[arg-type]
+    except TypeError as exc:
+        raise CatalogError(f"tags must be an iterable of strings: {exc}") from None
+    for tag in normalized:
+        if not isinstance(tag, str):
+            raise CatalogError(f"tags must be strings, got {tag!r}")
+    return normalized
+
+
+#: A posting key: ``(kind, None)``, ``(None, tag)`` or ``(kind, tag)``.
+#: Kinds are never empty and tags are strings, so the forms never collide.
+_Key = tuple["str | None", "str | None"]
+
+
+def _posting_keys(record: ProductRecord) -> list[_Key]:
+    """Every posting a record belongs to."""
+    kind = record.kind
+    keys: list[_Key] = [(kind, None)]
+    for tag in record.tags:
+        keys.append((None, tag))
+        keys.append((kind, tag))
+    return keys
+
+
+def _in_ranges(metadata: dict, ranges: dict[str, tuple[float, float]]) -> bool:
+    """Whether every ranged metadata value is a number inside its range."""
+    for key, (lo, hi) in ranges.items():
+        value = metadata.get(key)
+        # bool is an int subclass but True/False matching a numeric
+        # range is always a type confusion, not a hit.
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not (lo <= value <= hi)
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -70,10 +130,17 @@ class ProductRecord:
 
 
 class DataCatalog:
-    """In-memory catalog with persistence and queries."""
+    """In-memory catalog with persistence and indexed queries."""
 
     def __init__(self) -> None:
         self._records: dict[str, ProductRecord] = {}
+        #: Postings, ``{id: record}`` per :data:`_Key`, kept current by
+        #: every mutation; an emptied posting is dropped. A posting
+        #: iterates in deposit order and hands back the current record
+        #: of each id (see :meth:`search`). The (kind, tag) postings
+        #: answer the portal's usual query, one kind and one tag,
+        #: without a membership test per candidate.
+        self._postings: dict[_Key, dict[str, ProductRecord]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -81,13 +148,36 @@ class DataCatalog:
     def __contains__(self, product_id: object) -> bool:
         return product_id in self._records
 
+    # -- postings ----------------------------------------------------------------
+
+    def _post(self, record: ProductRecord) -> None:
+        """Store ``record`` under its id and in each of its postings.
+
+        Re-posting an updated record keeps each id's place in deposit
+        order.
+        """
+        product_id = record.product_id
+        self._records[product_id] = record
+        for key in _posting_keys(record):
+            self._postings.setdefault(key, {})[product_id] = record
+
+    def _unpost(self, record: ProductRecord) -> None:
+        """Remove ``record`` from the catalog and from its postings."""
+        product_id = record.product_id
+        del self._records[product_id]
+        for key in _posting_keys(record):
+            posting = self._postings[key]
+            del posting[product_id]
+            if not posting:
+                del self._postings[key]
+
     # -- deposition / curation ----------------------------------------------
 
     def deposit(self, record: ProductRecord) -> None:
         """Add a new product; duplicate ids are an error."""
         if record.product_id in self._records:
             raise CatalogError(f"duplicate product id {record.product_id!r}")
-        self._records[record.product_id] = record
+        self._post(record)
 
     def get(self, product_id: str) -> ProductRecord:
         """Fetch a record by id."""
@@ -100,7 +190,7 @@ class DataCatalog:
         """Curation: add tags to an existing product."""
         record = self.get(product_id)
         updated = replace(record, tags=record.tags | set(tags))
-        self._records[product_id] = updated
+        self._post(updated)
         return updated
 
     def annotate(self, product_id: str, **metadata: object) -> ProductRecord:
@@ -109,21 +199,19 @@ class DataCatalog:
         merged = dict(record.metadata)
         merged.update(metadata)
         updated = replace(record, metadata=merged)
-        self._records[product_id] = updated
+        self._post(updated)
         return updated
 
     def withdraw(self, product_id: str) -> None:
         """Remove a product from the catalog."""
-        if product_id not in self._records:
-            raise CatalogError(f"no product {product_id!r}")
-        del self._records[product_id]
+        self._unpost(self.get(product_id))
 
     # -- discovery -------------------------------------------------------------
 
     def search(
         self,
         kind: str | None = None,
-        tags: set[str] | None = None,
+        tags: Iterable[str] | None = None,
         ranges: dict[str, tuple[float, float]] | None = None,
         **exact: object,
     ) -> list[ProductRecord]:
@@ -134,46 +222,49 @@ class DataCatalog:
         kind:
             Restrict to a product class.
         tags:
-            Require all of these tags.
+            Require all of these tags (any iterable of strings; see
+            :func:`normalize_tags`).
         ranges:
             ``{"mw": (8.0, 9.0)}`` — inclusive numeric metadata ranges.
         exact:
             Exact-match metadata constraints.
 
-        Results are sorted by product id for determinism.
+        ``kind`` and ``tags`` name postings: one per tag (paired with
+        ``kind`` when given), or the kind's own. The smallest, filtered
+        by membership in the others, gives the candidates; ``ranges``
+        and ``exact`` then filter only those. Results are sorted by
+        product id for determinism; candidates come in deposit order, so
+        when ids are deposited roughly in id order (the portal's
+        zero-padded run ids) that sort is a near-linear merge.
         """
-        out = []
-        for record in self._records.values():
-            if kind is not None and record.kind != kind:
-                continue
-            if tags is not None and not tags <= record.tags:
-                continue
-            if ranges:
-                ok = True
-                for key, (lo, hi) in ranges.items():
-                    value = record.metadata.get(key)
-                    # bool is an int subclass but True/False matching a
-                    # numeric range is always a type confusion, not a hit.
-                    if (
-                        isinstance(value, bool)
-                        or not isinstance(value, (int, float))
-                        or not (lo <= value <= hi)
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            if any(record.metadata.get(k) != v for k, v in exact.items()):
-                continue
-            out.append(record)
-        return sorted(out, key=lambda r: r.product_id)
+        tags = normalize_tags(tags)
+        if tags:
+            keys: list[_Key] = [(kind, tag) for tag in tags]
+        else:
+            keys = [(kind, None)] if kind is not None else []
+        postings = sorted((self._postings.get(key, {}) for key in keys), key=len)
+        candidates = postings[0] if postings else self._records
+        ids: Iterable[str] = candidates
+        for other in postings[1:]:
+            ids = filter(other.__contains__, ids)
+        records = list(map(candidates.__getitem__, sorted(ids)))
+        if ranges:
+            records = [r for r in records if _in_ranges(r.metadata, ranges)]
+        if exact:
+            records = [
+                r
+                for r in records
+                if not any(r.metadata.get(k) != v for k, v in exact.items())
+            ]
+        return records
 
     def kinds(self) -> dict[str, int]:
         """Product counts by kind."""
-        counts: dict[str, int] = {}
-        for record in self._records.values():
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
+        return {
+            kind: len(ids)
+            for (kind, tag), ids in self._postings.items()
+            if tag is None
+        }
 
     # -- persistence --------------------------------------------------------------
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from repro.errors import PortalError
 from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
-from repro.core.phases import gf_archive_mb, plan_phases
+from repro.core.phases import count_jobs, gf_archive_mb
 from repro.core.submit_osg import FdwBatchResult, run_fdw_batch
 from repro.osg.capacity import CapacityProcess
 from repro.osg.pool import OSPoolConfig
-from repro.vdc.catalog import DataCatalog, ProductRecord
+from repro.vdc.catalog import DataCatalog, ProductRecord, normalize_tags
 from repro.vdc.prefetch import PrefetchService, QueryEvent
 from repro.vdc.storage import FederatedStorage, StorageSite
 
@@ -121,7 +121,7 @@ class Portal:
             config=config,
             result=result,
             stats=stats,
-            n_planned_jobs=plan_phases(config).n_jobs,
+            n_planned_jobs=count_jobs(config),
         )
         run.product_ids.extend(
             self.deposit_products(run_id, config, site=site, user=user)
@@ -218,14 +218,18 @@ class Portal:
 
         With ``home_site`` given, the query is recorded in that site's
         trace so the intelligent-delivery service can prefetch likely
-        next retrievals (paper §6).
+        next retrievals (paper §6). ``tags`` is validated first
+        (:func:`~repro.vdc.catalog.normalize_tags`), so a rejected query
+        leaves no trace.
         """
+        if "tags" in query:
+            query["tags"] = normalize_tags(query["tags"])
         if home_site is not None:
             self.prefetcher.record_query(
                 QueryEvent(
                     home_site=home_site,
                     kind=query.get("kind"),  # type: ignore[arg-type]
-                    tags=frozenset(query.get("tags") or ()),  # type: ignore[arg-type]
+                    tags=query.get("tags") or frozenset(),  # type: ignore[arg-type]
                     ranges=dict(query.get("ranges") or {}),  # type: ignore[arg-type]
                     metadata={
                         k: v

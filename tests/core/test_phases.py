@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FdwConfig
-from repro.core.phases import chunk_bounds, gf_archive_mb, plan_phases
+from repro.core.phases import chunk_bounds, count_jobs, gf_archive_mb, plan_phases
 from repro.errors import ConfigError
 
 
@@ -54,6 +54,24 @@ def test_bootstrap_job_when_not_recycled():
     assert plan.dist_job is not None
     assert plan.dist_job.payload.phase == "dist"
     assert plan.n_jobs == len(plan.a_jobs) + len(plan.c_jobs) + 2
+
+
+@given(
+    recycle=st.booleans(),
+    chunk_a=st.integers(min_value=1, max_value=40),
+    chunk_c=st.integers(min_value=1, max_value=40),
+    n_waveforms=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=80, deadline=None)
+def test_count_jobs_matches_the_plan(recycle, chunk_a, chunk_c, n_waveforms):
+    config = FdwConfig(
+        n_waveforms=n_waveforms,
+        chunk_a=chunk_a,
+        chunk_c=chunk_c,
+        recycle_distances=recycle,
+    )
+    plan = plan_phases(config)
+    assert count_jobs(config) == len(plan.all_specs()) == plan.n_jobs
 
 
 def test_payloads_carry_station_count():

@@ -248,3 +248,24 @@ def test_load_rejects_non_object_record(tmp_path):
     write_artifact(path, json.dumps(["not-a-record"]).encode())
     with pytest.raises(CatalogError, match="expected an object"):
         DataCatalog.load(path)
+
+
+@pytest.mark.parametrize("tags", [["validated"], ("validated",), iter(["validated"])])
+def test_search_accepts_any_iterable_of_tags(tags):
+    """Regression: a list or tuple of tags used to raise a raw TypeError
+    from the ``<=`` subset test."""
+    catalog = DataCatalog()
+    catalog.deposit(record("a.1"))
+    catalog.tag("a.1", "validated")
+    catalog.deposit(record("a.2"))
+    assert [r.product_id for r in catalog.search(tags=tags)] == ["a.1"]
+
+
+@pytest.mark.parametrize("tags", ["fdw", ["fdw", 3], [["fdw"]], 5])
+def test_search_rejects_malformed_tags(tags):
+    """A bare string (not read as its characters), a non-str member or a
+    non-iterable is a CatalogError, not a raw TypeError."""
+    catalog = DataCatalog()
+    catalog.deposit(record("a.1"))
+    with pytest.raises(CatalogError, match="tags"):
+        catalog.search(tags=tags)

@@ -188,3 +188,29 @@ def test_prefetch_materializes_bank_products(tmp_path, small_gf_bank):
     assert "home" in storage.replicas("w_gf.mseed.npz")
     on_disk = list((tmp_path / "gfstore").glob("gf_*.npz"))
     assert len(on_disk) == 1
+
+
+def test_discover_rejects_string_tags_without_recording():
+    """Regression: ``tags="fdw"`` used to be recorded in the prefetch
+    trace as the tags {'f', 'd', 'w'} before the search crashed; it is
+    now rejected before the query is recorded."""
+    from repro.errors import CatalogError
+    from repro.vdc.portal import Portal
+
+    portal = Portal()
+    with pytest.raises(CatalogError, match="tags"):
+        portal.discover("vdc-psu", tags="fdw")
+    assert portal.prefetcher.trace_for("vdc-psu") == []
+
+
+def test_discover_normalizes_iterable_tags():
+    from repro.vdc.catalog import ProductRecord
+    from repro.vdc.portal import Portal
+
+    portal = Portal()
+    portal.catalog.deposit(
+        ProductRecord("p.1", "waveforms", "vdc-psu", 1.0, tags=frozenset({"fdw"}))
+    )
+    hits = portal.discover("vdc-psu", kind="waveforms", tags=["fdw"])
+    assert [r.product_id for r in hits] == ["p.1"]
+    assert portal.prefetcher.trace_for("vdc-psu")[0].tags == frozenset({"fdw"})

@@ -9,5 +9,7 @@ takes to regenerate.
 import sys
 from pathlib import Path
 
-# Make the sibling `_common` module importable regardless of rootdir.
+# Make the sibling `_common` module and the repository's test oracles
+# (`tests.oracles`) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parents[1]))

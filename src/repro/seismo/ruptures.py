@@ -62,9 +62,9 @@ class Rupture:
     subfault_indices:
         Flattened indices into the fault mesh for the rupture patch.
     slip_m:
-        Slip (m) per patch subfault, non-negative.
+        Slip (m) per patch subfault, finite and non-negative.
     rise_time_s / onset_time_s:
-        Kinematic parameters per patch subfault.
+        Kinematic parameters per patch subfault, finite.
     hypocenter_index:
         Index *within the patch arrays* of the hypocenter subfault.
     """
@@ -85,6 +85,8 @@ class Rupture:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise RuptureError(f"{name} shape {arr.shape} != patch size ({n},)")
+            if not np.all(np.isfinite(arr)):
+                raise RuptureError(f"{name} must be finite")
         if n == 0:
             raise RuptureError("rupture patch is empty")
         if np.any(self.slip_m < 0):

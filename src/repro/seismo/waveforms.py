@@ -8,10 +8,10 @@ with overshoot-free ramp" shape of high-rate GNSS records of large
 earthquakes. Optionally, realistic GNSS noise (white + random walk) is
 added, following the noise characterization of Melgar et al. (2020).
 
-The synthesis is vectorized per station over (subfaults x samples), so
-cost scales as O(n_stations * n_patch * n_samples) — the station-count
-scaling the paper's Phase C job runtimes exhibit (15-20 min at 121
-stations vs. <1 min at 2).
+Each station's record is one matmul over a (subfaults x samples) ramp
+plane, so cost scales as O(n_stations * n_patch * n_samples) — the
+station-count scaling the paper's Phase C job runtimes exhibit (15-20
+min at 121 stations vs. <1 min at 2).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import WaveformError
 from repro.seismo.greens import GreensFunctionBank
@@ -157,6 +158,29 @@ class WaveformSet:
             )
 
 
+#: Stations whose rise windows are located and evaluated together. A
+#: block amortizes the per-call cost of the window arithmetic while its
+#: temporaries stay near 1 MB; the planes themselves are built one
+#: station at a time, so each stays in cache from its gather to its
+#: matmul.
+_STATION_BLOCK = 8
+
+
+def _ramp(x: np.ndarray) -> np.ndarray:
+    """The cosine slip ramp ``0.5 * (1 - cos(pi * x))``, in place on ``x``.
+
+    For ``0 <= x <= 1`` these are the IEEE operations of the dense
+    plane's ``0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))``, in
+    the same order and dtype. Each is elementwise, so a cell's value does
+    not depend on which other cells are evaluated with it.
+    """
+    np.multiply(np.pi, x, out=x)
+    np.cos(x, out=x)
+    np.subtract(1.0, x, out=x)
+    np.multiply(0.5, x, out=x)
+    return x
+
+
 class WaveformSynthesizer:
     """Phase-C kernel: rupture + GF bank -> station waveforms.
 
@@ -171,20 +195,7 @@ class WaveformSynthesizer:
         the slowest travel time plus a tail.
     noise:
         Optional additive noise model; omit for clean synthetics.
-    method:
-        ``"time"`` (default) lags each subfault's ramp in the time
-        domain — bit-identical between the scalar and batched paths.
-        ``"fft"`` applies the arrival delays as phase shifts on the
-        ``rfft`` of a shared complement-pulse stack; band-limited
-        fractional-delay interpolation makes it approximate (relative
-        PGD error ~1e-6, see DESIGN.md), so it is strictly opt-in.
     """
-
-    _METHODS = ("time", "fft")
-
-    #: Width (samples) of the raised-cosine wrap transition the FFT
-    #: method parks past the record end (see :meth:`_synthesize_fft`).
-    _FFT_WRAP_SAMPLES = 48
 
     def __init__(
         self,
@@ -192,21 +203,15 @@ class WaveformSynthesizer:
         dt_s: float = 1.0,
         duration_s: float | None = None,
         noise: GnssNoiseModel | None = None,
-        method: str = "time",
     ) -> None:
         if dt_s <= 0:
             raise WaveformError(f"dt must be positive, got {dt_s}")
         if duration_s is not None and duration_s <= 0:
             raise WaveformError(f"duration must be positive, got {duration_s}")
-        if method not in self._METHODS:
-            raise WaveformError(
-                f"unknown synthesis method {method!r}; expected one of {self._METHODS}"
-            )
         self.gf_bank = gf_bank
         self.dt_s = float(dt_s)
         self.duration_s = duration_s
         self.noise = noise
-        self.method = method
 
     @property
     def _work_dtype(self) -> np.dtype:
@@ -217,19 +222,6 @@ class WaveformSynthesizer:
         keep the historical bit-exact pipeline.
         """
         return self.gf_bank.statics.dtype
-
-    def _times(self, nt: int) -> np.ndarray:
-        return (np.arange(nt) * self.dt_s).astype(self._work_dtype, copy=False)
-
-    def _source_arrays(
-        self, rupture: Rupture
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slip, onset, floored rise) cast to the working dtype."""
-        w = self._work_dtype
-        slip = rupture.slip_m.astype(w, copy=False)
-        onset = rupture.onset_time_s.astype(w, copy=False)
-        rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(w, copy=False)
-        return slip, onset, rise
 
     def _record_length(self, rupture: Rupture, patch_tt: np.ndarray) -> int:
         if self.duration_s is not None:
@@ -244,129 +236,15 @@ class WaveformSynthesizer:
     ) -> WaveformSet:
         """Synthesize the waveform set for one rupture.
 
+        A one-rupture :meth:`synthesize_batch`.
+
         Raises
         ------
         WaveformError
             If the rupture references subfaults outside the GF bank, or
             noise is configured but no ``rng`` is supplied.
         """
-        patch = rupture.subfault_indices
-        if patch.max() >= self.gf_bank.n_subfaults:
-            raise WaveformError(
-                f"rupture patch index {patch.max()} outside GF bank with "
-                f"{self.gf_bank.n_subfaults} subfaults"
-            )
-        if self.noise is not None and rng is None:
-            raise WaveformError("noise model configured but no rng supplied")
-
-        gf = self.gf_bank.statics[:, patch, :]  # (nsta, npatch, 3) view
-        tt = self.gf_bank.travel_time_s[:, patch]  # (nsta, npatch)
-        nt = self._record_length(rupture, tt)
-
-        if self.method == "fft":
-            out = self._synthesize_fft(rupture, gf, tt, nt)
-        else:
-            times = self._times(nt)
-            n_sta = self.gf_bank.n_stations
-            out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
-            slip, onset, rise = self._source_arrays(rupture)
-
-            # Per-station vectorized accumulation; (npatch, nt)
-            # intermediate keeps memory bounded for large meshes (see
-            # DESIGN.md).
-            for i in range(n_sta):
-                arrival = onset + tt[i]  # (npatch,)
-                x = (times[None, :] - arrival[:, None]) / rise[:, None]
-                ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))
-                weighted = gf[i] * slip[:, None]  # (npatch, 3)
-                out[i] = weighted.T @ ramp  # (3, nt)
-
-        if self.noise is not None:
-            out += self.noise.sample(rng, out.shape, self.dt_s)  # type: ignore[arg-type]
-
-        return WaveformSet(
-            rupture_id=rupture.rupture_id,
-            data=out,
-            dt_s=self.dt_s,
-            station_names=self.gf_bank.station_names,
-            metadata={"target_mw": rupture.target_mw},
-        )
-
-    def _synthesize_fft(
-        self,
-        rupture: Rupture,
-        gf: np.ndarray,
-        tt: np.ndarray,
-        nt: int,
-    ) -> np.ndarray:
-        """FFT-domain synthesis core: delays applied as phase shifts.
-
-        The ramp of a subfault arriving at ``a`` is a *step* (it never
-        comes back down), so it cannot be circularly delayed directly.
-        Decompose it instead: ``r(t - a) = 1 - c(t - a)`` where the
-        complement pulse ``c = 1 - r`` is compactly supported on
-        ``[0, rise]`` — and park a raised-cosine 0->1 transition in the
-        zero-padded region past the record end so the circular signal
-        wraps continuously. Then one ``rfft`` of the shared complement
-        stack, per-station delay phases ``z^k`` built by repeated
-        squaring (log2(F) complex-multiply passes instead of a
-        transcendental per (patch, frequency)), a (3, npatch) x
-        (npatch, F) matmul in the frequency domain, and one ``irfft``
-        per station. Band-limited fractional-delay interpolation makes
-        the result approximate at the ~1e-6 relative-PGD level.
-        """
-        n_sta = self.gf_bank.n_stations
-        slip = rupture.slip_m.astype(float, copy=False)
-        onset = rupture.onset_time_s.astype(float, copy=False)
-        rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(
-            float, copy=False
-        )
-        dt = self.dt_s
-
-        arrivals = onset[None, :] + tt.astype(float, copy=False)  # (nsta, npatch)
-        tau_max = float(arrivals.max()) / dt
-        wrap = self._FFT_WRAP_SAMPLES
-        b0 = nt
-        n_min = int(np.ceil(b0 + wrap + tau_max)) + 2
-        nfft = 1 << (n_min - 1).bit_length()
-        n_freq = nfft // 2 + 1
-
-        # Shared complement-pulse stack: 1 -> 0 over each patch's rise
-        # time, flat 0, then the wrap transition back to 1 past the
-        # record end (delays only push it further out, never into the
-        # [0, nt) window the caller keeps).
-        xx = (np.arange(nfft) * dt)[None, :] / rise[:, None]
-        c0 = 1.0 - 0.5 * (1.0 - np.cos(np.pi * np.clip(xx, 0.0, 1.0)))
-        c0[:, b0 : b0 + wrap] = (
-            0.5 * (1.0 - np.cos(np.pi * np.arange(wrap) / wrap))
-        )[None, :]
-        c0[:, b0 + wrap :] = 1.0
-        spec = np.fft.rfft(c0, axis=1)  # (npatch, n_freq)
-
-        weighted = gf.astype(float, copy=False) * slip[None, :, None]
-        static = weighted.sum(axis=1)  # (nsta, 3)
-        alpha = (2.0 * np.pi / (nfft * dt)) * arrivals
-
-        out = np.empty((n_sta, 3, nt), dtype=self._work_dtype)
-        phases = np.empty((len(slip), n_freq), dtype=complex)
-        for i in range(n_sta):
-            # phases[:, k] = z^k with z = exp(-i alpha): doubling fills
-            # [m, 2m) from [0, m) with one vectorized multiply per pass.
-            z = np.exp(-1j * alpha[i])
-            phases[:, 0] = 1.0
-            z_m = z.copy()
-            m = 1
-            while m < n_freq:
-                take = min(m, n_freq - m)
-                np.multiply(
-                    phases[:, :take], z_m[:, None], out=phases[:, m : m + take]
-                )
-                np.multiply(z_m, z_m, out=z_m)
-                m *= 2
-            hat = weighted[i].T @ (spec * phases)  # (3, n_freq)
-            delayed = np.fft.irfft(hat, n=nfft, axis=1)[:, :nt]
-            out[i] = static[i][:, None] - delayed
-        return out
+        return self.synthesize_batch([rupture], rngs=rng)[0]
 
     def synthesize_many(
         self,
@@ -387,16 +265,11 @@ class WaveformSynthesizer:
         | np.random.Generator
         | None = None,
     ) -> list[WaveformSet]:
-        """Batched Phase-C kernel: one call synthesizes a whole chunk.
+        """Phase-C kernel: synthesize the waveform sets of a chunk.
 
-        All ruptures' patches are concatenated along one axis so the
-        expensive slip-ramp evaluation runs as stacked array kernels
-        over the whole chunk instead of a Python loop per rupture —
-        per-station cost drops from ``n_ruptures`` small vector-op
-        rounds to one. Products are **bit-identical** to calling
-        :meth:`synthesize` per rupture (the per-rupture matmul operands
-        are reconstructed with the exact values and memory layout of
-        the scalar path).
+        Every rupture is validated before any is synthesized. Products
+        are bit-identical to the dense per-station loop that evaluates
+        every cell of every ramp plane (see :meth:`_clean_records`).
 
         Parameters
         ----------
@@ -406,9 +279,14 @@ class WaveformSynthesizer:
             :meth:`synthesize` loop), or one generator per rupture
             (the chunk-job mode where each rupture owns a keyed noise
             stream).
+
+        Raises
+        ------
+        WaveformError
+            If a rupture references subfaults outside the GF bank, the
+            ``rngs`` list does not match the chunk, or noise is
+            configured but a rupture has no generator.
         """
-        if not ruptures:
-            return []
         if isinstance(rngs, np.random.Generator) or rngs is None:
             rng_list: list[np.random.Generator | None] = [rngs] * len(ruptures)
         else:
@@ -417,139 +295,113 @@ class WaveformSynthesizer:
                 raise WaveformError(
                     f"got {len(rng_list)} rngs for {len(ruptures)} ruptures"
                 )
-
-        bank = self.gf_bank
+        n_subfaults = self.gf_bank.n_subfaults
         for rupture in ruptures:
-            if rupture.subfault_indices.max() >= bank.n_subfaults:
+            patch = rupture.subfault_indices
+            if patch.min() < 0 or patch.max() >= n_subfaults:
                 raise WaveformError(
-                    f"rupture patch index {rupture.subfault_indices.max()} "
-                    f"outside GF bank with {bank.n_subfaults} subfaults"
+                    f"rupture {rupture.rupture_id} patch indices span "
+                    f"{patch.min()}..{patch.max()}, outside GF bank with "
+                    f"{n_subfaults} subfaults"
                 )
         if self.noise is not None and any(r is None for r in rng_list):
             raise WaveformError("noise model configured but no rng supplied")
 
-        if self.method == "fft":
-            # The FFT core is already a whole-network batch per rupture;
-            # chunking adds nothing, so just run it per rupture (same
-            # products as a :meth:`synthesize` loop).
-            outs = []
-            for rupture in ruptures:
-                patch = rupture.subfault_indices
-                gf = bank.statics[:, patch, :]
-                tt = bank.travel_time_s[:, patch]
-                outs.append(
-                    self._synthesize_fft(
-                        rupture, gf, tt, self._record_length(rupture, tt)
-                    )
-                )
-            return self._assemble(ruptures, outs, rng_list)
-
-        # Concatenate every rupture's patch into one axis; `segments`
-        # holds each rupture's [start, end) slice of that axis.
-        counts = [r.n_subfaults for r in ruptures]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        segments = [
-            (int(offsets[k]), int(offsets[k + 1])) for k in range(len(ruptures))
-        ]
-        patch_all = np.concatenate([r.subfault_indices for r in ruptures])
-        work = self._work_dtype
-        sources = [self._source_arrays(r) for r in ruptures]
-        slip_all = np.concatenate([s for s, _, _ in sources])
-        onsets = [o for _, o, _ in sources]
-        rises = [r for _, _, r in sources]
-
-        gf_all = bank.statics[:, patch_all, :]  # (nsta, sum_npatch, 3)
-        tt_all = bank.travel_time_s[:, patch_all]  # (nsta, sum_npatch)
-        nts = [
-            self._record_length(rupture, tt_all[:, s:e])
-            for rupture, (s, e) in zip(ruptures, segments)
-        ]
-        times = self._times(max(nts))
-
-        # Records are ragged (each rupture sizes its own nt), so the
-        # chunk's (patch x time) planes are packed back-to-back into one
-        # flat buffer: no padding, and each rupture's plane is a
-        # C-contiguous (npatch, nt) view — the exact matmul operand the
-        # scalar path builds, which is what keeps products bit-identical.
-        plane_sizes = [c * nt for c, nt in zip(counts, nts)]
-        plane_offsets = np.concatenate([[0], np.cumsum(plane_sizes)])
-        buf = np.empty(int(plane_offsets[-1]), dtype=work)
-        planes = [
-            buf[int(plane_offsets[k]) : int(plane_offsets[k + 1])].reshape(
-                counts[k], nts[k]
-            )
-            for k in range(len(ruptures))
-        ]
-
-        # The ramp transform t(x) = 0.5*(1 - cos(pi*x)) fixes the
-        # clipped plateaus exactly (cos(0) == 1 and cos(pi) == -1 in
-        # IEEE arithmetic — checked in the *working* dtype, since a
-        # float32 bank runs the whole chain in float32), so after
-        # clipping only the narrow rise band 0 < x < 1 — typically a few
-        # percent of the plane — needs the transcendental evaluation.
-        # Guard the fixed points anyway so an exotic libm falls back to
-        # transforming everything.
-        w_ = work.type
-        plateaus_exact = (
-            w_(0.5) * (w_(1.0) - np.cos(w_(np.pi) * w_(0.0))) == w_(0.0)
-            and w_(0.5) * (w_(1.0) - np.cos(w_(np.pi) * w_(1.0))) == w_(1.0)
-        )
-
-        n_sta = bank.n_stations
-        outs = [np.empty((n_sta, 3, nt), dtype=work) for nt in nts]
-        for i in range(n_sta):
-            for k, (s, e) in enumerate(segments):
-                arrival = onsets[k] + tt_all[i, s:e]  # (npatch,)
-                np.subtract(times[None, : nts[k]], arrival[:, None], out=planes[k])
-                planes[k] /= rises[k][:, None]
-            # The ramp passes run once over the whole chunk — stacked
-            # kernels instead of a Python loop of per-rupture rounds —
-            # and the cos chain touches only the unsaturated band.
-            np.clip(buf, 0.0, 1.0, out=buf)
-            if plateaus_exact:
-                band = np.flatnonzero((buf > 0.0) & (buf < 1.0))
-                vals = buf[band]
-            else:  # pragma: no cover - non-IEEE libm fallback
-                band = slice(None)
-                vals = buf.copy()
-            np.multiply(np.pi, vals, out=vals)
-            np.cos(vals, out=vals)
-            np.subtract(1.0, vals, out=vals)
-            np.multiply(0.5, vals, out=vals)
-            buf[band] = vals
-            weighted_all = gf_all[i] * slip_all[:, None]
-            for k, (s, e) in enumerate(segments):
-                outs[k][i] = weighted_all[s:e].T @ planes[k]
-
-        return self._assemble(ruptures, outs, rng_list)
-
-    def _assemble(
-        self,
-        ruptures: list[Rupture],
-        outs: list[np.ndarray],
-        rng_list: list[np.random.Generator | None],
-    ) -> list[WaveformSet]:
-        """Add per-rupture noise and wrap the raw arrays as WaveformSets.
-
-        The noise draw is float64; casting the sum back to the working
-        dtype reproduces the scalar path's in-place ``+=`` (which rounds
-        each float64 sum into the float32 output buffer).
-        """
-        work = self._work_dtype
         sets: list[WaveformSet] = []
-        for k, rupture in enumerate(ruptures):
-            out = outs[k]
+        for rupture, rng in zip(ruptures, rng_list):
+            data = self._clean_records(rupture)
             if self.noise is not None:
-                out = out + self.noise.sample(rng_list[k], out.shape, self.dt_s)  # type: ignore[arg-type]
-                if out.dtype != work:
-                    out = out.astype(work)
+                # The float64 draw is added in float64 and rounded once
+                # into the working dtype.
+                data += self.noise.sample(rng, data.shape, self.dt_s)  # type: ignore[arg-type]
             sets.append(
                 WaveformSet(
                     rupture_id=rupture.rupture_id,
-                    data=out,
+                    data=data,
                     dt_s=self.dt_s,
                     station_names=self.gf_bank.station_names,
                     metadata={"target_mw": rupture.target_mw},
                 )
             )
         return sets
+
+    def _clean_records(self, rupture: Rupture) -> np.ndarray:
+        """(n_stations, 3, nt) noise-free displacement of one rupture.
+
+        Station ``i`` records ``(gf[i] * slip).T @ plane``. Row ``j`` of
+        the (npatch, nt) ramp plane is subfault ``j``'s slip ramp
+        ``T(clip((t - a) / rise, 0, 1))``, with ``T`` from :func:`_ramp`
+        and ``a = onset + travel time`` its arrival at the station. A
+        row is ``T(0)`` up to its arrival and ``T(1)`` once ``t - a``
+        reaches the rise time (0 and 1 in IEEE arithmetic). Only the
+        ~rise/dt samples in between need the division and the cosine.
+        Each row's window is located on the record's own times:
+
+        * ``lo``, the first sample with ``t > a``. Before it
+          ``fl(t - a) <= 0``, so the clipped ratio is 0; from it on the
+          ratio is positive.
+        * ``hi``, the first sample with ``t >= fl(a + rise)``, plus one.
+          From ``hi`` on, ``t - a >= rise`` even after the sum was
+          rounded, because one sample spacing is far wider than half an
+          ulp of ``a + rise``. Rounding is monotone, so the ratio is at
+          least ``fl(rise / rise) = 1``.
+
+        A plane starts as a gather of step rows, ``T(0)`` before ``lo``
+        and ``T(1)`` from ``lo`` on. One flat scatter then writes the
+        window's band cells, those with ``0 < ratio < 1``, each computed
+        by the dense path's own subtract, divide and :func:`_ramp`. The
+        rest of the window has ratio >= 1 and keeps the step's ``T(1)``.
+        A sample at exactly ``t == a`` therefore must not enter the
+        window, which is why ``lo`` is strict. Every cell holds the
+        value the dense plane holds, and the matmul gets the same
+        operands in the same layout (Fortran-ordered ``(3, npatch)``
+        weights, a C-contiguous ``(npatch, nt)`` plane), so BLAS returns
+        the same bits. Windows are evaluated :data:`_STATION_BLOCK`
+        stations at a time.
+        """
+        bank = self.gf_bank
+        work = self._work_dtype
+        patch = rupture.subfault_indices
+        gf = bank.statics[:, patch, :]  # (nsta, npatch, 3)
+        tt = bank.travel_time_s[:, patch]  # (nsta, npatch)
+        nt = self._record_length(rupture, tt)
+        times = (np.arange(nt) * self.dt_s).astype(work, copy=False)
+        slip = rupture.slip_m.astype(work, copy=False)
+        onset = rupture.onset_time_s.astype(work, copy=False)
+        rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(
+            work, copy=False
+        )
+        # steps[nt - e] is T(0) before column e and T(1) from e on.
+        plateaus = _ramp(np.array([0.0, 1.0], dtype=work))
+        steps = sliding_window_view(np.repeat(plateaus, nt), nt)
+
+        n_sta, n_patch = tt.shape
+        plane_size = n_patch * nt
+        out = np.empty((n_sta, 3, nt), dtype=work)
+        for start in range(0, n_sta, _STATION_BLOCK):
+            stop = min(start + _STATION_BLOCK, n_sta)
+            arrival = onset + tt[start:stop]  # (b, npatch)
+            lo = np.searchsorted(times, arrival, side="right")
+            hi = np.searchsorted(times, arrival + rise, side="left") + 1
+            np.minimum(hi, nt, out=hi)
+
+            # Window cells [lo, hi) of every row of the block, row by row.
+            width = (hi - lo).ravel()
+            first = np.cumsum(width) - width
+            col = np.arange(width.sum()) + np.repeat(lo.ravel() - first, width)
+            x = (times[col] - np.repeat(arrival, width)) / np.repeat(
+                np.broadcast_to(rise, arrival.shape), width
+            )
+            band = (x > 0.0) & (x < 1.0)
+            # Band cells as flat indices into the block's stacked planes.
+            cell = (col + np.repeat(np.arange(0, width.size * nt, nt), width))[band]
+            value = _ramp(x[band])
+            cuts = np.searchsorted(cell, np.arange(stop - start + 1) * plane_size)
+
+            weighted = gf[start:stop] * slip[:, None]  # (b, npatch, 3)
+            for b in range(stop - start):
+                plane = steps[nt - lo[b]]  # (npatch, nt)
+                s, e = cuts[b], cuts[b + 1]
+                plane.reshape(-1)[cell[s:e] - b * plane_size] = value[s:e]
+                out[start + b] = weighted[b].T @ plane  # (3, nt)
+        return out

@@ -1,5 +1,7 @@
 """Tests for repro.seismo.ruptures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,15 @@ def test_rupture_rejects_negative_slip():
             onset_time_s=np.array([0.0, 1.0]),
             hypocenter_index=0,
         )
+
+
+@pytest.mark.parametrize("field", ["slip_m", "rise_time_s", "onset_time_s"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rupture_rejects_non_finite_values(sample_rupture, field, bad):
+    values = getattr(sample_rupture, field).copy()
+    values[1] = bad
+    with pytest.raises(RuptureError, match=field):
+        dataclasses.replace(sample_rupture, **{field: values})
 
 
 @given(st.floats(min_value=7.5, max_value=9.2), st.integers(min_value=0, max_value=50))

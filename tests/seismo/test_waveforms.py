@@ -1,10 +1,17 @@
 """Tests for repro.seismo.waveforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WaveformError
+from repro.seismo.greens import GreensFunctionBank
+from repro.seismo.ruptures import Rupture
 from repro.seismo.waveforms import GnssNoiseModel, WaveformSet, WaveformSynthesizer
+from tests.oracles.synthesis_dense import dense_synthesize
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +104,6 @@ def test_synthesize_many(small_gf_bank, rupture_generator):
 
 
 def test_rejects_rupture_outside_bank(small_gf_bank, sample_rupture):
-    import dataclasses
-
     bad = dataclasses.replace(
         sample_rupture,
         subfault_indices=sample_rupture.subfault_indices + 10**6,
@@ -106,6 +111,18 @@ def test_rejects_rupture_outside_bank(small_gf_bank, sample_rupture):
     synth = WaveformSynthesizer(small_gf_bank)
     with pytest.raises(WaveformError):
         synth.synthesize(bad)
+
+
+def test_rejects_negative_subfault_index(small_gf_bank, sample_rupture):
+    # Index -1 would otherwise read the last subfault's Green's functions.
+    indices = sample_rupture.subfault_indices.copy()
+    indices[0] = -1
+    bad = dataclasses.replace(sample_rupture, subfault_indices=indices)
+    synth = WaveformSynthesizer(small_gf_bank)
+    with pytest.raises(WaveformError, match="-1"):
+        synth.synthesize(bad)
+    with pytest.raises(WaveformError):
+        synth.synthesize_batch([sample_rupture, bad])
 
 
 def test_save_load_roundtrip(tmp_path, clean_set):
@@ -163,32 +180,27 @@ def test_batch_bit_identical_to_scalar(small_gf_bank, rupture_batch):
     synth = WaveformSynthesizer(small_gf_bank)
     batched = synth.synthesize_batch(rupture_batch)
     for ws, rupture in zip(batched, rupture_batch):
-        reference = synth.synthesize(rupture)
+        reference = dense_synthesize(synth, rupture)
         assert ws.rupture_id == reference.rupture_id
         assert ws.data.shape == reference.data.shape
         assert np.array_equal(ws.data, reference.data)
 
 
 def test_batch_with_shared_rng_matches_sequential_noise(small_gf_bank, rupture_batch):
-    noise = GnssNoiseModel()
-    batch_synth = WaveformSynthesizer(small_gf_bank, noise=noise)
-    batched = batch_synth.synthesize_batch(
-        rupture_batch, rngs=np.random.default_rng(99)
-    )
-    reference_synth = WaveformSynthesizer(small_gf_bank, noise=noise)
+    synth = WaveformSynthesizer(small_gf_bank, noise=GnssNoiseModel())
+    batched = synth.synthesize_batch(rupture_batch, rngs=np.random.default_rng(99))
     rng = np.random.default_rng(99)
     for ws, rupture in zip(batched, rupture_batch):
-        reference = reference_synth.synthesize(rupture, rng=rng)
+        reference = dense_synthesize(synth, rupture, rng)
         assert np.array_equal(ws.data, reference.data)
 
 
 def test_batch_with_per_rupture_rngs(small_gf_bank, rupture_batch):
-    noise = GnssNoiseModel()
-    synth = WaveformSynthesizer(small_gf_bank, noise=noise)
+    synth = WaveformSynthesizer(small_gf_bank, noise=GnssNoiseModel())
     rngs = [np.random.default_rng(1000 + i) for i in range(len(rupture_batch))]
     batched = synth.synthesize_batch(rupture_batch, rngs=rngs)
     for i, (ws, rupture) in enumerate(zip(batched, rupture_batch)):
-        reference = synth.synthesize(rupture, rng=np.random.default_rng(1000 + i))
+        reference = dense_synthesize(synth, rupture, np.random.default_rng(1000 + i))
         assert np.array_equal(ws.data, reference.data)
 
 
@@ -207,54 +219,6 @@ def test_batch_noise_requires_rng(small_gf_bank, rupture_batch):
 def test_batch_empty_list(small_gf_bank):
     synth = WaveformSynthesizer(small_gf_bank)
     assert synth.synthesize_batch([]) == []
-
-
-class TestSynthesisMethods:
-    """The opt-in FFT-domain path and the float32 working dtype."""
-
-    def test_unknown_method_rejected(self, small_gf_bank):
-        with pytest.raises(WaveformError):
-            WaveformSynthesizer(small_gf_bank, method="wavelet")
-
-    def test_fft_matches_time_domain_within_budget(
-        self, small_gf_bank, sample_rupture
-    ):
-        time_ws = WaveformSynthesizer(small_gf_bank).synthesize(sample_rupture)
-        fft_ws = WaveformSynthesizer(small_gf_bank, method="fft").synthesize(
-            sample_rupture
-        )
-        assert fft_ws.data.shape == time_ws.data.shape
-        scale = float(time_ws.pgd_m().max())
-        # Band-limited fractional delays: small but nonzero deviation.
-        assert float(np.max(np.abs(fft_ws.data - time_ws.data))) < 1e-3 * scale
-        rel_pgd = np.max(
-            np.abs(fft_ws.pgd_m() - time_ws.pgd_m())
-            / np.maximum(time_ws.pgd_m(), 1e-12)
-        )
-        assert float(rel_pgd) < 1e-3
-        # The static field survives exactly where it matters most.
-        assert float(
-            np.max(np.abs(fft_ws.final_offsets_m() - time_ws.final_offsets_m()))
-        ) < 1e-6
-
-    def test_fft_scalar_equals_fft_batch(self, small_gf_bank, rupture_generator):
-        ruptures = [
-            rupture_generator.generate(
-                np.random.default_rng(40 + i), rupture_id=f"fft.{i}", target_mw=8.1
-            )
-            for i in range(3)
-        ]
-        synth = WaveformSynthesizer(small_gf_bank, method="fft")
-        scalar = [synth.synthesize(r) for r in ruptures]
-        batch = synth.synthesize_batch(ruptures)
-        for a, b in zip(scalar, batch):
-            assert np.array_equal(a.data, b.data)
-
-    def test_fft_fixed_duration(self, small_gf_bank, sample_rupture):
-        ws = WaveformSynthesizer(
-            small_gf_bank, duration_s=128.0, method="fft"
-        ).synthesize(sample_rupture)
-        assert ws.n_samples == 128
 
 
 class TestFloat32Synthesis:
@@ -277,10 +241,10 @@ class TestFloat32Synthesis:
             for i in range(3)
         ]
         synth = WaveformSynthesizer(half)
-        scalar = [synth.synthesize(r) for r in ruptures]
+        scalar = [dense_synthesize(synth, r) for r in ruptures]
         batch = synth.synthesize_batch(ruptures)
         for a, b in zip(scalar, batch):
-            assert a.data.dtype == np.float32
+            assert b.data.dtype == np.float32
             assert np.array_equal(a.data, b.data)
 
     def test_error_budget_vs_float64(self, small_gf_bank, sample_rupture):
@@ -301,9 +265,132 @@ class TestFloat32Synthesis:
     def test_noise_keeps_working_dtype(self, small_gf_bank, sample_rupture):
         half = small_gf_bank.astype("float32")
         synth = WaveformSynthesizer(half, noise=GnssNoiseModel())
-        a = synth.synthesize(sample_rupture, rng=np.random.default_rng(9))
+        a = dense_synthesize(synth, sample_rupture, np.random.default_rng(9))
         b = synth.synthesize_batch(
             [sample_rupture], rngs=[np.random.default_rng(9)]
         )[0]
-        assert a.data.dtype == np.float32
+        assert b.data.dtype == np.float32
         assert np.array_equal(a.data, b.data)
+
+
+# -- the window kernel against the dense oracle --------------------------------
+
+#: Sample intervals, including ones that are not binary fractions, so
+#: sample times carry rounding error.
+SAMPLE_INTERVALS = (0.1, 0.2, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def synthesis_chunks(draw):
+    """A GF bank, a chunk of ruptures over it, and a synthesizer.
+
+    Structure comes from hypothesis, bulk values from a seeded
+    generator. Travel times, onsets and rise times land exactly on
+    samples half the time. With a zero onset, an arrival then equals
+    a sample time, and ``arrival + rise`` often rounds onto one. Rise
+    times also sit at and below the ``dt/2`` floor. Late arrivals at
+    ``dt = 0.1`` matter for float32 banks: there half an ulp of the
+    arrival is a visible share of the rise time.
+    """
+    dt = draw(st.sampled_from(SAMPLE_INTERVALS))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    n_sta = draw(st.integers(1, 3))
+    n_sub = draw(st.integers(1, 6))
+    horizon = draw(st.sampled_from([8, 200, 12000]))  # latest arrival, in samples
+    sizes = draw(st.lists(st.integers(1, n_sub), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def on_samples(shape, low, high):
+        aligned = rng.integers(low, high + 1, shape) * dt  # sample times
+        anywhere = rng.uniform(low * dt, high * dt, shape)
+        return np.where(rng.random(shape) < 0.5, aligned, anywhere)
+
+    bank = GreensFunctionBank(
+        statics=rng.normal(size=(n_sta, n_sub, 3)),
+        travel_time_s=on_samples((n_sta, n_sub), 0, horizon),
+        station_names=tuple(f"S{i:02d}" for i in range(n_sta)),
+        fault_name="prop",
+    ).astype(dtype)
+
+    ruptures = []
+    for k, size in enumerate(sizes):
+        onset = np.where(rng.random(size) < 0.5, 0.0, on_samples(size, 0, 20))
+        rise = rng.choice(
+            [0.0, 0.3 * dt, 0.5 * dt, *(np.arange(1, 9) * dt), rng.uniform(0, 10)],
+            size,
+        )
+        ruptures.append(
+            Rupture(
+                rupture_id=f"prop.{k:06d}",
+                target_mw=8.0,
+                actual_mw=8.0,
+                subfault_indices=rng.choice(n_sub, size, replace=False),
+                slip_m=rng.uniform(0.5, 5.0, size),
+                rise_time_s=rise,
+                onset_time_s=onset,
+                hypocenter_index=0,
+            )
+        )
+    # None sizes each record to hold every ramp; a short duration
+    # truncates records mid-ramp or before any arrival.
+    duration = draw(st.sampled_from([None, "short"]))
+    if duration == "short":
+        duration = float(rng.uniform(dt, (horizon + 30) * dt))
+    noise = draw(st.sampled_from([None, "shared", "per_rupture"]))
+    synth = WaveformSynthesizer(
+        bank,
+        dt_s=dt,
+        duration_s=duration,
+        noise=GnssNoiseModel() if noise else None,
+    )
+    return synth, ruptures, noise, int(rng.integers(2**31))
+
+
+def _late_arrival_edge():
+    """A float32 case only the window's one-sample margin gets right.
+
+    At dt = 0.1 an arrival at 512 s plus a 0.1 s rise rounds down onto
+    the sample at 512.09998 s, where the ramp is still 1 - 1.2e-7.
+    """
+    bank = GreensFunctionBank(
+        statics=np.ones((1, 1, 3)),
+        travel_time_s=np.array([[512.0]]),
+        station_names=("S00",),
+        fault_name="edge",
+    ).astype("float32")
+    rupture = Rupture(
+        rupture_id="edge.000000",
+        target_mw=8.0,
+        actual_mw=8.0,
+        subfault_indices=np.array([0]),
+        slip_m=np.array([1.0]),
+        rise_time_s=np.array([0.1]),
+        onset_time_s=np.array([0.0]),
+        hypocenter_index=0,
+    )
+    return WaveformSynthesizer(bank, dt_s=0.1), [rupture], None, 0
+
+
+@given(synthesis_chunks())
+@example(_late_arrival_edge())
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_dense_oracle(case):
+    synth, ruptures, noise, seed = case
+    if noise == "shared":
+        batch = synth.synthesize_batch(ruptures, rngs=np.random.default_rng(seed))
+        shared = np.random.default_rng(seed)
+        rngs = [shared] * len(ruptures)
+    elif noise == "per_rupture":
+        batch = synth.synthesize_batch(
+            ruptures, rngs=[np.random.default_rng(seed + k) for k in range(len(ruptures))]
+        )
+        rngs = [np.random.default_rng(seed + k) for k in range(len(ruptures))]
+    else:
+        batch = synth.synthesize_batch(ruptures)
+        rngs = [None] * len(ruptures)
+    for ws, rupture, rng in zip(batch, ruptures, rngs):
+        reference = dense_synthesize(synth, rupture, rng)
+        assert ws.rupture_id == reference.rupture_id
+        assert ws.data.dtype == reference.data.dtype
+        assert ws.data.shape == reference.data.shape
+        assert np.array_equal(ws.data, reference.data)

@@ -11,7 +11,8 @@ the same lever for in-process execution:
   determine a bank — fault geometry, station network, and the GF model
   parameters — so two configurations that would produce the same bank
   share one cache entry and any change invalidates it;
-* a two-level :class:`GFCache` — an in-memory LRU over
+* :class:`GFCache` — the bank codec over the shared two-level
+  :class:`~repro.cache.ArtifactCache`: an in-memory LRU of
   :class:`~repro.seismo.greens.GreensFunctionBank` objects backed by an
   optional on-disk ``.npz`` store (the OSDF-origin analog; point it at a
   shared directory to reuse banks across processes and runs);
@@ -30,19 +31,16 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
-import zipfile
-from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
-from repro import obs
-from repro.errors import CacheError, IntegrityError, ReproError
-from repro.integrity import publish_artifact, quarantine_artifact, read_verified
+from repro.cache import ArtifactCache
+from repro.errors import CacheError
+from repro.integrity import read_verified
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.greens import (
     DEFAULT_RAKE_DEG,
@@ -54,7 +52,6 @@ from repro.seismo.stations import StationNetwork
 
 __all__ = [
     "gf_bank_key",
-    "GFCacheStats",
     "GFCache",
     "SharedBankHandle",
     "publish_shared_bank",
@@ -112,68 +109,27 @@ def gf_bank_key(
     return h.hexdigest()
 
 
-@dataclass
-class GFCacheStats:
-    """Hit/miss counters of one :class:`GFCache` (mutable, cumulative)."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    #: Disk entries that failed digest verification or parsing and were
-    #: quarantined (each such lookup also counts as a miss — the
-    #: degraded-mode contract: corruption becomes a recompute).
-    integrity_failures: int = 0
-
-    @property
-    def hits(self) -> int:
-        """All hits, either level."""
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-
-def _observe_lookup(cache: str, outcome: str, bank) -> None:
-    """Emit one cache lookup into the obs registry (no-op when disabled)."""
-    if not obs.enabled():
-        return
-    obs.counter_add(
-        "repro_cache_lookups_total", 1, {"cache": cache, "outcome": outcome}
-    )
-    if bank is not None:
-        obs.counter_add(
-            "repro_cache_bytes_total",
-            bank.statics.nbytes + bank.travel_time_s.nbytes,
-            {"cache": cache, "event": "hit"},
-        )
-
-
-class GFCache:
-    """Two-level (memory LRU + disk ``.npz``) Green's-function bank cache.
+class GFCache(ArtifactCache[GreensFunctionBank]):
+    """Green's-function bank cache: :class:`~repro.cache.ArtifactCache`
+    with the bank codec (disk entries ``gf_<key>.npz``).
 
     Parameters
     ----------
     cache_dir:
         Directory of the on-disk store. ``None`` reads the
         ``REPRO_GF_CACHE_DIR`` environment variable; when that is unset
-        too, the cache is memory-only (still amortizes within a
-        process).
+        too, the cache is memory-only.
     max_memory_entries:
         LRU capacity. Banks evicted from memory survive on disk when a
         ``cache_dir`` is configured.
     verify_digests:
-        Verify each disk entry's sha256 sidecar on load (default). A
-        failed check — or an entry that cannot be parsed at all — is
-        quarantined (moved into ``cache_dir/quarantine/``, never
-        deleted) and treated as a miss, so corruption degrades to a
-        recompute. ``False`` skips only the hash comparison (the
-        ``bench-resilience`` baseline arm); parse failures still
-        quarantine.
+        Verify each disk entry's sha256 sidecar on load (default); see
+        :class:`~repro.cache.ArtifactCache`.
     """
+
+    prefix = "gf"
+    noun = "GF bank"
+    env_var = CACHE_DIR_ENV
 
     def __init__(
         self,
@@ -181,142 +137,20 @@ class GFCache:
         max_memory_entries: int = 8,
         verify_digests: bool = True,
     ) -> None:
-        if max_memory_entries < 1:
-            raise CacheError(
-                f"max_memory_entries must be >= 1, got {max_memory_entries}"
-            )
-        if cache_dir is None:
-            env = os.environ.get(CACHE_DIR_ENV, "").strip()
-            cache_dir = env or None
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.max_memory_entries = int(max_memory_entries)
-        self.verify_digests = bool(verify_digests)
-        self._memory: OrderedDict[str, GreensFunctionBank] = OrderedDict()
-        self.stats = GFCacheStats()
-        #: Paths of quarantined artifacts, in quarantine order.
-        self.quarantined: list[Path] = []
+        super().__init__(cache_dir, max_memory_entries, verify_digests)
 
-    # -- paths ---------------------------------------------------------------
+    def _save(self, bank: GreensFunctionBank, path: Path) -> None:
+        bank.save(path)
 
-    def disk_path(self, key: str) -> Path | None:
-        """On-disk location of a key, or ``None`` for memory-only caches."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"gf_{key}.npz"
-
-    # -- primitive get/put ---------------------------------------------------
-
-    def get(self, key: str) -> GreensFunctionBank | None:
-        """Look a key up (memory first, then disk); ``None`` on miss.
-
-        A disk entry that fails its digest check or cannot be parsed
-        (truncated/bit-flipped ``.npz``) is quarantined and reported as
-        a miss — the caller recomputes and re-stores, so a corrupted
-        cache entry never surfaces as a wrong answer or a raw
-        ``zipfile.BadZipFile``.
-        """
-        bank = self._memory.get(key)
-        if bank is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            _observe_lookup("gf", "memory_hit", bank)
-            return bank
-        path = self.disk_path(key)
-        if path is not None and path.exists():
-            try:
-                bank = self._load_disk(path)
-            except IntegrityError as exc:
-                self._quarantine(path, exc)
-            else:
-                self._remember(key, bank)
-                self.stats.disk_hits += 1
-                _observe_lookup("gf", "disk_hit", bank)
-                return bank
-        self.stats.misses += 1
-        _observe_lookup("gf", "miss", None)
-        return None
-
-    def _load_disk(self, path: Path) -> GreensFunctionBank:
-        """Digest-verified parse of one disk entry.
-
-        Every failure mode — sidecar mismatch, zip/npz damage, missing
-        arrays, values the bank validation rejects — surfaces as one
-        typed :class:`~repro.errors.IntegrityError`.
-        """
+    def _load(self, path: Path) -> GreensFunctionBank:
         data = read_verified(path, verify=self.verify_digests)
-        try:
-            with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-                return GreensFunctionBank(
-                    statics=npz["statics"],
-                    travel_time_s=npz["travel_time_s"],
-                    station_names=tuple(str(n) for n in npz["station_names"]),
-                    fault_name=str(npz["fault_name"]),
-                )
-        except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError,
-                ReproError) as exc:
-            raise IntegrityError(f"corrupt GF bank {path.name}: {exc}") from exc
-
-    def _quarantine(self, path: Path, exc: IntegrityError) -> None:
-        self.stats.integrity_failures += 1
-        obs.counter_add(
-            "repro_cache_integrity_failures_total", 1, {"cache": "gf"}
-        )
-        self.quarantined.append(quarantine_artifact(path, reason=str(exc)))
-
-    def put(self, key: str, bank: GreensFunctionBank) -> None:
-        """Insert a bank under a key in both levels."""
-        if not key:
-            raise CacheError("cache key must be non-empty")
-        self._remember(key, bank)
-        self.ensure_on_disk(key)
-        self.stats.stores += 1
-        if obs.enabled():
-            obs.counter_add("repro_cache_stores_total", 1, {"cache": "gf"})
-            obs.counter_add(
-                "repro_cache_bytes_total",
-                bank.statics.nbytes + bank.travel_time_s.nbytes,
-                {"cache": "gf", "event": "store"},
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            return GreensFunctionBank(
+                statics=npz["statics"],
+                travel_time_s=npz["travel_time_s"],
+                station_names=tuple(str(n) for n in npz["station_names"]),
+                fault_name=str(npz["fault_name"]),
             )
-
-    def _remember(self, key: str, bank: GreensFunctionBank) -> None:
-        self._memory[key] = bank
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-            self.stats.evictions += 1
-
-    def ensure_on_disk(self, key: str) -> Path | None:
-        """Materialize a memory-resident bank into the disk store.
-
-        This is what a Stash/OSDF *prefetch* amounts to in-process:
-        making the product durable and shareable ahead of demand.
-        Returns the written (or existing) path, or ``None`` when the
-        cache has no disk store or the key is unknown.
-        """
-        path = self.disk_path(key)
-        if path is None:
-            return None
-        if path.exists():
-            return path
-        bank = self._memory.get(key)
-        if bank is None:
-            return None
-        try:
-            publish_artifact(path, bank.save)
-        except OSError as exc:
-            raise CacheError(
-                f"cannot write GF bank to cache_dir {self.cache_dir}: {exc}"
-            ) from exc
-        return path
-
-    def contains(self, key: str, on_disk: bool = False) -> bool:
-        """Membership test that does not touch the hit/miss counters."""
-        if not on_disk and key in self._memory:
-            return True
-        path = self.disk_path(key)
-        return path is not None and path.exists()
-
-    # -- the main entry point ------------------------------------------------
 
     def get_or_compute(
         self,
@@ -366,34 +200,6 @@ class GFCache:
             )
         self.put(key, bank)
         return bank
-
-    # -- maintenance ---------------------------------------------------------
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory level; with ``disk=True`` also the disk store.
-
-        Digest sidecars go with their artifacts; the quarantine
-        directory is never touched (evidence outlives cache resets).
-        """
-        self._memory.clear()
-        if disk and self.cache_dir is not None and self.cache_dir.exists():
-            for path in self.cache_dir.glob("gf_*.npz"):
-                path.unlink()
-            for path in self.cache_dir.glob("gf_*.npz.sha256"):
-                path.unlink()
-
-    def memory_keys(self) -> list[str]:
-        """Keys currently resident in memory, LRU-oldest first."""
-        return list(self._memory)
-
-    def disk_keys(self) -> list[str]:
-        """Keys present in the disk store."""
-        if self.cache_dir is None or not self.cache_dir.exists():
-            return []
-        return sorted(
-            p.name[len("gf_") : -len(".npz")]
-            for p in self.cache_dir.glob("gf_*.npz")
-        )
 
 
 # -- shared-memory bank sharing ---------------------------------------------

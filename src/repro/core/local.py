@@ -29,7 +29,8 @@ from __future__ import annotations
 import shutil
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from pathlib import Path
@@ -120,8 +121,8 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     an independent RNG from each rupture's *catalog index* — chunk
     [start, start+count) produces the identical ruptures in any process,
     so the pooled catalog is bit-identical to the sequential one. Each
-    worker keeps its session for the life of the process, with an
-    exact-mode K-L cache over ``kl_dir`` (the runner's disk store) —
+    worker keeps its session for the life of the process, with a
+    K-L cache over ``kl_dir`` (the runner's disk store) —
     a basis eigendecomposed by *any* worker is a disk hit for every
     other worker and every later run of the same configuration.
     """
@@ -138,7 +139,7 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
 _SPOOL = "_spool"
 
 #: Pool task: (shared-bank handle, parameters, rupture chunk, spool dir).
-_ChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], str | None]
+_ChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], Path | None]
 
 
 def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
@@ -235,6 +236,137 @@ def _release_state(state: dict) -> None:
     state["segments"] = []
 
 
+def _no_hook(*_args: object) -> None:
+    """Stand-in for a fault-plan hook when the run has no plan."""
+
+
+class _ChunkExecutor:
+    """Runs the chunks of one :meth:`LocalRunner.run`, phase by phase.
+
+    Phases A and C both go through :meth:`run`, which restores
+    checkpointed chunks, executes the rest, and hands each result to the
+    checkpoint and the fault plan in chunk-index order — so checkpoints,
+    crash points and archives do not depend on where chunks ran. Every
+    attempt goes through :func:`~repro.resilience.retry_call`; a fault
+    plan only adds its ``chunk_attempt`` hook before each attempt. The
+    executor also keeps the run's chunk accounting.
+    """
+
+    def __init__(
+        self,
+        runner: "LocalRunner",
+        seed: int,
+        ckpt: RunCheckpoint | None,
+        faults: "object | None",
+    ) -> None:
+        self.runner = runner
+        self.seed = seed
+        self.ckpt = ckpt
+        self.attempt_hook = getattr(faults, "chunk_attempt", _no_hook)
+        self.completed_hook = getattr(faults, "chunk_completed", _no_hook)
+        self.counts = {
+            outcome: {"A": 0, "C": 0} for outcome in ("executed", "skipped", "retries")
+        }
+        self.backoff_s = 0.0
+
+    def _count(self, phase: str, outcome: str) -> None:
+        self.counts[outcome][phase] += 1
+        obs.counter_add(
+            "repro_local_chunks_total", 1, {"phase": phase, "outcome": outcome}
+        )
+
+    def run(
+        self,
+        phase: str,
+        n_chunks: int,
+        inline: Callable[[int], object],
+        worker: Callable[[object], object],
+        task: Callable[[int], object],
+    ) -> list:
+        """Execute one phase's chunks and return their results by index.
+
+        ``inline(i)`` computes chunk ``i`` in this process and
+        ``worker(task(i))`` computes it in a pool worker. The pool is
+        used only when the runner has ``n_workers > 1`` and more than
+        one chunk is pending; otherwise chunks run inline.
+        """
+        ckpt = self.ckpt
+        load = store = None
+        if ckpt is not None:
+            load, store = {
+                "A": (ckpt.try_load_a_chunk, ckpt.store_a_chunk),
+                "C": (ckpt.try_load_c_chunk, ckpt.store_c_chunk),
+            }[phase]
+        results: list = [None] * n_chunks
+        pending: list[int] = []
+        for i in range(n_chunks):
+            restored = load(i) if load is not None and ckpt.is_done(phase, i) else None
+            if restored is None:
+                pending.append(i)
+            else:
+                results[i] = restored
+                self._count(phase, "skipped")
+
+        futures: dict[int, Future] = {}
+        compute: Callable[[int], object] = inline
+        resubmit: Callable[[int], None] | None = None
+        if self.runner.n_workers > 1 and len(pending) > 1:
+            pool = self.runner._ensure_pool()
+
+            def submit(i: int) -> None:
+                futures[i] = pool.submit(worker, task(i))
+
+            for i in pending:
+                submit(i)
+            compute, resubmit = (lambda i: futures[i].result()), submit
+        try:
+            for i in pending:
+                results[i] = self._attempt(phase, i, compute, resubmit)
+                if store is not None:
+                    store(i, results[i])
+                self._count(phase, "executed")
+                self.completed_hook(phase)
+        finally:
+            for future in futures.values():
+                future.cancel()
+        return results
+
+    def _attempt(
+        self,
+        phase: str,
+        index: int,
+        compute: Callable[[int], object],
+        resubmit: Callable[[int], None] | None,
+    ) -> object:
+        """One chunk's result under the runner's retry policy.
+
+        A retryable failure re-executes just this chunk (resubmitting
+        it when it runs on the pool); the backoff is derived from the
+        run's seed and accounted, not slept.
+        """
+
+        def once() -> object:
+            self.attempt_hook(phase, index)
+            return compute(index)
+
+        def on_retry(_attempt: int, _exc: BaseException, delay: float) -> None:
+            self.counts["retries"][phase] += 1
+            self.backoff_s += delay
+            if obs.enabled():
+                obs.counter_add("repro_local_chunk_retries_total", 1, {"phase": phase})
+                obs.counter_add("repro_local_retry_backoff_seconds_total", delay)
+            if resubmit is not None:
+                resubmit(index)
+
+        return retry_call(
+            once,
+            policy=self.runner.retry_policy,
+            seed=self.seed,
+            keys=("chunk", phase, index),
+            on_retry=on_retry,
+        ).value
+
+
 class LocalRunner:
     """Run an FDW configuration on this machine with real kernels.
 
@@ -242,10 +374,11 @@ class LocalRunner:
     ----------
     n_workers:
         1 (default) mirrors MudPy's native sequential behaviour; >1
-        fans A chunks out over a persistent process pool (each worker
-        caching its Phase-A session) and C chunks over the same pool
-        reading one shared-memory copy of the GF bank (see module
-        docstring). Both pooled phases are bit-identical to sequential.
+        fans each phase's pending chunks out over a persistent process
+        pool when there is more than one: A chunks to workers caching
+        their Phase-A session, C chunks to workers reading one
+        shared-memory copy of the GF bank (see module docstring). Both
+        pooled phases are bit-identical to sequential.
     gf_cache:
         The :class:`~repro.core.gfcache.GFCache` Phase B routes
         through. ``None`` builds a private cache (which still honours
@@ -254,9 +387,9 @@ class LocalRunner:
     kl_cache:
         The :class:`~repro.seismo.klcache.KLCache` the *parent-side*
         Phase A routes through (sequential runs and the single-chunk
-        fall-through). ``None`` builds a private exact-mode cache
-        (which still honours ``REPRO_KL_CACHE_DIR``). Pool workers
-        always build their own per-process exact-mode caches.
+        fall-through). ``None`` builds a private cache (which still
+        honours ``REPRO_KL_CACHE_DIR``). Pool workers always build
+        their own per-process caches over the same disk store.
 
     The pool and the published shared-memory segments persist across
     :meth:`run` calls — repeated runs of the same configuration skip
@@ -306,9 +439,14 @@ class LocalRunner:
         return handle
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared-memory segments."""
+        """Shut the pool down and unlink the shared-memory segments.
+
+        Every call releases whatever the runner holds, so a runner used
+        again after ``close`` leaks nothing either; the finalizer stays
+        armed for garbage collection.
+        """
         self._published.clear()
-        self._finalizer()
+        _release_state(self._state)
 
     def __enter__(self) -> "LocalRunner":
         return self
@@ -356,8 +494,6 @@ class LocalRunner:
             raise ConfigError("checkpoint/resume requires an archive_dir")
         fq = _fakequakes_for(config, gf_cache=self.gf_cache, kl_cache=self.kl_cache)
         timings: dict[str, float] = {}
-        executed = {"A": 0, "C": 0}
-        skipped = {"A": 0, "C": 0}
         a_chunks = chunk_bounds(config.n_waveforms, config.chunk_a)
         c_chunks = chunk_bounds(config.n_waveforms, config.chunk_c)
         ckpt: RunCheckpoint | None = None
@@ -393,121 +529,27 @@ class LocalRunner:
         obs.complete("phase:dist", ts=t0, dur=timings["dist"],
                      category="local", track="runner")
 
-        retries = {"A": 0, "C": 0}
-        backoff_s = [0.0]
-        attempt_hook = (
-            getattr(faults, "chunk_attempt", None) if faults is not None else None
-        )
+        chunks = _ChunkExecutor(self, config.seed, ckpt, faults)
 
-        def attempted(phase, index, fn, resubmit=None):
-            """One chunk's execution, retry-wrapped when a fault plan
-            can inject flakes. Without a plan the call is direct — the
-            legacy path stays byte-for-byte untouched."""
-            if attempt_hook is None:
-                return fn()
-
-            def once():
-                attempt_hook(phase, index)
-                return fn()
-
-            def on_retry(_attempt, _exc, delay):
-                retries[phase] += 1
-                backoff_s[0] += delay
-                if obs.enabled():
-                    obs.counter_add(
-                        "repro_local_chunk_retries_total", 1, {"phase": phase}
-                    )
-                    obs.counter_add(
-                        "repro_local_retry_backoff_seconds_total", delay
-                    )
-                if resubmit is not None:
-                    resubmit()
-
-            outcome = retry_call(
-                once,
-                policy=self.retry_policy,
-                seed=config.seed,
-                keys=("chunk", phase, index),
-                on_retry=on_retry,
-            )
-            return outcome.value
-
+        # Pool workers share the runner's disk K-L store when one is
+        # configured, and build their Phase-A sessions from the params.
         t0 = time.perf_counter()
-        chunks_a: list[list[Rupture]] = [[] for _ in a_chunks]
-        pending_a: list[int] = []
-        for i in range(len(a_chunks)):
-            chunk = ckpt.try_load_a_chunk(i) if ckpt is not None and ckpt.is_done("A", i) else None
-            if chunk is not None:
-                chunks_a[i] = chunk
-                skipped["A"] += 1
-                obs.counter_add(
-                    "repro_local_chunks_total", 1,
-                    {"phase": "A", "outcome": "skipped"},
-                )
-            else:
-                pending_a.append(i)
-
-        def a_done(index: int, chunk: list[Rupture]) -> None:
-            chunks_a[index] = chunk
-            if ckpt is not None:
-                ckpt.store_a_chunk(index, chunk)
-            executed["A"] += 1
-            obs.counter_add(
-                "repro_local_chunks_total", 1,
-                {"phase": "A", "outcome": "executed"},
-            )
-            if faults is not None:
-                faults.chunk_completed("A")
-
-        if self.n_workers == 1 or len(pending_a) <= 1:
-            for i in pending_a:
-                start, count = a_chunks[i]
-                a_done(
-                    i,
-                    attempted(
-                        "A", i, lambda s=start, c=count: fq.phase_a_ruptures(s, c)
-                    ),
-                )
-        else:
-            # Pooled Phase-A fan-out: per-index RNG keying makes chunks
-            # process-independent, so the catalog is bit-identical to
-            # the sequential loop above (ids, slip, kinematics). Workers
-            # share the runner's disk K-L store when one is configured.
-            pool = self._ensure_pool()
-            kl_dir = (
-                str(self.kl_cache.cache_dir)
-                if self.kl_cache.cache_dir is not None
-                else None
-            )
-            a_tasks: dict[int, _AChunkTask] = {
-                i: (fq.params, *a_chunks[i], kl_dir) for i in pending_a
-            }
-            if attempt_hook is None:
-                for i, chunk in zip(
-                    pending_a, pool.map(_run_a_chunk, list(a_tasks.values()))
-                ):
-                    a_done(i, chunk)
-            else:
-                # Per-chunk futures so a flaked chunk can be resubmitted
-                # alone while the rest of the fan-out keeps running.
-                a_futs = {i: pool.submit(_run_a_chunk, a_tasks[i]) for i in pending_a}
-                for i in pending_a:
-                    a_done(
-                        i,
-                        attempted(
-                            "A",
-                            i,
-                            lambda i=i: a_futs[i].result(),
-                            resubmit=lambda i=i: a_futs.__setitem__(
-                                i, pool.submit(_run_a_chunk, a_tasks[i])
-                            ),
-                        ),
-                    )
+        kl_dir = (
+            str(self.kl_cache.cache_dir) if self.kl_cache.cache_dir is not None else None
+        )
+        chunks_a = chunks.run(
+            "A",
+            len(a_chunks),
+            inline=lambda i: fq.phase_a_ruptures(*a_chunks[i]),
+            worker=_run_a_chunk,
+            task=lambda i: (fq.params, *a_chunks[i], kl_dir),
+        )
         ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
         timings["A"] = time.perf_counter() - t0
         obs.complete("phase:A", ts=t0, dur=timings["A"],
                      category="local", track="runner",
-                     args={"executed": executed["A"], "skipped": skipped["A"]})
+                     args={"executed": chunks.counts["executed"]["A"],
+                           "skipped": chunks.counts["skipped"]["A"]})
 
         t0 = time.perf_counter()
         fq.phase_b_greens_functions()
@@ -515,90 +557,24 @@ class LocalRunner:
         obs.complete("phase:B", ts=t0, dur=timings["B"],
                      category="local", track="runner")
 
+        # Pooled C chunks read the bank from shared memory, published
+        # once per bank key when the first task is built.
         t0 = time.perf_counter()
-        rows_by_chunk: list[list[CRow]] = [[] for _ in c_chunks]
-        pending_c: list[int] = []
-        for i in range(len(c_chunks)):
-            c_rows = ckpt.try_load_c_chunk(i) if ckpt is not None and ckpt.is_done("C", i) else None
-            if c_rows is not None:
-                rows_by_chunk[i] = c_rows
-                skipped["C"] += 1
-                obs.counter_add(
-                    "repro_local_chunks_total", 1,
-                    {"phase": "C", "outcome": "skipped"},
-                )
-            else:
-                pending_c.append(i)
+        bank_key = gf_bank_key(
+            fq.geometry, fq.network, gf_method=fq.params.gf_method, dtype=fq.params.gf_dtype
+        )
 
-        def c_done(index: int, rows: list[CRow]) -> None:
-            rows_by_chunk[index] = rows
-            if ckpt is not None:
-                ckpt.store_c_chunk(index, rows)
-            executed["C"] += 1
-            obs.counter_add(
-                "repro_local_chunks_total", 1,
-                {"phase": "C", "outcome": "executed"},
-            )
-            if faults is not None:
-                faults.chunk_completed("C")
+        def c_slice(i: int) -> list[Rupture]:
+            start, count = c_chunks[i]
+            return ruptures[start : start + count]
 
-        if self.n_workers == 1:
-            for i in pending_c:
-                start, count = c_chunks[i]
-                c_done(
-                    i,
-                    attempted(
-                        "C",
-                        i,
-                        lambda s=start, c=count: [
-                            _spool_row(ws, spool)
-                            for ws in fq.phase_c_waveforms(ruptures[s : s + c])
-                        ],
-                    ),
-                )
-        else:
-            key = gf_bank_key(
-                fq.geometry,
-                fq.network,
-                gf_method=fq.params.gf_method,
-                dtype=fq.params.gf_dtype,
-            )
-            handle = self._shared_handle(key, fq)
-            c_tasks: dict[int, _ChunkTask] = {
-                i: (
-                    handle,
-                    fq.params,
-                    ruptures[c_chunks[i][0] : c_chunks[i][0] + c_chunks[i][1]],
-                    str(spool) if spool is not None else None,
-                )
-                for i in pending_c
-            }
-            pool = self._ensure_pool()
-            if attempt_hook is None:
-                chunk_results = zip(
-                    pending_c, pool.map(_synthesize_chunk_shared, list(c_tasks.values()))
-                )
-            else:
-                c_futs = {
-                    i: pool.submit(_synthesize_chunk_shared, c_tasks[i])
-                    for i in pending_c
-                }
-                chunk_results = (
-                    (
-                        i,
-                        attempted(
-                            "C",
-                            i,
-                            lambda i=i: c_futs[i].result(),
-                            resubmit=lambda i=i: c_futs.__setitem__(
-                                i, pool.submit(_synthesize_chunk_shared, c_tasks[i])
-                            ),
-                        ),
-                    )
-                    for i in pending_c
-                )
-            for i, chunk_rows in chunk_results:
-                c_done(i, chunk_rows)
+        rows_by_chunk: list[list[CRow]] = chunks.run(
+            "C",
+            len(c_chunks),
+            inline=lambda i: [_spool_row(ws, spool) for ws in fq.phase_c_waveforms(c_slice(i))],
+            worker=_synthesize_chunk_shared,
+            task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
+        )
         pgd: dict[str, float] = {}
         n_sets = 0
         for chunk_rows in rows_by_chunk:
@@ -608,7 +584,8 @@ class LocalRunner:
         timings["C"] = time.perf_counter() - t0
         obs.complete("phase:C", ts=t0, dur=timings["C"],
                      category="local", track="runner",
-                     args={"executed": executed["C"], "skipped": skipped["C"]})
+                     args={"executed": chunks.counts["executed"]["C"],
+                           "skipped": chunks.counts["skipped"]["C"]})
 
         if archive_dir is not None:
             # Workers only spool; the parent owns the manifest (the
@@ -633,10 +610,10 @@ class LocalRunner:
             phase_seconds=timings,
             archive_root=archive.root if archive is not None else None,
             pgd_by_rupture=pgd,
-            chunks_executed=dict(executed),
-            chunks_skipped=dict(skipped),
-            chunk_retries=dict(retries),
-            retry_backoff_s=backoff_s[0],
+            chunks_executed=chunks.counts["executed"],
+            chunks_skipped=chunks.counts["skipped"],
+            chunk_retries=chunks.counts["retries"],
+            retry_backoff_s=chunks.backoff_s,
         )
 
 

@@ -19,7 +19,7 @@ artifact the protections real federated storage applies:
   deleting it, preserving the evidence for post-mortems while freeing
   the cache slot for a rebuild-from-source.
 
-The cache layers (:mod:`repro.core.gfcache`, :mod:`repro.seismo.klcache`)
+The artifact cache (:mod:`repro.cache`, under the GF and K-L codecs)
 and the checkpoint machinery (:mod:`repro.core.checkpoint`) route every
 disk load through these helpers: a corrupted entry degrades to a
 recompute, never a wrong answer or a crash.
@@ -101,8 +101,10 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
 
     ``write(tmp)`` produces the payload in a unique temp file
     (:func:`_temp_path`, ending in the artifact's own suffix so writers
-    like ``np.savez`` keep the name). The temp is then hard-linked as
-    ``path``, which fails if ``path`` exists: the first writer wins and
+    like ``np.savez`` keep the name). The temp is fsynced, as
+    :func:`_atomic_write` does, so ``path`` never names bytes that are
+    not yet durable, and then hard-linked as ``path``, which fails if
+    ``path`` exists: the first writer wins and
     writes the only sidecar, and a later writer of the same key discards
     its bytes. The artifact and sidecar therefore always describe one
     write, however many processes race on the key. Where hard links are
@@ -112,7 +114,9 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
     tmp = _temp_path(path, ".tmp" + path.suffix)
     try:
         write(tmp)
-        data = tmp.read_bytes()
+        with open(tmp, "rb") as fh:
+            data = fh.read()
+            os.fsync(fh.fileno())
         try:
             os.link(tmp, path)
         except FileExistsError:

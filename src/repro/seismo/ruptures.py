@@ -145,9 +145,8 @@ class RuptureGenerator:
     kl_cache:
         Optional :class:`~repro.seismo.klcache.KLCache` that memoizes
         the per-patch K-L eigendecomposition (the dominant per-rupture
-        cost). ``None`` computes every basis directly; an exact-mode
-        cache is bit-identical to the direct path, a quantized cache
-        trades numerics for hit rate (see the cache docs).
+        cost). ``None`` computes every basis directly; a cached basis
+        is bit-identical to the direct path.
     """
 
     def __init__(

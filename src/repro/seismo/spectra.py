@@ -132,6 +132,11 @@ class KarhunenLoeveBasis:
         """Number of retained K-L modes."""
         return self.eigenvalues.shape[0]
 
+    @property
+    def nbytes(self) -> int:
+        """Size of the basis arrays in bytes."""
+        return int(self.eigenvalues.nbytes) + int(self.eigenvectors.nbytes)
+
     @classmethod
     def from_correlation(
         cls, correlation: np.ndarray, n_modes: int | None = None

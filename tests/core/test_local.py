@@ -174,6 +174,29 @@ def test_close_is_idempotent(tiny_config):
     runner.close()
 
 
+def test_close_releases_a_reused_runner(tiny_config):
+    """Every close() releases what the runner holds: a runner run again
+    after close() leaks neither its second pool nor its second set of
+    shared-memory segments."""
+    from multiprocessing import shared_memory
+
+    runner = LocalRunner(n_workers=2)
+    runner.run(tiny_config)
+    runner.close()
+    runner.run(tiny_config)
+    names = [
+        name
+        for handle in runner._published.values()
+        for name in (handle.statics_name, handle.travel_name)
+    ]
+    assert len(names) == 2
+    runner.close()
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+    assert runner._state["pool"] is None
+
+
 def test_runners_share_gf_cache(tiny_config):
     from repro.core.gfcache import GFCache
 
@@ -367,10 +390,11 @@ def _archive_digest(root):
 
 
 def test_archive_digest_identical_on_every_path(tmp_path):
-    """Sequential, pooled, checkpointed and crash+resumed runs of one
-    seed assemble byte-identical archives, manifest included, and leave
-    no spool, temp or checkpoint files behind."""
-    from repro.faults import ChunkCrash, FaultInjected, FaultPlan
+    """Sequential, pooled, checkpointed, flaky and crash+resumed runs of
+    one seed assemble byte-identical archives, manifest included, and
+    leave no spool, temp or checkpoint files behind."""
+    from repro import obs
+    from repro.faults import ChunkCrash, ChunkFlake, FaultInjected, FaultPlan
 
     config = FdwConfig(
         n_waveforms=6, n_stations=3, mesh=(8, 5), chunk_a=2, chunk_c=2,
@@ -380,17 +404,35 @@ def test_archive_digest_identical_on_every_path(tmp_path):
     with LocalRunner(n_workers=2) as runner:
         runner.run(config, archive_dir=tmp_path / "pooled")
         runner.run(config, archive_dir=tmp_path / "pooled-ckpt", checkpoint=True)
+        pooled_flaky = runner.run(
+            config, archive_dir=tmp_path / "pooled-flaky",
+            faults=FaultPlan(flakes=(ChunkFlake("A", 1), ChunkFlake("C", 2, times=2))),
+        )
+    assert pooled_flaky.chunk_retries == {"A": 1, "C": 2}
     LocalRunner().run(config, archive_dir=tmp_path / "checkpointed", checkpoint=True)
+    checkpointed_flaky = LocalRunner().run(
+        config, archive_dir=tmp_path / "checkpointed-flaky", checkpoint=True,
+        faults=FaultPlan(flakes=(ChunkFlake("A", 0), ChunkFlake("C", 1))),
+    )
+    assert checkpointed_flaky.chunk_retries == {"A": 1, "C": 1}
     with pytest.raises(FaultInjected):
         LocalRunner().run(
             config, archive_dir=tmp_path / "resumed", checkpoint=True,
             faults=FaultPlan(crashes=(ChunkCrash("C", 2),)),
         )
-    resumed = LocalRunner().run(config, archive_dir=tmp_path / "resumed", resume=True)
+    with obs.observe() as session:
+        resumed = LocalRunner().run(config, archive_dir=tmp_path / "resumed", resume=True)
     assert resumed.chunks_skipped["C"] == 2
+    for phase in ("A", "C"):
+        for outcome, counts in (("executed", resumed.chunks_executed),
+                                ("skipped", resumed.chunks_skipped)):
+            assert session.registry.counter_value(
+                "repro_local_chunks_total", {"phase": phase, "outcome": outcome}
+            ) == counts[phase]
 
     roots = [tmp_path / name for name in
-             ("sequential", "pooled", "pooled-ckpt", "checkpointed", "resumed")]
+             ("sequential", "pooled", "pooled-ckpt", "pooled-flaky", "checkpointed",
+              "checkpointed-flaky", "resumed")]
     digests = {root.name: _archive_digest(root) for root in roots}
     assert len(set(digests.values())) == 1, digests
     for root in roots:

@@ -63,7 +63,7 @@ def test_distance_content_digest_cached(small_distances):
     assert len(small_distances.content_digest) == 64
 
 
-# -- exact mode: bit-identity -------------------------------------------------
+# -- bit-identity -------------------------------------------------------------
 
 
 def _direct_basis(distances, patch, corr_s, corr_d, n_modes):
@@ -156,47 +156,7 @@ def test_validation():
     with pytest.raises(CacheError):
         KLCache(max_memory_entries=0)
     with pytest.raises(CacheError):
-        KLCache(quantize_step_km=0.0)
-    with pytest.raises(CacheError):
         KLCache().put("", None)
-
-
-# -- quantized mode (numerics-changing, opt-in) -------------------------------
-
-
-def test_exact_mode_is_default():
-    assert KLCache().quantize_step_km is None
-
-
-def test_effective_lengths_exact_mode_passthrough():
-    cache = KLCache()
-    assert cache.effective_lengths(52.34, 29.01) == (52.34, 29.01)
-
-
-def test_effective_lengths_quantized():
-    cache = KLCache(quantize_step_km=5.0)
-    assert cache.effective_lengths(52.34, 29.01) == (50.0, 30.0)
-    # Never quantized to zero.
-    assert cache.effective_lengths(0.3, 0.1) == (5.0, 5.0)
-
-
-def test_quantized_mode_shares_entries(small_distances, patch):
-    """Nearby scaling-law draws collapse onto one basis — the high-hit-
-    rate sweep mode."""
-    cache = KLCache(quantize_step_km=10.0)
-    a = cache.get_or_compute(small_distances, patch, 52.0, 31.0, n_modes=4)
-    b = cache.get_or_compute(small_distances, patch, 48.0, 28.0, n_modes=4)
-    assert a is b
-    assert cache.stats.memory_hits == 1
-
-
-def test_quantized_mode_changes_numerics(small_distances, patch):
-    """Documented caveat: quantization perturbs the sampled fields."""
-    exact = KLCache().get_or_compute(small_distances, patch, 52.0, 31.0, n_modes=4)
-    quant = KLCache(quantize_step_km=10.0).get_or_compute(
-        small_distances, patch, 52.0, 31.0, n_modes=4
-    )
-    assert not np.array_equal(exact.eigenvalues, quant.eigenvalues)
 
 
 # -- generator integration ----------------------------------------------------

@@ -158,3 +158,34 @@ def test_verification_memo_hashes_once_per_file_version(tmp_path, monkeypatch):
     with pytest.raises(IntegrityError):
         read_verified(path)
     assert len(hashed) > n_cold  # the rewrite forced a fresh hash
+
+
+def test_publish_artifact_fsyncs_payload_before_link(tmp_path, monkeypatch):
+    """The payload is durable before its final name exists: the temp
+    file's inode is fsynced before it is hard-linked as the artifact."""
+    import os
+
+    from repro.integrity import publish_artifact
+
+    events = []
+    real_fsync, real_link = os.fsync, os.link
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        return real_fsync(fd)
+
+    def link(src, dst, *args, **kwargs):
+        events.append(("link", os.stat(src).st_ino))
+        return real_link(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "link", link)
+    path = tmp_path / "bank.npz"
+    publish_artifact(path, lambda tmp: tmp.write_bytes(b"payload bytes" * 64))
+    monkeypatch.undo()
+
+    inode = path.stat().st_ino
+    assert ("link", inode) in events
+    assert ("fsync", inode) in events
+    assert events.index(("fsync", inode)) < events.index(("link", inode))
+    assert read_verified(path) == b"payload bytes" * 64

@@ -1,15 +1,16 @@
-"""Million-job DES scaling: vectorized pool engine vs. the reference loop.
+"""Million-job DES scaling: the pool engine vs. the frozen reference loop.
 
 The ``bench-des-scale`` group tracks the struct-of-arrays event core at
 the scales the paper's cyberinfrastructure argument actually needs:
 
 * a 100k-task instance (generated from the bundled FDW pattern with the
-  WfChef-style scaler) replayed in trace mode under both pool engines on
-  a pool wide enough to run a whole DAG level concurrently — the design
-  point where the reference loop's per-completion running-list rebuild
-  turns quadratic, and
-* a million-task instance replayed in model mode under the vectorized
-  engine — the "does a week of OSPool fit in a coffee break" headline.
+  WfChef-style scaler) replayed in trace mode under the pool engine and
+  under the one-object-per-job reference engine (the test oracle in
+  ``tests.oracles.pool_reference``) on a pool wide enough to run a whole
+  DAG level concurrently — the design point where the reference loop's
+  per-completion running-list rebuild turns quadratic, and
+* a million-task instance replayed in model mode under the pool engine
+  — the "does a week of OSPool fit in a coffee break" headline.
 
 Both arms record jobs/sec and peak RSS in the pytest-benchmark
 ``extra_info`` (archived as the BENCH_kernels artifact). The >=20x
@@ -36,6 +37,7 @@ from repro.osg.capacity import FixedCapacity
 from repro.osg.negotiator import NegotiatorConfig
 from repro.osg.pool import OSPoolConfig
 from repro.wf import generate_instance, import_instance, load_instance, replay_instance
+from tests.oracles.pool_reference import on_reference_pool
 
 N_100K = max(1_000, round(100_000 * bench_scale()))
 N_1M = max(2_000, round(1_000_000 * bench_scale()))
@@ -82,16 +84,18 @@ def imported_1m(fdw64):
 
 
 def timed_replay(arm, workflow, n_tasks, engine, runtime, n_slots):
-    start = time.perf_counter()
-    result = replay_instance(
-        workflow,
+    kwargs = dict(
         seed=0,
         runtime=runtime,
         config=wide_pool_config(n_slots),
         capacity=FixedCapacity(n_slots),
         options=wide_options(n_tasks),
-        engine=engine,
     )
+    start = time.perf_counter()
+    if engine == "reference":
+        result = on_reference_pool(replay_instance, workflow, **kwargs)
+    else:
+        result = replay_instance(workflow, **kwargs)
     elapsed = time.perf_counter() - start
     RESULTS[arm] = {
         "elapsed_s": elapsed,
@@ -120,7 +124,7 @@ def run_arm(benchmark, arm, workflow, n_tasks, engine, runtime, n_slots):
 
 @pytest.mark.benchmark(group="bench-des-scale")
 def test_100k_trace_reference_engine(benchmark, imported_100k):
-    """Baseline: the seed's one-object-per-job loop at 100k tasks."""
+    """Baseline: the frozen one-object-per-job loop at 100k tasks."""
     run_arm(
         benchmark, "100k-reference", imported_100k, N_100K,
         engine="reference", runtime="trace", n_slots=N_100K,
@@ -129,7 +133,7 @@ def test_100k_trace_reference_engine(benchmark, imported_100k):
 
 @pytest.mark.benchmark(group="bench-des-scale")
 def test_100k_trace_vector_engine(benchmark, imported_100k):
-    """The struct-of-arrays engine on the identical workload."""
+    """The pool's struct-of-arrays engine on the identical workload."""
     run_arm(
         benchmark, "100k-vector", imported_100k, N_100K,
         engine="vector", runtime="trace", n_slots=N_100K,
@@ -144,7 +148,7 @@ def test_100k_trace_vector_engine(benchmark, imported_100k):
 
 @pytest.mark.benchmark(group="bench-des-scale")
 def test_million_model_vector_engine(benchmark, imported_1m):
-    """A million model-mode jobs through the vectorized engine."""
+    """A million model-mode jobs through the pool engine."""
     run_arm(
         benchmark, "1m-vector", imported_1m, N_1M,
         engine="vector", runtime="model", n_slots=MODEL_POOL_SLOTS,
@@ -159,7 +163,7 @@ def test_des_scale_speedup_report(capsys):
     speedup = ref["elapsed_s"] / vec["elapsed_s"]
     with capsys.disabled():
         print()
-        print("### DES scaling: reference vs. vectorized pool engine")
+        print("### DES scaling: frozen reference vs. pool engine")
         print(f"{'arm':<18}{'tasks':>10}{'elapsed':>10}{'jobs/s':>12}")
         print("-" * 50)
         for arm, n in (

@@ -17,9 +17,10 @@ in ``extra_info``) and the float32 bank, whose error budget lands in
 von Kármán evaluation against the unique-lag kernel, cold vs. warm
 :class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
 rupture sweep (dense kernel, no cache) against the pooled + memoized
-fan-out. ``phase-b-batch`` compares the per-pair ``okada85`` reference
-loop against the vectorized Chinnery-corner bank build (bit-identical
-products) and the opt-in float32 bank, whose error budget lands in the
+fan-out. ``phase-b-batch`` compares the frozen per-subfault ``okada85``
+loop (``tests/oracles/okada_loop.py``) against the vectorized
+Chinnery-corner bank build (bit-identical products) and the opt-in
+float32 bank, whose error budget lands in the
 bench JSON ``extra_info``. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
 ``--benchmark-json BENCH_kernels.json`` to persist the numbers (the CI
 smoke job archives that artifact).
@@ -51,6 +52,7 @@ from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.spectra import von_karman_correlation
 from repro.seismo.stations import chilean_network
 from repro.seismo.waveforms import WaveformSynthesizer
+from tests.oracles.okada_loop import reference_okada_gf_bank
 from tests.oracles.synthesis_dense import dense_synthesize
 
 
@@ -218,7 +220,7 @@ def test_phase_c_batched_float32(benchmark, gf_bank, ruptures):
     assert dev < 1e-5
 
 
-# -- Phase B kernel: reference Okada loop vs vectorized bank ------------------
+# -- Phase B kernel: frozen Okada loop vs vectorized bank ---------------------
 
 
 @pytest.fixture(scope="module")
@@ -235,10 +237,8 @@ def paper_network():
 
 @pytest.mark.benchmark(group="phase-b-batch")
 def test_phase_b_reference(benchmark, paper_geometry, paper_network):
-    """Seed evaluation: one ``okada85`` call per (station, subfault) pair."""
-    bank = benchmark(
-        compute_okada_gf_bank, paper_geometry, paper_network, engine="reference"
-    )
+    """Frozen seed evaluation: one three-pass ``okada85`` call per subfault."""
+    bank = benchmark(reference_okada_gf_bank, paper_geometry, paper_network)
     assert bank.n_stations == len(paper_network)
 
 
@@ -246,9 +246,7 @@ def test_phase_b_reference(benchmark, paper_geometry, paper_network):
 def test_phase_b_vector(benchmark, paper_geometry, paper_network):
     """Batched evaluation: one Chinnery corner tensor for the whole bank."""
     bank = benchmark(compute_okada_gf_bank, paper_geometry, paper_network)
-    reference = compute_okada_gf_bank(
-        paper_geometry, paper_network, engine="reference"
-    )
+    reference = reference_okada_gf_bank(paper_geometry, paper_network)
     assert np.array_equal(bank.statics, reference.statics)  # bit-identical
     assert np.array_equal(bank.travel_time_s, reference.travel_time_s)
 
@@ -272,9 +270,7 @@ def test_phase_b_speedup_report(paper_geometry, paper_network, capsys):
     """One-shot reference-vs-vector comparison of the Okada bank build
     (not a pytest-benchmark timing; runs even with --benchmark-disable)."""
     t0 = time.perf_counter()
-    reference = compute_okada_gf_bank(
-        paper_geometry, paper_network, engine="reference"
-    )
+    reference = reference_okada_gf_bank(paper_geometry, paper_network)
     ref_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     vector = compute_okada_gf_bank(paper_geometry, paper_network)

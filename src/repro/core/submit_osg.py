@@ -77,7 +77,6 @@ def run_fdw_batch(
     stagger_s: float = 0.0,
     rescue_dir: str | Path | None = None,
     transfer_faults: "object | None" = None,
-    engine: str = "vector",
 ) -> FdwBatchResult:
     """Run FDW configuration(s) as concurrent DAGMans on a fresh pool.
 
@@ -103,10 +102,6 @@ def run_fdw_batch(
         Optional :class:`~repro.faults.TransferFaults` chaos model on
         the pool's Stash delivery path (see
         :class:`~repro.osg.transfer.StashCache`).
-    engine:
-        Pool event-loop implementation, forwarded to
-        :class:`~repro.osg.pool.OSPoolSimulator`: ``"vector"`` (default)
-        or the scalar ``"reference"`` oracle — bit-identical outputs.
     """
     if isinstance(configs, FdwConfig):
         configs = [configs]
@@ -123,7 +118,6 @@ def run_fdw_batch(
         capacity=capacity,
         seed=seed,
         rescue_dir=rescue_dir,
-        engine=engine,
         transfer_faults=transfer_faults,
     )
     for i, config in enumerate(configs):

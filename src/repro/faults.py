@@ -334,8 +334,22 @@ class FaultPlan:
     def install(self, pool) -> None:
         """Schedule the plan's pool faults on an ``OSPoolSimulator``.
 
-        Call after submissions, before ``pool.run()``.
+        Call after submissions, before ``pool.run()``. Like an evict or
+        hold that finds no running job, a kill whose DAGMan has already
+        finished when it fires does nothing.
+
+        Raises
+        ------
+        ReproError
+            If a fault names a DAGMan that was not submitted.
         """
+        runs = pool.dagman_runs
+        for fault in self.pool_faults:
+            if fault.dagman is not None and fault.dagman not in runs:
+                raise ReproError(
+                    f"{fault.action} fault at {fault.at_s}s names unknown "
+                    f"DAGMan {fault.dagman!r}"
+                )
         for fault in self.pool_faults:
             if fault.action == "evict":
                 pool.sim.schedule_at(
@@ -348,5 +362,8 @@ class FaultPlan:
                 )
             else:  # kill-dagman
                 pool.sim.schedule_at(
-                    fault.at_s, lambda f=fault: pool.kill_dagman(f.dagman)
+                    fault.at_s,
+                    lambda run=runs[fault.dagman]: (
+                        run.finished or pool.kill_dagman(run.name)
+                    ),
                 )

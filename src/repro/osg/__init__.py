@@ -6,7 +6,7 @@ come and go, a negotiator matches idle jobs to slots in periodic cycles,
 and large input files are delivered through a Stash/OSDF cache. This
 subpackage models exactly those mechanisms:
 
-* :mod:`repro.osg.des` — the event-queue core,
+* :mod:`repro.osg.des` — the handle-free event-queue core,
 * :mod:`repro.osg.capacity` — time-varying per-user slot capacity,
 * :mod:`repro.osg.transfer` — the Stash-cache file delivery model,
 * :mod:`repro.osg.runtimes` — job execution-time sampling calibrated to
@@ -14,17 +14,18 @@ subpackage models exactly those mechanisms:
 * :mod:`repro.osg.schedd` / :mod:`repro.osg.negotiator` — queueing and
   matchmaking (scalar oracle plus the vectorized cycle matcher),
 * :mod:`repro.osg.jobtable` — struct-of-arrays job state behind the
-  vectorized pool engine,
+  pool engine,
 * :mod:`repro.osg.metrics` — per-job and per-second statistics,
 * :mod:`repro.osg.pool` — the :class:`OSPoolSimulator` facade that runs
-  DAGMan engines to completion.
+  DAGMan engines to completion on one vectorized engine (batched
+  negotiation, coalesced completion events).
 
 Calibration targets and the mechanisms behind each reproduced figure are
 documented in DESIGN.md.
 """
 
 from repro.osg.capacity import CapacityProcess, FixedCapacity, MarkovModulatedCapacity
-from repro.osg.des import EventHandle, Simulator
+from repro.osg.des import Simulator
 from repro.osg.jobtable import JobTable, JobView
 from repro.osg.metrics import JobRecord, PoolMetrics
 from repro.osg.negotiator import NegotiatorConfig, negotiate, negotiate_vectorized
@@ -35,7 +36,6 @@ from repro.osg.transfer import StashCache, TransferConfig
 __all__ = [
     "CapacityProcess",
     "DagmanRun",
-    "EventHandle",
     "FixedCapacity",
     "JobRecord",
     "JobTable",

@@ -5,59 +5,24 @@ relative simulation times, executed in (time, sequence) order so ties
 break by scheduling order and runs are exactly reproducible. No
 wall-clock coupling anywhere.
 
-The event store is a *slab*: the heap holds compact ``(time, seq)``
-tuples (compared at C speed by ``heapq``) while callbacks live in a flat
-``seq``-keyed table. The table holds exactly the live events, so
-
-* ``pending`` is O(1) — it is just the table size;
-* cancellation is O(1) and lazy — the callback is dropped from the table
-  and the heap tuple becomes a tombstone, discarded when it surfaces;
-* when tombstones outnumber live entries (heavy eviction/re-scheduling
-  workloads), the heap is compacted in one O(n) filter+heapify pass, so
-  memory stays proportional to the *live* event count.
-
-At million-job scale this core processes events several times faster
-than the previous one-dataclass-per-event design and is the foundation
-of the pool simulator's vectorized engine (see ``repro.osg.pool``).
+The heap holds ``(time, seq, callback)`` tuples. Sequence numbers are
+unique, so ``heapq`` orders entries on ``(time, seq)`` at C speed and
+never compares two callbacks. Events cannot be cancelled: a client that
+must drop an event makes it a no-op instead, as the pool simulator does
+by skipping completions whose running-set token is gone (see
+``repro.osg.pool``). So every heap entry is live, ``pending`` is the
+heap size, and scheduling is one push with no handle object.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable
 
 from repro.errors import SimulationError
 
-__all__ = ["EventHandle", "Simulator"]
-
-#: Below this heap size compaction is pointless bookkeeping.
-_COMPACT_MIN_HEAP = 64
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule` for cancelling."""
-
-    __slots__ = ("_sim", "_seq", "_time", "_cancelled")
-
-    def __init__(self, sim: "Simulator", seq: int, time: float) -> None:
-        self._sim = sim
-        self._seq = seq
-        self._time = time
-        self._cancelled = False
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        """True once cancelled."""
-        return self._cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "scheduled"
-        return f"EventHandle(t={self._time}, seq={self._seq}, {state})"
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -67,7 +32,7 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(5.0, lambda: fired.append(sim.now))
+    >>> sim.schedule(5.0, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [5.0]
@@ -75,8 +40,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int]] = []
-        self._callbacks: dict[int, Callable[[], None]] = {}
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._running = False
 
@@ -87,62 +51,33 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events. O(1)."""
-        return len(self._callbacks)
+        """Number of scheduled events not yet fired. O(1)."""
+        return len(self._heap)
 
-    @property
-    def n_tombstones(self) -> int:
-        """Cancelled heap entries awaiting lazy discard (introspection)."""
-        return len(self._heap) - len(self._callbacks)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        seq = self.post_at(time, callback)
-        return EventHandle(self, seq, float(time))
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute simulation time ``time``.
 
-    def post(self, delay: float, callback: Callable[[], None]) -> None:
-        """Handle-free :meth:`schedule` (hot path for events never cancelled)."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self.post_at(self._now + delay, callback)
-
-    def post_at(self, time: float, callback: Callable[[], None]) -> int:
-        """Handle-free :meth:`schedule_at`; returns the event's sequence id."""
-        if time < self._now:
+        Raises
+        ------
+        SimulationError
+            If ``time`` is before the current time, NaN or infinite.
+        """
+        time = float(time)
+        # One chained comparison rejects the past, +inf and NaN (every
+        # comparison with NaN is false).
+        if not self._now <= time < math.inf:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time}: event times must be finite and "
+                f"not before the current time {self._now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        self._callbacks[seq] = callback
-        heapq.heappush(self._heap, (float(time), seq))
-        return seq
-
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a scheduled event (idempotent)."""
-        if handle._cancelled:
-            return
-        handle._cancelled = True
-        sim = handle._sim
-        if sim._callbacks.pop(handle._seq, None) is not None:
-            sim._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once tombstones outnumber live entries."""
-        heap = self._heap
-        n_live = len(self._callbacks)
-        if len(heap) > _COMPACT_MIN_HEAP and (len(heap) - n_live) * 2 > len(heap):
-            live = self._callbacks
-            # In place: run() holds a reference to this list across callbacks.
-            heap[:] = [entry for entry in heap if entry[1] in live]
-            heapq.heapify(heap)
+        heapq.heappush(self._heap, (time, self._seq, callback))
+        self._seq += 1
 
     def run(
         self,
@@ -172,20 +107,13 @@ class Simulator:
         self._running = True
         processed = 0
         heap = self._heap
-        callbacks = self._callbacks
         heappop = heapq.heappop
         try:
             while heap:
-                time, seq = heap[0]
-                callback = callbacks.get(seq)
-                if callback is None:  # tombstone of a cancelled event
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
+                if until is not None and heap[0][0] > until:
                     self._now = max(self._now, until)
                     return
-                heappop(heap)
-                del callbacks[seq]
+                time, _, callback = heappop(heap)
                 self._now = time
                 callback()
                 processed += 1

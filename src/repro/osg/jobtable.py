@@ -1,4 +1,4 @@
-"""Struct-of-arrays job state for the vectorized pool engine.
+"""Struct-of-arrays job state for the pool engine.
 
 At million-job scale, one :class:`~repro.condor.jobs.Job` dataclass per
 job attempt dominates memory and allocator time. :class:`JobTable`
@@ -14,8 +14,9 @@ The state machine is *identical* to ``Job.transition``: same legal
 transition table, same timestamp side effects (submit set on first
 IDLE, start set on RUNNING, start/slot cleared on re-queue, end set on
 the terminal states), same :class:`~repro.errors.JobStateError` on
-illegal moves. The bit-identical reference-vs-vector pool tests lean on
-this equivalence.
+illegal moves. The pool equivalence tests, which hold the engine to a
+frozen one-``Job``-per-attempt oracle bit for bit, lean on this
+equivalence.
 """
 
 from __future__ import annotations

@@ -28,13 +28,13 @@ from repro.errors import SimulationError
 from repro.condor.dagfile import DagDescription
 from repro.condor.dagman import DagmanEngine, DagmanOptions
 from repro.condor.events import JobEventType, UserLog
-from repro.condor.jobs import Job, JobState
+from repro.condor.jobs import JobState
 from repro.condor.rescue import apply_rescue, read_rescue_file, rescue_path, write_rescue_file
 from repro.osg.capacity import CapacityProcess, default_ospool_capacity
-from repro.osg.des import EventHandle, Simulator
+from repro.osg.des import Simulator
 from repro.osg.jobtable import JobTable, JobView
 from repro.osg.metrics import DagmanSummary, JobRecord, PoolMetrics
-from repro.osg.negotiator import NegotiatorConfig, negotiate, negotiate_vectorized
+from repro.osg.negotiator import NegotiatorConfig, negotiate_vectorized
 from repro.osg.runtimes import RuntimeModel
 from repro.osg.schedd import ScheddQueue
 from repro.osg.transfer import StashCache, TransferConfig
@@ -108,10 +108,9 @@ class OSPoolConfig:
 class DagmanRun:
     """Live state of one submitted DAGMan.
 
-    ``jobs`` holds one entry per attempt, in submission order: full
-    :class:`~repro.condor.jobs.Job` objects under the reference engine,
-    :class:`~repro.osg.jobtable.JobView` rows (same attribute surface)
-    under the vectorized one.
+    ``jobs`` holds one :class:`~repro.osg.jobtable.JobView` per attempt,
+    in submission order: a row of the pool's job table behind the
+    :class:`~repro.condor.jobs.Job` attribute surface.
     """
 
     name: str
@@ -122,10 +121,10 @@ class DagmanRun:
     index: int = 0  # submission ordinal (the JobTable's dagman column)
     end_time: float | None = None
     dead: bool = False  # terminal failure (retries exhausted)
-    jobs: dict[str, list[Job | JobView]] = field(default_factory=dict)
+    jobs: dict[str, list[JobView]] = field(default_factory=dict)
     rescue_file: Path | None = None
     holds: dict[str, int] = field(default_factory=dict)  # node -> times held
-    held: list[tuple[str, Job]] = field(default_factory=list)
+    held: list[tuple[str, JobView]] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
@@ -146,6 +145,16 @@ class DagmanRun:
 class OSPoolSimulator:
     """Run DAGMan workflows on a simulated OSPool.
 
+    The engine is struct-of-arrays: jobs live in a
+    :class:`~repro.osg.jobtable.JobTable`, whole negotiation cycles
+    match as array operations, the running set is an O(1)-removal token
+    map, and jobs of one cycle with equal finish times share one
+    coalesced completion event. Per-job RNG draws (transfer site,
+    runtime, failure) stay scalar *in match order* — batching them
+    would interleave the streams differently — so the output equals,
+    bit for bit, that of the one-object-per-job engine it replaced
+    (frozen as a test oracle).
+
     Parameters
     ----------
     config:
@@ -162,17 +171,6 @@ class OSPoolSimulator:
         dies terminally, is killed with :meth:`kill_dagman`, or is left
         unfinished by a bounded ``run(until=...)`` — the recovery input
         for :func:`resubmit_with_rescue`.
-    engine:
-        ``"vector"`` (default) runs the struct-of-arrays hot path:
-        jobs live in a :class:`~repro.osg.jobtable.JobTable`, whole
-        negotiation cycles match as array operations, the running set
-        is an O(1)-removal token map, and jobs with equal finish times
-        share one coalesced completion event. ``"reference"`` runs the
-        original one-object-per-job loop. Both engines consume the
-        RNG streams in the same order and produce bit-identical
-        metrics, logs, and rescue files (asserted by the equivalence
-        tests); the reference engine is kept as the oracle and as the
-        ``bench-des-scale`` baseline.
     transfer_faults:
         Optional :class:`~repro.faults.TransferFaults` chaos model for
         the Stash delivery path; see :class:`~repro.osg.transfer.StashCache`.
@@ -184,15 +182,8 @@ class OSPoolSimulator:
         capacity: CapacityProcess | None = None,
         seed: int = 0,
         rescue_dir: str | Path | None = None,
-        engine: str = "vector",
         transfer_faults: "object | None" = None,
     ) -> None:
-        if engine not in ("vector", "reference"):
-            raise SimulationError(
-                f"engine must be 'vector' or 'reference', got {engine!r}"
-            )
-        self.engine_kind = engine
-        self._vector = engine == "vector"
         self.config = config or OSPoolConfig()
         self.rescue_dir = Path(rescue_dir) if rescue_dir is not None else None
         self.capacity_process = capacity or default_ospool_capacity()
@@ -211,17 +202,14 @@ class OSPoolSimulator:
             retry_seed=seed,
         )
         self._dagmans: dict[str, DagmanRun] = {}
-        # Reference engine: (start, run, node, job, completion handle)
-        # tuples, rebuilt on every completion. Vector engine: token ->
-        # (run, node, view); tokens increase with start time, so dict
-        # order doubles as newest-last preemption order, and a token
-        # absent from the map makes a stale coalesced completion a no-op.
-        self._running: list[tuple[float, DagmanRun, str, Job, EventHandle]] = []
-        self._running_v: dict[int, tuple[DagmanRun, str, JobView]] = {}
+        # Running set: token -> (run, node, view). Tokens increase with
+        # start time, so dict order doubles as newest-last preemption
+        # order, and a token absent from the map makes a stale coalesced
+        # completion a no-op.
+        self._running: dict[int, tuple[DagmanRun, str, JobView]] = {}
         self._next_token = 0
         self._table = JobTable()
         self._records: list[JobRecord] = []
-        self._evictions: dict[int, int] = {}
         self._capacity = 0
         self._capacity_trace: list[tuple[float, int]] = []
         self._next_slot = 1
@@ -274,8 +262,7 @@ class OSPoolSimulator:
             # A fully-rescued DAG has nothing to run.
             run.end_time = at_time
         self._dagmans[name] = run
-        cycle = self._dagman_cycle_v if self._vector else self._dagman_cycle
-        self.sim.schedule_at(at_time, partial(cycle, run))
+        self.sim.schedule_at(at_time, partial(self._dagman_cycle, run))
         return run
 
     # -- event handlers ------------------------------------------------------
@@ -293,143 +280,6 @@ class OSPoolSimulator:
         if run.finished:
             return
         batch = run.engine.pull_submissions(run.queue.n_idle)
-        for node_name in batch:
-            node = run.engine.dag.node(node_name)
-            if node.pre_script is not None:
-                script = node.pre_script
-                if script.succeeds:
-                    self.sim.schedule(
-                        script.duration_s,
-                        lambda r=run, n=node_name: self._enqueue_job(r, n),
-                    )
-                else:
-                    self.sim.schedule(
-                        script.duration_s,
-                        lambda r=run, n=node_name: self._report_result(r, n, False),
-                    )
-            else:
-                self._enqueue_job(run, node_name)
-        self.sim.schedule(self.config.dagman_cycle_s, lambda: self._dagman_cycle(run))
-
-    def _enqueue_job(self, run: DagmanRun, node_name: str) -> None:
-        """Create and queue the job for a (PRE-cleared) node."""
-        if run.finished:
-            return
-        now = self.sim.now
-        spec = run.engine.dag.node(node_name).spec
-        job = Job(spec, cluster_id=self._next_cluster)
-        self._next_cluster += 1
-        job.transition(JobState.IDLE, now)
-        run.user_log.record(
-            JobEventType.SUBMIT, job.cluster_id, now, host=f"schedd-{run.name}"
-        )
-        run.jobs.setdefault(node_name, []).append(job)
-        run.queue.enqueue(node_name, job)
-
-    def _negotiator_cycle(self) -> None:
-        """One negotiation cycle across all active DAGMans."""
-        if self._all_done():
-            return
-        free = max(0, self._capacity - len(self._running))
-        queues = [d.queue for d in self._dagmans.values() if not d.finished]
-        matches = negotiate(queues, free, self.config.negotiator)
-        if obs.enabled():
-            obs.counter_add("repro_pool_negotiation_cycles_total", 1,
-                            {"engine": "reference"})
-            if matches:
-                obs.counter_add("repro_pool_matches_total", len(matches),
-                                {"engine": "reference"})
-        for queue, node_name, job in matches:
-            run = self._dagmans[queue.name]
-            self._start_job(run, node_name, job)
-        self.sim.schedule(self.config.negotiator.cycle_s, self._negotiator_cycle)
-
-    def _start_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
-        now = self.sim.now
-        slot = f"slot-{self._next_slot}"
-        self._next_slot += 1
-        job.transition(JobState.RUNNING, now)
-        job.slot_name = slot
-        run.user_log.record(JobEventType.EXECUTE, job.cluster_id, now, host=slot)
-        duration = self.cache.transfer_time(
-            job.spec, self._rng_transfer
-        ) + self.config.runtime.sample_seconds(job.spec, self._rng_runtime)
-        handle = self.sim.schedule(
-            duration, lambda: self._finish_job(run, node_name, job)
-        )
-        self._running.append((now, run, node_name, job, handle))
-
-    def _finish_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
-        now = self.sim.now
-        self._running = [entry for entry in self._running if entry[3] is not job]
-        # Claim reuse (HTCondor default): the freed slot immediately runs
-        # the submitter's next idle job instead of idling until the next
-        # negotiation cycle. This is what lets short small-input jobs
-        # sustain the paper's high throughputs.
-        if len(self._running) < self._capacity and run.queue.n_idle > 0:
-            next_node, next_job = run.queue.pop()
-            self._start_job(run, next_node, next_job)
-        success = bool(self._rng_failure.random() < self.config.success_prob)
-        if (
-            not success
-            and self.config.max_job_holds > 0
-            and run.engine.retries_left(node_name) == 0
-            and run.holds.get(node_name, 0) < self.config.max_job_holds
-        ):
-            # The failure would exhaust the node's DAG retries: hold the
-            # job instead of failing the DAG (HTCondor's ON_EXIT_HOLD /
-            # periodic-release pattern). No TERMINATED event, no record —
-            # like an eviction, the attempt is not terminal.
-            self._hold_job(run, node_name, job)
-            return
-        job.transition(JobState.COMPLETED if success else JobState.FAILED, now)
-        run.user_log.record(
-            JobEventType.TERMINATED,
-            job.cluster_id,
-            now,
-            return_value=0 if success else 1,
-        )
-        self._records.append(
-            JobRecord(
-                node_name=node_name,
-                dagman=run.name,
-                phase=job.spec.payload.phase if job.spec.payload else "generic",
-                cluster_id=job.cluster_id,
-                submit_time=job.submit_time or 0.0,
-                start_time=job.start_time or 0.0,
-                end_time=now,
-                n_evictions=self._evictions.get(job.cluster_id, 0),
-                success=success,
-            )
-        )
-        node = run.engine.dag.node(node_name)
-        if node.post_script is not None:
-            # DAGMan semantics: the POST script's exit code becomes the
-            # node result (masking or overriding the job's own).
-            final = node.post_script.succeeds
-            self.sim.schedule(
-                node.post_script.duration_s,
-                lambda: self._report_result(run, node_name, final),
-            )
-        else:
-            self._report_result(run, node_name, success)
-
-    # -- vectorized engine -------------------------------------------------
-    #
-    # Same protocol as the reference handlers above, restructured for
-    # throughput: jobs are rows in self._table, submissions append in
-    # one batch, negotiation matches a whole cycle as array ops, and
-    # completions scheduled in one cycle with equal finish times share a
-    # single coalesced heap event. Per-job RNG draws (transfer site,
-    # runtime lognormal+uniform, failure) stay scalar *in match order* —
-    # batching them would interleave the streams differently and break
-    # bit-identity with the reference engine.
-
-    def _dagman_cycle_v(self, run: DagmanRun) -> None:
-        """Vector counterpart of :meth:`_dagman_cycle`."""
-        if run.finished:
-            return
-        batch = run.engine.pull_submissions(run.queue.n_idle)
         if batch:
             dag_node = run.engine.dag.node
             plain: list[str] = []
@@ -438,12 +288,12 @@ class OSPoolSimulator:
                 if node.pre_script is not None:
                     script = node.pre_script
                     if script.succeeds:
-                        self.sim.post(
+                        self.sim.schedule(
                             script.duration_s,
-                            partial(self._enqueue_single_v, run, node_name),
+                            partial(self._enqueue_single, run, node_name),
                         )
                     else:
-                        self.sim.post(
+                        self.sim.schedule(
                             script.duration_s,
                             partial(self._report_result, run, node_name, False),
                         )
@@ -453,10 +303,10 @@ class OSPoolSimulator:
                     # so deferring keeps the id sequence identical.
                     plain.append(node_name)
             if plain:
-                self._enqueue_batch_v(run, plain)
-        self.sim.post(self.config.dagman_cycle_s, partial(self._dagman_cycle_v, run))
+                self._enqueue_batch(run, plain)
+        self.sim.schedule(self.config.dagman_cycle_s, partial(self._dagman_cycle, run))
 
-    def _enqueue_batch_v(self, run: DagmanRun, node_names: list[str]) -> None:
+    def _enqueue_batch(self, run: DagmanRun, node_names: list[str]) -> None:
         """Append one submit batch to the job table and the queue."""
         now = self.sim.now
         dag_node = run.engine.dag.node
@@ -478,46 +328,44 @@ class OSPoolSimulator:
             entries.append((node_name, view))
         run.queue.enqueue_many(entries)
 
-    def _enqueue_single_v(self, run: DagmanRun, node_name: str) -> None:
-        """Queue one PRE-cleared node (vector counterpart of _enqueue_job)."""
+    def _enqueue_single(self, run: DagmanRun, node_name: str) -> None:
+        """Queue one PRE-cleared node."""
         if run.finished:
             return
-        self._enqueue_batch_v(run, [node_name])
+        self._enqueue_batch(run, [node_name])
 
-    def _negotiator_cycle_v(self) -> None:
-        """Vector counterpart of :meth:`_negotiator_cycle`."""
+    def _negotiator_cycle(self) -> None:
+        """One negotiation cycle across all active DAGMans."""
         if self._all_done():
             return
-        free = max(0, self._capacity - len(self._running_v))
+        free = max(0, self._capacity - len(self._running))
         queues = [d.queue for d in self._dagmans.values() if not d.finished]
         matches = negotiate_vectorized(queues, free, self.config.negotiator)
         if obs.enabled():
-            obs.counter_add("repro_pool_negotiation_cycles_total", 1,
-                            {"engine": "vector"})
+            obs.counter_add("repro_pool_negotiation_cycles_total", 1)
             if matches:
-                obs.counter_add("repro_pool_matches_total", len(matches),
-                                {"engine": "vector"})
+                obs.counter_add("repro_pool_matches_total", len(matches))
         if matches:
             now = self.sim.now
             dagmans = self._dagmans
             # Coalesce: all matches of this cycle sharing a finish time
             # complete through one heap event, members in match order —
-            # the order the reference engine's per-job events fire in.
+            # the order one event per job would fire them in.
             groups: dict[float, list[int]] = {}
             for queue, node_name, view in matches:
                 run = dagmans[queue.name]
-                finish, token = self._claim_v(run, node_name, view, now)
+                finish, token = self._claim(run, node_name, view, now)
                 group = groups.get(finish)
                 if group is None:
                     groups[finish] = [token]
                 else:
                     group.append(token)
-            post_at = self.sim.post_at
+            schedule_at = self.sim.schedule_at
             for finish, tokens in groups.items():
-                post_at(finish, partial(self._complete_batch_v, tokens))
-        self.sim.post(self.config.negotiator.cycle_s, self._negotiator_cycle_v)
+                schedule_at(finish, partial(self._complete_batch, tokens))
+        self.sim.schedule(self.config.negotiator.cycle_s, self._negotiator_cycle)
 
-    def _claim_v(
+    def _claim(
         self, run: DagmanRun, node_name: str, view: JobView, now: float
     ) -> tuple[float, int]:
         """Start a matched job; returns (finish time, running-set token)."""
@@ -539,27 +387,27 @@ class OSPoolSimulator:
         table.runtime_s[row] = duration
         token = self._next_token
         self._next_token = token + 1
-        self._running_v[token] = (run, node_name, view)
+        self._running[token] = (run, node_name, view)
         return now + duration, token
 
-    def _start_single_v(self, run: DagmanRun, node_name: str, view: JobView) -> None:
+    def _start_single(self, run: DagmanRun, node_name: str, view: JobView) -> None:
         """Claim-reuse start: one job, its own (uncoalesced) completion."""
         now = self.sim.now
-        finish, token = self._claim_v(run, node_name, view, now)
-        self.sim.post_at(finish, partial(self._complete_batch_v, [token]))
+        finish, token = self._claim(run, node_name, view, now)
+        self.sim.schedule_at(finish, partial(self._complete_batch, [token]))
 
-    def _complete_batch_v(self, tokens: list[int]) -> None:
+    def _complete_batch(self, tokens: list[int]) -> None:
         """Finish a coalesced batch of jobs sharing one finish time.
 
-        Each member replays :meth:`_finish_job` exactly — running-set
-        removal, claim reuse, failure draw, hold-or-terminate, record,
-        POST/report — so the event order and RNG streams match the
-        reference engine. A token no longer in the running map belongs
-        to a job evicted/held/removed after this event was scheduled:
-        stale members are skipped, which is how the vector engine
-        "cancels" completions without touching the heap.
+        Each member runs the whole completion protocol in turn —
+        running-set removal, claim reuse, failure draw,
+        hold-or-terminate, record, POST/report — so the event order and
+        RNG streams are those of one event per job. A token no longer in
+        the running map belongs to a job evicted/held/removed after this
+        event was scheduled: stale members are skipped, which is how the
+        pool "cancels" completions without touching the heap.
         """
-        running = self._running_v
+        running = self._running
         table = self._table
         config = self.config
         now = self.sim.now
@@ -571,10 +419,11 @@ class OSPoolSimulator:
             row = view.index
             # Claim reuse (HTCondor default): the freed slot immediately
             # runs the submitter's next idle job instead of idling until
-            # the next negotiation cycle.
+            # the next negotiation cycle. This is what lets short
+            # small-input jobs sustain the paper's high throughputs.
             if len(running) < self._capacity and run.queue.n_idle > 0:
                 next_node, next_view = run.queue.pop()
-                self._start_single_v(run, next_node, next_view)
+                self._start_single(run, next_node, next_view)
             success = bool(self._rng_failure.random() < config.success_prob)
             if (
                 not success
@@ -582,6 +431,11 @@ class OSPoolSimulator:
                 and run.engine.retries_left(node_name) == 0
                 and run.holds.get(node_name, 0) < config.max_job_holds
             ):
+                # The failure would exhaust the node's DAG retries: hold
+                # the job instead of failing the DAG (HTCondor's
+                # ON_EXIT_HOLD / periodic-release pattern). No TERMINATED
+                # event, no record — like an eviction, the attempt is not
+                # terminal.
                 self._hold_job(run, node_name, view)
                 continue
             table.transition(
@@ -612,16 +466,18 @@ class OSPoolSimulator:
             )
             node = run.engine.dag.node(node_name)
             if node.post_script is not None:
+                # DAGMan semantics: the POST script's exit code becomes
+                # the node result (masking or overriding the job's own).
                 final = node.post_script.succeeds
-                self.sim.post(
+                self.sim.schedule(
                     node.post_script.duration_s,
                     partial(self._report_result, run, node_name, final),
                 )
             else:
                 self._report_result(run, node_name, success)
 
-    def _evict_entries_v(self, entries: list[tuple[DagmanRun, str, JobView]]) -> None:
-        """Vector counterpart of :meth:`_evict_entries` (tokens already popped)."""
+    def _evict_entries(self, entries: list[tuple[DagmanRun, str, JobView]]) -> None:
+        """Return running entries (tokens already popped) to the queue fronts."""
         now = self.sim.now
         table = self._table
         for run, node_name, view in entries:
@@ -633,23 +489,19 @@ class OSPoolSimulator:
             table.n_evictions[row] += 1
             run.queue.enqueue(node_name, view, front=True)
 
-    def _pop_newest_v(self, count: int) -> list[tuple[DagmanRun, str, JobView]]:
+    def _pop_newest(self, count: int) -> list[tuple[DagmanRun, str, JobView]]:
         """Remove and return the ``count`` newest running entries.
 
         Tokens are issued in start order, so the map's insertion order
-        is the reference engine's start-time sort (stable on ties).
+        is the start-time order (stable on ties).
         """
-        items = list(self._running_v.items())[-count:] if count > 0 else []
+        items = list(self._running.items())[-count:] if count > 0 else []
         for token, _ in items:
-            del self._running_v[token]
+            del self._running[token]
         return [entry for _, entry in items]
 
-    def _hold_job(self, run: DagmanRun, node_name: str, job: Job | JobView) -> None:
-        """Put a job on HOLD; it auto-releases after ``hold_release_s``.
-
-        Shared by both engines — everything here goes through the
-        ``Job`` attribute surface, which views implement.
-        """
+    def _hold_job(self, run: DagmanRun, node_name: str, job: JobView) -> None:
+        """Put a job on HOLD; it auto-releases after ``hold_release_s``."""
         now = self.sim.now
         job.transition(JobState.HELD, now)
         run.user_log.record(JobEventType.HELD, job.cluster_id, now)
@@ -660,7 +512,7 @@ class OSPoolSimulator:
             lambda: self._release_job(run, node_name, job),
         )
 
-    def _release_job(self, run: DagmanRun, node_name: str, job: Job | JobView) -> None:
+    def _release_job(self, run: DagmanRun, node_name: str, job: JobView) -> None:
         """Release a held job back to IDLE (front of its queue)."""
         if run.finished or job.state is not JobState.HELD:
             return  # the DAGMan ended (e.g. killed) while the job was held
@@ -686,9 +538,7 @@ class OSPoolSimulator:
     def _no_inflight(self, run: DagmanRun) -> bool:
         if run.queue.n_idle > 0 or run.engine.n_ready > 0 or run.held:
             return False
-        if self._vector:
-            return all(entry[0] is not run for entry in self._running_v.values())
-        return all(entry[1] is not run for entry in self._running)
+        return all(entry[0] is not run for entry in self._running.values())
 
     def _write_rescue(self, run: DagmanRun) -> Path | None:
         """Snapshot a DAGMan's DONE nodes into the next free rescue file."""
@@ -715,31 +565,11 @@ class OSPoolSimulator:
 
         self.sim.schedule(dwell, change)
 
-    def _evict_entries(
-        self, victims: list[tuple[float, DagmanRun, str, Job, EventHandle]]
-    ) -> None:
-        now = self.sim.now
-        for _, run, node_name, job, handle in victims:
-            Simulator.cancel(handle)
-            job.transition(JobState.IDLE, now)
-            run.user_log.record(JobEventType.EVICTED, job.cluster_id, now)
-            self._evictions[job.cluster_id] = self._evictions.get(job.cluster_id, 0) + 1
-            run.queue.enqueue(node_name, job, front=True)
-
     def _preempt_to_capacity(self) -> None:
-        if self._vector:
-            overflow = len(self._running_v) - self._capacity
-            if overflow > 0:
-                self._evict_entries_v(self._pop_newest_v(overflow))
-            return
-        overflow = len(self._running) - self._capacity
-        if overflow <= 0:
-            return
         # Evict the newest claims first (glideins that just vanished).
-        self._running.sort(key=lambda entry: entry[0])
-        victims = self._running[-overflow:]
-        del self._running[-overflow:]
-        self._evict_entries(victims)
+        overflow = len(self._running) - self._capacity
+        if overflow > 0:
+            self._evict_entries(self._pop_newest(overflow))
 
     # -- fault injection ---------------------------------------------------------
 
@@ -752,13 +582,7 @@ class OSPoolSimulator:
         """
         if count < 1:
             raise SimulationError(f"count must be >= 1, got {count}")
-        if self._vector:
-            victims_v = self._pop_newest_v(count)
-            self._evict_entries_v(victims_v)
-            return len(victims_v)
-        self._running.sort(key=lambda entry: entry[0])
-        victims = self._running[-count:]
-        del self._running[len(self._running) - len(victims):]
+        victims = self._pop_newest(count)
         self._evict_entries(victims)
         return len(victims)
 
@@ -771,28 +595,15 @@ class OSPoolSimulator:
         """
         if count < 1:
             raise SimulationError(f"count must be >= 1, got {count}")
-        if self._vector:
-            items = [
-                (token, entry)
-                for token, entry in self._running_v.items()
-                if dagman is None or entry[0].name == dagman
-            ]
-            victims_v = items[-count:]
-            for token, (run, node_name, view) in victims_v:
-                del self._running_v[token]
-                self._hold_job(run, node_name, view)
-            return len(victims_v)
-        candidates = [
-            entry for entry in self._running
-            if dagman is None or entry[1].name == dagman
+        items = [
+            (token, entry)
+            for token, entry in self._running.items()
+            if dagman is None or entry[0].name == dagman
         ]
-        candidates.sort(key=lambda entry: entry[0])
-        victims = candidates[-count:]
-        for entry in victims:
-            self._running.remove(entry)
-            _, run, node_name, job, handle = entry
-            Simulator.cancel(handle)
-            self._hold_job(run, node_name, job)
+        victims = items[-count:]
+        for token, (run, node_name, view) in victims:
+            del self._running[token]
+            self._hold_job(run, node_name, view)
         return len(victims)
 
     def kill_dagman(self, name: str) -> Path | None:
@@ -802,6 +613,11 @@ class OSPoolSimulator:
         log), idle and held jobs likewise; the run is marked dead and —
         when a ``rescue_dir`` is configured — a rescue file snapshotting
         the DONE nodes is written and returned.
+
+        Raises
+        ------
+        SimulationError
+            If no DAGMan has that name, or it has already finished.
         """
         run = self._dagmans.get(name)
         if run is None:
@@ -809,21 +625,11 @@ class OSPoolSimulator:
         if run.finished:
             raise SimulationError(f"DAGMan {name!r} already finished")
         now = self.sim.now
-        if self._vector:
-            tokens = [
-                token for token, entry in self._running_v.items() if entry[0] is run
-            ]
-            for token in tokens:
-                _, _, view = self._running_v.pop(token)
-                view.transition(JobState.REMOVED, now)
-                run.user_log.record(JobEventType.ABORTED, view.cluster_id, now)
-        else:
-            victims = [entry for entry in self._running if entry[1] is run]
-            self._running = [entry for entry in self._running if entry[1] is not run]
-            for _, _, _, job, handle in victims:
-                Simulator.cancel(handle)
-                job.transition(JobState.REMOVED, now)
-                run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
+        tokens = [token for token, entry in self._running.items() if entry[0] is run]
+        for token in tokens:
+            _, _, view = self._running.pop(token)
+            view.transition(JobState.REMOVED, now)
+            run.user_log.record(JobEventType.ABORTED, view.cluster_id, now)
         while run.queue.n_idle:
             _, job = run.queue.pop()
             job.transition(JobState.REMOVED, now)
@@ -853,9 +659,7 @@ class OSPoolSimulator:
             raise SimulationError("run() already called")
         self._started = True
         self._capacity_step(first=True)
-        self.sim.schedule_at(
-            0.0, self._negotiator_cycle_v if self._vector else self._negotiator_cycle
-        )
+        self.sim.schedule_at(0.0, self._negotiator_cycle)
         horizon = until if until is not None else self.config.max_sim_time_s
         self.sim.run(until=horizon, stop_when=self._all_done)
         if not self._all_done():
@@ -887,18 +691,16 @@ class OSPoolSimulator:
         return metrics
 
     def _observe_run(self, metrics: PoolMetrics) -> None:
-        """Emit the finished run's telemetry (both engines, virtual time).
+        """Emit the finished run's telemetry (virtual time).
 
         Per-DAGMan spans carry *simulation* timestamps, and the queue
         waits / exec times come from the final records — so the trace is
         a pure function of the seeded simulation, byte-identical across
-        repeats, and identical between the reference and vector engines
-        (which produce identical records by construction).
+        repeats.
         """
         if not obs.enabled():
             return
         self.cache.observe_flush()
-        engine = "vector" if self._vector else "reference"
         for name in sorted(metrics.dagmans):
             s = metrics.dagmans[name]
             obs.complete(
@@ -907,7 +709,7 @@ class OSPoolSimulator:
                 dur=max(0.0, s.end_time - s.submit_time),
                 category="pool",
                 track=f"dagman:{name}",
-                args={"n_jobs": s.n_jobs, "engine": engine},
+                args={"n_jobs": s.n_jobs},
             )
         if metrics.records:
             obs.histogram_observe_many(
@@ -966,7 +768,6 @@ def resubmit_with_rescue(
     capacity: CapacityProcess | None = None,
     seed: int = 0,
     rescue_dir: str | Path | None = None,
-    engine: str = "vector",
 ) -> tuple[OSPoolSimulator, DagmanRun]:
     """Resubmit a DAG from a rescue file on a fresh pool.
 
@@ -975,13 +776,12 @@ def resubmit_with_rescue(
     :func:`~repro.condor.rescue.apply_rescue`, and submits it to a new
     :class:`OSPoolSimulator` — the driver then calls ``run()`` on the
     returned simulator. Passing ``rescue_dir`` lets the resubmission
-    itself write further rescue files, chaining attempts. ``engine``
-    selects the pool's execution engine as in :class:`OSPoolSimulator`.
+    itself write further rescue files, chaining attempts.
     """
     dagman_engine = DagmanEngine(dag, options)
     apply_rescue(dagman_engine, read_rescue_file(rescue_file))
     pool = OSPoolSimulator(
-        config=config, capacity=capacity, seed=seed, rescue_dir=rescue_dir, engine=engine
+        config=config, capacity=capacity, seed=seed, rescue_dir=rescue_dir
     )
     run = pool.submit_engine(dagman_engine, name=name or dag.name)
     return pool, run

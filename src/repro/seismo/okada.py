@@ -42,16 +42,6 @@ _ALPHA = 0.5
 _EPS = 1e-12
 
 
-def _chinnery(f, x, p, L, W, const):
-    """Chinnery's notation: f(xi, eta)|| evaluated at the 4 corners."""
-    return (
-        f(x, p, const)
-        - f(x, p - W, const)
-        - f(x - L, p, const)
-        + f(x - L, p - W, const)
-    )
-
-
 def _build_terms(xi, eta, q, sd, cd):
     """Common geometric quantities for one (xi, eta) corner."""
     r = np.sqrt(xi**2 + eta**2 + q**2)
@@ -121,6 +111,35 @@ def _dip_slip_corner(xi, eta, const):
     return ux, uy, uz
 
 
+def _corner_sum(x, p, q, sd, cd, length, width, ss, ds):
+    """Surface displacement for slip ``(ss, ds)`` in fault-local axes.
+
+    Chinnery's corner difference f(x,p) - f(x,p-W) - f(x-L,p) +
+    f(x-L,p-W) is evaluated on one tensor whose trailing axis holds the
+    four (xi, eta) corner arguments, so each corner function runs once
+    per slip component. ``x``, ``p`` and ``q`` broadcast together;
+    ``sd``, ``cd``, ``length`` and ``width`` broadcast against them —
+    scalars for :func:`okada85`, one value per subfault column for the
+    bank. IEEE-754 ufunc loops do not depend on array shape, so the two
+    callers agree bit for bit.
+    """
+    x, p, q = np.broadcast_arrays(x, p, q)
+    xi = np.stack([x, x, x - length, x - length], axis=-1)
+    eta = np.stack([p, p - width, p, p - width], axis=-1)
+    const = (q[..., None], np.asarray(sd)[..., None], np.asarray(cd)[..., None])
+    ux = np.zeros(x.shape)
+    uy = np.zeros_like(ux)
+    uz = np.zeros_like(ux)
+    for slip, corner in ((ss, _strike_slip_corner), (ds, _dip_slip_corner)):
+        if slip != 0.0:
+            cx, cy, cz = corner(xi, eta, const)
+            factor = -slip / (2.0 * np.pi)
+            ux += factor * (cx[..., 0] - cx[..., 1] - cx[..., 2] + cx[..., 3])
+            uy += factor * (cy[..., 0] - cy[..., 1] - cy[..., 2] + cy[..., 3])
+            uz += factor * (cz[..., 0] - cz[..., 1] - cz[..., 2] + cz[..., 3])
+    return ux, uy, uz
+
+
 def okada85(
     x: np.ndarray | float,
     y: np.ndarray | float,
@@ -171,121 +190,29 @@ def okada85(
     d = depth_km
     p = y * cd + d * sd
     q = y * sd - d * cd
-    const = (q, sd, cd)
-
-    ux = np.zeros(np.broadcast(x, y).shape)
-    uy = np.zeros_like(ux)
-    uz = np.zeros_like(ux)
-    if strike_slip_m != 0.0:
-        f = lambda xi, eta, c: _strike_slip_corner(xi, eta, c)  # noqa: E731
-        sx = _chinnery(lambda a, b, c: f(a, b, c)[0], x, p, length_km, width_km, const)
-        sy = _chinnery(lambda a, b, c: f(a, b, c)[1], x, p, length_km, width_km, const)
-        sz = _chinnery(lambda a, b, c: f(a, b, c)[2], x, p, length_km, width_km, const)
-        factor = -strike_slip_m / (2.0 * np.pi)
-        ux += factor * sx
-        uy += factor * sy
-        uz += factor * sz
-    if dip_slip_m != 0.0:
-        g = lambda xi, eta, c: _dip_slip_corner(xi, eta, c)  # noqa: E731
-        dx = _chinnery(lambda a, b, c: g(a, b, c)[0], x, p, length_km, width_km, const)
-        dy = _chinnery(lambda a, b, c: g(a, b, c)[1], x, p, length_km, width_km, const)
-        dz = _chinnery(lambda a, b, c: g(a, b, c)[2], x, p, length_km, width_km, const)
-        factor = -dip_slip_m / (2.0 * np.pi)
-        ux += factor * dx
-        uy += factor * dy
-        uz += factor * dz
-    return ux, uy, uz
+    return _corner_sum(
+        x, p, q, sd, cd, length_km, width_km, strike_slip_m, dip_slip_m
+    )
 
 
-def _reference_bank_arrays(
+def _bank_arrays(
     geometry: FaultGeometry,
     network: StationNetwork,
     ss: float,
     ds: float,
     shear_velocity_kms: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subfault Python loop — the bit-identity oracle.
+    """Okada over all (station, subfault) pairs at once.
 
-    Kept verbatim from the original implementation so the vectorized
-    engine can be pinned against it (same pattern as the DES pool's
-    reference engine).
+    Stations are rotated into every subfault's local frame as one
+    ``(n_sta, n_sub)`` array, and :func:`_corner_sum` evaluates the
+    corners on a ``(n_sta, n_sub, 4)`` tensor. Every elementwise
+    expression is the one :func:`okada85` applies to a single subfault,
+    so each column's fault-local displacement equals an ``okada85`` call
+    bit for bit.
     """
     east_f, north_f, depth_f = geometry.enu()
     east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
-    n_sta = len(network)
-    n_sub = geometry.n_subfaults
-    statics = np.zeros((n_sta, n_sub, 3))
-    travel = np.zeros((n_sta, n_sub))
-
-    for j in range(n_sub):
-        strike = np.radians(geometry.strike_deg[j])
-        dip = float(geometry.dip_deg[j])
-        length = float(geometry.length_km[j])
-        width = float(geometry.width_km[j])
-        # Bottom-edge depth of the subfault plane (center + half the
-        # vertical extent of the dipping rectangle).
-        half_dz = 0.5 * width * np.sin(np.radians(dip))
-        bottom_depth = float(depth_f[j]) + half_dz
-
-        # Station offsets from the subfault center, rotated into the
-        # fault frame (x along strike, y up-dip horizontal). Strike phi
-        # measured clockwise from north; along-strike unit vector is
-        # (sin phi, cos phi) in (east, north).
-        de = east_s - east_f[j]
-        dn = north_s - north_f[j]
-        sx = de * np.sin(strike) + dn * np.cos(strike)
-        sy_updip = -(de * np.cos(strike) - dn * np.sin(strike))
-        # Okada origin: bottom-left corner -> shift by half length along
-        # strike and by the horizontal reach of the lower half width.
-        x_loc = sx + 0.5 * length
-        y_loc = sy_updip + 0.5 * width * np.cos(np.radians(dip))
-
-        ux, uy, uz = okada85(
-            x_loc,
-            y_loc,
-            depth_km=bottom_depth,
-            dip_deg=dip,
-            length_km=length,
-            width_km=width,
-            strike_slip_m=ss,
-            dip_slip_m=ds,
-        )
-        # Rotate fault-local (x: along strike, y: horizontal up-dip
-        # normal) back to east/north. The up-dip horizontal direction
-        # is 90 deg counterclockwise... defined consistently with the
-        # sy_updip projection above.
-        ue = ux * np.sin(strike) - uy * np.cos(strike)
-        un = ux * np.cos(strike) + uy * np.sin(strike)
-        statics[:, j, 0] = ue
-        statics[:, j, 1] = un
-        statics[:, j, 2] = uz
-        slant = np.sqrt(de**2 + dn**2 + depth_f[j] ** 2)
-        travel[:, j] = slant / shear_velocity_kms
-
-    return statics, travel
-
-
-def _vector_bank_arrays(
-    geometry: FaultGeometry,
-    network: StationNetwork,
-    ss: float,
-    ds: float,
-    shear_velocity_kms: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast Okada over all (station, subfault) pairs at once.
-
-    The Chinnery corner difference f(x,p) - f(x,p-W) - f(x-L,p) +
-    f(x-L,p-W) is evaluated on a ``(n_sta, n_sub, 4)`` tensor: axis 2
-    holds the four corner arguments, so each corner function runs once
-    per slip component instead of ``3 * n_sub`` times. Every elementwise
-    expression matches the scalar path operation-for-operation, which is
-    what makes the result bit-identical to the reference loop (IEEE-754
-    ufunc loops do not depend on array shape).
-    """
-    east_f, north_f, depth_f = geometry.enu()
-    east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
-    n_sta = len(network)
-    n_sub = geometry.n_subfaults
 
     dip_deg = geometry.dip_deg.astype(float)
     length = geometry.length_km.astype(float)
@@ -312,32 +239,12 @@ def _vector_bank_arrays(
     x_loc = sx + (0.5 * length)[None, :]
     y_loc = sy_updip + (0.5 * width * np.cos(np.radians(dip_deg)))[None, :]
 
-    # Corner tensor: axis 2 enumerates Chinnery's four (xi, eta)
-    # arguments, signed (+, -, -, +) when recombined below.
     dip = np.minimum(dip_deg, 89.999)
-    sd = np.sin(np.radians(dip))[None, :, None]
-    cd = np.cos(np.radians(dip))[None, :, None]
-    d = bottom_depth[None, :, None]
-    yv = y_loc[:, :, None]
-    p = yv * cd + d * sd
-    q = yv * sd - d * cd
-    const = (q, sd, cd)
-    L = length[None, :, None]
-    W = width[None, :, None]
-    xv = x_loc[:, :, None]
-    xi = np.concatenate([xv, xv, xv - L, xv - L], axis=2)
-    eta = np.concatenate([p, p - W, p, p - W], axis=2)
-
-    ux = np.zeros((n_sta, n_sub))
-    uy = np.zeros_like(ux)
-    uz = np.zeros_like(ux)
-    for slip_amt, corner in ((ss, _strike_slip_corner), (ds, _dip_slip_corner)):
-        if slip_amt != 0.0:
-            cx, cy, cz = corner(xi, eta, const)
-            factor = -slip_amt / (2.0 * np.pi)
-            ux += factor * (cx[..., 0] - cx[..., 1] - cx[..., 2] + cx[..., 3])
-            uy += factor * (cy[..., 0] - cy[..., 1] - cy[..., 2] + cy[..., 3])
-            uz += factor * (cz[..., 0] - cz[..., 1] - cz[..., 2] + cz[..., 3])
+    sd = np.sin(np.radians(dip))
+    cd = np.cos(np.radians(dip))
+    p = y_loc * cd + bottom_depth * sd
+    q = y_loc * sd - bottom_depth * cd
+    ux, uy, uz = _corner_sum(x_loc, p, q, sd, cd, length, width, ss, ds)
 
     ue = ux * sin_s - uy * cos_s
     un = ux * cos_s + uy * sin_s
@@ -347,15 +254,11 @@ def _vector_bank_arrays(
     return statics, travel
 
 
-_ENGINES = ("vector", "reference")
-
-
 def compute_okada_gf_bank(
     geometry: FaultGeometry,
     network: StationNetwork,
     rake_deg: float = 90.0,
     shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
-    engine: str = "vector",
     dtype: str | np.dtype = "float64",
 ) -> GreensFunctionBank:
     """Finite-fault static GF bank via Okada's solution.
@@ -367,17 +270,11 @@ def compute_okada_gf_bank(
     (same :class:`GreensFunctionBank` product), and more accurate in the
     near field where the point-source approximation breaks down.
 
-    ``engine="vector"`` (default) broadcasts the Chinnery corner
-    evaluations over all (station, subfault) pairs; ``"reference"`` is
-    the original per-subfault loop, kept as the bit-identity oracle.
-    Both always compute in float64; ``dtype="float32"`` casts the
-    finished bank for half-size storage/transfer (see DESIGN.md for the
-    measured error budget).
+    The Chinnery corner evaluations broadcast over all (station,
+    subfault) pairs at once, always in float64; ``dtype="float32"``
+    casts the finished bank for half-size storage/transfer (see
+    DESIGN.md for the measured error budget).
     """
-    if engine not in _ENGINES:
-        raise GreensFunctionError(
-            f"unknown okada engine {engine!r}; expected one of {_ENGINES}"
-        )
     out_dtype = np.dtype(dtype)
     if out_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise GreensFunctionError(
@@ -388,8 +285,7 @@ def compute_okada_gf_bank(
     ss = float(np.cos(rake))  # strike-slip component of unit slip
     ds = float(np.sin(rake))  # dip-slip component
 
-    build = _vector_bank_arrays if engine == "vector" else _reference_bank_arrays
-    statics, travel = build(geometry, network, ss, ds, shear_velocity_kms)
+    statics, travel = _bank_arrays(geometry, network, ss, ds, shear_velocity_kms)
     if out_dtype != np.dtype(np.float64):
         statics = statics.astype(out_dtype)
         travel = travel.astype(out_dtype)

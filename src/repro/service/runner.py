@@ -77,8 +77,7 @@ class PoolRunner:
     """OSPool-backed execution (the portal's classic backend).
 
     Wraps :func:`~repro.core.submit_osg.run_fdw_batch` with the pool
-    model overrides the portal already takes; ``engine`` selects the
-    vectorized or reference event loop (bit-identical outputs).
+    model overrides the portal already takes.
     """
 
     name = "pool"
@@ -87,11 +86,9 @@ class PoolRunner:
         self,
         pool_config: "object | None" = None,
         capacity: "object | None" = None,
-        engine: str = "vector",
     ) -> None:
         self.pool_config = pool_config
         self.capacity = capacity
-        self.engine = engine
 
     def execute(self, config: FdwConfig, seed: int) -> RunnerOutcome:
         from repro.core.monitor import DagmanStats
@@ -102,7 +99,6 @@ class PoolRunner:
             pool_config=self.pool_config,  # type: ignore[arg-type]
             capacity=self.capacity,  # type: ignore[arg-type]
             seed=seed,
-            engine=self.engine,
         )
         stats = DagmanStats.from_log_text(
             result.user_logs[config.name], source=config.name

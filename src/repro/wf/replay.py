@@ -247,9 +247,8 @@ def replay_instance(
     stagger_s:
         Submission offset between consecutive DAGMans.
     engine:
-        Pool simulator engine — ``"vector"`` (default) or
-        ``"reference"``; both are bit-identical (see
-        :class:`~repro.osg.pool.OSPoolSimulator`).
+        Must be ``"vector"``, the pool's only engine. The keyword stays
+        for callers that still name it; anything else raises.
     """
     if n_dagmans < 1:
         raise WfFormatError(f"n_dagmans must be >= 1, got {n_dagmans}")
@@ -257,6 +256,8 @@ def replay_instance(
         raise WfFormatError(f"runtime must be 'trace' or 'model', got {runtime!r}")
     if stagger_s < 0:
         raise WfFormatError(f"stagger_s must be >= 0, got {stagger_s}")
+    if engine != "vector":
+        raise WfFormatError(f"engine must be 'vector', got {engine!r}")
     instance, workflows = _resolve_workflows(source, n_dagmans, seed)
     if options is None and "maxIdle" in instance.attributes:
         # Exported FDW runs record their DAGMan idle throttle; honouring
@@ -272,9 +273,7 @@ def replay_instance(
             runtime=TraceRuntimeModel(runtimes=merged),
             success_prob=1.0,
         )
-    pool = OSPoolSimulator(
-        config=pool_config, capacity=capacity, seed=seed, engine=engine
-    )
+    pool = OSPoolSimulator(config=pool_config, capacity=capacity, seed=seed)
     for i, wf in enumerate(workflows):
         pool.submit_dagman(wf.dag, options, name=wf.name, at_time=i * stagger_s)
     metrics = pool.run()
@@ -299,7 +298,6 @@ def replay_study(
     capacity: CapacityProcess | None = None,
     options: DagmanOptions | None = None,
     stagger_s: float = 0.0,
-    engine: str = "vector",
 ) -> dict[int, ReplayResult]:
     """The paper's concurrent-DAGMan study on an arbitrary instance.
 
@@ -322,7 +320,6 @@ def replay_study(
             capacity=capacity,
             options=options,
             stagger_s=stagger_s,
-            engine=engine,
         )
         for k in counts
     }

@@ -47,6 +47,7 @@ round trip bit-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -281,7 +282,11 @@ class WfInstance:
 def _num(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WfFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    # json.loads accepts the NaN and Infinity literals.
+    if not math.isfinite(number):
+        raise WfFormatError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _str(value: object, where: str) -> str:

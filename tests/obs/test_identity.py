@@ -22,6 +22,7 @@ from repro.obs.export import dump_chrome_trace, prometheus_text, service_timelin
 from repro.osg.capacity import FixedCapacity
 from repro.service import SimulatedRunner, run_service_demo
 from repro.wf import generate_instance, import_instance, load_instance, replay_instance
+from tests.oracles.pool_reference import on_reference_pool
 
 EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
@@ -33,14 +34,15 @@ def small_workflow():
 
 
 def _replay(workflow, engine):
-    return replay_instance(
-        workflow,
+    kwargs = dict(
         seed=0,
         runtime="model",
         capacity=FixedCapacity(32),
         options=DagmanOptions(max_idle=0, submit_batch=60),
-        engine=engine,
     )
+    if engine == "reference":
+        return on_reference_pool(replay_instance, workflow, **kwargs)
+    return replay_instance(workflow, **kwargs)
 
 
 class TestPoolReplayIdentity:

@@ -1,11 +1,14 @@
 """Tests for repro.osg.des."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.osg.des import Simulator
+from tests.oracles.des_slab import Simulator as SlabSimulator
 
 
 def test_events_fire_in_time_order():
@@ -62,17 +65,6 @@ def test_run_until_leaves_future_events():
     assert fired == [1, 10]
 
 
-def test_cancel():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
-    Simulator.cancel(handle)
-    assert handle.cancelled
-    sim.run()
-    assert fired == []
-    assert sim.pending == 0
-
-
 def test_stop_when():
     sim = Simulator()
     fired = []
@@ -114,12 +106,6 @@ def test_reentrant_run_rejected():
         sim.run()
 
 
-def test_handle_reports_time():
-    sim = Simulator()
-    handle = sim.schedule(4.5, lambda: None)
-    assert handle.time == 4.5
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_arbitrary_delays_fire_sorted(delays):
@@ -132,80 +118,76 @@ def test_arbitrary_delays_fire_sorted(delays):
     assert len(fired) == len(delays)
 
 
-# -- slab event core -----------------------------------------------------
-
-
-def test_pending_is_live_count_through_cancels():
-    sim = Simulator()
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-    assert sim.pending == 10
-    for h in handles[:4]:
-        Simulator.cancel(h)
-    assert sim.pending == 6
-    Simulator.cancel(handles[0])  # idempotent: no double-decrement
-    assert sim.pending == 6
-    sim.run(until=6.0)  # fires events at t=5 and t=6
-    assert sim.pending == 4
-
-
-def test_cancel_after_fire_is_noop():
+def test_schedule_returns_no_handle():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
+    assert sim.schedule(2.0, lambda: fired.append("schedule")) is None
+    assert sim.schedule_at(1.0, lambda: fired.append("schedule_at")) is None
     sim.run()
-    assert fired == [1]
-    Simulator.cancel(handle)  # the event is gone; nothing to undo
-    assert handle.cancelled
+    assert fired == ["schedule_at", "schedule"]
     assert sim.pending == 0
 
 
-def test_post_and_post_at_fire_without_handles():
+def test_non_finite_times_rejected():
+    """Regression: a NaN time used to be accepted. Its event fired between
+    the 3.0 and 5.0 events with ``now`` NaN, then the clock went back."""
     sim = Simulator()
     fired = []
-    sim.post(2.0, lambda: fired.append("post"))
-    sim.post_at(1.0, lambda: fired.append("post_at"))
-    with pytest.raises(SimulationError):
-        sim.post(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.post_at(-0.5, lambda: None)
+    sim.schedule(3.0, lambda: fired.append(sim.now))
+    sim.schedule(5.0, lambda: fired.append(sim.now))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: fired.append(sim.now))
+    assert sim.pending == 2
     sim.run()
-    assert fired == ["post_at", "post"]
-    assert sim.pending == 0
+    assert fired == [3.0, 5.0]
 
 
-def test_heap_compacts_under_heavy_cancellation():
-    """Regression: cancelled events must not accumulate in the heap.
+# -- equivalence with the frozen slab loop -------------------------------------
 
-    The seed core only discarded tombstones when they surfaced at the
-    heap top, so eviction-heavy runs (cancel + re-schedule loops) grew
-    the heap without bound. The slab core compacts once tombstones
-    outnumber live entries.
+#: Few distinct delays, so ties (same time, order by scheduling) are common.
+DELAYS = st.sampled_from([0.0, 0.25, 1.0, 1.0, 3.0, 10.0])
+
+
+@given(
+    initial=st.lists(DELAYS, min_size=1, max_size=12),
+    spawns=st.lists(
+        st.lists(st.tuples(DELAYS, st.booleans()), max_size=3), max_size=40
+    ),
+    until=st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5, 3.0, 8.0])),
+    stop_after=st.one_of(st.none(), st.integers(1, 30)),
+)
+@settings(max_examples=30, deadline=None)
+def test_matches_frozen_slab_loop(initial, spawns, until, stop_after):
+    """Random event programs fire in the same order at the same times.
+
+    The n-th event to fire schedules the children listed in
+    ``spawns[n]``, relative or absolute, so both loops run the same
+    program only while their firing orders agree. The first ``run`` is
+    bounded by ``until`` and ``stop_when``; the second drains the rest.
     """
-    sim = Simulator()
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10_000)]
-    for h in handles[:9_500]:
-        Simulator.cancel(h)
-    assert sim.pending == 500
-    # Post-cancel invariant: tombstones can be at most half the heap
-    # (plus the sub-threshold floor where compaction never bothers).
-    assert len(sim._heap) <= max(64, 2 * sim.pending + 1)
-    assert sim.n_tombstones <= sim.pending + 64
-    fired = []
-    for h in handles[9_500:]:
-        sim.schedule_at(h.time, lambda: fired.append(1))
-    sim.run()
-    assert len(fired) == 500
 
+    def play(sim):
+        log = []
 
-def test_compaction_preserves_order_and_later_events():
-    sim = Simulator()
-    fired = []
-    keep = []
-    for i in range(1_000):
-        h = sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        if i % 10 == 0:
-            keep.append(i)
-        else:
-            Simulator.cancel(h)
-    sim.run()
-    assert fired == keep
+        def fire(label):
+            n = len(log)
+            log.append((label, sim.now))
+            for j, (delay, absolute) in enumerate(spawns[n] if n < len(spawns) else ()):
+                child = partial(fire, f"{label}.{j}")
+                if absolute:
+                    sim.schedule_at(sim.now + delay, child)
+                else:
+                    sim.schedule(delay, child)
+
+        for i, delay in enumerate(initial):
+            sim.schedule(delay, partial(fire, str(i)))
+        stop_when = None if stop_after is None else (lambda: len(log) >= stop_after)
+        sim.run(until=until, stop_when=stop_when)
+        bounded = (list(log), sim.now, sim.pending)
+        sim.run()
+        return bounded, log, sim.now, sim.pending
+
+    assert play(Simulator()) == play(SlabSimulator())

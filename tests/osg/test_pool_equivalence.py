@@ -1,30 +1,46 @@
-"""Bit-identical equivalence of the vectorized and reference pool engines.
+"""Bit-identical equivalence of the pool engine and the frozen reference.
 
-The vectorized engine (struct-of-arrays job table, batched negotiation,
+The pool's engine (struct-of-arrays job table, batched negotiation,
 coalesced completion events) must reproduce the reference engine's
 output *exactly* — same job records, same DAGMan summaries, same
 capacity traces, same rendered user logs, same rescue files — because
-both consume the shared RNG streams in the same order. Every scenario
-here runs both engines and diffs everything observable.
+both consume the shared RNG streams in the same order. The reference
+engine is the oracle in ``tests.oracles.pool_reference``, running on
+its own frozen event loop. Every scenario here runs both engines and
+diffs everything observable.
 """
 
+import copy
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.condor.dagfile import DagDescription
+from repro.condor.dagfile import DagDescription, ScriptSpec
+from repro.condor.dagman import DagmanOptions
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.condor.rescue import read_rescue_file
-from repro.errors import SimulationError
+from repro.faults import FaultPlan, PoolFault
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator, resubmit_with_rescue
 from repro.osg.runtimes import RuntimeModel
 from repro.osg.transfer import TransferConfig
 from repro.wf.replay import replay_instance, replay_study
+from tests.oracles.pool_reference import ReferencePoolSimulator, on_reference_pool
 
 FDW64 = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
 ENGINES = ("reference", "vector")
+POOLS = {"reference": ReferencePoolSimulator, "vector": OSPoolSimulator}
+
+
+def on_engine(engine, entry, *args, **kwargs):
+    """Call an entry point that builds its own pool, on ``engine``'s pool."""
+    if engine == "reference":
+        return on_reference_pool(entry, *args, **kwargs)
+    return entry(*args, **kwargs)
 
 
 def flat_dag(n_jobs=10, retries=2, name="e"):
@@ -83,8 +99,8 @@ def quiet_config(**kwargs):
 
 def test_flat_dag_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(4), seed=11, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(4), seed=11
         ),
         lambda: [flat_dag(20)],
     )
@@ -92,11 +108,10 @@ def test_flat_dag_identical():
 
 def test_failures_and_retries_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(success_prob=0.6),
             capacity=FixedCapacity(3),
             seed=5,
-            engine=engine,
         ),
         lambda: [flat_dag(15, retries=5)],
     )
@@ -104,8 +119,8 @@ def test_failures_and_retries_identical():
 
 def test_concurrent_dagmans_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(5), seed=2, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(5), seed=2
         ),
         lambda: [flat_dag(12, name="x"), flat_dag(12, name="y")],
     )
@@ -116,7 +131,7 @@ def test_concurrent_dagmans_identical():
 
 def test_preemption_under_markov_capacity_identical():
     def make_pool(engine):
-        return OSPoolSimulator(
+        return POOLS[engine](
             config=quiet_config(
                 runtime=RuntimeModel(a_base_s=500.0, a_per_rupture_s=0.0, sigma_log=0.0)
             ),
@@ -124,7 +139,6 @@ def test_preemption_under_markov_capacity_identical():
                 levels=[8, 1], mean_dwell_s=[200.0, 200.0], jitter=0.0
             ),
             seed=8,
-            engine=engine,
         )
 
     results = assert_same_outputs(make_pool, lambda: [flat_dag(10, retries=3)])
@@ -138,8 +152,8 @@ def test_injected_evictions_identical():
             pool.sim.schedule_at(t, lambda: pool.inject_eviction(2))
 
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
-            config=quiet_config(), capacity=FixedCapacity(4), seed=4, engine=engine
+        lambda engine: POOLS[engine](
+            config=quiet_config(), capacity=FixedCapacity(4), seed=4
         ),
         lambda: [flat_dag(16, retries=3)],
         pre_run=pre_run,
@@ -148,13 +162,12 @@ def test_injected_evictions_identical():
 
 def test_holds_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(
                 success_prob=0.5, max_job_holds=2, hold_release_s=40.0
             ),
             capacity=FixedCapacity(3),
             seed=3,
-            engine=engine,
         ),
         lambda: [flat_dag(10, retries=0)],
     )
@@ -162,11 +175,10 @@ def test_holds_identical():
 
 def test_injected_holds_identical():
     assert_same_outputs(
-        lambda engine: OSPoolSimulator(
+        lambda engine: POOLS[engine](
             config=quiet_config(hold_release_s=25.0),
             capacity=FixedCapacity(4),
             seed=6,
-            engine=engine,
         ),
         lambda: [flat_dag(12, retries=1)],
         pre_run=lambda pool: pool.sim.schedule_at(
@@ -179,12 +191,11 @@ def test_kill_and_rescue_identical(tmp_path):
     dag_factory = lambda: [flat_dag(24, retries=1, name="k")]
     rescue_files = {}
     for engine in ENGINES:
-        pool = OSPoolSimulator(
+        pool = POOLS[engine](
             config=quiet_config(),
             capacity=FixedCapacity(2),
             seed=7,
             rescue_dir=tmp_path / engine,
-            engine=engine,
         )
         metrics, logs = pool_outputs(
             pool,
@@ -202,59 +213,20 @@ def test_kill_and_rescue_identical(tmp_path):
     # Resume from the (identical) rescue file under both engines.
     resumed = {}
     for engine in ENGINES:
-        pool2, run2 = resubmit_with_rescue(
+        pool2, run2 = on_engine(
+            engine,
+            resubmit_with_rescue,
             dag_factory()[0],
             rescue_files[engine],
             name="k",
             config=quiet_config(),
             capacity=FixedCapacity(4),
             seed=9,
-            engine=engine,
         )
         metrics2 = pool2.run()
         assert run2.engine.is_complete
         resumed[engine] = (metrics2.records, pool2.dagman_runs["k"].user_log.render())
     assert resumed["reference"] == resumed["vector"]
-
-
-# -- heap growth regression (eviction-heavy cancellation) ----------------------
-
-
-def test_reference_engine_heap_bounded_under_eviction_storm():
-    """Regression: an eviction-heavy run must not grow the event heap.
-
-    Every eviction cancels a far-future completion event. The seed core
-    kept each tombstone until its original fire time, so sustained
-    eviction churn accumulated dead entries without bound; the slab
-    core's compaction keeps the heap proportional to the live count.
-    """
-    config = quiet_config(
-        runtime=RuntimeModel(a_base_s=50_000.0, a_per_rupture_s=0.0, sigma_log=0.0),
-        preemption=False,
-    )
-    pool = OSPoolSimulator(
-        config=config, capacity=FixedCapacity(4), seed=1, engine="reference"
-    )
-    pool.submit_dagman(flat_dag(8, retries=0))
-    samples = []
-
-    def probe():
-        samples.append((len(pool.sim._heap), pool.sim.pending))
-        pool.sim.schedule(20.0, probe)
-
-    def evict():
-        pool.inject_eviction(2)
-        pool.sim.schedule(20.0, evict)
-
-    pool.sim.schedule_at(25.0, probe)
-    pool.sim.schedule_at(30.0, evict)
-    pool.run(until=3_000.0)
-    assert len(samples) >= 100  # the storm ran long enough to matter
-    max_heap = max(h for h, _ in samples)
-    max_live = max(p for _, p in samples)
-    # ~300 cancelled completions at t≈50k would linger in an
-    # uncompacted heap; compaction keeps it near the live count.
-    assert max_heap <= 2 * max_live + 65
 
 
 # -- WfFormat replay (the paper's workloads) -----------------------------------
@@ -263,7 +235,7 @@ def test_reference_engine_heap_bounded_under_eviction_storm():
 @pytest.mark.parametrize("runtime", ["trace", "model"])
 def test_fdw64_replay_identical(runtime):
     results = {
-        engine: replay_instance(FDW64, seed=0, runtime=runtime, engine=engine)
+        engine: on_engine(engine, replay_instance, FDW64, seed=0, runtime=runtime)
         for engine in ENGINES
     }
     ref, vec = results["reference"], results["vector"]
@@ -279,7 +251,7 @@ def test_fdw64_replay_identical(runtime):
 
 def test_fdw64_partition_study_identical():
     studies = {
-        engine: replay_study(FDW64, counts=(1, 2, 4, 8), seed=0, engine=engine)
+        engine: on_engine(engine, replay_study, FDW64, counts=(1, 2, 4, 8), seed=0)
         for engine in ENGINES
     }
     for count in (1, 2, 4, 8):
@@ -292,6 +264,115 @@ def test_fdw64_partition_study_identical():
         }
 
 
-def test_engine_argument_validated():
-    with pytest.raises(SimulationError):
-        OSPoolSimulator(engine="turbo")
+# -- random scenarios ------------------------------------------------------------
+
+
+@st.composite
+def scenarios(draw):
+    """A random pool run: DAGs, pool model, and a fault plan."""
+    n_dagmans = draw(st.integers(1, 3))
+    dags = []
+    for d in range(n_dagmans):
+        name = f"d{d}"
+        dag = DagDescription(name)
+        previous = []
+        for layer in range(draw(st.integers(1, 3))):
+            nodes = [f"{name}_{layer}_{i}" for i in range(draw(st.integers(1, 5)))]
+            for node in nodes:
+                dag.add_job(
+                    node,
+                    JobSpec(
+                        name=node,
+                        payload=JobPayload(phase="A", n_items=1, n_stations=2),
+                    ),
+                    retries=draw(st.integers(0, 2)),
+                )
+                for when in ("PRE", "POST"):
+                    if draw(st.integers(0, 3)) == 0:  # on 1 node in 4
+                        dag.set_script(node, when, ScriptSpec(
+                            command=f"{when.lower()}.sh",
+                            duration_s=draw(st.sampled_from([0.0, 5.0, 30.0])),
+                            exit_code=draw(st.sampled_from([0] * 7 + [1])),
+                        ))
+            if previous:
+                dag.add_edges(previous, nodes)
+            previous = nodes
+        dags.append(dag)
+    if draw(st.booleans()):
+        capacity = FixedCapacity(draw(st.integers(1, 6)))
+    else:
+        capacity = MarkovModulatedCapacity(
+            levels=[draw(st.integers(3, 8)), draw(st.integers(1, 2))],
+            mean_dwell_s=[draw(st.sampled_from([60.0, 300.0])), 120.0],
+            jitter=draw(st.sampled_from([0.0, 0.1])),
+        )
+    config = quiet_config(
+        runtime=RuntimeModel(
+            a_base_s=draw(st.sampled_from([20.0, 120.0])),
+            a_per_rupture_s=0.0,
+            sigma_log=draw(st.sampled_from([0.0, 0.18])),  # 0: shared finishes
+        ),
+        success_prob=draw(st.sampled_from([1.0, 0.9, 0.6])),
+        max_job_holds=draw(st.integers(0, 2)),
+        hold_release_s=draw(st.sampled_from([25.0, 90.0])),
+    )
+    names = [dag.name for dag in dags]
+    faults = []
+    for _ in range(draw(st.integers(0, 4))):
+        action = draw(st.sampled_from(["evict", "hold", "kill-dagman"]))
+        if action == "kill-dagman":
+            dagman = draw(st.sampled_from(names))
+        elif action == "hold":
+            dagman = draw(st.one_of(st.none(), st.sampled_from(names)))
+        else:
+            dagman = None
+        faults.append(PoolFault(
+            action,
+            draw(st.floats(0.0, 600.0)),
+            dagman=dagman,
+            count=draw(st.integers(1, 3)),
+        ))
+    return dict(
+        dags=dags,
+        capacity=capacity,
+        config=config,
+        options=DagmanOptions(max_idle=draw(st.sampled_from([0, 2, 5]))),
+        plan=FaultPlan(pool_faults=tuple(faults)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(scenario=scenarios())
+@settings(max_examples=25, deadline=None)
+def test_random_scenarios_identical(scenario):
+    """Both engines agree on every observable of a random scenario.
+
+    The fault plan's evictions and holds may find nothing running, and
+    its kills may target DAGMans that already finished; both engines
+    must treat those alike too.
+    """
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for engine in ENGINES:
+            pool = POOLS[engine](
+                config=scenario["config"],
+                capacity=copy.deepcopy(scenario["capacity"]),
+                seed=scenario["seed"],
+                rescue_dir=Path(tmp) / engine,
+            )
+            for dag in scenario["dags"]:
+                pool.submit_dagman(dag, scenario["options"])
+            scenario["plan"].install(pool)
+            metrics = pool.run()
+            runs = pool.dagman_runs
+            outputs[engine] = (
+                metrics.records,
+                metrics.dagmans,
+                metrics.capacity_trace,
+                {name: run.user_log.render() for name, run in runs.items()},
+                {
+                    name: run.rescue_file and (run.rescue_file.name, run.rescue_file.read_text())
+                    for name, run in runs.items()
+                },
+            )
+    assert outputs["reference"] == outputs["vector"]

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import GreensFunctionError
 from repro.seismo.greens import compute_gf_bank
 from repro.seismo.okada import compute_okada_gf_bank, okada85
+from tests.oracles import okada_loop
+from tests.oracles.okada_loop import reference_okada_gf_bank
 
 THRUST = dict(depth_km=12.0, dip_deg=30.0, length_km=20.0, width_km=10.0, dip_slip_m=1.0)
 
@@ -158,25 +160,19 @@ class TestGoldenValues:
 
 
 class TestVectorEngine:
-    """The batched (station, subfault, 4-corner) engine against the
-    per-subfault reference loop — the PR's bit-identity contract."""
+    """The batched (station, subfault, 4-corner) build against the frozen
+    per-subfault loop in ``tests.oracles.okada_loop`` — bit identity."""
 
     def test_bit_identical_on_small_mesh(self, small_geometry, small_network):
-        ref = compute_okada_gf_bank(small_geometry, small_network, engine="reference")
-        vec = compute_okada_gf_bank(small_geometry, small_network, engine="vector")
+        ref = reference_okada_gf_bank(small_geometry, small_network)
+        vec = compute_okada_gf_bank(small_geometry, small_network)
         assert np.array_equal(ref.statics, vec.statics)
         assert np.array_equal(ref.travel_time_s, vec.travel_time_s)
 
     def test_bit_identical_for_oblique_rake(self, small_geometry, small_network):
-        ref = compute_okada_gf_bank(
-            small_geometry, small_network, rake_deg=37.0, engine="reference"
-        )
+        ref = reference_okada_gf_bank(small_geometry, small_network, rake_deg=37.0)
         vec = compute_okada_gf_bank(small_geometry, small_network, rake_deg=37.0)
         assert np.array_equal(ref.statics, vec.statics)
-
-    def test_unknown_engine_rejected(self, small_geometry, small_network):
-        with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(small_geometry, small_network, engine="gpu")
 
     def test_bad_dtype_rejected(self, small_geometry, small_network):
         with pytest.raises(GreensFunctionError):
@@ -200,9 +196,9 @@ class TestVectorEngine:
             geom, dip_deg=np.zeros_like(geom.dip_deg)  # dip must be in (0, 90]
         )
         with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(flat, small_network, engine="vector")
+            compute_okada_gf_bank(flat, small_network)
         with pytest.raises(GreensFunctionError):
-            compute_okada_gf_bank(flat, small_network, engine="reference")
+            reference_okada_gf_bank(flat, small_network)
 
 
 class TestVectorEngineProperty:
@@ -252,11 +248,51 @@ class TestVectorEngineProperty:
         )
         def check(seed, n_sub, n_sta, rake):
             geom, stations = self._random_case(seed, n_sub, n_sta, rake)
-            ref = compute_okada_gf_bank(
-                geom, stations, rake_deg=rake, engine="reference"
-            )
+            ref = reference_okada_gf_bank(geom, stations, rake_deg=rake)
             vec = compute_okada_gf_bank(geom, stations, rake_deg=rake)
             assert np.array_equal(ref.statics, vec.statics)
             assert np.array_equal(ref.travel_time_s, vec.travel_time_s)
+
+        check()
+
+    def test_property_okada85_equals_frozen(self):
+        """``okada85`` evaluates each corner once on a 4-corner tensor;
+        the frozen three-pass form must agree bit for bit."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=30, deadline=None)
+        @given(
+            seed=st.integers(0, 2**31 - 1),
+            n=st.integers(1, 40),
+            depth=st.floats(0.5, 60.0),
+            dip=st.one_of(st.just(90.0), st.floats(0.5, 90.0)),
+            length=st.floats(0.5, 80.0),
+            width=st.floats(0.5, 40.0),
+            slip=st.sampled_from(["strike", "dip", "both", "none"]),
+            scalar=st.booleans(),
+        )
+        def check(seed, n, depth, dip, length, width, slip, scalar):
+            rng = np.random.default_rng(seed)
+            if scalar:
+                x, y = float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100))
+            else:
+                # y with a broadcast axis exercises the (x, y) broadcast.
+                x = rng.uniform(-100.0, 100.0, n)
+                y = rng.uniform(-100.0, 100.0, (n, 1)) if n % 2 else rng.uniform(
+                    -100.0, 100.0, n
+                )
+            ss = float(rng.normal()) if slip in ("strike", "both") else 0.0
+            ds = float(rng.normal()) if slip in ("dip", "both") else 0.0
+            kwargs = dict(
+                depth_km=depth, dip_deg=dip, length_km=length, width_km=width,
+                strike_slip_m=ss, dip_slip_m=ds,
+            )
+            got = okada85(x, y, **kwargs)
+            want = okada_loop.okada85(x, y, **kwargs)
+            for g, w in zip(got, want):
+                # Bitwise, signed zeros included.
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
         check()

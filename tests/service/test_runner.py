@@ -12,6 +12,7 @@ from repro.service.runner import (
     RunnerOutcome,
     SimulatedRunner,
 )
+from tests.oracles.pool_reference import on_reference_pool
 
 
 @pytest.fixture()
@@ -64,9 +65,9 @@ def test_pool_runner_matches_batch_metrics(config):
 
 
 def test_pool_runner_engines_agree(config):
-    vector = PoolRunner(capacity=FixedCapacity(8), engine="vector")
-    reference = PoolRunner(capacity=FixedCapacity(8), engine="reference")
+    vector = PoolRunner(capacity=FixedCapacity(8))
+    reference = PoolRunner(capacity=FixedCapacity(8))
     assert (
         vector.execute(config, seed=5).elapsed_s
-        == reference.execute(config, seed=5).elapsed_s
+        == on_reference_pool(reference.execute, config, seed=5).elapsed_s
     )

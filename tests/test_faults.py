@@ -113,6 +113,55 @@ def test_install_kill_dagman(tmp_path):
     assert run.rescue_file is not None
 
 
+def _two_dagman_pool(tmp_path):
+    """``short`` (2 jobs) finishes long before ``long`` (40 jobs)."""
+    pool = OSPoolSimulator(
+        config=OSPoolConfig(
+            transfer=TransferConfig(setup_overhead_s=1.0, include_image=False),
+            success_prob=1.0,
+        ),
+        capacity=FixedCapacity(2),
+        seed=0,
+        rescue_dir=tmp_path,
+    )
+    pool.submit_dagman(_flat_dag(2, name="short"))
+    pool.submit_dagman(_flat_dag(40, name="long"))
+    return pool
+
+
+def test_install_kill_of_finished_dagman_is_a_no_op(tmp_path):
+    """Regression: a scheduled kill whose DAGMan already finished used to
+    abort the whole run with "already finished" while others still ran."""
+    pool = _two_dagman_pool(tmp_path)
+    FaultPlan(
+        pool_faults=(PoolFault("kill-dagman", 300.0, dagman="short"),)
+    ).install(pool)
+    metrics = pool.run()
+    short, long = pool.dagman_runs["short"], pool.dagman_runs["long"]
+    assert short.end_time < 300.0 < long.end_time
+    assert not short.dead and not long.dead
+    assert short.rescue_file is None
+    assert sum(r.success for r in metrics.records) == 42
+
+
+def test_install_rejects_unknown_dagman(tmp_path):
+    """Regression: an unknown name used to surface only when the fault
+    fired, mid-run; it is now rejected before anything is scheduled."""
+    pool = _two_dagman_pool(tmp_path)
+    for action in ("kill-dagman", "hold"):
+        plan = FaultPlan(pool_faults=(PoolFault(action, 10.0, dagman="nope"),))
+        with pytest.raises(ReproError, match="unknown DAGMan 'nope'"):
+            plan.install(pool)
+    assert pool.sim.pending == 2  # only the two submit cycles
+
+
+def test_direct_kill_of_finished_dagman_still_raises(tmp_path):
+    pool = _two_dagman_pool(tmp_path)
+    pool.run()
+    with pytest.raises(ReproError, match="already finished"):
+        pool.kill_dagman("short")
+
+
 # -- PR 8 fault models: flakes, storage faults, transfer faults, outages ------
 
 

@@ -112,6 +112,12 @@ class TestReplayInstance:
         with pytest.raises(WfFormatError, match="stagger"):
             replay_instance(generic_instance, stagger_s=-1.0)
 
+    def test_only_the_vector_engine_is_accepted(self, generic_instance):
+        """The pool has one engine; the keyword survives only as "vector"."""
+        for engine in ("reference", "turbo"):
+            with pytest.raises(WfFormatError, match="engine must be 'vector'"):
+                replay_instance(generic_instance, engine=engine)
+
     def test_study_covers_requested_counts(self, generic_instance):
         study = replay_study(
             generic_instance, counts=(1, 2), seed=0,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.wf import (
     load_instance,
     loads_instance,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
 
 def _task(name, parents=(), children=(), **kw):
@@ -201,6 +204,31 @@ class TestJson:
                 '{"name": "w", "workflow": {"tasks": '
                 '[{"name": "a", "runtimeInSeconds": "fast"}]}}'
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("runtimeInSeconds", float("nan")),
+            ("runtimeInSeconds", float("inf")),
+            ("sizeInBytes", float("nan")),
+        ],
+        ids=["nan-runtime", "inf-runtime", "nan-size"],
+    )
+    def test_loads_rejects_non_finite_numbers(self, key, value):
+        """Regression: json.loads parses the NaN/Infinity literals, and the
+        bundled fdw64 instance used to load with them. A NaN runtime then
+        replayed as a 1 s task, an infinite one ran into the 30-day guard,
+        and a NaN file size broke the pool's transfer times."""
+        doc = json.loads(EXAMPLE.read_text())
+        task = doc["workflow"]["tasks"][0]
+        if key == "sizeInBytes":
+            task["files"][0][key] = value
+        else:
+            task[key] = value
+        text = json.dumps(doc)
+        assert ("NaN" if value != value else "Infinity") in text
+        with pytest.raises(WfFormatError, match=f"{key}: expected a finite number"):
+            loads_instance(text)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(WfFormatError, match="not found"):

@@ -12,7 +12,11 @@ against the shared-memory pool. ``phase-c-batch`` times the window
 synthesis kernel against the frozen dense per-station loop
 (``tests/oracles/synthesis_dense.py``; bit-identical products, speedup
 in ``extra_info``) and the float32 bank, whose error budget lands in
-``extra_info`` too. The ``phase-a-kernel`` / ``phase-a-cache`` /
+``extra_info`` too. ``phase-c-save`` times the product encoder
+(``WaveformSet.save``, trimmed records stored raw) against the frozen
+deflate encoder (``tests/oracles/waveform_deflate.py``) on the
+``phase-c-batch`` chunk, with the byte ratio and speedup in
+``extra_info``. The ``phase-a-kernel`` / ``phase-a-cache`` /
 ``phase-a-pool`` groups track the Phase-A acceleration stack the same way: the dense
 von Kármán evaluation against the unique-lag kernel, cold vs. warm
 :class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
@@ -51,9 +55,10 @@ from repro.seismo.okada import compute_okada_gf_bank
 from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.spectra import von_karman_correlation
 from repro.seismo.stations import chilean_network
-from repro.seismo.waveforms import WaveformSynthesizer
+from repro.seismo.waveforms import WaveformSet, WaveformSynthesizer
 from tests.oracles.okada_loop import reference_okada_gf_bank
 from tests.oracles.synthesis_dense import dense_synthesize
+from tests.oracles.waveform_deflate import deflate_save
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +223,59 @@ def test_phase_c_batched_float32(benchmark, gf_bank, ruptures):
     )
     assert all(ws.data.dtype == np.float32 for ws in sets)
     assert dev < 1e-5
+
+
+# -- Phase C products: trimmed records vs the deflate encoder ----------------
+
+
+@pytest.fixture(scope="module")
+def chunk_sets(gf_bank, ruptures):
+    """The ``phase-c-batch`` chunk, synthesized once."""
+    return WaveformSynthesizer(gf_bank).synthesize_batch(ruptures)
+
+
+def _save_all(save, sets, root):
+    """Write every set of a chunk into ``root`` with ``save``; the paths."""
+    return [save(ws, root / f"{ws.rupture_id}.npz") for ws in sets]
+
+
+def _fresh_dirs(root):
+    """New directories under ``root``, one per call. Products always land
+    in new files, and overwriting the last round's would add the cost
+    of truncating them."""
+    return (root / f"{i:04d}" for i in itertools.count())
+
+
+@pytest.mark.benchmark(group="phase-c-save")
+def test_phase_c_save_deflate(benchmark, chunk_sets, tmp_path):
+    """The frozen deflate encoder: every whole record through zlib."""
+    dirs = _fresh_dirs(tmp_path)
+    paths = benchmark.pedantic(
+        partial(_save_all, deflate_save, chunk_sets),
+        setup=lambda: ((next(dirs),), {}), rounds=10,
+    )
+    assert len(paths) == len(chunk_sets)
+
+
+@pytest.mark.benchmark(group="phase-c-save")
+def test_phase_c_save_trimmed(benchmark, chunk_sets, tmp_path):
+    """``WaveformSet.save``: each record's changing span, uncompressed.
+    Its bytes over the deflated products' and its speedup over their
+    encoder go into ``extra_info``."""
+    dirs = _fresh_dirs(tmp_path)
+    trimmed = benchmark.pedantic(
+        partial(_save_all, WaveformSet.save, chunk_sets),
+        setup=lambda: ((next(dirs),), {}), rounds=10,
+    )
+    deflated = _save_all(deflate_save, chunk_sets, next(dirs))
+    for ws, path in zip(chunk_sets, trimmed):
+        assert WaveformSet.load(path).data.tobytes() == ws.data.tobytes()
+    benchmark.extra_info["bytes_ratio_vs_deflate"] = sum(
+        p.stat().st_size for p in trimmed
+    ) / sum(p.stat().st_size for p in deflated)
+    benchmark.extra_info["speedup_vs_deflate"] = _best_of(
+        lambda: _save_all(deflate_save, chunk_sets, next(dirs))
+    ) / _best_of(lambda: _save_all(WaveformSet.save, chunk_sets, next(dirs)))
 
 
 # -- Phase B kernel: frozen Okada loop vs vectorized bank ---------------------

@@ -10,11 +10,18 @@ chunks yields byte-identical products to an uninterrupted run.
 
 Crash consistency comes from two rules:
 
-* every write is *temp-then-rename* (``os.replace`` after an fsync), so
-  a file either has its complete new content or its old one;
+* the manifest and every chunk file are written *temp-then-rename*
+  (``os.replace`` after an fsync), so each has either its complete new
+  content or its old one;
 * products are written **before** the manifest records their chunk as
   done, so a crash between the two merely re-executes one chunk on
   resume (idempotent — the rewrite replaces identical bytes).
+
+Products themselves are plain writes by
+:meth:`~repro.seismo.waveforms.WaveformSet.save`: not fsynced, not
+renamed into place, and without a digest. A chunk marked done survives
+a crash of the process, but not a crash of the host before the page
+cache is flushed, and resume checks only that each product exists.
 
 Integrity (PR 8): the manifest and every chunk file carry a sha256
 sidecar (:mod:`repro.integrity`) written with the same atomicity.
@@ -99,7 +106,9 @@ class RunCheckpoint:
 
     DIRNAME = "_checkpoint"
     QUARANTINE_DIRNAME = "_quarantine"
-    VERSION = 1
+    #: 2: products store trimmed records; a version-1 checkpoint holds
+    #: deflated ones, and resuming it would mix both layouts in one archive.
+    VERSION = 2
 
     def __init__(
         self,

@@ -8,7 +8,8 @@ few plain-text and binary artifacts:
 * the recyclable distance-matrix ``.npy`` pair (see
   :mod:`repro.seismo.distance`),
 * GF archives (``.mseed`` in MudPy; a compressed ``.npz`` bank here),
-* per-rupture waveform files.
+* per-rupture waveform files (trimmed-record ``.npz`` products, see
+  :mod:`repro.seismo.waveforms`).
 
 This module implements the ``.rupt`` format plus a *product archive*: a
 directory with a JSON manifest that congregates and labels the thousands

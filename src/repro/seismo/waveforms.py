@@ -12,10 +12,43 @@ Each station's record is one matmul over a (subfaults x samples) ramp
 plane, so cost scales as O(n_stations * n_patch * n_samples) — the
 station-count scaling the paper's Phase C job runtimes exhibit (15-20
 min at 121 stations vs. <1 min at 2).
+
+Products (:meth:`WaveformSet.save`) exploit that shape. A clean record
+is exactly zero until its first arrival and holds its final offset once
+the last ramp ends, so each (station, component) record is stored as
+the span from its first non-zero sample to its last changing one, in an
+uncompressed ``.npz``:
+
+============== ==================================================
+key            content
+============== ==================================================
+rupture_id     0-d string
+dt_s           0-d float
+station_names  (n_stations,) strings
+shape          ``(n_stations, 3, n_samples)``
+first, stop    (n_records,) int32: the span ``[first, stop)``
+final          (n_records,) the record's last sample
+samples        the spans concatenated in record order
+============== ==================================================
+
+Records are ordered station-major, component-minor. ``first`` and
+``stop`` compare bit patterns, not values: ``first`` is the first
+sample that is not ``+0.0`` and ``stop`` one past the last sample whose
+bits differ from the final sample's, so ``-0.0`` is stored as a sample.
+A decoded record is ``+0.0`` before ``first``, the span, then ``final``
+from ``stop`` on: the original bits, in the original dtype. A noisy
+record never settles, so every sample but the last lands in its span:
+it is stored raw, in the same layout. Clean products keep about a
+quarter of their samples.
+:meth:`WaveformSet.load` also reads the layout written before trimming
+(one deflated ``data`` member).
 """
 
 from __future__ import annotations
 
+import io
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,6 +122,8 @@ class WaveformSet:
     def __post_init__(self) -> None:
         if self.data.ndim != 3 or self.data.shape[1] != 3:
             raise WaveformError(f"data must be (nsta, 3, nt), got {self.data.shape}")
+        if self.data.shape[2] < 1:
+            raise WaveformError("records must hold at least one sample")
         if len(self.station_names) != self.data.shape[0]:
             raise WaveformError("station_names length != data stations axis")
         if self.dt_s <= 0:
@@ -131,31 +166,130 @@ class WaveformSet:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write to compressed ``.npz`` (the per-rupture product file)."""
+        """Write the per-rupture product file to ``path`` and return it.
+
+        Each record is trimmed to its changing span and stored
+        uncompressed (the layout in the module docstring); the file is
+        written at ``path`` as given, whatever its suffix.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
+        records = np.ascontiguousarray(self.data).reshape(-1, self.n_samples)
+        bits = records.view(f"u{records.itemsize}")
+        first = (bits != 0).argmax(axis=1)
+        # Scan each record backwards for its last sample that differs
+        # from the final one; a record that never differs has stop 0.
+        backward = bits[:, ::-1]
+        moving = backward != backward[:, :1]
+        back = moving.argmax(axis=1)
+        stop = np.where(moving[np.arange(len(back)), back], self.n_samples - back, 0)
+        # Serialized in memory and written with one call: on a file,
+        # np.savez seeks back to patch each member's header, and every
+        # seek flushes the file's buffer.
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
             rupture_id=np.array(self.rupture_id),
-            data=self.data,
             dt_s=np.array(self.dt_s),
             station_names=np.array(self.station_names),
+            shape=np.array(self.data.shape),
+            first=first.astype(np.int32),
+            stop=stop.astype(np.int32),
+            final=records[:, -1],
+            samples=records.reshape(-1)[_span_index(first, stop, self.n_samples)],
         )
+        with open(path, "wb") as fh:
+            fh.write(buffer.getbuffer())
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "WaveformSet":
-        """Read a set written by :meth:`save`."""
+        """Read a product written by :meth:`save`, in either layout.
+
+        Every member is read whole, so its CRC-32 is checked, and the
+        trimmed layout's arrays are checked against each other before
+        decoding.
+
+        Raises
+        ------
+        WaveformError
+            If the file is missing or is not a well-formed product.
+        """
         path = Path(path)
         if not path.exists():
             raise WaveformError(f"waveform file not found: {path}")
-        with np.load(path, allow_pickle=False) as data:
+        try:
+            with zipfile.ZipFile(path) as zf:
+                arrays = {
+                    name.removesuffix(".npy"): np.lib.format.read_array(
+                        io.BytesIO(zf.read(name)), allow_pickle=False
+                    )
+                    for name in zf.namelist()
+                }
             return cls(
-                rupture_id=str(data["rupture_id"]),
-                data=data["data"],
-                dt_s=float(data["dt_s"]),
-                station_names=tuple(str(n) for n in data["station_names"]),
+                rupture_id=str(arrays["rupture_id"]),
+                data=_decode(arrays),
+                dt_s=float(arrays["dt_s"]),
+                station_names=tuple(str(n) for n in arrays["station_names"]),
             )
+        except (WaveformError, *_PARSE_ERRORS) as exc:
+            raise WaveformError(
+                f"malformed waveform product {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+
+#: What parsing a damaged or foreign ``.npz`` can raise: the zip
+#: container (a CRC-32 mismatch included), a member compressed with an
+#: unknown or encrypted method, and the ``.npy`` headers and payloads.
+_PARSE_ERRORS = (
+    zipfile.BadZipFile, zlib.error, EOFError, OSError,
+    KeyError, RuntimeError, TypeError, ValueError,
+)
+
+
+def _span_index(first: np.ndarray, stop: np.ndarray, n_samples: int) -> np.ndarray:
+    """Flat indices of every record's span ``[first, stop)``, record after
+    record, into the (n_records, n_samples) records."""
+    lengths = stop - first
+    ends = np.cumsum(lengths)
+    shift = np.arange(len(first)) * n_samples + first - (ends - lengths)
+    return np.repeat(shift, lengths) + np.arange(lengths.sum())
+
+
+def _decode(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The (n_stations, 3, n_samples) records of a product's members."""
+    if "data" in arrays:  # the deflated whole-record layout
+        data = arrays["data"]
+        if data.dtype.kind != "f":
+            raise WaveformError(f"records must be floats, got {data.dtype}")
+        return data
+    shape, first, stop, final, samples = (
+        arrays[key] for key in ("shape", "first", "stop", "final", "samples")
+    )
+    if (
+        shape.shape != (3,) or shape.dtype.kind not in "iu"
+        or shape[0] < 0 or shape[1] != 3 or shape[2] < 1
+    ):
+        raise WaveformError(f"shape must be (n_stations, 3, n_samples >= 1), got {shape}")
+    n_records, n_samples = int(shape[0]) * 3, int(shape[2])
+    for name, bound in (("first", first), ("stop", stop)):
+        if bound.shape != (n_records,) or bound.dtype.kind != "i":
+            raise WaveformError(f"{name} must hold one integer per record")
+    if not (np.all(first >= 0) and np.all(first <= stop) and np.all(stop <= n_samples)):
+        raise WaveformError(f"spans must satisfy 0 <= first <= stop <= {n_samples}")
+    if final.shape != (n_records,):
+        raise WaveformError("final must hold one value per record")
+    if final.dtype.kind != "f" or samples.dtype != final.dtype or samples.ndim != 1:
+        raise WaveformError(
+            f"final and samples must share a float dtype, got {final.dtype}/{samples.dtype}"
+        )
+    if samples.size != int(np.sum(stop - first, dtype=np.int64)):
+        raise WaveformError("samples must hold exactly the spans")
+    records = np.where(
+        np.arange(n_samples) >= stop[:, None], final[:, None], np.zeros((), final.dtype)
+    )
+    records.reshape(-1)[_span_index(first, stop, n_samples)] = samples
+    return records.reshape(int(shape[0]), 3, n_samples)
 
 
 #: Stations whose rise windows are located and evaluated together. A

@@ -68,11 +68,12 @@ def test_resume_rejects_bad_manifest(tmp_path, ckpt_config):
     # is corruption (quarantined, covered below), not a user mistake.
     ck = RunCheckpoint(tmp_path, ckpt_config, n_a_chunks=3, n_c_chunks=3)
     manifest = json.loads(ck.manifest_path.read_text())
-    manifest["version"] = 99
-    ck.manifest_path.write_text(json.dumps(manifest))
-    write_digest(ck.manifest_path)
-    with pytest.raises(CheckpointError, match="version"):
-        RunCheckpoint(tmp_path, ckpt_config, n_a_chunks=3, n_c_chunks=3, resume=True)
+    for version in (1, 99):  # 1: its products hold deflated records
+        manifest["version"] = version
+        ck.manifest_path.write_text(json.dumps(manifest))
+        write_digest(ck.manifest_path)
+        with pytest.raises(CheckpointError, match="version"):
+            RunCheckpoint(tmp_path, ckpt_config, n_a_chunks=3, n_c_chunks=3, resume=True)
     manifest = json.loads(ck.manifest_path.read_text())
     manifest["version"] = RunCheckpoint.VERSION
     manifest["done_a"] = [7]

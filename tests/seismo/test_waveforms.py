@@ -4,14 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WaveformError
-from repro.seismo.greens import GreensFunctionBank
+from repro.faults import StorageFault
+from repro.seismo.greens import GreensFunctionBank, compute_gf_bank
 from repro.seismo.ruptures import Rupture
+from repro.seismo.stations import chilean_network
 from repro.seismo.waveforms import GnssNoiseModel, WaveformSet, WaveformSynthesizer
 from tests.oracles.synthesis_dense import dense_synthesize
+from tests.oracles.waveform_deflate import deflate_save
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,193 @@ def test_load_missing_raises(tmp_path):
         WaveformSet.load(tmp_path / "nope.npz")
 
 
+def test_save_writes_the_path_it_returns(tmp_path, clean_set):
+    path = clean_set.save(tmp_path / "p.wf")  # np.savez would append .npz
+    assert path == tmp_path / "p.wf"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.wf"]
+    assert np.array_equal(WaveformSet.load(path).data, clean_set.data)
+
+
+def _same_set(a: WaveformSet, b: WaveformSet) -> bool:
+    """Equal metadata and the same record bits, dtype and shape."""
+    return (
+        (a.rupture_id, a.station_names, a.dt_s) == (b.rupture_id, b.station_names, b.dt_s)
+        and a.data.dtype == b.data.dtype
+        and a.data.shape == b.data.shape
+        and a.data.tobytes() == b.data.tobytes()
+    )
+
+
+@st.composite
+def waveform_sets(draw):
+    """Sets mixing every record shape the trimmed layout tells apart.
+
+    Structure comes from hypothesis, bulk values from a seeded
+    generator. ``zero`` records hold only ``+0.0``, ``negzero`` ones a
+    mix of ``+0.0`` and ``-0.0``. A ``step`` record is zero, moves, then
+    holds a final value; ``-0.0`` lands among its leading zeros and as
+    its settled tail. ``last`` records change only at their last
+    sample, ``noisy`` ones never settle.
+    """
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    n_sta = draw(st.integers(0, 4))
+    nt = draw(st.integers(1, 64))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["zero", "negzero", "step", "last", "noisy"]),
+            min_size=3 * n_sta, max_size=3 * n_sta,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = np.zeros((3 * n_sta, nt))
+    for rec, kind in zip(records, kinds):
+        if kind == "negzero":
+            rec[rng.random(nt) < 0.5] = -0.0
+        elif kind == "step":
+            arrival, settle = np.sort(rng.integers(0, nt + 1, 2))
+            rec[:arrival][rng.random(arrival) < 0.3] = -0.0
+            rec[arrival:settle] = rng.normal(size=settle - arrival)
+            rec[settle:] = rng.choice([rng.normal(), 0.0, -0.0])
+        elif kind == "last":
+            rec[-1] = rng.normal()
+        elif kind == "noisy":
+            rec[:] = rng.normal(size=nt)
+    data = records.reshape(n_sta, 3, nt).astype(dtype)
+    if draw(st.booleans()):  # a non-contiguous view of the records
+        wide = np.zeros((n_sta, 3, 2 * nt), dtype)
+        wide[:, :, ::2] = data
+        data = wide[:, :, ::2]
+    return WaveformSet(
+        rupture_id=draw(st.from_regex(r"[a-z]{1,6}\.[0-9]{6}", fullmatch=True)),
+        data=data,
+        dt_s=draw(st.floats(1e-3, 100.0)),
+        station_names=tuple(f"S{i:02d}" for i in range(n_sta)),
+    )
+
+
+@given(waveform_sets())
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_products_round_trip_bit_for_bit(tmp_path_factory, ws):
+    """Both layouts decode to the original bits: the trimmed one ``save``
+    writes, and the deflated one archives written before it hold."""
+    tmp = tmp_path_factory.mktemp("wf")
+    for path in (ws.save(tmp / "trimmed.npz"), deflate_save(ws, tmp / "deflated.npz")):
+        assert _same_set(WaveformSet.load(path), ws), path.name
+
+
+def test_clean_products_store_trimmed_records(tmp_path, small_geometry, rupture_generator):
+    """Real products keep at most 35 % of their samples (7-18 % here),
+    so a silent fallback to whole records fails."""
+    ruptures = [
+        rupture_generator.generate(
+            np.random.default_rng(60 + k), rupture_id=f"keep.{k:06d}", target_mw=mw
+        )
+        for k, mw in enumerate([7.6, 8.5, 9.1])
+    ]
+    for n_sta in (6, 12, 24, 121):
+        synth = WaveformSynthesizer(compute_gf_bank(small_geometry, chilean_network(n_sta)))
+        for ws in synth.synthesize_batch(ruptures):
+            path = ws.save(tmp_path / f"{n_sta}.{ws.rupture_id}.npz")
+            with np.load(path) as members:
+                kept = members["samples"].size / ws.data.size
+            assert kept <= 0.35, (n_sta, ws.rupture_id, kept)
+            assert _same_set(WaveformSet.load(path), ws)
+
+
+@pytest.fixture(scope="module")
+def short_set(clean_set):
+    """Two stations of the clean set, decimated: a product of a few KB,
+    so seeded faults hit the zip and ``.npy`` headers often."""
+    return WaveformSet(
+        rupture_id=clean_set.rupture_id,
+        data=clean_set.data[:2, :, ::8].copy(),
+        dt_s=8 * clean_set.dt_s,
+        station_names=clean_set.station_names[:2],
+    )
+
+
+@pytest.mark.parametrize("encode", [WaveformSet.save, deflate_save], ids=["trimmed", "deflated"])
+def test_damaged_products_raise_or_load_intact(tmp_path, short_set, encode):
+    """Seeded bit flips and truncations: ``load`` raises WaveformError
+    or returns the original set, never other bits or another error."""
+    pristine = encode(short_set, tmp_path / "pristine.npz").read_bytes()
+    damaged = tmp_path / "damaged.npz"
+    raised = 0
+    for seed in range(200):
+        for kind in ("bitflip", "truncate"):
+            damaged.write_bytes(pristine)
+            StorageFault(kind, seed).apply(damaged)
+            try:
+                back = WaveformSet.load(damaged)
+            except WaveformError:
+                raised += 1
+                continue
+            assert kind == "bitflip" and _same_set(back, short_set), (kind, seed)
+    assert raised >= 300  # every truncation, most flips
+
+
+#: One crafted trimmed product per check ``load`` makes before decoding:
+#: case -> (member replacements, None dropping one; expected message).
+CRAFTED = {
+    "shape has two entries": (
+        lambda m: {"shape": m["shape"][:2]}, "shape must be"),
+    "shape has 6 components": (
+        lambda m: {"shape": m["shape"] * [1, 2, 1]}, "shape must be"),
+    "shape has no samples": (
+        lambda m: {"shape": m["shape"] * [1, 1, 0]}, "shape must be"),
+    "first below zero": (
+        lambda m: {"first": np.append(-1, m["first"][1:])}, "0 <= first <= stop"),
+    "first after stop": (
+        lambda m: {"first": m["stop"] + 1}, "0 <= first <= stop"),
+    "stop past the end": (
+        lambda m: {"stop": m["stop"] * 0 + m["shape"][2] + 1}, "stop <="),
+    "one first short": (
+        lambda m: {"first": m["first"][:-1]}, "one integer per record"),
+    "float stops": (
+        lambda m: {"stop": m["stop"].astype(float)}, "one integer per record"),
+    "one final short": (
+        lambda m: {"final": m["final"][:-1]}, "one value per record"),
+    "samples one short": (
+        lambda m: {"samples": m["samples"][:-1]}, "exactly the spans"),
+    "samples one long": (
+        lambda m: {"samples": np.append(m["samples"], 0.0)}, "exactly the spans"),
+    "float32 samples": (
+        lambda m: {"samples": m["samples"].astype(np.float32)}, "share a float dtype"),
+    "integer records": (
+        lambda m: {"samples": m["samples"].astype(int), "final": m["final"].astype(int)},
+        "share a float dtype"),
+    "no samples member": (lambda m: {"samples": None}, "KeyError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_crafted_products_raise(tmp_path, short_set, case):
+    mutate, match = CRAFTED[case]
+    path = short_set.save(tmp_path / "crafted.npz")
+    with np.load(path) as npz:
+        members = {key: npz[key] for key in npz.files}
+    members.update(mutate(members))
+    np.savez(path, **{key: v for key, v in members.items() if v is not None})
+    with pytest.raises(WaveformError, match=match):
+        WaveformSet.load(path)
+
+
+def test_foreign_files_raise(tmp_path, short_set):
+    path = tmp_path / "foreign.npz"
+    path.write_text("not a zip archive")
+    with pytest.raises(WaveformError, match="BadZipFile"):
+        WaveformSet.load(path)
+    deflate_save(short_set, path)
+    with np.load(path) as npz:
+        members = {key: npz[key] for key in npz.files}
+    np.savez(path, **{**members, "data": members["data"].astype(int)})
+    with pytest.raises(WaveformError, match="records must be floats"):
+        WaveformSet.load(path)
+
+
 def test_waveform_set_validation():
     with pytest.raises(WaveformError):
         WaveformSet(
@@ -152,6 +342,13 @@ def test_waveform_set_validation():
             rupture_id="x",
             data=np.zeros((2, 3, 10)),
             dt_s=0.0,
+            station_names=("A", "B"),
+        )
+    with pytest.raises(WaveformError, match="at least one sample"):
+        WaveformSet(
+            rupture_id="x",
+            data=np.zeros((2, 3, 0)),  # pgd_m() would reduce an empty axis
+            dt_s=1.0,
             station_names=("A", "B"),
         )
 

@@ -18,7 +18,8 @@ deflate encoder (``tests/oracles/waveform_deflate.py``) on the
 ``phase-c-batch`` chunk, with the byte ratio and speedup in
 ``extra_info``. The ``phase-a-kernel`` / ``phase-a-cache`` /
 ``phase-a-pool`` groups track the Phase-A acceleration stack the same way: the dense
-von Kármán evaluation against the unique-lag kernel, cold vs. warm
+von Kármán evaluation (``tests/oracles/von_karman_dense.py``) against
+the unique-lag kernel, cold vs. warm
 :class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
 rupture sweep (dense kernel, no cache) against the pooled + memoized
 fan-out. ``phase-b-batch`` compares the frozen per-subfault ``okada85``
@@ -58,6 +59,7 @@ from repro.seismo.stations import chilean_network
 from repro.seismo.waveforms import WaveformSet, WaveformSynthesizer
 from tests.oracles.okada_loop import reference_okada_gf_bank
 from tests.oracles.synthesis_dense import dense_synthesize
+from tests.oracles.von_karman_dense import dense_von_karman_correlation
 from tests.oracles.waveform_deflate import deflate_save
 
 
@@ -428,13 +430,12 @@ def paper_distances():
 def test_phase_a_kernel_dense(benchmark, paper_distances):
     """Seed evaluation: one ``kv`` call per matrix element (p^2)."""
     corr = benchmark(
-        von_karman_correlation,
+        dense_von_karman_correlation,
         paper_distances.along_strike,
         paper_distances.down_dip,
         60.0,
         30.0,
         0.75,
-        False,
     )
     assert corr.shape == (450, 450)
 
@@ -449,14 +450,12 @@ def test_phase_a_kernel_unique_lag(benchmark, paper_distances):
         60.0,
         30.0,
         0.75,
-        True,
     )
-    dense = von_karman_correlation(
+    dense = dense_von_karman_correlation(
         paper_distances.along_strike,
         paper_distances.down_dip,
         60.0,
         30.0,
-        unique_lags=False,
     )
     assert np.array_equal(corr, dense)  # bit-identical products
 
@@ -533,8 +532,9 @@ def _seed_a_phase(config: FdwConfig) -> list[Rupture]:
     sequential chunk loop."""
     fq = _fakequakes_for(config)
     fq.phase_a_distances()
-    dense = partial(von_karman_correlation, unique_lags=False)
-    with mock.patch.object(ruptures_mod, "von_karman_correlation", dense):
+    with mock.patch.object(
+        ruptures_mod, "von_karman_correlation", dense_von_karman_correlation
+    ):
         ruptures: list[Rupture] = []
         for start, count in chunk_bounds(config.n_waveforms, config.chunk_a):
             ruptures.extend(fq.phase_a_ruptures(start, count))
@@ -631,7 +631,7 @@ def recovery_config():
 
 @pytest.mark.benchmark(group="bench-recovery")
 def test_recovery_plain_run(benchmark, recovery_config, tmp_path):
-    """Baseline: archive directly, no checkpoint manifest."""
+    """Baseline: archive directly, no checkpoint."""
     dirs = (tmp_path / f"plain{i}" for i in itertools.count())
     with LocalRunner() as runner:
         result = benchmark(lambda: runner.run(recovery_config, next(dirs)))

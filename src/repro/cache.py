@@ -82,13 +82,10 @@ class ArtifactCache(Generic[T]):
     max_memory_entries:
         LRU capacity. Entries evicted from memory survive on disk when a
         ``cache_dir`` is configured.
-    verify_digests:
-        Verify each disk entry's sha256 sidecar on load (default). A
-        failed check — or an entry that cannot be parsed at all — is
-        quarantined (moved into ``cache_dir/quarantine/``, never
-        deleted) and treated as a miss. ``False`` skips only the hash
-        comparison (the ``bench-resilience`` baseline arm); parse
-        failures still quarantine.
+
+    Every disk load verifies the entry's sha256 sidecar. A failed check
+    — or an entry that cannot be parsed at all — is quarantined (moved
+    into ``cache_dir/quarantine/``, never deleted) and treated as a miss.
     """
 
     #: Disk filename prefix (``<prefix>_<key>.npz``) and ``cache`` label.
@@ -102,7 +99,6 @@ class ArtifactCache(Generic[T]):
         self,
         cache_dir: str | Path | None,
         max_memory_entries: int,
-        verify_digests: bool,
     ) -> None:
         if max_memory_entries < 1:
             raise CacheError(
@@ -112,7 +108,6 @@ class ArtifactCache(Generic[T]):
             cache_dir = os.environ.get(self.env_var, "").strip() or None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_memory_entries = int(max_memory_entries)
-        self.verify_digests = bool(verify_digests)
         self._memory: OrderedDict[str, T] = OrderedDict()
         self.stats = CacheStats()
         #: Paths of quarantined artifacts, in quarantine order.

@@ -14,10 +14,11 @@ replayable — chaos you can bisect.
 Three stages, mirroring the three layers the faults target:
 
 1. **Local runner** — a checkpointed run is crashed mid-phase, its
-   GF-bank / K-L cache entries and one checkpoint chunk are corrupted
-   on disk, chunk flakes are injected, and the run is resumed. The
-   resumed archive must match the fault-free baseline byte for byte
-   (quarantine directories excluded — they hold the damaged evidence).
+   GF-bank / K-L cache entries, one checkpoint chunk and one
+   checkpointed waveform product are corrupted on disk, chunk flakes
+   are injected, and the run is resumed. The resumed archive must match
+   the fault-free baseline byte for byte (quarantine directories
+   excluded — they hold the damaged evidence).
 2. **OSPool / Stash** — the same DAGMan batch is simulated with and
    without :class:`~repro.faults.TransferFaults`; both must complete
    every job (no rescue files), the faulted one just pays retries,
@@ -202,12 +203,15 @@ def _local_stage(
             raise AssertionError("injected ChunkCrash did not fire")
 
     # Storm between the legs: bit-flip the cached GF bank, truncate a
-    # K-L basis and one checkpointed chunk. All three must be caught by
-    # their digest checks, quarantined, and recomputed on resume.
+    # K-L basis, one checkpointed chunk and one checkpointed product.
+    # All four must be caught by their digest checks (the product's is
+    # kept in its C chunk's record), quarantined, and recomputed on
+    # resume.
     for pattern, kind, where in (
         ("gf_*.npz", "bitflip", gf_dir),
         ("kl_*.npz", "truncate", kl_dir),
         ("A_*.pkl", "truncate", chaos_dir / "_checkpoint"),
+        ("*.npz", "truncate", chaos_dir / "_checkpoint" / "waveforms"),
     ):
         victims = sorted(where.glob(pattern))
         if victims:

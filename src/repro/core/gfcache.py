@@ -122,9 +122,6 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
     max_memory_entries:
         LRU capacity. Banks evicted from memory survive on disk when a
         ``cache_dir`` is configured.
-    verify_digests:
-        Verify each disk entry's sha256 sidecar on load (default); see
-        :class:`~repro.cache.ArtifactCache`.
     """
 
     prefix = "gf"
@@ -135,15 +132,14 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
         self,
         cache_dir: str | Path | None = None,
         max_memory_entries: int = 8,
-        verify_digests: bool = True,
     ) -> None:
-        super().__init__(cache_dir, max_memory_entries, verify_digests)
+        super().__init__(cache_dir, max_memory_entries)
 
     def _save(self, bank: GreensFunctionBank, path: Path) -> None:
         bank.save(path)
 
     def _load(self, path: Path) -> GreensFunctionBank:
-        data = read_verified(path, verify=self.verify_digests)
+        data = read_verified(path)
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             return GreensFunctionBank(
                 statics=npz["statics"],

@@ -65,7 +65,7 @@ class LocalRunResult:
     """Products and timings of one local FDW run.
 
     ``chunks_executed``/``chunks_skipped`` count A/C chunks actually
-    computed vs restored from a checkpoint — the manifest accounting
+    computed vs restored from a checkpoint — the resume accounting
     that lets recovery tests assert no completed work was redone.
     """
 
@@ -291,16 +291,13 @@ class _ChunkExecutor:
         one chunk is pending; otherwise chunks run inline.
         """
         ckpt = self.ckpt
-        load = store = None
+        store = None
         if ckpt is not None:
-            load, store = {
-                "A": (ckpt.try_load_a_chunk, ckpt.store_a_chunk),
-                "C": (ckpt.try_load_c_chunk, ckpt.store_c_chunk),
-            }[phase]
+            store = {"A": ckpt.store_a_chunk, "C": ckpt.store_c_chunk}[phase]
         results: list = [None] * n_chunks
         pending: list[int] = []
         for i in range(n_chunks):
-            restored = load(i) if load is not None and ckpt.is_done(phase, i) else None
+            restored = ckpt.restore(phase, i) if ckpt is not None else None
             if restored is None:
                 pending.append(i)
             else:
@@ -472,10 +469,12 @@ class LocalRunner:
         one manifest write for the whole run.
 
         With ``checkpoint=True`` (implied by ``resume=True``) the run
-        keeps a chunk-granular :class:`~repro.core.checkpoint.RunCheckpoint`
-        under ``archive_dir`` and assembles the product archive only once
-        every chunk is done. ``resume=True`` reloads a previous run's
-        checkpoint and skips its completed chunks; because Phase A keys
+        keeps a :class:`~repro.core.checkpoint.RunCheckpoint` under
+        ``archive_dir`` — one signed record per completed chunk, a Phase-C
+        record carrying the sha256 of each product — and assembles the
+        product archive only once every chunk is done. ``resume=True``
+        keeps a previous run's checkpoint and skips each chunk whose
+        record, and products, still verify; because Phase A keys
         its RNG per catalog index and Phase C is a pure function of the
         rupture chunk, a resumed run's archive is byte-identical to an
         uninterrupted run's. ``faults`` takes a
@@ -487,7 +486,7 @@ class LocalRunner:
         the runner's :attr:`retry_policy` (re-executing just the flaked
         chunk, with seed-derived backoff accounted in the result), so a
         flaky run's archive is byte-identical to a clean run's. A
-        checkpointed chunk that fails its integrity check on resume is
+        chunk whose record or products fail verification on resume is
         quarantined and transparently re-executed.
         """
         if (checkpoint or resume) and archive_dir is None:

@@ -41,6 +41,7 @@ __all__ = [
     "QUARANTINE_DIRNAME",
     "sha256_bytes",
     "digest_path",
+    "atomic_write_bytes",
     "write_artifact",
     "publish_artifact",
     "write_digest",
@@ -82,8 +83,10 @@ def _temp_path(path: Path, suffix: str = ".tmp") -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_SEQ)}{suffix}")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Temp-then-rename write (unique same-directory temp, fsynced)."""
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via an fsynced, uniquely named temp file
+    in the same directory, then rename: ``path`` never exposes a torn
+    write."""
     tmp = _temp_path(path)
     try:
         with open(tmp, "wb") as fh:
@@ -102,7 +105,7 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
     ``write(tmp)`` produces the payload in a unique temp file
     (:func:`_temp_path`, ending in the artifact's own suffix so writers
     like ``np.savez`` keep the name). The temp is fsynced, as
-    :func:`_atomic_write` does, so ``path`` never names bytes that are
+    :func:`atomic_write_bytes` does, so ``path`` never names bytes that are
     not yet durable, and then hard-linked as ``path``, which fails if
     ``path`` exists: the first writer wins and
     writes the only sidecar, and a later writer of the same key discards
@@ -141,7 +144,7 @@ def write_artifact(path: str | Path, data: bytes) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, data)
+    atomic_write_bytes(path, data)
     write_digest(path, sha256_bytes(data))
     return path
 
@@ -158,7 +161,7 @@ def write_digest(path: str | Path, digest: str | None = None) -> Path:
     if digest is None:
         digest = sha256_bytes(path.read_bytes())
     side = digest_path(path)
-    _atomic_write(side, f"{digest}  {path.name}\n".encode("ascii"))
+    atomic_write_bytes(side, f"{digest}  {path.name}\n".encode("ascii"))
     return side
 
 
@@ -200,7 +203,7 @@ def _fingerprint(path: Path) -> tuple | None:
     return (st.st_size, st.st_mtime_ns, st.st_ino)
 
 
-def read_verified(path: str | Path, verify: bool = True) -> bytes:
+def read_verified(path: str | Path) -> bytes:
     """Read an artifact's bytes, verifying the sidecar digest.
 
     Raises
@@ -213,8 +216,6 @@ def read_verified(path: str | Path, verify: bool = True) -> bytes:
         callers that parse the bytes still convert parse failures to
         :class:`IntegrityError`.
 
-    ``verify=False`` skips the hash (the measured-overhead arm of the
-    ``bench-resilience`` group) but still reads through this path.
     Successful verifications are memoized per process against a stat
     fingerprint, so repeated warm reads of an unmodified artifact hash
     it once, not every time.
@@ -224,8 +225,6 @@ def read_verified(path: str | Path, verify: bool = True) -> bytes:
         data = path.read_bytes()
     except OSError as exc:
         raise IntegrityError(f"unreadable artifact {path}: {exc}") from exc
-    if not verify:
-        return data
     expected = read_digest(path)
     if expected is not None:
         key = str(path)

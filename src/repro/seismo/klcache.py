@@ -89,9 +89,6 @@ class KLCache(ArtifactCache[KarhunenLoeveBasis]):
         LRU capacity. Bases evicted from memory survive on disk when a
         ``cache_dir`` is configured. Patch bases are far smaller than GF
         banks (p x k floats), so the default is generous.
-    verify_digests:
-        Verify each disk entry's sha256 sidecar on load (default); see
-        :class:`~repro.cache.ArtifactCache`.
     """
 
     prefix = "kl"
@@ -102,15 +99,14 @@ class KLCache(ArtifactCache[KarhunenLoeveBasis]):
         self,
         cache_dir: str | Path | None = None,
         max_memory_entries: int = 128,
-        verify_digests: bool = True,
     ) -> None:
-        super().__init__(cache_dir, max_memory_entries, verify_digests)
+        super().__init__(cache_dir, max_memory_entries)
 
     def _save(self, basis: KarhunenLoeveBasis, path: Path) -> None:
         np.savez(path, eigenvalues=basis.eigenvalues, eigenvectors=basis.eigenvectors)
 
     def _load(self, path: Path) -> KarhunenLoeveBasis:
-        data = read_verified(path, verify=self.verify_digests)
+        data = read_verified(path)
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             return KarhunenLoeveBasis(
                 eigenvalues=npz["eigenvalues"], eigenvectors=npz["eigenvectors"]

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ArchiveError, RuptureError
-from repro.integrity import _atomic_write
+from repro.integrity import atomic_write_bytes
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.ruptures import Rupture
 
@@ -187,7 +187,7 @@ class ProductArchive:
     def _flush(self) -> None:
         data = json.dumps(self._manifest, indent=2, sort_keys=True).encode()
         try:
-            _atomic_write(self._manifest_path, data)
+            atomic_write_bytes(self._manifest_path, data)
         except OSError as exc:
             raise ArchiveError(f"cannot write manifest {self._manifest_path}: {exc}") from exc
 

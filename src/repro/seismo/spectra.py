@@ -34,7 +34,6 @@ def von_karman_correlation(
     corr_len_strike_km: float,
     corr_len_dip_km: float,
     hurst: float = 0.75,
-    unique_lags: bool = True,
 ) -> np.ndarray:
     """Anisotropic von Kármán correlation matrix.
 
@@ -52,15 +51,14 @@ def von_karman_correlation(
         Correlation lengths in km; must be positive.
     hurst:
         Hurst exponent in (0, 1).
-    unique_lags:
-        Evaluate the Bessel kernel once per *unique* normalized lag and
-        scatter the results back (default). On the regular mesh a patch
-        of p subfaults has only O(n_strike * n_dip) distinct separation
-        pairs, so this cuts the O(p^2) ``kv`` evaluations — the dominant
-        Phase-A cost — down to the handful of distinct lags. Identical
-        float inputs give identical ``kv`` outputs, so the result is
-        bit-identical to the dense evaluation (``False``, kept for
-        benchmarking the dense arm).
+
+    The Bessel kernel is evaluated once per *unique* normalized lag and
+    the results are scattered back. On the regular mesh a patch of p
+    subfaults has only O(n_strike * n_dip) distinct separation pairs, so
+    this cuts the O(p^2) ``kv`` evaluations — the dominant Phase-A cost
+    — down to the handful of distinct lags. Identical float inputs give
+    identical ``kv`` outputs, so the result is bit-identical to one
+    ``kv`` evaluation per matrix element.
     """
     if corr_len_strike_km <= 0 or corr_len_dip_km <= 0:
         raise RuptureError(
@@ -76,19 +74,12 @@ def von_karman_correlation(
     # G(0) is a removable singularity: lim_{r->0} r^H K_H(r) =
     # 2^(H-1) * Gamma(H). Mask zeros to avoid warnings, then patch.
     g0 = 2.0 ** (hurst - 1.0) * scipy.special.gamma(hurst)
-    if unique_lags:
-        lags, inverse = np.unique(r, return_inverse=True)
-        zero = lags == 0.0
-        lz = np.where(zero, 1.0, lags)  # placeholder value, overwritten below
-        g = lz**hurst * scipy.special.kv(hurst, lz)
-        g[zero] = g0
-        out = g[inverse.reshape(r.shape)]
-    else:
-        zero = r == 0.0
-        rz = np.where(zero, 1.0, r)  # placeholder value, overwritten below
-        out = rz**hurst * scipy.special.kv(hurst, rz)
-        out[zero] = g0
-    corr = out / g0
+    lags, inverse = np.unique(r, return_inverse=True)
+    zero = lags == 0.0
+    lz = np.where(zero, 1.0, lags)  # placeholder value, overwritten below
+    g = lz**hurst * scipy.special.kv(hurst, lz)
+    g[zero] = g0
+    corr = g[inverse.reshape(r.shape)] / g0
     # Numerical cleanup: exact symmetry and unit diagonal.
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)

@@ -225,13 +225,13 @@ def _manifest_writes(monkeypatch):
     import repro.seismo.mudpy_io as mudpy_io
 
     writes = []
-    real = mudpy_io._atomic_write
+    real = mudpy_io.atomic_write_bytes
 
     def counting(path, data):
         writes.append(path)
         real(path, data)
 
-    monkeypatch.setattr(mudpy_io, "_atomic_write", counting)
+    monkeypatch.setattr(mudpy_io, "atomic_write_bytes", counting)
     return writes
 
 

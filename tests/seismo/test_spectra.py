@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RuptureError
 from repro.seismo.spectra import KarhunenLoeveBasis, von_karman_correlation
+from tests.oracles.von_karman_dense import dense_von_karman_correlation
 
 
 def _grid_distances(n=6, spacing=10.0):
@@ -72,8 +73,8 @@ def test_unique_lag_matches_dense_bitwise(small_distances):
     equals the dense evaluation bit-for-bit."""
     ds, dd = small_distances.along_strike, small_distances.down_dip
     for hurst in (0.4, 0.75, 0.9):
-        dense = von_karman_correlation(ds, dd, 45.0, 25.0, hurst, unique_lags=False)
-        fast = von_karman_correlation(ds, dd, 45.0, 25.0, hurst, unique_lags=True)
+        dense = dense_von_karman_correlation(ds, dd, 45.0, 25.0, hurst)
+        fast = von_karman_correlation(ds, dd, 45.0, 25.0, hurst)
         assert np.array_equal(fast, dense)
 
 
@@ -83,8 +84,8 @@ def test_unique_lag_matches_dense_on_patch_window(small_distances):
     patch = np.array([0, 1, 2, 6, 7, 8, 12, 13, 14])
     ds = small_distances.along_strike[np.ix_(patch, patch)]
     dd = small_distances.down_dip[np.ix_(patch, patch)]
-    dense = von_karman_correlation(ds, dd, 30.0, 20.0, unique_lags=False)
-    fast = von_karman_correlation(ds, dd, 30.0, 20.0, unique_lags=True)
+    dense = dense_von_karman_correlation(ds, dd, 30.0, 20.0)
+    fast = von_karman_correlation(ds, dd, 30.0, 20.0)
     assert np.array_equal(fast, dense)
 
 
@@ -95,7 +96,7 @@ def test_unique_lag_default_on_irregular_lags():
     x = np.sort(rng.uniform(0.0, 100.0, 7))
     ds = np.abs(x[:, None] - x[None, :])
     dd = np.zeros_like(ds)
-    dense = von_karman_correlation(ds, dd, 30.0, 20.0, unique_lags=False)
+    dense = dense_von_karman_correlation(ds, dd, 30.0, 20.0)
     fast = von_karman_correlation(ds, dd, 30.0, 20.0)
     assert np.array_equal(fast, dense)
 

@@ -25,11 +25,18 @@ def test_campaign_archive_bit_identical(campaign):
 
 def test_campaign_quarantined_evidence_preserved(campaign):
     report, workdir = campaign
-    # The storm corrupted a checkpoint chunk, a GF bank, a K-L basis,
-    # and the VDC's cached bank copy — all quarantined, none deleted.
+    # The storm corrupted a checkpoint chunk, a checkpointed product, a
+    # GF bank, a K-L basis, and the VDC's cached bank copy — all
+    # quarantined, none deleted. The torn product takes its C chunk's
+    # record with it.
     assert len(report.quarantined) >= 4
     kinds = "\n".join(report.quarantined)
     assert "A_" in kinds and "gf_" in kinds and "kl_" in kinds
+    products = [
+        rel for rel in report.quarantined
+        if rel.startswith("chaos/_quarantine/") and rel.endswith(".npz")
+    ]
+    assert products and "chaos/_quarantine/C_" in kinds
     for rel in report.quarantined:
         assert (workdir / rel).exists()
 

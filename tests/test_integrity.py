@@ -6,6 +6,7 @@ from repro.errors import IntegrityError
 from repro.integrity import (
     DIGEST_SUFFIX,
     QUARANTINE_DIRNAME,
+    atomic_write_bytes,
     digest_path,
     quarantine_artifact,
     read_digest,
@@ -20,6 +21,17 @@ def artifact(tmp_path, data=b"payload bytes", name="bank.npz"):
     path = tmp_path / name
     path.write_bytes(data)
     return path
+
+
+# -- atomic writes ------------------------------------------------------------
+
+
+def test_atomic_write_leaves_no_temp(tmp_path):
+    target = tmp_path / "m.json"
+    atomic_write_bytes(target, b"one")
+    atomic_write_bytes(target, b"two")
+    assert target.read_bytes() == b"two"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 # -- digests ------------------------------------------------------------------
@@ -84,17 +96,6 @@ def test_read_verified_detects_bitflip_and_truncation(tmp_path):
 def test_read_verified_missing_artifact(tmp_path):
     with pytest.raises(IntegrityError, match="unreadable"):
         read_verified(tmp_path / "gone.npz")
-
-
-def test_verify_false_skips_hash_only(tmp_path):
-    path = artifact(tmp_path)
-    write_digest(path)
-    path.write_bytes(b"tampered bytes")
-    # verify=False reads through the same path but skips the comparison —
-    # the bench-resilience baseline arm.
-    assert read_verified(path, verify=False) == b"tampered bytes"
-    with pytest.raises(IntegrityError):
-        read_verified(path)
 
 
 def test_verify_artifact(tmp_path):

@@ -1,4 +1,5 @@
-"""Million-job DES scaling: the pool engine vs. the frozen reference loop.
+"""Million-job DES scaling: the pool engine vs. the frozen reference loop,
+and the negotiator vs. the frozen closed-form matcher.
 
 The ``bench-des-scale`` group tracks the struct-of-arrays event core at
 the scales the paper's cyberinfrastructure argument actually needs:
@@ -21,22 +22,36 @@ so the ratio there is a trend signal, not the acceptance number.
 
 Instance generation and WfFormat import happen in module fixtures; the
 timed region is submit + run only.
+
+The ``negotiator`` group times one negotiation cycle's matcher at the two
+shapes the program runs it at: the portal's (24 tenant queues of 0-2
+idle jobs, 1-4 free workers, the default match limit) and the pool
+replay's (one DAGMan of 8,000 idle jobs or eight of 1,000, 8,000 free
+slots and a limit of 8,000 per cycle). ``negotiate`` is timed against
+the closed-form matcher it replaced (``tests.oracles.negotiator_vectorized``),
+the two produce the same matches, and the scalar arm publishes
+``speedup_vs_vectorized`` per shape in ``extra_info``.
 """
 
 from __future__ import annotations
 
 import resource
 import time
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _common import bench_scale
 from repro.condor.dagman import DagmanOptions
+from repro.condor.jobs import Job, JobSpec, JobState
 from repro.osg.capacity import FixedCapacity
-from repro.osg.negotiator import NegotiatorConfig
+from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.pool import OSPoolConfig
+from repro.osg.schedd import ScheddQueue
 from repro.wf import generate_instance, import_instance, load_instance, replay_instance
+from tests.oracles.negotiator_vectorized import negotiate_vectorized
 from tests.oracles.pool_reference import on_reference_pool
 
 N_100K = max(1_000, round(100_000 * bench_scale()))
@@ -181,3 +196,93 @@ def test_des_scale_speedup_report(capsys):
     assert vec["makespan_s"] == ref["makespan_s"]
     if bench_scale() >= 1.0:
         assert speedup >= 20.0
+
+
+# -- negotiator: the scalar round-robin vs. the frozen closed form ----------
+
+#: Negotiation cycles per timed round at the portal's shape.
+PORTAL_CYCLES = 1_000
+
+
+def _idle_queue(name: str, n_jobs: int) -> ScheddQueue:
+    queue = ScheddQueue(name)
+    for i in range(n_jobs):
+        job = Job(JobSpec(name=f"{name}.{i}"))
+        job.transition(JobState.IDLE, 0.0)
+        queue.enqueue(f"{name}.{i}", job)
+    return queue
+
+
+def portal_cycles() -> list[tuple[list[ScheddQueue], int]]:
+    """24 tenant queues of 0-2 idle jobs and 1-4 free workers per cycle."""
+    rng = np.random.default_rng(0)
+    return [
+        ([_idle_queue(f"t{t}", int(rng.integers(0, 3))) for t in range(24)],
+         int(rng.integers(1, 5)))
+        for _ in range(PORTAL_CYCLES)
+    ]
+
+
+def pool_cycles(n_dagmans: int) -> list[tuple[list[ScheddQueue], int]]:
+    """One cycle that matches 8,000 idle jobs split over ``n_dagmans``."""
+    return [([_idle_queue(f"d{d}", 8_000 // n_dagmans) for d in range(n_dagmans)], 8_000)]
+
+
+#: Shape -> (cycle builder, negotiator config).
+NEGOTIATOR_SHAPES = {
+    "portal-24-tenants": (portal_cycles, NegotiatorConfig()),
+    "pool-1x8000": (partial(pool_cycles, 1), NegotiatorConfig(match_limit_per_cycle=8_000)),
+    "pool-8x1000": (partial(pool_cycles, 8), NegotiatorConfig(match_limit_per_cycle=8_000)),
+}
+
+
+def negotiate_cycles(matcher, config, cycles) -> list[str]:
+    """Every cycle's matched node names, in match order."""
+    return [
+        node for queues, free in cycles for _, node, _ in matcher(queues, free, config)
+    ]
+
+
+def best_negotiation_s(matcher, shape: str, rounds: int = 5) -> float:
+    """Fastest of ``rounds`` timings of one shape's cycles (fresh queues)."""
+    build, config = NEGOTIATOR_SHAPES[shape]
+    best = float("inf")
+    for _ in range(rounds):
+        cycles = build()
+        start = time.perf_counter()
+        negotiate_cycles(matcher, config, cycles)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def run_negotiator_arm(benchmark, matcher, shape: str) -> list[str]:
+    build, config = NEGOTIATOR_SHAPES[shape]
+    matched = benchmark.pedantic(
+        partial(negotiate_cycles, matcher, config),
+        setup=lambda: ((build(),), {}),
+        rounds=10,
+    )
+    benchmark.extra_info["shape"] = shape
+    benchmark.extra_info["matches"] = len(matched)
+    return matched
+
+
+@pytest.mark.benchmark(group="negotiator")
+@pytest.mark.parametrize("shape", list(NEGOTIATOR_SHAPES))
+def test_negotiator_vectorized_oracle(benchmark, shape):
+    """Baseline: the frozen closed form (binary search, one slice per
+    queue, lexsort of the emission order)."""
+    run_negotiator_arm(benchmark, negotiate_vectorized, shape)
+
+
+@pytest.mark.benchmark(group="negotiator")
+@pytest.mark.parametrize("shape", list(NEGOTIATOR_SHAPES))
+def test_negotiator_scalar(benchmark, shape):
+    """``negotiate``, the one matcher of the pool and the portal: the same
+    matches, and its speedup over the closed form in ``extra_info``."""
+    matched = run_negotiator_arm(benchmark, negotiate, shape)
+    build, config = NEGOTIATOR_SHAPES[shape]
+    assert matched == negotiate_cycles(negotiate_vectorized, config, build())
+    benchmark.extra_info["speedup_vs_vectorized"] = best_negotiation_s(
+        negotiate_vectorized, shape
+    ) / best_negotiation_s(negotiate, shape)

@@ -465,9 +465,9 @@ def _cmd_wf_generate(args: argparse.Namespace) -> int:
 
 def _cmd_wf_replay(args: argparse.Namespace) -> int:
     from repro.bursting import render_report
-    from repro.core.traces import render_trace_csvs
+    from repro.core.traces import export_traces
     from repro.units import format_duration
-    from repro.wf import metrics_to_batch_trace, replay_bursting, replay_instance
+    from repro.wf import replay_bursting, replay_instance
 
     result = replay_instance(
         args.instance,
@@ -488,14 +488,8 @@ def _cmd_wf_replay(args: argparse.Namespace) -> int:
         f"({result.n_dagmans} DAGMan(s), runtime mode {result.runtime_mode!r})"
     )
     if args.trace_dir is not None:
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
         for name in result.dagman_names:
-            trace = metrics_to_batch_trace(result.metrics, name)
-            batch_text, jobs_text = render_trace_csvs(trace)
-            batch_csv = args.trace_dir / f"{name}_batch.csv"
-            jobs_csv = args.trace_dir / f"{name}_jobs.csv"
-            batch_csv.write_text(batch_text)
-            jobs_csv.write_text(jobs_text)
+            batch_csv, jobs_csv = export_traces(result, name, args.trace_dir)
             print(f"wrote {batch_csv} and {jobs_csv}")
     if args.burst:
         for name, burst in replay_bursting(result).items():

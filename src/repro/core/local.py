@@ -19,9 +19,12 @@ through :mod:`repro.core.gfcache`: the parent computes (or cache-loads)
 the bank once, publishes its arrays into ``multiprocessing``
 shared-memory segments, and ships workers only a small picklable
 :class:`~repro.core.gfcache.SharedBankHandle` plus the pre-generated
-rupture chunk. Workers never rebuild geometry, distances, ruptures, or
-the bank — the in-process equivalent of every Phase-C job pulling the
-Phase-B archive from the Stash/OSDF cache instead of recomputing it.
+rupture chunk. Each worker keeps one FakeQuakes session per
+configuration, which recycles the attached bank and runs the same
+:meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
+inline chunk. Workers never recompute distances, ruptures, or the bank
+— the in-process equivalent of every Phase-C job pulling the Phase-B
+archive from the Stash/OSDF cache instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ from repro.core.gfcache import (
 )
 from repro.core.phases import chunk_bounds, plan_phases
 from repro.osg.runtimes import RuntimeModel
-from repro.rng import RngFactory
 from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.klcache import KLCache
 from repro.seismo.mudpy_io import ProductArchive, write_rupt
 from repro.seismo.ruptures import Rupture
-from repro.seismo.waveforms import GnssNoiseModel, WaveformSet, WaveformSynthesizer
+from repro.seismo.waveforms import WaveformSet
 
 __all__ = ["LocalRunResult", "LocalRunner", "estimate_sequential_runtime_s"]
 
@@ -106,12 +108,26 @@ def _fakequakes_for(
 #: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
 _AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
 
-#: Worker-side Phase-A session cache: (parameters, K-L dir) -> FakeQuakes.
-#: Kept for the life of the worker process so geometry, distance
-#: matrices, the rupture generator and its K-L basis cache are built
-#: once per worker, not once per chunk (the Phase-A analog of the
-#: cached shared-bank attachment below).
-_A_SESSIONS: dict[tuple[FakeQuakesParameters, str | None], FakeQuakes] = {}
+#: Pool task for one Phase-C chunk: (shared-bank handle, parameters,
+#: rupture chunk, spool dir).
+_CChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], Path | None]
+
+#: Worker-side sessions: (parameters, K-L dir) -> FakeQuakes. Kept for
+#: the life of the worker process, so geometry, distance matrices and
+#: the rupture generator with its K-L cache are built once per worker,
+#: not once per chunk, and Phase-C chunks reuse the session that holds
+#: the attached shared-memory bank.
+_SESSIONS: dict[tuple[FakeQuakesParameters, str | None], FakeQuakes] = {}
+
+
+def _session(params: FakeQuakesParameters, kl_dir: str | None = None) -> FakeQuakes:
+    """This worker's session for ``params``, with a K-L cache over
+    ``kl_dir`` (the runner's disk store), built on first use."""
+    fq = _SESSIONS.get((params, kl_dir))
+    if fq is None:
+        fq = FakeQuakes.from_parameters(params, kl_cache=KLCache(cache_dir=kl_dir))
+        _SESSIONS[(params, kl_dir)] = fq
+    return fq
 
 
 def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
@@ -120,26 +136,17 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     Safe to fan out because :meth:`FakeQuakes.phase_a_ruptures` derives
     an independent RNG from each rupture's *catalog index* — chunk
     [start, start+count) produces the identical ruptures in any process,
-    so the pooled catalog is bit-identical to the sequential one. Each
-    worker keeps its session for the life of the process, with a
-    K-L cache over ``kl_dir`` (the runner's disk store) —
-    a basis eigendecomposed by *any* worker is a disk hit for every
-    other worker and every later run of the same configuration.
+    so the pooled catalog is bit-identical to the sequential one. The
+    worker's session caches K-L bases over ``kl_dir`` — a basis
+    eigendecomposed by *any* worker is a disk hit for every other worker
+    and every later run of the same configuration.
     """
     params, start, count, kl_dir = task
-    fq = _A_SESSIONS.get((params, kl_dir))
-    if fq is None:
-        fq = FakeQuakes.from_parameters(params, kl_cache=KLCache(cache_dir=kl_dir))
-        fq.phase_a_distances()
-        _A_SESSIONS[(params, kl_dir)] = fq
-    return fq.phase_a_ruptures(start, count)
+    return _session(params, kl_dir).phase_a_ruptures(start, count)
 
 
 #: Subdirectory of the archive where products wait to be renamed in.
 _SPOOL = "_spool"
-
-#: Pool task: (shared-bank handle, parameters, rupture chunk, spool dir).
-_ChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], Path | None]
 
 
 def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
@@ -157,24 +164,18 @@ def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
     )
 
 
-def _synthesize_chunk_shared(task: _ChunkTask) -> list[CRow]:
-    """Worker: synthesize one C chunk against the shared GF bank.
+def _run_c_chunk(task: _CChunkTask) -> list[CRow]:
+    """Worker: synthesize one Phase-C chunk against the shared GF bank.
 
-    Attaches the published bank (idempotent per worker process — the
-    segments are mapped once and reused for every subsequent chunk),
-    runs the batched synthesis kernel, and spools each product to
-    ``spool_dir`` when the run archives (see :func:`_spool_row`).
+    The worker's session recycles the published bank (attached once per
+    worker process; later chunks reuse the mapping) and runs the same
+    :meth:`FakeQuakes.phase_c_waveforms` as an inline chunk, spooling
+    each product when the run archives (see :func:`_spool_row`).
     """
     handle, params, ruptures, spool_dir = task
-    bank = attach_shared_bank(handle)
-    noise = GnssNoiseModel() if params.with_noise else None
-    synth = WaveformSynthesizer(bank, dt_s=params.dt_s, noise=noise)
-    rngs = (
-        [RngFactory(params.seed).generator("noise", r.rupture_id) for r in ruptures]
-        if params.with_noise
-        else None
-    )
-    return [_spool_row(ws, spool_dir) for ws in synth.synthesize_batch(ruptures, rngs=rngs)]
+    fq = _session(params)
+    fq.phase_b_greens_functions(recycled=attach_shared_bank(handle))
+    return [_spool_row(ws, spool_dir) for ws in fq.phase_c_waveforms(ruptures)]
 
 
 def _assemble_archive(
@@ -238,6 +239,17 @@ def _release_state(state: dict) -> None:
 
 def _no_hook(*_args: object) -> None:
     """Stand-in for a fault-plan hook when the run has no plan."""
+
+
+def _retire(future: Future) -> None:
+    """Cancel a chunk attempt, or wait for it if it is already running.
+
+    An attempt left running after it was retried, or after its phase
+    ended, would rewrite the chunk's products while the parent hashes
+    and archives them. Its outcome is dropped.
+    """
+    if not future.cancel():
+        future.exception()
 
 
 class _ChunkExecutor:
@@ -311,6 +323,8 @@ class _ChunkExecutor:
             pool = self.runner._ensure_pool()
 
             def submit(i: int) -> None:
+                if i in futures:
+                    _retire(futures[i])
                 futures[i] = pool.submit(worker, task(i))
 
             for i in pending:
@@ -325,7 +339,7 @@ class _ChunkExecutor:
                 self.completed_hook(phase)
         finally:
             for future in futures.values():
-                future.cancel()
+                _retire(future)
         return results
 
     def _attempt(
@@ -571,7 +585,7 @@ class LocalRunner:
             "C",
             len(c_chunks),
             inline=lambda i: [_spool_row(ws, spool) for ws in fq.phase_c_waveforms(c_slice(i))],
-            worker=_synthesize_chunk_shared,
+            worker=_run_c_chunk,
             task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
         )
         pgd: dict[str, float] = {}

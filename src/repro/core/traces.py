@@ -3,8 +3,9 @@
 Paper §3.1: "This bursting simulator requires two .csv files as input
 that contain the submission, execution, and termination times of an
 actual DAGMan batch and the same information for individual jobs within
-it." This module defines that format, exports it from simulated pool
-runs, and reads it back.
+it." This module defines that format, builds it from simulated pool
+runs (:func:`metrics_to_batch_trace`), writes it (:func:`export_traces`,
+through :func:`render_trace_csvs`), and reads it back.
 
 ``<name>_batch.csv``::
 
@@ -24,11 +25,23 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import TraceError
-from repro.core.submit_osg import FdwBatchResult
+from repro.osg.metrics import PoolMetrics
 
-__all__ = ["JobTrace", "BatchTrace", "export_traces", "read_traces"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only (repro.wf imports this module)
+    from repro.core.submit_osg import FdwBatchResult
+    from repro.wf.replay import ReplayResult
+
+__all__ = [
+    "JobTrace",
+    "BatchTrace",
+    "metrics_to_batch_trace",
+    "export_traces",
+    "read_traces",
+    "render_trace_csvs",
+]
 
 _BATCH_HEADER = ["dagman", "submit_s", "first_execute_s", "end_s", "n_jobs"]
 _JOBS_HEADER = ["node", "phase", "submit_s", "start_s", "end_s"]
@@ -88,59 +101,66 @@ class BatchTrace:
         return [j for j in self.jobs if j.phase == phase]
 
 
-def export_traces(
-    result: FdwBatchResult, dagman: str, directory: str | Path, name: str | None = None
-) -> tuple[Path, Path]:
-    """Write the two CSVs for one DAGMan of a pool run.
+def metrics_to_batch_trace(metrics: PoolMetrics, dagman: str) -> BatchTrace:
+    """Build one DAGMan's bursting trace from pool metrics.
 
-    Only successful completions are exported (the bursting simulator
-    replays the batch's real completions, as the paper's did).
+    Successful completions become the per-job trace, sorted by submit
+    time (the bursting simulator replays the batch's real completions,
+    as the paper's did). The batch header takes the DAGMan's submit and
+    end times, and its first EXECUTE is the earliest start across *all*
+    attempts, failed and retried ones included — the log-derived
+    semantics of :class:`~repro.core.monitor.DagmanStats`.
+
+    Raises
+    ------
+    TraceError
+        If the DAGMan is unknown or has no successful jobs.
+    """
+    summary = metrics.dagmans.get(dagman)
+    if summary is None:
+        raise TraceError(f"no DAGMan {dagman!r} in the metrics")
+    all_records = metrics.for_dagman(dagman)
+    records = [r for r in all_records if r.success]
+    if not records:
+        raise TraceError(f"DAGMan {dagman!r} has no successful jobs to trace")
+    jobs = tuple(
+        JobTrace(
+            node=r.node_name,
+            phase=r.phase,
+            submit_s=r.submit_time,
+            start_s=r.start_time,
+            end_s=r.end_time,
+        )
+        for r in sorted(records, key=lambda r: r.submit_time)
+    )
+    return BatchTrace(
+        dagman=dagman,
+        submit_s=summary.submit_time,
+        first_execute_s=min(r.start_time for r in all_records),
+        end_s=summary.end_time,
+        jobs=jobs,
+    )
+
+
+def export_traces(
+    result: FdwBatchResult | ReplayResult,
+    dagman: str,
+    directory: str | Path,
+    name: str | None = None,
+) -> tuple[Path, Path]:
+    """Write the two CSVs for one DAGMan of a pool run or a replay.
+
+    The files are ``<name>_batch.csv`` and ``<name>_jobs.csv``, ``name``
+    defaulting to the DAGMan's.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = name or dagman
-    summary = result.metrics.dagmans.get(dagman)
-    if summary is None:
-        raise TraceError(f"no DAGMan {dagman!r} in batch result")
-    all_records = result.metrics.for_dagman(dagman)
-    records = [r for r in all_records if r.success]
-    if not records:
-        raise TraceError(f"DAGMan {dagman!r} has no successful jobs to trace")
-    # The batch header's first EXECUTE must match the log-derived
-    # semantics of DagmanStats: the earliest start across *all* attempts,
-    # including failed/retried ones — a batch whose earliest EXECUTE
-    # belonged to a failed attempt would otherwise export a wrong header.
-    first_execute_s = min(r.start_time for r in all_records)
-
-    batch_path = directory / f"{name}_batch.csv"
-    jobs_path = directory / f"{name}_jobs.csv"
-
-    with batch_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_BATCH_HEADER)
-        writer.writerow(
-            [
-                dagman,
-                f"{summary.submit_time:.3f}",
-                f"{first_execute_s:.3f}",
-                f"{summary.end_time:.3f}",
-                str(len(records)),
-            ]
-        )
-    with jobs_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_JOBS_HEADER)
-        for r in sorted(records, key=lambda r: r.submit_time):
-            writer.writerow(
-                [
-                    r.node_name,
-                    r.phase,
-                    f"{r.submit_time:.3f}",
-                    f"{r.start_time:.3f}",
-                    f"{r.end_time:.3f}",
-                ]
-            )
-    return batch_path, jobs_path
+    paths = (directory / f"{name}_batch.csv", directory / f"{name}_jobs.csv")
+    texts = render_trace_csvs(metrics_to_batch_trace(result.metrics, dagman))
+    for path, text in zip(paths, texts):
+        path.write_text(text, newline="")
+    return paths
 
 
 def _read_csv_rows(path: Path, header: list[str]) -> list[dict[str, str]]:
@@ -195,15 +215,19 @@ def read_traces(batch_csv: str | Path, jobs_csv: str | Path) -> BatchTrace:
         )
     except (KeyError, ValueError) as exc:
         raise TraceError(f"malformed trace row: {exc}") from exc
-    if trace.n_jobs != int(b["n_jobs"]):
+    try:
+        n_jobs = int(b["n_jobs"])
+    except (KeyError, ValueError) as exc:
+        raise TraceError(f"{batch_csv}: malformed n_jobs: {exc}") from exc
+    if trace.n_jobs != n_jobs:
         raise TraceError(
-            f"batch header says {b['n_jobs']} jobs, jobs file has {trace.n_jobs}"
+            f"batch header says {n_jobs} jobs, jobs file has {trace.n_jobs}"
         )
     return trace
 
 
 def render_trace_csvs(trace: BatchTrace) -> tuple[str, str]:
-    """Render a :class:`BatchTrace` back to CSV text (round-trip tests)."""
+    """Render a :class:`BatchTrace` as the text of its two CSV files."""
     batch_buf = io.StringIO()
     writer = csv.writer(batch_buf)
     writer.writerow(_BATCH_HEADER)

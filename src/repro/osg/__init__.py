@@ -12,13 +12,13 @@ subpackage models exactly those mechanisms:
 * :mod:`repro.osg.runtimes` — job execution-time sampling calibrated to
   the paper's observed phase costs,
 * :mod:`repro.osg.schedd` / :mod:`repro.osg.negotiator` — queueing and
-  matchmaking (scalar oracle plus the vectorized cycle matcher),
+  matchmaking (one fair round-robin matcher per negotiation cycle),
 * :mod:`repro.osg.jobtable` — struct-of-arrays job state behind the
   pool engine,
 * :mod:`repro.osg.metrics` — per-job and per-second statistics,
 * :mod:`repro.osg.pool` — the :class:`OSPoolSimulator` facade that runs
-  DAGMan engines to completion on one vectorized engine (batched
-  negotiation, coalesced completion events).
+  DAGMan engines to completion on one struct-of-arrays engine (batched
+  submission, coalesced completion events).
 
 Calibration targets and the mechanisms behind each reproduced figure are
 documented in DESIGN.md.
@@ -28,7 +28,7 @@ from repro.osg.capacity import CapacityProcess, FixedCapacity, MarkovModulatedCa
 from repro.osg.des import Simulator
 from repro.osg.jobtable import JobTable, JobView
 from repro.osg.metrics import JobRecord, PoolMetrics
-from repro.osg.negotiator import NegotiatorConfig, negotiate, negotiate_vectorized
+from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.pool import DagmanRun, OSPoolConfig, OSPoolSimulator
 from repro.osg.runtimes import RuntimeModel
 from repro.osg.transfer import StashCache, TransferConfig
@@ -50,5 +50,4 @@ __all__ = [
     "StashCache",
     "TransferConfig",
     "negotiate",
-    "negotiate_vectorized",
 ]

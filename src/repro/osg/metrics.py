@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.stats import percentiles
 from repro.units import jobs_per_minute
 
 __all__ = ["JobRecord", "DagmanSummary", "PoolMetrics"]
@@ -148,24 +147,6 @@ class PoolMetrics:
         ]
         return np.sort(np.array(vals))
 
-    def wait_percentiles(
-        self,
-        ps: tuple[float, ...] = (50.0, 90.0, 99.0),
-        phase: str | None = None,
-        dagman: str | None = None,
-    ) -> list[float]:
-        """Nearest-rank queue-wait percentiles (shared obs.stats math)."""
-        return percentiles(self.wait_times_s(phase, dagman), ps)
-
-    def exec_percentiles(
-        self,
-        ps: tuple[float, ...] = (50.0, 90.0, 99.0),
-        phase: str | None = None,
-        dagman: str | None = None,
-    ) -> list[float]:
-        """Nearest-rank execution-time percentiles (shared obs.stats math)."""
-        return percentiles(self.exec_times_s(phase, dagman), ps)
-
     # -- time series ------------------------------------------------------------
 
     def _window(self, dagman: str | None) -> tuple[float, float]:
@@ -235,23 +216,3 @@ class PoolMetrics:
             np.add.at(delta, a[occupied], 1.0)
             np.add.at(delta, b[occupied], -1.0)
         return np.cumsum(delta)[:n]
-
-    # -- aggregation over repeated runs (the paper's eqs. 1-4) -------------------
-
-    @staticmethod
-    def average_total_runtime_s(runtimes_s: list[float]) -> float:
-        """Eq. (1)/(3): mean of total runtimes."""
-        if not runtimes_s:
-            raise SimulationError("no runtimes to average")
-        return float(np.mean(runtimes_s))
-
-    @staticmethod
-    def average_total_throughput_jpm(
-        jobs: list[int], runtimes_s: list[float]
-    ) -> float:
-        """Eq. (2)/(4): mean of per-run (jobs / runtime) in jobs/minute."""
-        if len(jobs) != len(runtimes_s) or not jobs:
-            raise SimulationError("jobs and runtimes must be equal-length, non-empty")
-        return float(
-            np.mean([jobs_per_minute(j, r) for j, r in zip(jobs, runtimes_s)])
-        )

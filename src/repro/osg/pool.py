@@ -136,24 +136,19 @@ class DagmanRun:
         """DAG size (the paper's per-DAGMan job count j_n)."""
         return len(self.engine.dag)
 
-    @property
-    def n_held(self) -> int:
-        """Jobs currently on HOLD."""
-        return len(self.held)
-
 
 class OSPoolSimulator:
     """Run DAGMan workflows on a simulated OSPool.
 
     The engine is struct-of-arrays: jobs live in a
-    :class:`~repro.osg.jobtable.JobTable`, whole negotiation cycles
-    match as array operations, the running set is an O(1)-removal token
-    map, and jobs of one cycle with equal finish times share one
-    coalesced completion event. Per-job RNG draws (transfer site,
-    runtime, failure) stay scalar *in match order* — batching them
-    would interleave the streams differently — so the output equals,
-    bit for bit, that of the one-object-per-job engine it replaced
-    (frozen as a test oracle).
+    :class:`~repro.osg.jobtable.JobTable`, each negotiation cycle is one
+    O(matches) fair round-robin (:func:`~repro.osg.negotiator.negotiate`),
+    the running set is an O(1)-removal token map, and jobs of one cycle
+    with equal finish times share one coalesced completion event.
+    Per-job RNG draws (transfer site, runtime, failure) stay scalar *in
+    match order* — batching them would interleave the streams
+    differently — so the output equals, bit for bit, that of the
+    one-object-per-job engine it replaced (frozen as a test oracle).
 
     Parameters
     ----------

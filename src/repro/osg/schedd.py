@@ -62,22 +62,6 @@ class ScheddQueue:
             raise SimulationError(f"schedd {self.name}: pop from empty queue")
         return self._idle.popleft()
 
-    def pop_many(self, n: int) -> list[tuple[str, Job]]:
-        """Remove and return the ``n`` oldest idle jobs, FIFO.
-
-        Batch counterpart of :meth:`pop` used by the vectorized
-        negotiator, which computes each queue's per-cycle match count
-        up front and slices the queue once.
-        """
-        if n < 0:
-            raise SimulationError(f"schedd {self.name}: pop_many({n})")
-        if n > len(self._idle):
-            raise SimulationError(
-                f"schedd {self.name}: pop_many({n}) from a queue of {len(self._idle)}"
-            )
-        popleft = self._idle.popleft
-        return [popleft() for _ in range(n)]
-
     def peek_oldest_wait(self, now: float) -> float | None:
         """Queue age in seconds of the oldest idle job, or None.
 

@@ -184,7 +184,7 @@ class BurstingRunner:
             render_report,
         )
         from repro.core.submit_osg import run_fdw_batch
-        from repro.wf.replay import metrics_to_batch_trace
+        from repro.core.traces import metrics_to_batch_trace
 
         result = run_fdw_batch(
             config,

@@ -9,6 +9,7 @@ the OSPool and bursting simulators. See DESIGN.md ("Workflow
 interchange") for the concept mapping and the round-trip guarantee.
 """
 
+from repro.core.traces import metrics_to_batch_trace
 from repro.wf.export import export_fdw_run, instance_from_dag, runtimes_from_metrics
 from repro.wf.generate import generate_instance, partition_instance
 from repro.wf.importer import ImportedWorkflow, import_instance
@@ -16,7 +17,6 @@ from repro.wf.replay import (
     CategoryCloudModel,
     ReplayResult,
     TraceRuntimeModel,
-    metrics_to_batch_trace,
     replay_bursting,
     replay_instance,
     replay_study,

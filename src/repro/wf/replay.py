@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import PolicyError, TraceError, WfFormatError
+from repro.errors import PolicyError, WfFormatError
 from repro.bursting.cloud import CloudJobModel
 from repro.bursting.policies import (
     LowThroughputPolicy,
@@ -44,7 +44,7 @@ from repro.bursting.simulator import BurstingResult, BurstingSimulator
 from repro.condor.dagman import DagmanOptions
 from repro.condor.events import UserLog
 from repro.core.stats import EC2_A1_XLARGE_USD_PER_MINUTE, bursting_cost_usd
-from repro.core.traces import BatchTrace, JobTrace
+from repro.core.traces import BatchTrace, metrics_to_batch_trace
 from repro.osg.capacity import CapacityProcess
 from repro.osg.metrics import PoolMetrics
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
@@ -58,7 +58,6 @@ __all__ = [
     "ReplayResult",
     "replay_instance",
     "replay_study",
-    "metrics_to_batch_trace",
     "replay_bursting",
 ]
 
@@ -323,45 +322,6 @@ def replay_study(
         )
         for k in counts
     }
-
-
-def metrics_to_batch_trace(metrics: PoolMetrics, dagman: str) -> BatchTrace:
-    """Synthesize one DAGMan's bursting trace directly from pool metrics.
-
-    The in-memory equivalent of :func:`repro.core.traces.export_traces`
-    + :func:`~repro.core.traces.read_traces`: successful completions
-    become the per-job trace, and the batch header takes the DAGMan's
-    submit/end times with the earliest EXECUTE across *all* attempts.
-
-    Raises
-    ------
-    TraceError
-        If the DAGMan is unknown or has no successful jobs.
-    """
-    summary = metrics.dagmans.get(dagman)
-    if summary is None:
-        raise TraceError(f"no DAGMan {dagman!r} in the metrics")
-    all_records = metrics.for_dagman(dagman)
-    records = [r for r in all_records if r.success]
-    if not records:
-        raise TraceError(f"DAGMan {dagman!r} has no successful jobs to trace")
-    jobs = tuple(
-        JobTrace(
-            node=r.node_name,
-            phase=r.phase,
-            submit_s=r.submit_time,
-            start_s=r.start_time,
-            end_s=r.end_time,
-        )
-        for r in sorted(records, key=lambda r: r.submit_time)
-    )
-    return BatchTrace(
-        dagman=dagman,
-        submit_s=summary.submit_time,
-        first_execute_s=min(r.start_time for r in all_records),
-        end_s=summary.end_time,
-        jobs=jobs,
-    )
 
 
 def _default_policies() -> list:

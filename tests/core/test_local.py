@@ -1,5 +1,8 @@
 """Tests for repro.core.local."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import FdwConfig
@@ -376,6 +379,37 @@ def test_pooled_flaky_chunks_match_sequential(tmp_path, tiny_config):
         flaky = runner.run(tiny_config, faults=plan)
     assert flaky.chunk_retries == {"A": 1, "C": 1}
     assert flaky.pgd_by_rupture == plain.pgd_by_rupture
+
+
+def _touch_after(task):
+    """Pool worker for the executor test: sleep, then leave a marker."""
+    path, delay_s = task
+    time.sleep(delay_s)
+    Path(path).touch()
+    return path
+
+
+def test_retried_pool_attempt_never_outlives_its_phase(tmp_path):
+    """A chunk attempt superseded by a retry must finish, or never start,
+    before its phase returns: left running, it rewrites the chunk's
+    products while the parent hashes and archives them (a flaky pooled
+    run's manifest then differed from the sequential one)."""
+    from repro.core.local import _ChunkExecutor
+    from repro.faults import ChunkFlake, FaultPlan
+
+    submitted = []
+
+    def task(i):
+        submitted.append(i)
+        slow = submitted == [0]  # the attempt the flake supersedes
+        return str(tmp_path / f"chunk{i}-{len(submitted)}"), 1.0 if slow else 0.0
+
+    with LocalRunner(n_workers=2) as runner:
+        chunks = _ChunkExecutor(runner, 0, None, FaultPlan(flakes=(ChunkFlake("A", 0),)))
+        results = chunks.run("A", 2, inline=None, worker=_touch_after, task=task)
+        finished = sorted(p.name for p in tmp_path.iterdir())
+    assert results == [str(tmp_path / "chunk0-3"), str(tmp_path / "chunk1-2")]
+    assert finished == ["chunk0-1", "chunk0-3", "chunk1-2"]
 
 
 def test_flake_exhaustion_raises_transient_fault(tiny_config):

@@ -107,6 +107,16 @@ def test_read_job_count_mismatch(tmp_path):
         read_traces(batch, jobs)
 
 
+@pytest.mark.parametrize("row", ["d,0,1,10,one", "d,0,1,10,1.5", "d,0,1,10"])
+def test_read_malformed_job_count_names_file(tmp_path, row):
+    batch = tmp_path / "b.csv"
+    jobs = tmp_path / "j.csv"
+    batch.write_text(f"dagman,submit_s,first_execute_s,end_s,n_jobs\n{row}\n")
+    jobs.write_text("node,phase,submit_s,start_s,end_s\nx,A,0,1,2\n")
+    with pytest.raises(TraceError, match="b.csv"):
+        read_traces(batch, jobs)
+
+
 def test_read_malformed_row(tmp_path):
     batch = tmp_path / "b.csv"
     jobs = tmp_path / "j.csv"

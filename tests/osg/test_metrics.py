@@ -108,19 +108,6 @@ def test_running_jobs_profile(metrics):
     assert running.max() == 2
 
 
-def test_eq1_eq2_helpers():
-    assert PoolMetrics.average_total_runtime_s([600.0, 1200.0]) == 900.0
-    beta = PoolMetrics.average_total_throughput_jpm([10, 10], [600.0, 1200.0])
-    assert beta == pytest.approx((1.0 + 0.5) / 2)
-
-
-def test_eq_helpers_validation():
-    with pytest.raises(SimulationError):
-        PoolMetrics.average_total_runtime_s([])
-    with pytest.raises(SimulationError):
-        PoolMetrics.average_total_throughput_jpm([1], [])
-
-
 def test_window_requires_dagmans():
     with pytest.raises(SimulationError):
         PoolMetrics().instant_throughput_jpm()

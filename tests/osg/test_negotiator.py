@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.condor.jobs import Job, JobSpec, JobState
 from repro.errors import SimulationError
-from repro.osg.negotiator import NegotiatorConfig, negotiate, negotiate_vectorized
+from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.schedd import ScheddQueue
+from tests.oracles.negotiator_vectorized import negotiate_vectorized
 
 
 def queue_with(name, n):
@@ -118,6 +119,13 @@ def test_vectorized_matches_scalar_property(sizes, free_slots, match_limit):
         ([0, 0, 7], 20, 1000),  # empty queues skipped
         ([10, 10, 10], 30, 4),  # match limit binds before slots
         ([2, 9, 1, 6], 11, 11),  # budget == matches exactly
+        # The portal's shape: 24 tenant queues of 0-2 jobs, 1-4 free slots.
+        *(([i % 3 for i in range(24)], free, 400) for free in (1, 2, 3, 4)),
+        ([(i // 2) % 3 for i in range(24)], 3, 400),
+        # The pool's shape: a cycle limit of 8,000 over one or eight DAGMans.
+        ([8000], 8000, 8000),
+        ([1000] * 8, 8000, 8000),
+        ([1000] * 8, 5003, 8000),
     ],
 )
 def test_vectorized_matches_scalar_cases(sizes, free_slots, match_limit):

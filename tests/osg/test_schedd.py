@@ -79,18 +79,3 @@ def test_enqueue_many_preserves_fifo():
     q.enqueue_many([(f"n{i}", j) for i, j in enumerate(jobs)])
     assert q.n_idle == 3
     assert [q.pop()[0] for _ in range(3)] == ["n0", "n1", "n2"]
-
-
-def test_pop_many():
-    q = ScheddQueue("q")
-    jobs = [idle_job() for _ in range(4)]
-    for i, j in enumerate(jobs):
-        q.enqueue(f"n{i}", j)
-    batch = q.pop_many(3)
-    assert [name for name, _ in batch] == ["n0", "n1", "n2"]
-    assert q.n_idle == 1
-    assert q.pop_many(0) == []
-    with pytest.raises(SimulationError):
-        q.pop_many(2)  # only one left
-    with pytest.raises(SimulationError):
-        q.pop_many(-1)

@@ -1,8 +1,13 @@
 """Tests for repro.cli."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLE_INSTANCE = Path(__file__).resolve().parents[1] / "examples" / "fdw64_wfformat.json"
 
 
 @pytest.fixture()
@@ -79,6 +84,51 @@ def test_trace_and_burst(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "VDC bursting simulation" in out
     assert omega_csv.exists()
+
+
+def _sha256s(directory):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.iterdir())
+    }
+
+
+def test_trace_csvs_pinned(config_path, tmp_path):
+    """`repro trace` output, byte for byte: the CSV pair is the bursting
+    simulator's input format, so its bytes are part of the interface."""
+    out_dir = tmp_path / "traces"
+    assert main(["trace", str(config_path), "-o", str(out_dir), "--seed", "2"]) == 0
+    assert _sha256s(out_dir) == {
+        "demo_batch.csv": "5ad2895e10227ed77576857305216c31555d253a2756c5710349d29d91adf204",
+        "demo_jobs.csv": "085eac3718463722451e88aada50db8570a9a516315a6ce26fe0bf002c38f7bb",
+    }
+
+
+def test_wf_replay_trace_csvs_pinned(tmp_path):
+    """`repro wf replay --trace-dir` writes the same format through the
+    same writer as `repro trace`."""
+    out_dir = tmp_path / "traces"
+    assert main(
+        ["wf", "replay", str(EXAMPLE_INSTANCE), "--trace-dir", str(out_dir),
+         "--seed", "0"]
+    ) == 0
+    assert _sha256s(out_dir) == {
+        "fdw64_batch.csv": "798d460f43ae1df9e1dca6c6d39e683d018f4b7e08821aa7130748cfd46ab9f7",
+        "fdw64_jobs.csv": "adeecb37dc17ed8d3bcf8b5a3a2ac0e0fbd95e4f12461193eed9995a3256e834",
+    }
+
+
+def test_burst_malformed_job_count_is_an_error(tmp_path, capsys):
+    """A batch header whose n_jobs is not an integer is a trace error
+    naming the file, not a traceback."""
+    batch = tmp_path / "bad_batch.csv"
+    jobs = tmp_path / "bad_jobs.csv"
+    batch.write_text("dagman,submit_s,first_execute_s,end_s,n_jobs\nd,0,1,10,one\n")
+    jobs.write_text("node,phase,submit_s,start_s,end_s\nx,A,0,1,2\n")
+    assert main(["burst", str(batch), str(jobs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad_batch.csv" in err
 
 
 def test_dagfile(config_path, tmp_path, capsys):

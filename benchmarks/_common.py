@@ -3,29 +3,28 @@
 Every benchmark regenerates one of the paper's figures (or headline
 numbers) at the paper's own workload scale and prints the same
 rows/series the paper reports, alongside the published values. The
-``FDW_BENCH_SCALE`` environment variable (a float in (0, 1]) scales the
-waveform counts down for quick smoke runs; 1.0 (default) is paper scale.
+experiments themselves are :mod:`repro.core.figures`, which also writes
+the ``repro figures`` CSVs; the benchmarks keep the paper anchors, the
+tables and the shape assertions. The ``FDW_BENCH_SCALE`` environment
+variable (a float in (0, 1]) scales the waveform counts down for quick
+smoke runs; 1.0 (default) is paper scale.
 
-Seeds: each (experiment, repeat) pair derives its pool seed from the
-experiment name, so benchmarks are independent and reproducible.
+Seeds: :mod:`repro.core.figures` derives every pool seed from the
+experiment's identity: ``derive_seed(1, name, repeat)`` for Fig 2 and
+the headline claims, ``(3, k, repeat)`` for Fig 3, ``(4, k)`` and
+``(5, batch)`` for the single runs behind Figs 4–6. So benchmarks are
+independent and reproducible, and a benchmark and ``repro figures`` at
+the same scale report the same numbers.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core.config import FdwConfig
-from repro.core.submit_osg import FdwBatchResult, run_fdw_batch
-from repro.rng import derive_seed
+from repro.core.figures import FULL_INPUT, fdw_config, scaled_count
 from repro.units import to_hours
 
-#: The paper's three-run averaging (Section 4.1: "running three DAGMans
-#: for each quantity").
-N_REPEATS = 3
-
-#: Full and small Chilean inputs (121 / 2 stations).
-FULL_INPUT = 121
-SMALL_INPUT = 2
+__all__ = ["FULL_INPUT", "bench_scale", "fdw_config", "fmt_hours", "header", "scaled"]
 
 
 def bench_scale() -> float:
@@ -41,23 +40,8 @@ def bench_scale() -> float:
 
 
 def scaled(n_waveforms: int) -> int:
-    """Scale a paper waveform count, keeping at least one chunk."""
-    return max(16, int(round(n_waveforms * bench_scale())))
-
-
-def fdw_config(n_waveforms: int, n_stations: int, name: str) -> FdwConfig:
-    """Standard experiment configuration (paper defaults)."""
-    return FdwConfig(
-        n_waveforms=n_waveforms, n_stations=n_stations, name=name, seed=derive_seed(0, name)
-    )
-
-
-def run_single(
-    n_waveforms: int, n_stations: int, name: str, repeat: int
-) -> FdwBatchResult:
-    """One single-DAGMan pool run with a derived seed."""
-    config = fdw_config(n_waveforms, n_stations, name)
-    return run_fdw_batch(config, seed=derive_seed(1, name, repeat))
+    """Scale a paper waveform count to FDW_BENCH_SCALE."""
+    return scaled_count(n_waveforms, bench_scale())
 
 
 def fmt_hours(seconds: float) -> str:

@@ -12,24 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from bench_fig5_bursting_policies import effective_threshold, make_batch_trace
-from _common import header
-from repro.bursting import (
-    BurstingSimulator,
-    ElasticPolicy,
-    LowThroughputPolicy,
-)
+from _common import bench_scale, header, scaled
+from repro.bursting import BurstingSimulator, ElasticPolicy, LowThroughputPolicy
+from repro.core.figures import TOTAL_WAVEFORMS, fig5_trace, policy1_threshold
 
 MAX_BURST_FRACTION = 0.30
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_elastic_policy(benchmark):
-    trace = make_batch_trace(1)
+    trace = fig5_trace(1, scaled(TOTAL_WAVEFORMS))
 
     def run():
         control = BurstingSimulator(trace, policies=[]).run()
-        threshold = effective_threshold(control)
+        threshold = policy1_threshold(control, bench_scale())
         fixed = BurstingSimulator(
             trace,
             policies=[LowThroughputPolicy(probe_s=1.0, threshold_jpm=threshold)],

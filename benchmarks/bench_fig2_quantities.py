@@ -17,62 +17,44 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _common import (
-    FULL_INPUT,
-    N_REPEATS,
-    SMALL_INPUT,
-    fmt_hours,
-    header,
-    run_single,
-    scaled,
-)
-from repro.core.stats import average_total_runtime, average_total_throughput, summarize
+from _common import bench_scale, fmt_hours, header
+from repro.core.figures import FIG2_QUANTITIES as QUANTITIES, INPUTS, fig2_point
 from repro.units import to_hours
-
-QUANTITIES = [1024, 2000, 5120, 10000, 24960, 50000]
 
 #: Paper-reported (runtime hours, throughput JPM) anchors, where stated.
 PAPER = {
-    (SMALL_INPUT, 1024): (0.8, 14.6),
-    (SMALL_INPUT, 50000): (2.7, 185.0),
-    (FULL_INPUT, 2000): (3.3, None),
-    (FULL_INPUT, 1024): (None, 3.3),
-    (FULL_INPUT, 24960): (12.5, 18.8),
-    (FULL_INPUT, 50000): (34.8, 16.6),
+    ("small", 1024): (0.8, 14.6),
+    ("small", 50000): (2.7, 185.0),
+    ("full", 2000): (3.3, None),
+    ("full", 1024): (None, 3.3),
+    ("full", 24960): (12.5, 18.8),
+    ("full", 50000): (34.8, 16.6),
 }
 
 
-def _sweep(n_stations: int, label: str) -> dict[int, tuple[float, float, float, float]]:
+def _sweep(label: str) -> dict[int, tuple[float, float, float, float]]:
+    """Per quantity: eq. (1) runtime (s), its SD (h), eq. (2) JPM, its SD."""
     out = {}
     for quantity in QUANTITIES:
-        n = scaled(quantity)
-        runtimes, throughputs, jobs = [], [], []
-        for repeat in range(N_REPEATS):
-            result = run_single(n, n_stations, f"fig2_{label}_{quantity}", repeat)
-            name = result.dagman_names[0]
-            runtimes.append(result.runtime_s(name))
-            throughputs.append(result.throughput_jpm(name))
-            jobs.append(result.metrics.dagmans[name].n_jobs)
-        alpha = average_total_runtime(runtimes)  # eq. (1)
-        beta = average_total_throughput(jobs, runtimes)  # eq. (2)
+        runs = fig2_point(label, quantity, bench_scale())
         out[quantity] = (
-            alpha,
-            summarize([to_hours(r) for r in runtimes]).sd,
-            beta,
-            summarize(throughputs).sd,
+            runs.average_total_runtime_s(),
+            runs.runtime_summary_h().sd,
+            runs.average_total_throughput_jpm(),
+            runs.throughput_summary_jpm().sd,
         )
     return out
 
 
-def _report(label: str, n_stations: int, rows: dict) -> None:
+def _report(label: str, rows: dict) -> None:
     header(
-        f"Fig 2 - {label} Chilean input ({n_stations} stations)",
+        f"Fig 2 - {label} Chilean input ({INPUTS[label]} stations)",
         f"{'waveforms':>10} {'runtime_h':>10} {'sd_h':>7} {'jpm':>8} "
         f"{'sd_jpm':>7} {'paper_h':>8} {'paper_jpm':>10}",
     )
     for quantity in QUANTITIES:
         alpha, sd_h, beta, sd_jpm = rows[quantity]
-        paper_h, paper_jpm = PAPER.get((n_stations, quantity), (None, None))
+        paper_h, paper_jpm = PAPER.get((label, quantity), (None, None))
         print(
             f"{quantity:>10} {fmt_hours(alpha):>10} {sd_h:7.2f} {beta:8.1f} "
             f"{sd_jpm:7.2f} "
@@ -83,10 +65,8 @@ def _report(label: str, n_stations: int, rows: dict) -> None:
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_small_input(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _sweep(SMALL_INPUT, "small"), rounds=1, iterations=1
-    )
-    _report("small", SMALL_INPUT, rows)
+    rows = benchmark.pedantic(lambda: _sweep("small"), rounds=1, iterations=1)
+    _report("small", rows)
     # Shape assertions (paper 5.1.2: small-input throughput rose
     # 1,165.5% from 1,024 to 50,000): throughput grows severalfold with
     # quantity while runtime grows far slower than the 49x workload.
@@ -96,10 +76,8 @@ def test_fig2_small_input(benchmark):
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_full_input(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _sweep(FULL_INPUT, "full"), rounds=1, iterations=1
-    )
-    _report("full", FULL_INPUT, rows)
+    rows = benchmark.pedantic(lambda: _sweep("full"), rounds=1, iterations=1)
+    _report("full", rows)
     runtimes_h = {q: to_hours(rows[q][0]) for q in QUANTITIES}
     throughputs = {q: rows[q][2] for q in QUANTITIES}
     # Shape: runtime increases with quantity but sub-proportionally

@@ -15,39 +15,19 @@ from __future__ import annotations
 
 import pytest
 
-from _common import FULL_INPUT, N_REPEATS, fdw_config, fmt_hours, header, scaled
-from repro.core.partition import partition_config
-from repro.core.stats import summarize
-from repro.core.submit_osg import run_fdw_batch
-from repro.rng import derive_seed
-from repro.units import to_hours
-
-TOTAL_WAVEFORMS = 16000
-CONCURRENCY = [1, 2, 4, 8]
+from _common import header, scaled
+from repro.core.figures import CONCURRENCY, TOTAL_WAVEFORMS, fig3_point
 
 PAPER_JPM = {1: 10.7, 2: 6.5, 4: 3.7, 8: 2.2}
 PAPER_HOURS = {1: 14.1, 2: 11.9, 4: 12.5, 8: 15.7}
 
 
-def _run_level(k: int) -> tuple[float, float, float, float]:
-    """Mean per-DAGMan runtime/throughput over N_REPEATS batches."""
-    runtimes, throughputs = [], []
-    for repeat in range(N_REPEATS):
-        config = fdw_config(scaled(TOTAL_WAVEFORMS), FULL_INPUT, f"fig3_k{k}")
-        parts = partition_config(config, k)
-        result = run_fdw_batch(parts, seed=derive_seed(3, k, repeat))
-        for name in result.dagman_names:
-            runtimes.append(to_hours(result.runtime_s(name)))
-            throughputs.append(result.throughput_jpm(name))
-    r = summarize(runtimes)
-    t = summarize(throughputs)
-    return r.mean, r.sd, t.mean, t.sd
-
-
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_concurrent_dagmans(benchmark):
     rows = benchmark.pedantic(
-        lambda: {k: _run_level(k) for k in CONCURRENCY}, rounds=1, iterations=1
+        lambda: {k: fig3_point(k, scaled(TOTAL_WAVEFORMS)).row() for k in CONCURRENCY},
+        rounds=1,
+        iterations=1,
     )
     header(
         "Fig 3 - concurrent DAGMans producing 16,000 waveforms (full input)",

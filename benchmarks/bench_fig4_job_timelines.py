@@ -16,14 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _common import FULL_INPUT, fdw_config, header, scaled
-from repro.core.partition import partition_config
-from repro.core.submit_osg import run_fdw_batch
-from repro.rng import derive_seed
+from _common import bench_scale, header, scaled
+from repro.core.figures import CONCURRENCY, TOTAL_WAVEFORMS, fig4_run
 from repro.units import to_minutes
-
-TOTAL_WAVEFORMS = 16000
-CONCURRENCY = [1, 2, 4, 8]
 
 
 def _quantiles(values_s: np.ndarray) -> str:
@@ -36,16 +31,13 @@ def _quantiles(values_s: np.ndarray) -> str:
 def _run_all() -> dict[int, dict[str, object]]:
     out: dict[int, dict[str, object]] = {}
     for k in CONCURRENCY:
-        config = fdw_config(scaled(TOTAL_WAVEFORMS), FULL_INPUT, f"fig4_k{k}")
-        parts = partition_config(config, k)
-        result = run_fdw_batch(parts, seed=derive_seed(4, k))
+        result = fig4_run(k, scaled(TOTAL_WAVEFORMS))
         metrics = result.metrics
-        first = parts[0].name
         out[k] = {
             "exec_C": metrics.exec_times_s(phase="C"),
             "exec_A": metrics.exec_times_s(phase="A"),
             "wait_C": metrics.wait_times_s(phase="C"),
-            "omega": metrics.instant_throughput_jpm(first),
+            "omega": metrics.instant_throughput_jpm(result.dagman_names[0]),
             "running": metrics.running_jobs(),  # across the whole batch
         }
     return out
@@ -85,8 +77,6 @@ def test_fig4_job_timelines(benchmark):
         assert 1.5 < a_med < 4.5
     # The queueing-shape assertions need the paper's workload scale —
     # at reduced FDW_BENCH_SCALE the queues drain instantly.
-    from _common import bench_scale
-
     if bench_scale() == 1.0:
         # Paper: wait times inflate with concurrency (70 -> 189 min at 4).
         assert np.mean(data[4]["wait_C"]) > 1.5 * np.mean(data[1]["wait_C"])

@@ -15,85 +15,28 @@ from __future__ import annotations
 
 import pytest
 
-from _common import FULL_INPUT, bench_scale, fdw_config, header, scaled
-from repro.bursting import BurstingSimulator, LowThroughputPolicy, QueueTimePolicy
-from repro.core.submit_osg import run_fdw_batch
-from repro.core.traces import BatchTrace, JobTrace
-from repro.rng import derive_seed
-from repro.units import minutes
-
-TOTAL_WAVEFORMS = 16000
-PROBE_TIMES_S = [1, 2, 5, 10, 30, 60, 120]
-QUEUE_CAPS_MIN = [90, 120]
-THRESHOLD_JPM = 34.0
+from _common import bench_scale, header, scaled
+from repro.core.figures import (
+    PROBES_S,
+    QUEUE_CAPS_MIN,
+    THRESHOLD_JPM,
+    TOTAL_WAVEFORMS,
+    fig5_trace,
+    policy_sweep,
+)
 
 PAPER_CONTROL_AIT = {1: 14.1, 2: 8.6}
 PAPER_MAX_AIT = {1: 31.7, 2: 32.4}
 
 
-def make_batch_trace(batch_id: int) -> BatchTrace:
-    """Trace one real (simulated-OSG) 16,000-waveform DAGMan."""
-    config = fdw_config(scaled(TOTAL_WAVEFORMS), FULL_INPUT, f"fig5_batch{batch_id}")
-    result = run_fdw_batch(config, seed=derive_seed(5, batch_id))
-    name = result.dagman_names[0]
-    summary = result.metrics.dagmans[name]
-    records = sorted(
-        (r for r in result.metrics.for_dagman(name) if r.success),
-        key=lambda r: r.submit_time,
-    )
-    jobs = tuple(
-        JobTrace(
-            node=r.node_name,
-            phase=r.phase,
-            submit_s=r.submit_time,
-            start_s=r.start_time,
-            end_s=r.end_time,
-        )
-        for r in records
-    )
-    return BatchTrace(
-        dagman=name,
-        submit_s=summary.submit_time,
-        first_execute_s=min(r.start_time for r in records),
-        end_s=summary.end_time,
-        jobs=jobs,
-    )
-
-
-def effective_threshold(control) -> float:
-    """Policy-1 threshold: the paper's 34 JPM at paper scale; at reduced
-    FDW_BENCH_SCALE the trace's throughput never reaches 34, so the
-    threshold is set to 60% of the control's peak to keep the policy
-    meaningful."""
-    if bench_scale() == 1.0:
-        return THRESHOLD_JPM
-    peak = float(control.throughput_series_jpm.max())
-    return max(0.5, 0.6 * peak)
-
-
-def sweep(trace: BatchTrace) -> dict:
-    out: dict = {"control": BurstingSimulator(trace, policies=[]).run()}
-    threshold = effective_threshold(out["control"])
-    for queue_min in QUEUE_CAPS_MIN:
-        for probe in PROBE_TIMES_S:
-            result = BurstingSimulator(
-                trace,
-                policies=[
-                    LowThroughputPolicy(probe_s=float(probe), threshold_jpm=threshold),
-                    QueueTimePolicy(max_queue_s=minutes(queue_min)),
-                ],
-            ).run()
-            out[(queue_min, probe)] = result
-    return out
-
-
 @pytest.mark.benchmark(group="fig5")
 @pytest.mark.parametrize("batch_id", [1, 2])
 def test_fig5_bursting_policies(benchmark, batch_id):
-    trace = make_batch_trace(batch_id)
-    results = benchmark.pedantic(lambda: sweep(trace), rounds=1, iterations=1)
+    trace = fig5_trace(batch_id, scaled(TOTAL_WAVEFORMS))
+    control, results = benchmark.pedantic(
+        lambda: policy_sweep(trace, scale=bench_scale()), rounds=1, iterations=1
+    )
 
-    control = results["control"]
     header(
         f"Fig 5 - Batch {batch_id}: AIT and VDC usage vs probe time "
         f"(threshold {THRESHOLD_JPM} JPM)",
@@ -105,20 +48,16 @@ def test_fig5_bursting_policies(benchmark, batch_id):
         f"{control.vdc_usage_percent:7.1f} {control.runtime_s / 3600:10.2f}"
         f"   (paper control AIT {PAPER_CONTROL_AIT[batch_id]} JPM)"
     )
-    for queue_min in QUEUE_CAPS_MIN:
-        for probe in PROBE_TIMES_S:
-            r = results[(queue_min, probe)]
-            print(
-                f"{queue_min:>9} {probe:>8} "
-                f"{r.average_instant_throughput_jpm:8.1f} "
-                f"{r.vdc_usage_percent:7.1f} {r.runtime_s / 3600:10.2f}"
-            )
+    for (queue_min, probe), r in results.items():
+        print(
+            f"{queue_min:>9} {probe:>8} "
+            f"{r.average_instant_throughput_jpm:8.1f} "
+            f"{r.vdc_usage_percent:7.1f} {r.runtime_s / 3600:10.2f}"
+        )
     print(f"(paper max AIT for batch {batch_id}: {PAPER_MAX_AIT[batch_id]} JPM at 1 s/90 min)")
 
     # Shape: every policy combination improves AIT over the control.
-    for key, r in results.items():
-        if key == "control":
-            continue
+    for r in results.values():
         assert (
             r.average_instant_throughput_jpm
             >= control.average_instant_throughput_jpm - 1e-9
@@ -126,16 +65,16 @@ def test_fig5_bursting_policies(benchmark, batch_id):
     # Shape: faster probing -> more VDC usage and higher AIT (paper
     # 5.3.2: "when the probe time shortens ... higher VDC utilization").
     for queue_min in QUEUE_CAPS_MIN:
-        usages = [results[(queue_min, p)].vdc_usage_percent for p in PROBE_TIMES_S]
+        usages = [results[(queue_min, p)].vdc_usage_percent for p in PROBES_S]
         assert usages[0] >= usages[-1]
         aits = [
             results[(queue_min, p)].average_instant_throughput_jpm
-            for p in PROBE_TIMES_S
+            for p in PROBES_S
         ]
         assert aits[0] >= aits[-1] - 1e-9
     # Shape: queue-cap choice matters far less than probe time (paper:
     # never more than ~1 JPM of AIT between 90 and 120 min).
-    for probe in PROBE_TIMES_S:
+    for probe in PROBES_S:
         delta = abs(
             results[(90, probe)].average_instant_throughput_jpm
             - results[(120, probe)].average_instant_throughput_jpm

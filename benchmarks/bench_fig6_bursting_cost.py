@@ -15,41 +15,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bench_fig5_bursting_policies import effective_threshold, make_batch_trace
-from _common import header
-from repro.bursting import BurstingSimulator, LowThroughputPolicy, QueueTimePolicy
-from repro.units import minutes
+from _common import bench_scale, header, scaled
+from repro.core.figures import QUEUE_CAPS_MIN, TOTAL_WAVEFORMS, fig5_trace, policy_sweep
 
-PROBES = [1, 10, 60]
-QUEUE_CAPS_MIN = [90, 120]
+PROBES = (1, 10, 60)
 MAX_BURST_FRACTION = 0.30
 
 PAPER_MAX_COST = {1: 11.0, 2: 13.9}
 
 
-def sweep(trace):
-    out = {"control": BurstingSimulator(trace, policies=[]).run()}
-    threshold = effective_threshold(out["control"])
-    for queue_min in QUEUE_CAPS_MIN:
-        for probe in PROBES:
-            out[(queue_min, probe)] = BurstingSimulator(
-                trace,
-                policies=[
-                    LowThroughputPolicy(probe_s=float(probe), threshold_jpm=threshold),
-                    QueueTimePolicy(max_queue_s=minutes(queue_min)),
-                ],
-                max_burst_fraction=MAX_BURST_FRACTION,
-            ).run()
-    return out
-
-
 @pytest.mark.benchmark(group="fig6")
 @pytest.mark.parametrize("batch_id", [1, 2])
 def test_fig6_bursting_cost(benchmark, batch_id):
-    trace = make_batch_trace(batch_id)
-    results = benchmark.pedantic(lambda: sweep(trace), rounds=1, iterations=1)
+    trace = fig5_trace(batch_id, scaled(TOTAL_WAVEFORMS))
 
-    control = results["control"]
+    def sweep():
+        return policy_sweep(trace, PROBES, QUEUE_CAPS_MIN, bench_scale(), MAX_BURST_FRACTION)
+
+    control, results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
     header(
         f"Fig 6 - Batch {batch_id}: cost and runtime with <=30% bursted",
         f"{'queue_min':>9} {'probe_s':>8} {'bursted_%':>10} {'cost_$':>8} "
@@ -59,14 +43,12 @@ def test_fig6_bursting_cost(benchmark, batch_id):
         f"{'control':>9} {'-':>8} {0.0:10.1f} {0.0:8.2f} "
         f"{control.runtime_s / 3600:10.2f} {0.0:12.1f}"
     )
-    for queue_min in QUEUE_CAPS_MIN:
-        for probe in PROBES:
-            r = results[(queue_min, probe)]
-            print(
-                f"{queue_min:>9} {probe:>8} {r.vdc_usage_percent:10.1f} "
-                f"{r.cost_usd:8.2f} {r.runtime_s / 3600:10.2f} "
-                f"{r.runtime_reduction_percent:12.1f}"
-            )
+    for (queue_min, probe), r in results.items():
+        print(
+            f"{queue_min:>9} {probe:>8} {r.vdc_usage_percent:10.1f} "
+            f"{r.cost_usd:8.2f} {r.runtime_s / 3600:10.2f} "
+            f"{r.runtime_reduction_percent:12.1f}"
+        )
     print(f"(paper max cost for batch {batch_id}: ${PAPER_MAX_COST[batch_id]})")
 
     # Throughput-over-time overlay (right panel of Fig 6): report the
@@ -80,9 +62,7 @@ def test_fig6_bursting_cost(benchmark, batch_id):
 
     # Invariants: the cap held everywhere, costs stay in the paper's
     # order of magnitude (dollars, not hundreds), runtime never regresses.
-    for key, r in results.items():
-        if key == "control":
-            continue
+    for r in results.values():
         assert r.vdc_usage_percent <= MAX_BURST_FRACTION * 100.0 + 1e-9
         assert r.cost_usd < 100.0
         assert r.runtime_s <= control.runtime_s + 1.0

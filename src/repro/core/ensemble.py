@@ -25,7 +25,7 @@ from repro.core.submit_osg import FdwBatchResult, run_fdw_batch
 from repro.osg.capacity import CapacityProcess
 from repro.osg.pool import OSPoolConfig
 from repro.rng import derive_seed
-from repro.units import to_hours
+from repro.units import jobs_per_minute, to_hours
 
 __all__ = ["RepeatedRuns", "run_repeated"]
 
@@ -65,7 +65,7 @@ class RepeatedRuns:
     def throughput_summary_jpm(self) -> SeriesSummary:
         """Mean/SD/min/max of per-DAGMan throughputs."""
         return summarize(
-            [60.0 * j / r for j, r in zip(self.job_counts, self.runtimes_s)]
+            [jobs_per_minute(j, r) for j, r in zip(self.job_counts, self.runtimes_s)]
         )
 
     def row(self) -> tuple[float, float, float, float]:
@@ -79,7 +79,7 @@ def run_repeated(
     config: FdwConfig,
     repeats: int = 3,
     n_dagmans: int = 1,
-    seed_key: str | None = None,
+    seed: tuple[int | str, ...] | str | None = None,
     pool_config: OSPoolConfig | None = None,
     capacity: CapacityProcess | None = None,
 ) -> RepeatedRuns:
@@ -93,24 +93,26 @@ def run_repeated(
         Independent pool runs (the paper uses 3).
     n_dagmans:
         Concurrency level; the workload is partitioned evenly.
-    seed_key:
-        Experiment identity for seed derivation; defaults to the config
-        name, so same-named experiments reproduce and differently-named
-        ones are independent.
+    seed:
+        Pool-seed path: repeat ``i`` runs with ``derive_seed(*seed, i)``.
+        A bare key stands for ``(0xE5, key, n_dagmans)``; the default key
+        is the config name, so same-named experiments reproduce and
+        differently-named ones are independent.
     """
     if repeats < 1:
         raise SimulationError(f"repeats must be >= 1, got {repeats}")
-    key = seed_key or config.name
+    if not isinstance(seed, tuple):
+        seed = (0xE5, seed or config.name, n_dagmans)
+    parts = partition_config(config, n_dagmans)
     results = []
     runtimes: list[float] = []
     jobs: list[int] = []
     for repeat in range(repeats):
-        parts = partition_config(config, n_dagmans)
         result = run_fdw_batch(
             parts,
             pool_config=pool_config,
             capacity=capacity,
-            seed=derive_seed(0xE5, key, n_dagmans, repeat),
+            seed=derive_seed(*seed, repeat),
         )
         results.append(result)
         for name in result.dagman_names:

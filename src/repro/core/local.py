@@ -363,9 +363,6 @@ class _ChunkExecutor:
         def on_retry(_attempt: int, _exc: BaseException, delay: float) -> None:
             self.counts["retries"][phase] += 1
             self.backoff_s += delay
-            if obs.enabled():
-                obs.counter_add("repro_local_chunk_retries_total", 1, {"phase": phase})
-                obs.counter_add("repro_local_retry_backoff_seconds_total", delay)
             if resubmit is not None:
                 resubmit(index)
 

@@ -28,8 +28,9 @@ during a long outage. When no replica is reachable the retrieval raises
 the retryable :class:`~repro.errors.StorageUnavailableError`, and
 :meth:`FederatedStorage.fetch_bank` can fall back to a caller-supplied
 ``rebuild`` (recompute from source). Without a breaker policy (or
-without ``now=``) every path is bit-identical to the pre-resilience
-model.
+without ``now=``) the same retrieval loop runs with those checks
+skipped: every site counts as healthy, so the home replica or the
+fastest-egress holder serves and no probe time is charged.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ class FederatedStorage:
         ``probe_cost_s`` and feeds its breaker. With every source dark
         the retrieval raises the retryable
         :class:`~repro.errors.StorageUnavailableError` carrying the
-        probe time already sunk (``penalty_s``). When all sites are
-        healthy the charged time equals the legacy path exactly.
+        probe time already sunk (``penalty_s``). Otherwise the breaker
+        and outage checks are skipped, and every site counts as healthy.
         """
         home = self.site(home_site)
         size = self._sizes.get(product_id)
@@ -296,20 +297,7 @@ class FederatedStorage:
             )
             exc.penalty_s = 0.0
             raise exc
-        if now is None or self.breaker_policy is None:
-            # Legacy path: every site is implicitly healthy.
-            if home_site in replicas:
-                obs.counter_add("repro_storage_transfer_mb_total", size,
-                                {"path": "local"})
-                return size / home.local_mb_per_s
-            elapsed = size / home.wan_mb_per_s
-            obs.counter_add("repro_storage_transfer_mb_total", size,
-                            {"path": "wan"})
-            if cache and self._usage_mb[home_site] + size <= home.capacity_mb:
-                replicas.add(home_site)
-                self._usage_mb[home_site] += size
-            return elapsed
-
+        resilient = now is not None and self.breaker_policy is not None
         candidates = sorted(
             replicas,
             key=lambda name: (
@@ -320,14 +308,15 @@ class FederatedStorage:
         )
         penalty = 0.0
         for source in candidates:
-            breaker = self.breakers[source]
-            if not breaker.allow(now + penalty):
-                continue  # open breaker: fail fast, no probe cost
-            if self.in_outage(source, now + penalty):
-                breaker.record_failure(now + penalty)
-                penalty += self.breaker_policy.probe_cost_s
-                continue
-            breaker.record_success()
+            if resilient:
+                breaker = self.breakers[source]
+                if not breaker.allow(now + penalty):
+                    continue  # open breaker: fail fast, no probe cost
+                if self.in_outage(source, now + penalty):
+                    breaker.record_failure(now + penalty)
+                    penalty += self.breaker_policy.probe_cost_s
+                    continue
+                breaker.record_success()
             if source != candidates[0]:
                 self.n_failovers += 1
                 obs.counter_add("repro_storage_failovers_total")
@@ -342,7 +331,7 @@ class FederatedStorage:
                             {"path": "wan"})
             if (
                 cache
-                and self.site_healthy(home_site, now + penalty)
+                and (not resilient or self.site_healthy(home_site, now + penalty))
                 and self._usage_mb[home_site] + size <= home.capacity_mb
             ):
                 replicas.add(home_site)

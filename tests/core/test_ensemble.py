@@ -48,8 +48,8 @@ def test_reproducible():
 
 def test_seed_key_isolates_experiments():
     config = FdwConfig(n_waveforms=16, n_stations=3, mesh=(8, 5), name="iso")
-    a = run_repeated(config, repeats=1, capacity=FixedCapacity(6), seed_key="x")
-    b = run_repeated(config, repeats=1, capacity=FixedCapacity(6), seed_key="y")
+    a = run_repeated(config, repeats=1, capacity=FixedCapacity(6), seed="x")
+    b = run_repeated(config, repeats=1, capacity=FixedCapacity(6), seed="y")
     assert a.runtimes_s != b.runtimes_s
 
 

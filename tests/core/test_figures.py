@@ -44,6 +44,18 @@ class TestGenerators:
         for row in series.rows:
             assert row[2] > 0 and row[4] > 0  # runtime, jpm positive
 
+    def test_fig2_matches_benchmark_protocol(self):
+        # The Fig 2 benchmark's protocol at this scale (workflow seed
+        # derive_seed(0, name), pool seeds derive_seed(1, name, repeat)):
+        # the exporter must write the numbers the benchmark prints.
+        series = fig2_series(scale=SCALE, quantities=(1024, 2000), repeats=2)
+        assert series.rows == (
+            ("small", 1024, 0.248, 0.017, 0.676, 0.047),
+            ("small", 2000, 0.266, 0.019, 0.82, 0.06),
+            ("full", 1024, 2.596, 0.376, 0.066, 0.01),
+            ("full", 2000, 2.95, 0.109, 0.074, 0.003),
+        )
+
     def test_fig3(self):
         series = fig3_series(scale=SCALE, total_waveforms=800, levels=(1, 2), repeats=1)
         assert [row[0] for row in series.rows] == [1, 2]

@@ -366,6 +366,23 @@ def test_flaky_chunks_retried_to_identical_archive(tmp_path, tiny_config):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_chunk_retries_counted_once(tiny_config):
+    """Each chunk retry is one ``repro_retry_attempts_total`` count; the
+    runner adds no second counter of its own."""
+    from repro import obs
+    from repro.faults import ChunkFlake, FaultPlan
+
+    plan = FaultPlan(flakes=(ChunkFlake("A", 1, times=2), ChunkFlake("C", 0)))
+    with obs.observe() as session:
+        flaky = LocalRunner().run(tiny_config, faults=plan)
+    registry = session.registry
+    assert registry.counter_total("repro_retry_attempts_total") == sum(
+        flaky.chunk_retries.values()
+    ) == 3
+    assert "repro_local_chunk_retries_total" not in registry.names()
+    assert "repro_local_retry_backoff_seconds_total" not in registry.names()
+
+
 def test_pooled_flaky_chunks_match_sequential(tmp_path, tiny_config):
     """The pooled paths resubmit the flaked chunk to the pool and still
     produce the sequential archive."""

@@ -271,6 +271,13 @@ def test_legacy_paths_unchanged_without_now():
     armed.store("p", 100.0, "home")
     assert armed.retrieval_time_s("p", "home") == plain.retrieval_time_s("p", "a")
     assert armed.n_failovers == 0
+    # A WAN read from a site inside its outage window: no clock, so no
+    # probe charge, no failover, and the replica is cached as usual.
+    plain.store("q", 100.0, "a")
+    armed.store("q", 100.0, "fast")
+    assert armed.retrieval_time_s("q", "home") == plain.retrieval_time_s("q", "b") == 10.0
+    assert armed.replicas("q") == {"fast", "home"}
+    assert armed.n_failovers == 0
 
 
 def test_failover_prefers_home_then_fastest_egress():

@@ -624,7 +624,9 @@ def _run_observed(args: argparse.Namespace, trace_path: Path) -> int:
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text(dump_chrome_trace(session.tracer))
     prom_path = trace_path.with_suffix(".prom")
-    prom_path.write_text(prometheus_text(session.registry))
+    prom_path.write_text(
+        prometheus_text(session.registry) + prometheus_text(session.process)
+    )
     print(f"wrote trace {trace_path} and metrics {prom_path}")
     return code
 

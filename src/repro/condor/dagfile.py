@@ -2,8 +2,10 @@
 
 A :class:`DagDescription` is the static workflow structure DAGMan
 executes: named nodes, each bound to a :class:`~repro.condor.jobs.JobSpec`,
-plus PARENT/CHILD edges. The structure is backed by a
-:class:`networkx.DiGraph` for cycle detection and traversal.
+plus PARENT/CHILD edges. Each node's parents and children are kept in
+insertion-ordered dicts, and one Kahn pass gives both the topological
+order and the cycle check. The structure holds no reference back to
+itself, so a dropped DAG is freed by reference counting alone.
 
 ``.dag`` file round-tripping follows HTCondor's syntax::
 
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import networkx as nx
 
 from repro.errors import DagError
 from repro.condor.jobs import JobSpec
@@ -84,8 +84,10 @@ class DagDescription:
 
     def __init__(self, name: str = "dag") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._nodes: dict[str, DagNode] = {}
+        # Node -> parents / children, as insertion-ordered key sets.
+        self._parents: dict[str, dict[str, None]] = {}
+        self._children: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -94,7 +96,8 @@ class DagDescription:
         if node.name in self._nodes:
             raise DagError(f"duplicate DAG node {node.name!r}")
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._parents[node.name] = {}
+        self._children[node.name] = {}
 
     def add_job(self, name: str, spec: JobSpec, retries: int = 0) -> DagNode:
         """Convenience: build and add a node in one step."""
@@ -143,9 +146,11 @@ class DagDescription:
                 raise DagError(f"unknown DAG node {name!r}")
         if parent == child:
             raise DagError(f"self-edge on {parent!r}")
-        self._graph.add_edge(parent, child)
-        if check and not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent, child)
+        self._children[parent][child] = None
+        self._parents[child][parent] = None
+        if check and self._kahn_order() is None:
+            del self._children[parent][child]
+            del self._parents[child][parent]
             raise DagError(f"edge {parent!r} -> {child!r} would create a cycle")
 
     def add_edges(self, parents: list[str], children: list[str]) -> None:
@@ -177,16 +182,36 @@ class DagDescription:
     def parents(self, name: str) -> list[str]:
         """Direct parents of a node."""
         self.node(name)
-        return sorted(self._graph.predecessors(name))
+        return sorted(self._parents[name])
 
     def children(self, name: str) -> list[str]:
         """Direct children of a node."""
         self.node(name)
-        return sorted(self._graph.successors(name))
+        return sorted(self._children[name])
 
     def roots(self) -> list[str]:
         """Nodes with no parents (initially ready)."""
-        return [n for n in self._nodes if self._graph.in_degree(n) == 0]
+        return [n for n, parents in self._parents.items() if not parents]
+
+    def _kahn_order(self) -> list[str] | None:
+        """Kahn's algorithm, first-in first-out; ``None`` on a cycle.
+
+        The roots come in insertion order, then every node as soon as
+        its last parent is placed, children in edge insertion order:
+        the generation-by-generation order of ``networkx``'s
+        ``topological_sort``, which rescue files were written in.
+        """
+        in_degree = {n: len(p) for n, p in self._parents.items() if p}
+        order = self.roots()
+        for name in order:  # grows while it is walked
+            for child in self._children[name]:
+                left = in_degree[child] - 1
+                if left:
+                    in_degree[child] = left
+                else:
+                    del in_degree[child]
+                    order.append(child)
+        return None if in_degree else order
 
     def topological_order(self) -> list[str]:
         """A topological ordering of node names.
@@ -194,21 +219,20 @@ class DagDescription:
         Raises
         ------
         DagError
-            If the DAG contains a cycle (instead of leaking networkx's
-            ``NetworkXUnfeasible``).
+            If the DAG contains a cycle.
         """
-        try:
-            return list(nx.topological_sort(self._graph))
-        except nx.NetworkXUnfeasible:
+        order = self._kahn_order()
+        if order is None:
             raise DagError(
                 f"DAG {self.name!r} contains a cycle; no topological order exists"
-            ) from None
+            )
+        return order
 
     def validate(self) -> None:
         """Raise :class:`DagError` if the DAG is empty or cyclic."""
         if not self._nodes:
             raise DagError(f"DAG {self.name!r} has no nodes")
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if self._kahn_order() is None:
             raise DagError(f"DAG {self.name!r} contains a cycle")
 
     # -- .dag file round-trip ---------------------------------------------------
@@ -228,8 +252,9 @@ class DagDescription:
             for when, script in (("PRE", node.pre_script), ("POST", node.post_script)):
                 if script is not None:
                     lines.append(f"SCRIPT {when} {node.name} {script.command}")
-        for parent, child in self._graph.edges:
-            lines.append(f"PARENT {parent} CHILD {child}")
+        for parent, children in self._children.items():
+            for child in children:
+                lines.append(f"PARENT {parent} CHILD {child}")
         dag_path = directory / f"{self.name}.dag"
         dag_path.write_text("\n".join(lines) + "\n")
         return dag_path

@@ -4,7 +4,8 @@
 takes one or more FDW configurations (one per concurrent DAGMan),
 submits them to a fresh :class:`~repro.osg.pool.OSPoolSimulator`, runs
 to completion, and returns the metrics plus per-DAGMan summaries and the
-HTCondor-style user logs.
+HTCondor-style user logs. It builds the DAGs and runs the pool with the
+cyclic collector paused (:mod:`repro.gcpause`).
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.condor.dagman import DagmanOptions
 from repro.core.config import FdwConfig
 from repro.core.workflow import build_fdw_dag
+from repro.gcpause import collector_paused
 from repro.osg.capacity import CapacityProcess
 from repro.osg.metrics import PoolMetrics
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
@@ -60,15 +60,8 @@ class FdwBatchResult:
         n = sum(d.n_jobs for d in self.metrics.dagmans.values())
         return jobs_per_minute(n, self.batch_makespan_s())
 
-    def mean_runtime_s(self) -> float:
-        """Eq. (3): mean per-DAGMan runtime in the batch."""
-        return float(np.mean([self.runtime_s(n) for n in self.dagman_names]))
 
-    def mean_throughput_jpm(self) -> float:
-        """Eq. (4) inner term: mean per-DAGMan total throughput."""
-        return float(np.mean([self.throughput_jpm(n) for n in self.dagman_names]))
-
-
+@collector_paused()
 def run_fdw_batch(
     configs: list[FdwConfig] | FdwConfig,
     pool_config: OSPoolConfig | None = None,

@@ -22,10 +22,20 @@ Design invariant, relied on by the bit-identity tests: **no helper here
 ever touches a random stream, mutates domain state, or reorders
 events.** Observation is strictly passive; enabling it cannot change a
 product byte or a simulated timestamp.
+
+While a session is installed, a ``gc.callbacks`` hook charges every
+cyclic-collector pass to it: ``repro_gc_collections_total`` and
+``repro_gc_pause_seconds_total``, labelled by ``generation``. They land
+in the session's ``process`` registry, not in ``registry``: they depend
+on wall time and on the interpreter's allocation history, while
+``registry`` holds only what the observed run determines, so its export
+stays byte-identical across repeats.
 """
 
 from __future__ import annotations
 
+import gc
+import time
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import nullcontext
 
@@ -50,19 +60,46 @@ __all__ = [
 ]
 
 
-class ObsSession:
-    """One observed run: a metrics registry plus a tracer."""
+#: One label set per collector generation (0 youngest, 2 full).
+_GENERATIONS = tuple({"generation": g} for g in range(3))
 
-    __slots__ = ("registry", "tracer")
+
+class ObsSession:
+    """One observed run: a metrics registry, a tracer, and the
+    interpreter's own counters (``process``, see the module docs)."""
+
+    __slots__ = ("registry", "tracer", "process")
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
+        self.process = MetricsRegistry()
+        # Every generation's series exists from the start, so a run with
+        # no collection reports zeros rather than nothing.
+        for labels in _GENERATIONS:
+            self.process.counter_add("repro_gc_collections_total", 0.0, labels)
+            self.process.counter_add("repro_gc_pause_seconds_total", 0.0, labels)
 
 
 _SESSION: ObsSession | None = None
 _NULL_SPAN = nullcontext()
+_gc_started = 0.0
+
+
+def _on_collection(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: charge one collection to the session."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    s = _SESSION
+    if s is not None:
+        labels = _GENERATIONS[info["generation"]]
+        s.process.counter_add("repro_gc_collections_total", 1.0, labels)
+        s.process.counter_add(
+            "repro_gc_pause_seconds_total", time.perf_counter() - _gc_started, labels
+        )
 
 
 def session() -> ObsSession | None:
@@ -87,12 +124,16 @@ class observe:
     def __enter__(self) -> ObsSession:
         global _SESSION
         self._prev = _SESSION
+        if self._prev is None:  # the outermost session installs the hook
+            gc.callbacks.append(_on_collection)
         _SESSION = self._session
         return self._session
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _SESSION
         _SESSION = self._prev
+        if self._prev is None:
+            gc.callbacks.remove(_on_collection)
 
 
 # -- metric hooks (each: one global load + None check when disabled) -------

@@ -12,6 +12,12 @@ must drop an event makes it a no-op instead, as the pool simulator does
 by skipping completions whose running-set token is gone (see
 ``repro.osg.pool``). So every heap entry is live, ``pending`` is the
 heap size, and scheduling is one push with no handle object.
+
+The loop runs with CPython's cyclic collector paused
+(:class:`repro.gcpause.collector_paused`): a pool's callbacks allocate
+job records, log events and heap tuples that form no cycles, so the
+collections their allocation rate would trigger — each a walk of the
+whole live heap — find nothing that reference counting does not free.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 from collections.abc import Callable
 
 from repro.errors import SimulationError
+from repro.gcpause import collector_paused
 
 __all__ = ["Simulator"]
 
@@ -79,6 +86,11 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
 
+    def clear(self) -> None:
+        """Drop every pending event (the clock stays where it is)."""
+        self._heap.clear()
+
+    @collector_paused()
     def run(
         self,
         until: float | None = None,

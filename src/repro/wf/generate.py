@@ -22,7 +22,9 @@ WfInstance` directly:
   source's in-degree distribution.
 
 The whole construction is a pure function of ``(source, n_tasks,
-seed)``: the same arguments produce a byte-identical instance.
+seed)``: the same arguments produce a byte-identical instance. It runs
+with the cyclic collector paused (:mod:`repro.gcpause`): the instance is
+an acyclic graph of frozen records, named by strings.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import WfFormatError
+from repro.gcpause import collector_paused
 from repro.rng import RngFactory, derive_seed
 from repro.wf.schema import WfFile, WfInstance, WfTask
 
@@ -83,6 +86,7 @@ def _target_counts(
     return out
 
 
+@collector_paused()
 def generate_instance(
     source: WfInstance, n_tasks: int, seed: int, *, name: str | None = None
 ) -> WfInstance:
@@ -227,7 +231,8 @@ def partition_instance(
     if k == 1:
         return [source]
     n = source.n_tasks
-    n_types = len({(lvl, source.task(t).category) for t, lvl in source.levels().items()})
+    levels = source.levels()
+    n_types = len({(levels[t.name], t.category) for t in source.tasks})
     base, extra = divmod(n, k)
     counts = [base + (1 if i < extra else 0) for i in range(k)]
     if min(counts) < n_types:

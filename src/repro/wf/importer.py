@@ -16,7 +16,8 @@ model and the DAGMan engine enforces the imported edges. Tasks are
 added in instance order and edges in sorted-parent order, which is
 exactly the order :func:`repro.wf.export.instance_from_dag` emits, so
 an export -> import round trip rebuilds a DAG whose engine behaves
-bit-identically.
+bit-identically. The import runs with the cyclic collector paused
+(:mod:`repro.gcpause`): it builds one acyclic DAG of specs and nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 from repro.condor.dagfile import DagDescription, DagNode
 from repro.condor.jobs import JobPayload, JobSpec
+from repro.gcpause import collector_paused
 from repro.wf.schema import WfInstance, load_instance
 
 __all__ = ["ImportedWorkflow", "import_instance"]
@@ -71,6 +73,7 @@ def _task_payload(task) -> JobPayload | None:
     return None
 
 
+@collector_paused()
 def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     """Translate an instance (or a WfFormat JSON path) for the pool.
 

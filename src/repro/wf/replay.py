@@ -23,6 +23,9 @@ Two runtime modes:
     configuration, capacity process, and seed consumes the exact same
     RNG streams and therefore reproduces the original simulated
     makespan **bit-identically** (asserted by the round-trip tests).
+
+``replay_instance`` imports, partitions and replays with the cyclic
+collector paused (:mod:`repro.gcpause`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.condor.dagman import DagmanOptions
 from repro.condor.events import UserLog
 from repro.core.stats import EC2_A1_XLARGE_USD_PER_MINUTE, bursting_cost_usd
 from repro.core.traces import BatchTrace, metrics_to_batch_trace
+from repro.gcpause import collector_paused
 from repro.osg.capacity import CapacityProcess
 from repro.osg.metrics import PoolMetrics
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
@@ -213,6 +217,7 @@ def _resolve_workflows(
     return instance, [import_instance(part) for part in parts]
 
 
+@collector_paused()
 def replay_instance(
     source: WfInstance | ImportedWorkflow | str | Path,
     *,

@@ -32,6 +32,47 @@ def random_dags(draw):
     return dag
 
 
+@st.composite
+def shuffled_dags(draw):
+    """Node names and edges of a random DAG, each in a random insertion
+    order."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(i, j) for j in range(1, n) for i in range(j) if draw(st.booleans())]
+    nodes = [f"n{k}" for k in draw(st.permutations(range(n)))]
+    edges = [(f"n{i}", f"n{j}") for i, j in draw(st.permutations(pairs))]
+    return nodes, edges
+
+
+@given(shuffled_dags())
+@settings(max_examples=50, deadline=None)
+def test_topological_order_matches_networkx(graph):
+    """The Kahn pass orders nodes exactly like networkx's
+    ``topological_sort`` (rescue files list DONE nodes in this order)
+    whatever the insertion order, and rejects a cycle-closing edge."""
+    import networkx as nx
+
+    from repro.errors import DagError
+
+    nodes, edges = graph
+    dag = DagDescription("rand")
+    for name in nodes:
+        dag.add_job(name, JobSpec(name=name, payload=JobPayload(phase="A")))
+    for parent, child in edges:
+        dag.add_edge(parent, child)
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(nodes)
+    oracle.add_edges_from(edges)
+    order = list(nx.topological_sort(oracle))
+    assert dag.topological_order() == order
+    assert dag.roots() == [n for n in nodes if oracle.in_degree(n) == 0]
+    if edges:
+        parent, child = edges[-1]
+        with pytest.raises(DagError, match="cycle"):
+            dag.add_edge(child, parent, check=True)
+        assert dag.topological_order() == order
+        assert child not in dag.parents(parent)
+
+
 def drive(engine: DagmanEngine, rng: np.random.Generator) -> list[str]:
     """Run the engine with randomized in-flight completion order.
 
@@ -131,7 +172,10 @@ def test_single_failure_without_retries_blocks_descendants(dag, seed):
     # Descendants of the victim can never become READY.
     import networkx as nx
 
-    descendants = nx.descendants(dag._graph, victim)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dag.node_names)
+    graph.add_edges_from((p, c) for c in dag.node_names for p in dag.parents(c))
+    descendants = nx.descendants(graph, victim)
     # Drain everything still runnable.
     in_flight = [n for n in batch if n != victim]
     guard = 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import FdwConfig
 from repro.core.partition import partition_config
+from repro.core.stats import average_total_runtime, average_total_throughput
 from repro.core.submit_osg import run_fdw_batch
 from repro.errors import SimulationError
 from repro.osg.capacity import FixedCapacity
@@ -33,8 +34,10 @@ def test_concurrent_partitions_complete():
     assert result.batch_makespan_s() >= max(
         result.runtime_s(n) for n in result.dagman_names
     ) - 1e-6
-    assert result.mean_runtime_s() > 0
-    assert result.mean_throughput_jpm() > 0
+    runtimes = [result.runtime_s(n) for n in result.dagman_names]
+    jobs = [result.metrics.dagmans[n].n_jobs for n in result.dagman_names]
+    assert average_total_runtime(runtimes) > 0
+    assert average_total_throughput(jobs, runtimes) > 0
     assert result.batch_throughput_jpm() > 0
 
 

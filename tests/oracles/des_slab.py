@@ -7,7 +7,8 @@ frozen copy runs the reference pool engine in
 ``tests.oracles.pool_reference`` and is the loop the product's
 ``Simulator`` is compared against on random event programs. It shares no
 code with the product loop, so every equivalence test also checks the
-product's event order.
+product's event order. ``clear`` came later: the pool's shared ``run``
+drops its pending events on return, so this loop has one too.
 
 Its own docstring, kept verbatim:
 
@@ -150,6 +151,11 @@ class Simulator:
             # In place: run() holds a reference to this list across callbacks.
             heap[:] = [entry for entry in heap if entry[1] in live]
             heapq.heapify(heap)
+
+    def clear(self) -> None:
+        """Drop every pending event (the clock stays where it is)."""
+        self._heap.clear()
+        self._callbacks.clear()
 
     def run(
         self,

@@ -13,13 +13,9 @@ from repro.core.workflow import build_fdw_dag
 from repro.errors import SimulationError
 from repro.osg.capacity import FixedCapacity
 from repro.osg.metrics import PoolMetrics
-from repro.osg.pool import (
-    OSPoolConfig,
-    OSPoolSimulator,
-    resubmit_with_rescue,
-    verify_exactly_once,
-)
+from repro.osg.pool import OSPoolConfig, OSPoolSimulator, resubmit_with_rescue
 from repro.osg.transfer import TransferConfig
+from tests.osg.exactly_once import verify_exactly_once
 
 
 def flat_dag(n_jobs=8, retries=0, name="r"):

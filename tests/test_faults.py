@@ -8,8 +8,9 @@ from repro.core.monitor import DagmanStats
 from repro.errors import ReproError
 from repro.faults import ChunkCrash, FaultInjected, FaultPlan, PoolFault
 from repro.osg.capacity import FixedCapacity
-from repro.osg.pool import OSPoolConfig, OSPoolSimulator, verify_exactly_once
+from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.osg.transfer import TransferConfig
+from tests.osg.exactly_once import verify_exactly_once
 
 
 def test_chunk_crash_validation():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.errors import WfFormatError
@@ -12,8 +15,11 @@ from repro.wf import (
     dumps_instance,
     generate_instance,
     import_instance,
+    load_instance,
     partition_instance,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +152,35 @@ class TestPartition:
         a = partition_instance(fdw_like, 2, seed=9)
         b = partition_instance(fdw_like, 2, seed=9)
         assert [dumps_instance(x) for x in a] == [dumps_instance(y) for y in b]
+
+    def test_partition_parts_pinned(self):
+        """A seeded 2.5k-task split of the bundled example, byte for byte.
+
+        The digests predate the one-pass type count, so they also pin
+        that the rewrite changed no part.
+        """
+        source = generate_instance(load_instance(EXAMPLE), 2500, seed=5)
+        parts = partition_instance(source, 4, seed=11)
+        assert [p.n_tasks for p in parts] == [625] * 4
+        assert [hashlib.sha256(dumps_instance(p).encode()).hexdigest() for p in parts] == [
+            "b50da80f4d25b1eaad59e11a6418223b20c7dbcace62b4f419004a746f8e514d",
+            "f36210646f703e54cc48257b9afc6db36f2ad89c02472a8981df1a670150ed85",
+            "91b25db000563aa30edd31ac0a466e39fdcc0a7ae1aa73392123f2c609144244",
+            "3d4bc91c0a4c5c094b992c9a2accfa4fa8e14339911e2b156cad1eded490e6c1",
+        ]
+
+    def test_partition_never_looks_tasks_up_by_name(self, fdw_like, monkeypatch):
+        """``WfInstance.task`` scans every task, so calling it once per
+        task made splitting quadratic in the instance size."""
+
+        def no_lookup(self, name):
+            raise AssertionError(f"partition_instance looked up {name!r} by name")
+
+        monkeypatch.setattr(WfInstance, "task", no_lookup)
+        parts = partition_instance(fdw_like, 2, seed=0)
+        assert [p.n_tasks for p in parts] == [5, 5]
+        with pytest.raises(WfFormatError, match="at least"):
+            partition_instance(fdw_like, 5, seed=0)
 
     def test_partition_too_small_rejected(self, fdw_like):
         with pytest.raises(WfFormatError, match="at least"):

@@ -7,7 +7,7 @@ This walks the whole public API in one sitting:
 2. execute the workflow on this machine with the *real* seismic kernels
    (MudPy's native sequential behaviour),
 3. run the identical workload as a DAGMan on the simulated OSPool,
-4. parse the HTCondor-style user log with the monitoring system and
+4. read the HTCondor-style user log with the monitoring system and
    print the report the FDW's statistics scripts produce.
 
 Runs in a few seconds; no external services required.
@@ -59,7 +59,8 @@ print(
     f"total throughput {summary.throughput_jpm:.2f} jobs/min"
 )
 
-# 4. Monitoring from the HTCondor-style log alone.
-stats = DagmanStats.from_log_text(result.user_logs[config.name])
+# 4. Monitoring from the HTCondor-style log alone (its events; the text
+#    is result.user_logs[config.name].render()).
+stats = DagmanStats.from_user_log(result.user_logs[config.name])
 print()
 print(stats.report(config.name))

@@ -306,7 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     parts = partition_config(config, args.dagmans)
     batch = run_fdw_batch(parts, seed=args.seed, rescue_dir=args.rescue_dir)
     for name in batch.dagman_names:
-        stats = DagmanStats.from_log_text(batch.user_logs[name])
+        stats = DagmanStats.from_user_log(batch.user_logs[name])
         print(stats.report(name))
         print()
     if len(parts) > 1:
@@ -346,7 +346,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         f"resubmitting the remaining {len(dag) - len(done)}"
     )
     pool.run()
-    stats = DagmanStats.from_log_text(run.user_log.render())
+    stats = DagmanStats.from_user_log(run.user_log)
     print(stats.report(config.name))
     if run.dead:
         print(f"DAGMan {config.name} failed again; rescue file: {run.rescue_file}")

@@ -3,7 +3,8 @@
 A :class:`DagDescription` is the static workflow structure DAGMan
 executes: named nodes, each bound to a :class:`~repro.condor.jobs.JobSpec`,
 plus PARENT/CHILD edges. Each node's parents and children are kept in
-insertion-ordered dicts, and one Kahn pass gives both the topological
+insertion-ordered dicts, and one Kahn pass (:func:`kahn_order`, shared
+with :class:`~repro.wf.schema.WfInstance`) gives both the topological
 order and the cycle check. The structure holds no reference back to
 itself, so a dropped DAG is freed by reference counting alone.
 
@@ -16,6 +17,7 @@ itself, so a dropped DAG is freed by reference counting alone.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +25,31 @@ from repro.errors import DagError
 from repro.condor.jobs import JobSpec
 from repro.condor.submit import SubmitDescription
 
-__all__ = ["DagNode", "DagDescription", "ScriptSpec"]
+__all__ = ["DagNode", "DagDescription", "ScriptSpec", "kahn_order"]
+
+
+def kahn_order(
+    parents: Mapping[str, Collection[str]], children: Mapping[str, Iterable[str]]
+) -> list[str]:
+    """Kahn's algorithm, first-in first-out.
+
+    ``parents`` and ``children`` map every node to its direct parents
+    and children. The roots come in ``parents``' key order, then every
+    node as soon as its last parent is placed, children in the order
+    ``children`` lists them: the generation-by-generation order of
+    ``networkx``'s ``topological_sort``, which rescue files were written
+    in. A node on or below a cycle is never placed, so the order is
+    shorter than ``parents`` exactly when the graph is cyclic.
+    """
+    in_degree = {n: len(p) for n, p in parents.items() if p}
+    order = [n for n, p in parents.items() if not p]
+    for name in order:  # grows while it is walked
+        for child in children[name]:
+            left = in_degree[child] - 1
+            in_degree[child] = left
+            if not left:
+                order.append(child)
+    return order
 
 
 @dataclass(frozen=True)
@@ -134,12 +160,12 @@ class DagDescription:
         self._nodes[name] = updated
         return updated
 
-    def add_edge(self, parent: str, child: str, check: bool = False) -> None:
+    def add_edge(self, parent: str, child: str) -> None:
         """Declare ``parent`` must complete before ``child`` starts.
 
-        Cycle detection per edge is O(V+E), so it is opt-in via
-        ``check=True``; :meth:`validate` always performs one full
-        acyclicity check before a DAG is executed.
+        Cycles are not checked per edge: :meth:`validate` checks the
+        whole DAG once, and every :class:`~repro.condor.dagman.DagmanEngine`
+        validates the DAG it runs.
         """
         for name in (parent, child):
             if name not in self._nodes:
@@ -148,10 +174,6 @@ class DagDescription:
             raise DagError(f"self-edge on {parent!r}")
         self._children[parent][child] = None
         self._parents[child][parent] = None
-        if check and self._kahn_order() is None:
-            del self._children[parent][child]
-            del self._parents[child][parent]
-            raise DagError(f"edge {parent!r} -> {child!r} would create a cycle")
 
     def add_edges(self, parents: list[str], children: list[str]) -> None:
         """All-to-all PARENT..CHILD edges (HTCondor's multi-name form)."""
@@ -184,6 +206,13 @@ class DagDescription:
         self.node(name)
         return sorted(self._parents[name])
 
+    def n_parents(self, name: str) -> int:
+        """Number of direct parents of a node."""
+        try:
+            return len(self._parents[name])
+        except KeyError:
+            raise DagError(f"unknown DAG node {name!r}") from None
+
     def children(self, name: str) -> list[str]:
         """Direct children of a node."""
         self.node(name)
@@ -193,36 +222,16 @@ class DagDescription:
         """Nodes with no parents (initially ready)."""
         return [n for n, parents in self._parents.items() if not parents]
 
-    def _kahn_order(self) -> list[str] | None:
-        """Kahn's algorithm, first-in first-out; ``None`` on a cycle.
-
-        The roots come in insertion order, then every node as soon as
-        its last parent is placed, children in edge insertion order:
-        the generation-by-generation order of ``networkx``'s
-        ``topological_sort``, which rescue files were written in.
-        """
-        in_degree = {n: len(p) for n, p in self._parents.items() if p}
-        order = self.roots()
-        for name in order:  # grows while it is walked
-            for child in self._children[name]:
-                left = in_degree[child] - 1
-                if left:
-                    in_degree[child] = left
-                else:
-                    del in_degree[child]
-                    order.append(child)
-        return None if in_degree else order
-
     def topological_order(self) -> list[str]:
-        """A topological ordering of node names.
+        """A topological ordering of node names (see :func:`kahn_order`).
 
         Raises
         ------
         DagError
             If the DAG contains a cycle.
         """
-        order = self._kahn_order()
-        if order is None:
+        order = kahn_order(self._parents, self._children)
+        if len(order) < len(self._nodes):
             raise DagError(
                 f"DAG {self.name!r} contains a cycle; no topological order exists"
             )
@@ -232,8 +241,7 @@ class DagDescription:
         """Raise :class:`DagError` if the DAG is empty or cyclic."""
         if not self._nodes:
             raise DagError(f"DAG {self.name!r} has no nodes")
-        if self._kahn_order() is None:
-            raise DagError(f"DAG {self.name!r} contains a cycle")
+        self.topological_order()
 
     # -- .dag file round-trip ---------------------------------------------------
 
@@ -290,10 +298,17 @@ class DagDescription:
                     raise DagError(f"{dag_path}:{lineno}: bad SCRIPT line {raw!r}")
                 scripts.append((parts[2], parts[1].upper(), " ".join(parts[3:])))
             elif keyword == "PARENT":
-                if "CHILD" not in [p.upper() for p in parts]:
+                upper = [p.upper() for p in parts]
+                if "CHILD" not in upper:
                     raise DagError(f"{dag_path}:{lineno}: PARENT without CHILD")
-                split = [p.upper() for p in parts].index("CHILD")
-                edges.append((parts[1:split], parts[split + 1 :]))
+                split = upper.index("CHILD")
+                parents, children = parts[1:split], parts[split + 1 :]
+                if not parents or not children:
+                    raise DagError(
+                        f"{dag_path}:{lineno}: PARENT line needs a parent and "
+                        f"a child, got {raw!r}"
+                    )
+                edges.append((parents, children))
             else:
                 raise DagError(f"{dag_path}:{lineno}: unknown keyword {keyword!r}")
         for parents, children in edges:

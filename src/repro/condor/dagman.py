@@ -67,7 +67,9 @@ class DagmanEngine:
     Parameters
     ----------
     dag:
-        The validated workflow structure.
+        The workflow structure. It is validated here, once: an empty or
+        cyclic DAG raises :class:`~repro.errors.DagError` before any
+        node is released.
     options:
         Throttling configuration.
     """
@@ -84,8 +86,10 @@ class DagmanEngine:
         self._ready_fifo: deque[str] = deque()
         self._n_done = 0
         self._n_failed = 0
-        for name in dag.topological_order():
-            n_parents = len(dag.parents(name))
+        # Roots enter the ready FIFO in insertion order, which is where
+        # the topological order puts them too.
+        for name in dag.node_names:
+            n_parents = dag.n_parents(name)
             self._remaining_parents[name] = n_parents
             self._retries_left[name] = dag.node(name).retries
             if n_parents == 0:

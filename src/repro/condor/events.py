@@ -3,10 +3,12 @@
 The paper's monitoring system works by parsing HTCondor log files with
 shell scripts "to extract information (e.g., runtime, wait times, and
 complete/failed job count) and compute job states and durations". We
-reproduce that pipeline in Python: the pool simulator writes an
-HTCondor-style user log and :func:`parse_user_log` recovers per-job
-timing records from the text alone — the statistics layer never peeks at
-simulator internals, so the monitoring path is honest.
+reproduce that pipeline in Python: the pool simulator records an
+HTCondor-style :class:`UserLog`, :meth:`UserLog.render` writes its text,
+and :func:`parse_user_log` recovers the events from the text alone.
+Inside one process the monitor skips the text: :meth:`UserLog.events`
+returns exactly what the parser would read back. Either way the
+statistics layer never peeks at simulator internals.
 
 The log format mirrors HTCondor's classic user log closely enough to be
 recognizable::
@@ -75,8 +77,13 @@ class JobEvent:
     return_value: int | None = None
 
 
+def _log_seconds(time_s: float) -> int:
+    """An event time as the log prints it: whole seconds."""
+    return int(round(time_s))
+
+
 def _format_timestamp(time_s: float) -> str:
-    total = int(round(time_s))
+    total = _log_seconds(time_s)
     days, rem = divmod(total, 86400)
     h, rem = divmod(rem, 3600)
     m, s = divmod(rem, 60)
@@ -94,17 +101,18 @@ _RETVAL_RE = re.compile(r"return value (?P<rv>-?\d+)")
 
 #: Event-code strings precomputed per type (render-time lookup).
 _CODES = {etype: f"{etype.value:03d}" for etype in JobEventType}
+#: Event types whose log line names a host.
+_HOSTED = frozenset(t for t, desc in _DESCRIPTIONS.items() if "{host}" in desc)
 
 
 class UserLog:
-    """Writer producing HTCondor-style user-log text.
+    """Recorder of HTCondor-style user-log events, and writer of their text.
 
-    Events are stored columnar as plain tuples; text is formatted
-    lazily in :meth:`render`. At million-job scale the simulator records
-    ~3 events per job on its hot path, so deferring the string work
-    (and the per-event timestamp arithmetic) to the one consumer that
-    actually reads the log keeps ``record`` to a tuple append. The
-    rendered text is byte-identical to the eager writer's.
+    Events are stored as plain tuples; text is formatted only when a
+    caller asks for it (:meth:`render`, :meth:`write`). At million-job
+    scale the simulator records ~3 events per job on its hot path, so
+    ``record`` stays a tuple append, and in-process monitoring reads
+    :meth:`events` without formatting any text.
     """
 
     def __init__(self) -> None:
@@ -125,6 +133,31 @@ class UserLog:
         if time_s < 0:
             raise LogParseError(f"negative event time {time_s}")
         self._events.append((event_type, cluster_id, time_s, host, return_value))
+
+    def events(self) -> list[JobEvent]:
+        """The recorded events exactly as :func:`parse_user_log` reads
+        them back from :meth:`render`.
+
+        Times are whole seconds, a host survives only where the log
+        prints one (SUBMIT and EXECUTE), and a TERMINATED return value
+        of ``None`` reads as 0 (every other event's as ``None``).
+        """
+        events: list[JobEvent] = []
+        for event_type, cluster_id, time_s, host, return_value in self._events:
+            if event_type is JobEventType.TERMINATED:
+                return_value = 0 if return_value is None else return_value
+            else:
+                return_value = None
+            events.append(
+                JobEvent(
+                    event_type,
+                    cluster_id,
+                    float(_log_seconds(time_s)),
+                    host if event_type in _HOSTED else "",
+                    return_value,
+                )
+            )
+        return events
 
     def render(self) -> str:
         """Full log text."""

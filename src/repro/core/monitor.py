@@ -4,9 +4,12 @@ The paper built "a system to monitor the progress of running and
 completed DAGMans ... Shell scripts parse HTCondor log files to extract
 information (e.g., runtime, wait times, and complete/failed job count)
 and compute job states and durations". :class:`DagmanStats` is that
-system: it consumes only the *log text* (never simulator internals), so
-the statistics path is exactly the paper's — and the tests cross-check
-it against the simulator's own records.
+system. It reads only log events, never simulator internals: the events
+a :class:`~repro.condor.events.UserLog` recorded
+(:meth:`DagmanStats.from_user_log`), or the text at the file boundary
+(:meth:`DagmanStats.from_log_text`, :meth:`DagmanStats.from_log_file`),
+the paper's path for real log files. Both build the same statistics,
+and the tests cross-check them against the simulator's own records.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import LogParseError
-from repro.condor.events import JobEventType, parse_user_log
+from repro.condor.events import JobEvent, JobEventType, UserLog, parse_user_log
 from repro.units import jobs_per_minute
 
 __all__ = ["JobTiming", "DagmanStats"]
@@ -53,7 +56,7 @@ class JobTiming:
 
     @property
     def wait_s(self) -> float | None:
-        """Queue wait (first execute - submit)."""
+        """Queue wait (last execute - submit)."""
         if self.start_time is None:
             return None
         return self.start_time - self.submit_time
@@ -73,14 +76,28 @@ class DagmanStats:
     jobs: dict[int, JobTiming] = field(default_factory=dict)
 
     @classmethod
+    def from_user_log(cls, log: UserLog) -> "DagmanStats":
+        """Statistics from a recorded log, without rendering its text.
+
+        Equal to ``from_log_text(log.render())``: the events are read
+        exactly as the text parser would read them back
+        (:meth:`~repro.condor.events.UserLog.events`).
+        """
+        return cls._from_events(log.events(), source="<user log>")
+
+    @classmethod
     def from_log_text(cls, text: str, source: str = "<string>") -> "DagmanStats":
-        """Parse a user log and reconstruct per-job timings.
+        """Parse user-log text and reconstruct per-job timings."""
+        return cls._from_events(parse_user_log(text, source=source), source)
+
+    @classmethod
+    def _from_events(cls, events: list[JobEvent], source: str) -> "DagmanStats":
+        """Reconstruct per-job timings from log events.
 
         The *last* EXECUTE before termination defines the execution
         interval (earlier ones were evicted attempts), matching how the
         paper's scripts compute durations.
         """
-        events = parse_user_log(text, source=source)
         submit: dict[int, float] = {}
         last_exec: dict[int, float] = {}
         term: dict[int, tuple[float, int | None]] = {}

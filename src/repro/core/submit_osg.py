@@ -4,8 +4,9 @@
 takes one or more FDW configurations (one per concurrent DAGMan),
 submits them to a fresh :class:`~repro.osg.pool.OSPoolSimulator`, runs
 to completion, and returns the metrics plus per-DAGMan summaries and the
-HTCondor-style user logs. It builds the DAGs and runs the pool with the
-cyclic collector paused (:mod:`repro.gcpause`).
+HTCondor-style user logs, as recorded :class:`~repro.condor.events.UserLog`
+objects (``render()`` gives the text). It builds the DAGs and runs the
+pool with the cyclic collector paused (:mod:`repro.gcpause`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from repro.errors import SimulationError
 from repro.condor.dagman import DagmanOptions
+from repro.condor.events import UserLog
 from repro.core.config import FdwConfig
 from repro.core.workflow import build_fdw_dag
 from repro.gcpause import collector_paused
@@ -31,7 +33,7 @@ class FdwBatchResult:
     """Outcome of one pool run of one or more concurrent DAGMans."""
 
     metrics: PoolMetrics
-    user_logs: dict[str, str] = field(repr=False, default_factory=dict)
+    user_logs: dict[str, UserLog] = field(repr=False, default_factory=dict)
     #: Rescue files written for DAGMans that failed terminally (only
     #: populated when the batch ran with a ``rescue_dir``).
     rescue_files: dict[str, Path] = field(default_factory=dict)
@@ -122,7 +124,7 @@ def run_fdw_batch(
             at_time=i * stagger_s,
         )
     metrics = pool.run()
-    logs = {name: run.user_log.render() for name, run in pool.dagman_runs.items()}
+    logs = {name: run.user_log for name, run in pool.dagman_runs.items()}
     rescues = {
         name: run.rescue_file
         for name, run in pool.dagman_runs.items()

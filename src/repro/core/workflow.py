@@ -50,6 +50,4 @@ def build_fdw_dag(config: FdwConfig, plan: PhasePlan | None = None) -> DagDescri
     for spec in plan.c_jobs:
         dag.add_job(spec.name, spec, retries=config.retries)
         dag.add_edge(plan.b_job.name, spec.name)
-
-    dag.validate()
     return dag

@@ -341,32 +341,3 @@ class RuptureGenerator:
             },
         )
         return rupture
-
-    def generate_many(
-        self,
-        count: int,
-        rng: np.random.Generator,
-        prefix: str = "rupture",
-        start_index: int = 0,
-    ) -> list[Rupture]:
-        """Generate ``count`` ruptures with sequential catalog ids.
-
-        This is the Phase-A kernel: an FDW A-phase job calls this with
-        its chunk size and chunk-specific RNG.
-
-        .. note::
-           Because every rupture advances the *single* sequential
-           ``rng``, this method is intentionally **not**
-           partition-invariant: generating [0, k) and [k, n) with two
-           calls does not reproduce one [0, n) call unless the caller
-           re-keys the second stream. Catalog-level partition invariance
-           lives one layer up in
-           :meth:`repro.seismo.fakequakes.FakeQuakes.phase_a_ruptures`,
-           which derives an independent RNG per catalog index.
-        """
-        if count < 0:
-            raise RuptureError(f"count must be >= 0, got {count}")
-        return [
-            self.generate(rng, rupture_id=f"{prefix}.{start_index + i:06d}")
-            for i in range(count)
-        ]

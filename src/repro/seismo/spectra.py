@@ -23,7 +23,6 @@ import scipy.linalg
 import scipy.special
 
 from repro.errors import RuptureError
-from repro.seismo.distance import DistanceMatrices
 
 __all__ = ["von_karman_correlation", "KarhunenLoeveBasis"]
 
@@ -46,7 +45,8 @@ def von_karman_correlation(
     Parameters
     ----------
     d_strike, d_dip:
-        (n, n) separation matrices in km (see :class:`DistanceMatrices`).
+        (n, n) separation matrices in km (see
+        :class:`~repro.seismo.distance.DistanceMatrices`).
     corr_len_strike_km, corr_len_dip_km:
         Correlation lengths in km; must be positive.
     hurst:
@@ -156,25 +156,6 @@ class KarhunenLoeveBasis:
         vals = np.clip(vals[::-1], 0.0, None)
         vecs = np.ascontiguousarray(vecs[:, ::-1])
         return cls(eigenvalues=vals, eigenvectors=vecs)
-
-    @classmethod
-    def from_distances(
-        cls,
-        distances: DistanceMatrices,
-        corr_len_strike_km: float,
-        corr_len_dip_km: float,
-        hurst: float = 0.75,
-        n_modes: int | None = None,
-    ) -> "KarhunenLoeveBasis":
-        """Convenience: correlation matrix + decomposition in one step."""
-        corr = von_karman_correlation(
-            distances.along_strike,
-            distances.down_dip,
-            corr_len_strike_km,
-            corr_len_dip_km,
-            hurst,
-        )
-        return cls.from_correlation(corr, n_modes=n_modes)
 
     def restricted(self, indices: np.ndarray) -> "KarhunenLoeveBasis":
         """Basis restricted to a subset of points (a rupture patch).

@@ -380,18 +380,6 @@ class WaveformSynthesizer:
         """
         return self.synthesize_batch([rupture], rngs=rng)[0]
 
-    def synthesize_many(
-        self,
-        ruptures: list[Rupture],
-        rng: np.random.Generator | None = None,
-    ) -> list[WaveformSet]:
-        """Synthesize waveform sets for a chunk of ruptures (a C-phase job).
-
-        Delegates to :meth:`synthesize_batch`, which produces bitwise
-        the same products as calling :meth:`synthesize` in a loop.
-        """
-        return self.synthesize_batch(ruptures, rngs=rng)
-
     def synthesize_batch(
         self,
         ruptures: list[Rupture],

@@ -100,9 +100,7 @@ class PoolRunner:
             capacity=self.capacity,  # type: ignore[arg-type]
             seed=seed,
         )
-        stats = DagmanStats.from_log_text(
-            result.user_logs[config.name], source=config.name
-        )
+        stats = DagmanStats.from_user_log(result.user_logs[config.name])
         summary = result.metrics.dagmans[config.name]
         return RunnerOutcome(
             backend=self.name,

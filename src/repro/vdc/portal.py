@@ -113,8 +113,7 @@ class Portal:
             capacity=self.capacity,
             seed=seed,
         )
-        log_text = result.user_logs[config.name]
-        stats = DagmanStats.from_log_text(log_text, source=run_id)
+        stats = DagmanStats.from_user_log(result.user_logs[config.name])
 
         run = PortalRun(
             run_id=run_id,

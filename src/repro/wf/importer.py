@@ -77,13 +77,13 @@ def _task_payload(task) -> JobPayload | None:
 def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     """Translate an instance (or a WfFormat JSON path) for the pool.
 
+    The DAG is not validated here: the instance already rejected
+    cycles, and the engine that runs the DAG validates it.
+
     Raises
     ------
     WfFormatError
         On a malformed document (via :func:`repro.wf.schema.load_instance`).
-    DagError
-        If the edge structure is not a DAG (defence in depth; the
-        schema already rejects cycles).
     """
     instance = (
         source if isinstance(source, WfInstance) else load_instance(source)
@@ -109,7 +109,6 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     for task in instance.tasks:
         for parent in sorted(task.parents):
             dag.add_edge(parent, task.name)
-    dag.validate()
     return ImportedWorkflow(
         instance=instance, dag=dag, runtimes=runtimes, files_mb=files_mb
     )

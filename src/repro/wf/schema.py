@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.condor.dagfile import kahn_order
 from repro.errors import WfFormatError
 
 __all__ = [
@@ -215,26 +216,20 @@ class WfInstance:
                         f"asymmetric edge: {task.name!r} lists child {child!r} "
                         f"but {child!r} does not list it as a parent"
                     )
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        """Kahn's algorithm; raises on a cycle (schema-level, no networkx)."""
-        in_deg = {t.name: len(t.parents) for t in self.tasks}
-        queue = [n for n, d in in_deg.items() if d == 0]
-        seen = 0
-        by_name = {t.name: t for t in self.tasks}
-        while queue:
-            name = queue.pop()
-            seen += 1
-            for child in by_name[name].children:
-                in_deg[child] -= 1
-                if in_deg[child] == 0:
-                    queue.append(child)
-        if seen != len(self.tasks):
-            stuck = sorted(n for n, d in in_deg.items() if d > 0)
+        order = self._topological_order()
+        if len(order) < len(self.tasks):
+            stuck = sorted(by_name.keys() - set(order))
             raise WfFormatError(
                 f"instance {self.name!r} contains a cycle (involving {stuck[:5]})"
             )
+
+    def _topological_order(self) -> list[str]:
+        """Task names in Kahn order (:func:`~repro.condor.dagfile.kahn_order`),
+        shorter than ``tasks`` exactly when the edges contain a cycle."""
+        return kahn_order(
+            {t.name: t.parents for t in self.tasks},
+            {t.name: t.children for t in self.tasks},
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -261,18 +256,11 @@ class WfInstance:
     def levels(self) -> dict[str, int]:
         """Longest-path depth of every task (roots are level 0)."""
         by_name = {t.name: t for t in self.tasks}
-        level: dict[str, int] = {}
-        in_deg = {t.name: len(t.parents) for t in self.tasks}
-        queue = [n for n, d in in_deg.items() if d == 0]
-        for name in queue:
-            level[name] = 0
-        while queue:
-            name = queue.pop()
+        level = dict.fromkeys(by_name, 0)
+        for name in self._topological_order():
+            below = level[name] + 1
             for child in by_name[name].children:
-                level[child] = max(level.get(child, 0), level[name] + 1)
-                in_deg[child] -= 1
-                if in_deg[child] == 0:
-                    queue.append(child)
+                level[child] = max(level[child], below)
         return level
 
 

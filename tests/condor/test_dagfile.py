@@ -58,17 +58,6 @@ def test_self_edge_rejected():
         dag.add_edge("x", "x")
 
 
-def test_cycle_detected_with_check():
-    dag = DagDescription()
-    dag.add_job("a", spec("a"))
-    dag.add_job("b", spec("b"))
-    dag.add_edge("a", "b")
-    with pytest.raises(DagError):
-        dag.add_edge("b", "a", check=True)
-    # The offending edge was rolled back.
-    dag.validate()
-
-
 def test_cycle_detected_by_validate():
     dag = DagDescription()
     dag.add_job("a", spec("a"))
@@ -137,6 +126,18 @@ def test_read_parent_without_child(tmp_path):
     (tmp_path / "a.sub").write_text("executable = x\nqueue\n")
     path.write_text("JOB a a.sub\nPARENT a\n")
     with pytest.raises(DagError):
+        DagDescription.read(path)
+
+
+@pytest.mark.parametrize("edge_line", ["PARENT a CHILD", "PARENT CHILD b"])
+def test_read_parent_line_missing_a_side(tmp_path, edge_line):
+    """An edge line without parents or without children is an error, not
+    a silently dropped edge that would let ``b`` start before ``a``."""
+    for n in ("a", "b"):
+        (tmp_path / f"{n}.sub").write_text("executable = x\nqueue\n")
+    path = tmp_path / "bad.dag"
+    path.write_text(f"JOB a a.sub\nJOB b b.sub\n{edge_line}\n")
+    with pytest.raises(DagError, match=rf"bad\.dag:3: PARENT line"):
         DagDescription.read(path)
 
 

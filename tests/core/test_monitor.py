@@ -1,11 +1,20 @@
 """Tests for repro.core.monitor — log-derived statistics."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.condor.events import JobEventType, UserLog
+from repro.condor.events import JobEventType, UserLog, parse_user_log
+from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
+from repro.core.submit_osg import run_fdw_batch
 from repro.errors import LogParseError
+from repro.osg.capacity import FixedCapacity
+from repro.service.runner import PoolRunner
+from repro.vdc.portal import Portal
 
 
 def build_log():
@@ -144,7 +153,7 @@ def test_missing_log_file(tmp_path):
 def test_log_derived_stats_match_simulator(tiny_batch_result, tiny_fdw_config):
     """The monitoring path (text only) agrees with the recorder."""
     name = tiny_fdw_config.name
-    stats = DagmanStats.from_log_text(tiny_batch_result.user_logs[name])
+    stats = DagmanStats.from_log_text(tiny_batch_result.user_logs[name].render())
     summary = tiny_batch_result.metrics.dagmans[name]
     assert stats.n_completed == sum(
         1 for r in tiny_batch_result.metrics.for_dagman(name) if r.success
@@ -153,3 +162,60 @@ def test_log_derived_stats_match_simulator(tiny_batch_result, tiny_fdw_config):
     assert stats.total_throughput_jpm() == pytest.approx(
         summary.throughput_jpm, rel=0.02
     )
+
+
+# The pool writes hosts ``schedd-<dagman name>`` and ``slot-<n>``.
+_HOSTS = st.text(alphabet=string.ascii_letters + string.digits + "_.-", max_size=16)
+_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
+    st.integers(min_value=0, max_value=10**6).map(lambda s: s + 0.5),  # ties
+)
+_RETURN_VALUES = st.one_of(st.none(), st.just(0), st.integers(-128, 255))
+_CLUSTERS = st.one_of(
+    st.integers(min_value=0, max_value=99), st.integers(min_value=10_000, max_value=10**7)
+)
+
+
+@st.composite
+def user_logs(draw):
+    """Random logs: each job submits, then records any events at all
+    (a second SUBMIT included), with a host and a return value on each."""
+    log = UserLog()
+    for cluster in draw(st.lists(_CLUSTERS, unique=True, max_size=8)):
+        log.record(JobEventType.SUBMIT, cluster, draw(_TIMES), host=draw(_HOSTS))
+        events = st.tuples(st.sampled_from(JobEventType), _TIMES, _HOSTS, _RETURN_VALUES)
+        for event_type, time_s, host, return_value in draw(st.lists(events, max_size=8)):
+            log.record(event_type, cluster, time_s, host=host, return_value=return_value)
+    return log
+
+
+@given(user_logs())
+@settings(max_examples=200, deadline=None)
+def test_recorded_events_read_like_the_rendered_text(log):
+    """In-process monitoring sees exactly what the text path would."""
+    text = log.render()
+    assert log.events() == parse_user_log(text)
+    try:
+        expected = DagmanStats.from_log_text(text)
+    except LogParseError:
+        with pytest.raises(LogParseError, match="duplicate submit"):
+            DagmanStats.from_user_log(log)
+    else:
+        assert DagmanStats.from_user_log(log) == expected
+
+
+def test_pool_runs_render_no_log_text(monkeypatch):
+    """Text exists only where a caller asks for it: `run_fdw_batch`,
+    the portal and the pool backend read the recorded events."""
+
+    def render(self):
+        raise AssertionError("UserLog.render called")
+
+    monkeypatch.setattr(UserLog, "render", render)
+    config = FdwConfig(n_waveforms=16, n_stations=3, mesh=(8, 5), name="quiet")
+    result = run_fdw_batch(config, capacity=FixedCapacity(6), seed=3)
+    assert len(result.user_logs["quiet"]) > 0
+    run = Portal(capacity=FixedCapacity(6)).launch(config, seed=3)
+    assert run.stats.n_completed == result.metrics.dagmans["quiet"].n_jobs
+    outcome = PoolRunner(capacity=FixedCapacity(6)).execute(config, seed=3)
+    assert outcome.n_jobs == run.stats.n_jobs

@@ -16,7 +16,7 @@ def test_single_dagman_result(tiny_batch_result, tiny_fdw_config):
     assert tiny_batch_result.runtime_s(name) > 0
     assert tiny_batch_result.throughput_jpm(name) > 0
     assert name in tiny_batch_result.user_logs
-    assert "000 (" in tiny_batch_result.user_logs[name]
+    assert "000 (" in tiny_batch_result.user_logs[name].render()
 
 
 def test_job_count_matches_plan(tiny_batch_result, tiny_fdw_config):
@@ -71,4 +71,4 @@ def test_deterministic_given_seed():
     a = run_fdw_batch(config, capacity=FixedCapacity(8), seed=5)
     b = run_fdw_batch(config, capacity=FixedCapacity(8), seed=5)
     assert a.runtime_s("det") == b.runtime_s("det")
-    assert a.user_logs["det"] == b.user_logs["det"]
+    assert a.user_logs["det"].render() == b.user_logs["det"].render()

@@ -9,7 +9,7 @@ from repro.condor.jobs import JobPayload, JobSpec
 from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
 from repro.core.workflow import build_fdw_dag
-from repro.errors import SimulationError
+from repro.errors import DagError, SimulationError
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.osg.runtimes import RuntimeModel
@@ -239,3 +239,42 @@ def test_stagger_delays_second_dagman():
     assert metrics.dagmans["y"].submit_time == 300.0
     first_y_submit = min(r.submit_time for r in metrics.for_dagman("y"))
     assert first_y_submit >= 300.0
+
+
+def test_one_kahn_pass_per_pool_submission(monkeypatch):
+    """`build_fdw_dag` and `import_instance` leave validation to the
+    engine, so one Kahn pass runs between making a DAG (an FDW workflow
+    or a WfFormat import) and running it to the end."""
+    from repro.condor import dagfile
+    from repro.wf.export import instance_from_dag
+    from repro.wf.importer import import_instance
+
+    config = FdwConfig(n_waveforms=16, n_stations=3, mesh=(8, 5), name="once")
+    dag = build_fdw_dag(config)
+    instance = instance_from_dag(dag, dict.fromkeys(dag.node_names, 60.0))
+    calls = []
+    kahn_order = dagfile.kahn_order
+
+    def counted(parents, children):
+        calls.append(len(parents))
+        return kahn_order(parents, children)
+
+    monkeypatch.setattr(dagfile, "kahn_order", counted)
+    for build in (lambda: build_fdw_dag(config), lambda: import_instance(instance).dag):
+        calls.clear()
+        dag = build()
+        pool = quiet_pool(slots=8)
+        pool.submit_dagman(dag)
+        pool.run()
+        assert calls == [len(dag)]
+
+
+def test_cyclic_dag_rejected_before_any_submission():
+    dag = tiny_dag(n_jobs=3)
+    dag.add_edge("t_0", "t_1")
+    dag.add_edge("t_1", "t_2")
+    dag.add_edge("t_2", "t_0")
+    pool = quiet_pool()
+    with pytest.raises(DagError, match="cycle"):
+        pool.submit_dagman(dag)
+    assert pool.dagman_runs == {}

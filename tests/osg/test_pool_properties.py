@@ -91,7 +91,7 @@ def test_capacity_is_never_exceeded(seed):
 def test_log_and_recorder_agree_for_random_runs(seed):
     config = FdwConfig(n_waveforms=16, n_stations=3, mesh=(8, 5), name="prop")
     result = run_fdw_batch(config, capacity=FixedCapacity(6), seed=seed)
-    stats = DagmanStats.from_log_text(result.user_logs["prop"])
+    stats = DagmanStats.from_log_text(result.user_logs["prop"].render())
     summary = result.metrics.dagmans["prop"]
     assert stats.runtime_s() == pytest.approx(summary.runtime_s, abs=2.0)
     n_success = sum(1 for r in result.metrics.for_dagman("prop") if r.success)

@@ -91,33 +91,9 @@ def test_patch_is_contiguous_window(rupture_generator, small_geometry):
 
 def test_generate_many_sequential_ids(rupture_generator):
     rng = np.random.default_rng(3)
-    ruptures = rupture_generator.generate_many(3, rng, prefix="cat", start_index=5)
-    assert [r.rupture_id for r in ruptures] == ["cat.000005", "cat.000006", "cat.000007"]
-
-
-def test_generate_many_negative_count(rupture_generator):
-    with pytest.raises(RuptureError):
-        rupture_generator.generate_many(-1, np.random.default_rng(0))
-
-
-def test_generate_many_is_not_partition_invariant(rupture_generator):
-    """Documented behaviour: a single sequential rng advances across
-    ruptures, so [0, k) + [k, n) with one stream each does *not*
-    reproduce one [0, n) call. Catalog-level invariance requires the
-    per-index RNG keying of ``FakeQuakes.phase_a_ruptures``."""
-    whole = rupture_generator.generate_many(4, np.random.default_rng(42))
-    split = rupture_generator.generate_many(
-        2, np.random.default_rng(42)
-    ) + rupture_generator.generate_many(
-        2, np.random.default_rng(42), start_index=2
-    )
-    # The first chunk matches (same stream, same draws)...
-    np.testing.assert_array_equal(split[0].slip_m, whole[0].slip_m)
-    # ...but the second chunk restarts the stream and diverges.
-    assert any(
-        a.slip_m.shape != b.slip_m.shape or not np.array_equal(a.slip_m, b.slip_m)
-        for a, b in zip(split[2:], whole[2:])
-    )
+    ids = ["cat.000005", "cat.000006", "cat.000007"]
+    ruptures = [rupture_generator.generate(rng, rupture_id=rid) for rid in ids]
+    assert [r.rupture_id for r in ruptures] == ids
 
 
 def test_mismatched_distance_matrices_rejected(small_geometry):

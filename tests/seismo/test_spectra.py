@@ -10,6 +10,14 @@ from repro.seismo.spectra import KarhunenLoeveBasis, von_karman_correlation
 from tests.oracles.von_karman_dense import dense_von_karman_correlation
 
 
+def _kl_basis(distances, corr_len_strike_km, corr_len_dip_km, n_modes=None):
+    """The von Karman correlation of a mesh and its K-L decomposition."""
+    c = von_karman_correlation(
+        distances.along_strike, distances.down_dip, corr_len_strike_km, corr_len_dip_km
+    )
+    return KarhunenLoeveBasis.from_correlation(c, n_modes=n_modes)
+
+
 def _grid_distances(n=6, spacing=10.0):
     x = np.arange(n) * spacing
     d = np.abs(x[:, None] - x[None, :])
@@ -102,7 +110,7 @@ def test_unique_lag_default_on_irregular_lags():
 
 
 def test_kl_eigenvalues_descending_nonnegative(small_distances):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=10)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=10)
     vals = basis.eigenvalues
     assert vals.shape == (10,)
     assert np.all(vals >= 0)
@@ -131,7 +139,7 @@ def test_kl_truncation_keeps_dominant_energy(small_distances):
 
 
 def test_kl_sample_statistics(small_distances):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0)
+    basis = _kl_basis(small_distances, 50.0, 30.0)
     rng = np.random.default_rng(1)
     fields = np.array([basis.sample(rng) for _ in range(300)])
     # Zero mean, variance near the diagonal of C (== 1).
@@ -140,7 +148,7 @@ def test_kl_sample_statistics(small_distances):
 
 
 def test_kl_sample_spatially_correlated(small_distances, small_geometry):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 120.0, 60.0)
+    basis = _kl_basis(small_distances, 120.0, 60.0)
     rng = np.random.default_rng(2)
     fields = np.array([basis.sample(rng) for _ in range(400)])
     # Adjacent subfaults (0 and 1) should correlate far more than
@@ -152,7 +160,7 @@ def test_kl_sample_spatially_correlated(small_distances, small_geometry):
 
 
 def test_kl_restricted_basis(small_distances):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=8)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
     sub = basis.restricted(np.array([0, 3, 7]))
     assert sub.n_points == 3
     assert sub.n_modes == 8
@@ -163,7 +171,7 @@ def test_kl_restricted_basis(small_distances):
 def test_kl_restricted_preserves_eigenvalues_and_rows(small_distances):
     """Restriction keeps the global eigenvalues and picks exactly the
     requested eigenvector rows (reading the global field on the patch)."""
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=8)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
     idx = np.array([5, 1, 9, 1])  # order and repeats must be honoured
     sub = basis.restricted(idx)
     np.testing.assert_array_equal(sub.eigenvalues, basis.eigenvalues)
@@ -173,7 +181,7 @@ def test_kl_restricted_preserves_eigenvalues_and_rows(small_distances):
 def test_kl_restricted_sample_reads_global_field(small_distances):
     """Sampling the restricted basis equals drawing the global field
     with the same stream and reading it on the patch."""
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=8)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
     idx = np.array([0, 3, 7])
     global_field = basis.sample(np.random.default_rng(11))
     patch_field = basis.restricted(idx).sample(np.random.default_rng(11))
@@ -181,13 +189,13 @@ def test_kl_restricted_sample_reads_global_field(small_distances):
 
 
 def test_kl_restricted_empty_raises(small_distances):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=4)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=4)
     with pytest.raises(RuptureError):
         basis.restricted(np.array([], dtype=int))
 
 
 def test_kl_sample_sigma_zero_is_zero(small_distances):
-    basis = KarhunenLoeveBasis.from_distances(small_distances, 50.0, 30.0, n_modes=4)
+    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=4)
     field = basis.sample(np.random.default_rng(0), sigma=0.0)
     np.testing.assert_allclose(field, 0.0)
 

@@ -99,9 +99,11 @@ def test_noise_model_validation():
 
 def test_synthesize_many(small_gf_bank, rupture_generator):
     rng = np.random.default_rng(1)
-    ruptures = rupture_generator.generate_many(3, rng)
+    ruptures = [
+        rupture_generator.generate(rng, rupture_id=f"rupture.{i:06d}") for i in range(3)
+    ]
     synth = WaveformSynthesizer(small_gf_bank)
-    sets = synth.synthesize_many(ruptures)
+    sets = synth.synthesize_batch(ruptures)
     assert len(sets) == 3
     assert {ws.rupture_id for ws in sets} == {r.rupture_id for r in ruptures}
 

@@ -107,4 +107,6 @@ def test_same_seed_same_products_under_transfer_faults():
     assert fa.n_slow == fb.n_slow
     assert a.batch_makespan_s() == b.batch_makespan_s()
     assert a.runtime_s("det") == b.runtime_s("det")
-    assert a.user_logs == b.user_logs
+    assert {n: log.render() for n, log in a.user_logs.items()} == {
+        n: log.render() for n, log in b.user_logs.items()
+    }

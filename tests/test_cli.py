@@ -118,6 +118,27 @@ def test_wf_replay_trace_csvs_pinned(tmp_path):
     }
 
 
+def test_figures_csvs_pinned(tmp_path):
+    """`repro figures` output, byte for byte, at a small scale: the CSVs
+    hold the paper-figure numbers, so no refactor of the pool, the
+    monitor or the DAG substrate may move them."""
+    out_dir = tmp_path / "figures"
+    assert main(["figures", "-o", str(out_dir), "--scale", "0.01"]) == 0
+    assert _sha256s(out_dir) == {
+        "fig2_quantities.csv": "2e4913cd9ef1e33f33f70280c41c5d22194f9fb7a036d9d6ee4d1888b8e474be",
+        "fig3_concurrent_dagmans.csv": "f868be4c09fc333d200648264b78461727e31f16cd6b959e6ae33b8bffee7ccf",
+        "fig4_k1_exec_sorted_s.csv": "a083cfaf13bc5f6ab84947699d41e4ef1c5c5b6431ba5ed4a01cd4183013b915",
+        "fig4_k1_instant_throughput_jpm.csv": "ceff3434231ee0556268f015cd41067912d2ed9f8052e66c5667a5e1b4ba7a36",
+        "fig4_k1_running_jobs.csv": "7b80df4044f2c31aa52fa3e312b2fe24764e14681aa12ccc7a6382b248bad517",
+        "fig4_k1_wait_sorted_s.csv": "e73657cecb2c268efca1379569c26129e96d7138ea7931a15e1b6bb61872960b",
+        "fig4_k4_exec_sorted_s.csv": "d91e98dee9aa1e73ce0097068dc1bba9152cf0a83bb2c1e08d39abc8858d8db1",
+        "fig4_k4_instant_throughput_jpm.csv": "5da81a7f4dbc66579f11d4408212fdabdf3b0288b0870c37c2ab97b6734598bd",
+        "fig4_k4_running_jobs.csv": "4bd55865f85240b99c9bd8d0844f2192004c9955eb8258169b968aaafecb6c68",
+        "fig4_k4_wait_sorted_s.csv": "6271c04cb1e59ab07b9e5326eea314617415357f02e52f0592e6f86010f6deab",
+        "fig5_bursting.csv": "be83afaccb3c1a482e4e0720599e29ebdad28e09b21be6406968f7a7403295f8",
+    }
+
+
 def test_burst_malformed_job_count_is_an_error(tmp_path, capsys):
     """A batch header whose n_jobs is not an integer is a trace error
     naming the file, not a traceback."""

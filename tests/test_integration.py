@@ -26,7 +26,7 @@ from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
 class TestFdwToMonitoring:
     def test_log_pipeline_matches_recorder(self, tiny_batch_result, tiny_fdw_config):
         name = tiny_fdw_config.name
-        stats = DagmanStats.from_log_text(tiny_batch_result.user_logs[name])
+        stats = DagmanStats.from_log_text(tiny_batch_result.user_logs[name].render())
         summary = tiny_batch_result.metrics.dagmans[name]
         assert stats.n_completed + stats.n_failed == len(
             tiny_batch_result.metrics.for_dagman(name)

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WfFormatError
 from repro.wf import (
@@ -117,6 +119,36 @@ class TestQueries:
         assert inst.task("d").parents == ("b", "c")
         with pytest.raises(WfFormatError, match="unknown task"):
             inst.task("nope")
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_levels_are_networkx_longest_path_depths(self, data):
+        """``levels()`` is each task's longest-path depth from a root, for
+        random DAGs whose tasks and edges come in any order. WfChef-style
+        generation types tasks by (level, category), so it must be exact."""
+        import networkx as nx
+
+        n = data.draw(st.integers(min_value=1, max_value=14))
+        pairs = [(i, j) for j in range(1, n) for i in range(j) if data.draw(st.booleans())]
+        edges = [(f"t{i}", f"t{j}") for i, j in data.draw(st.permutations(pairs))]
+        names = [f"t{k}" for k in data.draw(st.permutations(range(n)))]
+        tasks = tuple(
+            _task(
+                name,
+                parents=[p for p, c in edges if c == name],
+                children=[c for p, c in edges if p == name],
+            )
+            for name in names
+        )
+        graph = nx.DiGraph()
+        graph.add_nodes_from(names)
+        graph.add_edges_from(edges)
+        # Every ancestor of v reaches v, so a longest path among them ends at v.
+        expected = {
+            v: nx.dag_longest_path_length(graph.subgraph(nx.ancestors(graph, v) | {v}))
+            for v in names
+        }
+        assert WfInstance(name="w", tasks=tasks).levels() == expected
 
     def test_size_mb_is_exact(self):
         f = WfFile(name="f", size_bytes=13.25 * 1048576.0)

@@ -18,7 +18,11 @@ Both arms record jobs/sec and peak RSS in the pytest-benchmark
 arms also publish ``gc_collections``: the cyclic-collector passes that
 start inside the timed ``replay_instance`` call, counted by a
 ``gc.callbacks`` probe. ``replay_instance`` runs with the collector
-paused, so CI requires 0 for the 100k arm. The >=20x
+paused, so CI requires 0 for the 100k arm. The million-task arm
+publishes ``records_sha256``, the digest ``benchmarks/e2e/workloads.py``
+takes of pool-replay's records: its replay refills the pool's
+block-drawn RNG streams hundreds of times and runs the runtime formula
+for every job, so CI pins the digest at its smoke scale. The >=20x
 speedup acceptance gate is asserted only at full scale
 (``FDW_BENCH_SCALE=1``): at smoke scale the concurrent level width —
 and with it the reference engine's quadratic term — shrinks linearly,
@@ -40,6 +44,7 @@ the two produce the same matches, and the scalar arm publishes
 from __future__ import annotations
 
 import gc
+import hashlib
 import resource
 import time
 from functools import partial
@@ -101,6 +106,17 @@ def imported_100k(fdw64):
 @pytest.fixture(scope="module")
 def imported_1m(fdw64):
     return import_instance(generate_instance(fdw64, N_1M, seed=2))
+
+
+def records_digest(records) -> str:
+    """sha256 of the job records, as ``benchmarks/e2e/workloads.py``
+    digests pool-replay's."""
+    digest = hashlib.sha256()
+    for r in sorted(records, key=lambda r: (r.node_name, r.cluster_id)):
+        digest.update(
+            f"{r.node_name}|{r.cluster_id}|{r.start_time!r}|{r.end_time!r}|{r.success}\n".encode()
+        )
+    return digest.hexdigest()
 
 
 def counting_collections(fn, *args, **kwargs):
@@ -193,10 +209,11 @@ def test_100k_trace_vector_engine(benchmark, imported_100k):
 @pytest.mark.benchmark(group="bench-des-scale")
 def test_million_model_vector_engine(benchmark, imported_1m):
     """A million model-mode jobs through the pool engine."""
-    run_arm(
+    result = run_arm(
         benchmark, "1m-vector", imported_1m, N_1M,
         engine="vector", runtime="model", n_slots=MODEL_POOL_SLOTS,
     )
+    benchmark.extra_info["records_sha256"] = records_digest(result.metrics.records)
 
 
 def test_des_scale_speedup_report(capsys):

@@ -99,7 +99,9 @@ class DagNode:
     post_script: ScriptSpec | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        # Non-empty and free of whitespace (str.split() splits on
+        # exactly the characters str.isspace() accepts).
+        if self.name.split() != [self.name]:
             raise DagError(f"bad node name {self.name!r}")
         if self.retries < 0:
             raise DagError(f"{self.name}: retries must be >= 0")

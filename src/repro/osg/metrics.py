@@ -19,9 +19,12 @@ from repro.units import jobs_per_minute
 __all__ = ["JobRecord", "DagmanSummary", "PoolMetrics"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobRecord:
-    """Final timing record of one job attempt that completed."""
+    """Final timing record of one job attempt that completed.
+
+    Slotted: a million-job run keeps one per attempt.
+    """
 
     node_name: str
     dagman: str

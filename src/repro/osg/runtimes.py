@@ -22,6 +22,7 @@ to actual computation in this repository.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -107,8 +108,13 @@ class RuntimeModel:
             mean = 300.0
         else:
             mean = self.mean_seconds(spec.payload)
-        noise = float(rng.lognormal(mean=-0.5 * self.sigma_log**2, sigma=self.sigma_log))
-        speed = float(rng.uniform(*self.speed_range))
+        # rng.lognormal(mu, sigma) and rng.uniform(lo, hi), spelled as
+        # the IEEE operations numpy's C samplers perform on the same
+        # draws (same bits), without the scalar-call overhead.
+        sigma = self.sigma_log
+        noise = math.exp(-0.5 * sigma**2 + sigma * rng.standard_normal())
+        lo, hi = self.speed_range
+        speed = lo + (hi - lo) * rng.random()
         return max(1.0, mean * noise / speed)
 
     # -- calibration against the real kernels --------------------------------------

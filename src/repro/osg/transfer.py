@@ -7,10 +7,11 @@ delivery of a file to a cache site pays origin bandwidth; subsequent
 deliveries hit the regional cache and are much faster.
 
 We model a configurable number of cache *sites*; each job lands at a
-random site, and the cache state is per (file, site). Transfer time is
-``size / bandwidth`` plus a fixed per-job setup overhead (scheduling,
-container start). The resulting cold-start ramp is visible in DAGMan
-instant-throughput traces and is ablated by ``bench_ablation_cache``.
+random site (the caller draws it), and the cache state is per (file,
+site). Transfer time is ``size / bandwidth`` plus a fixed per-job setup
+overhead (scheduling, container start). The resulting cold-start ramp
+is visible in DAGMan instant-throughput traces and is ablated by
+``bench_ablation_cache``.
 
 Resilience (PR 8): a cache built with a
 :class:`~repro.faults.TransferFaults` model retries failed attempts
@@ -27,8 +28,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
@@ -235,19 +234,24 @@ class StashCache:
                 obs.counter_add(name, delta, labels)
                 self._obs_flushed[key] = value
 
-    def transfer_time(self, spec: JobSpec, rng: np.random.Generator) -> float:
-        """Seconds to stage all of a job's inputs at a random site.
+    def transfer_time(self, spec: JobSpec, site: int) -> float:
+        """Seconds to stage all of a job's inputs at cache ``site``.
 
-        Marks each delivered file warm at the chosen site, so later jobs
-        landing there hit the cache. With a fault model installed, a
-        failed attempt still costs its (possibly slowed) elapsed time,
+        The caller draws the site uniformly from
+        ``range(config.n_cache_sites)`` (the job lands near a random
+        cache). Marks each delivered file warm at that site, so later
+        jobs landing there hit the cache. With a fault model installed,
+        a failed attempt still costs its (possibly slowed) elapsed time,
         then the job backs off per its deterministic retry schedule and
         re-pulls at the *same* site (the job is pinned to its execute
         point; the re-pull is mostly warm). A job whose retries are all
         doomed falls back to a direct origin pull.
         """
         cfg = self.config
-        site = int(rng.integers(cfg.n_cache_sites))
+        if not 0 <= site < cfg.n_cache_sites:
+            raise SimulationError(
+                f"cache site {site!r} outside range({cfg.n_cache_sites})"
+            )
         files = self._job_files(spec)
         if self.faults is None:
             return self._stage_at(files, site)

@@ -9,17 +9,25 @@ from a single experiment seed so that
 * results are reproducible given one integer seed, and
 * adding a new consumer of randomness does not perturb existing streams
   (each consumer derives its stream from a stable string key).
+
+A hot loop that takes one variate at a time from a stream it alone
+reads can draw it in blocks with :func:`block_stream`, which yields
+exactly the values successive scalar calls would return.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
-__all__ = ["RngFactory", "derive_seed"]
+__all__ = ["BLOCK_SIZE", "RngFactory", "block_stream", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
+
+#: Variates a :func:`block_stream` draws per refill.
+BLOCK_SIZE = 1024
 
 
 def derive_seed(root_seed: int, *keys: str | int) -> int:
@@ -36,6 +44,25 @@ def derive_seed(root_seed: int, *keys: str | int) -> int:
         acc ^= byte
         acc = (acc * 0x100000001B3) & _MASK64
     return acc
+
+
+def _blocks(draw: Callable[..., np.ndarray], args: tuple) -> Iterator[list]:
+    while True:
+        yield draw(*args, size=BLOCK_SIZE).tolist()
+
+
+def block_stream(draw: Callable[..., np.ndarray], *args: object) -> Iterator:
+    """The successive scalar draws ``draw(*args)``, generated in blocks.
+
+    ``draw`` is a bound method of a :class:`numpy.random.Generator`
+    whose array form fills ``size`` with the values that as many scalar
+    calls return (``rng.random``, ``rng.integers(n)``); ``next()`` on
+    the stream then yields exactly the scalar sequence, as Python
+    numbers, at a fraction of a scalar call's cost. Each refill advances
+    the generator :data:`BLOCK_SIZE` draws ahead, so the stream must be
+    the generator's only consumer.
+    """
+    return chain.from_iterable(_blocks(draw, args))
 
 
 class RngFactory:

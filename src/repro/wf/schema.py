@@ -149,7 +149,9 @@ class WfTask:
     payload: WfPayload | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        # Non-empty and free of whitespace (str.split() splits on
+        # exactly the characters str.isspace() accepts).
+        if self.name.split() != [self.name]:
             raise WfFormatError(f"bad task name {self.name!r}")
         if not self.category:
             raise WfFormatError(f"task {self.name!r}: category must be non-empty")

@@ -1,5 +1,7 @@
 """Tests for repro.condor.dagfile."""
 
+import sys
+
 import pytest
 
 from repro.condor.dagfile import DagDescription, DagNode
@@ -88,6 +90,32 @@ def test_node_name_validation():
         DagNode(name="has space", spec=spec("x"))
     with pytest.raises(DagError):
         DagNode(name="x", spec=spec("x"), retries=-1)
+
+
+#: The code points ``str.isspace`` accepts.
+WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+
+def test_name_check_equals_isspace_scan():
+    """The name check ``name.split() != [name]`` rejects exactly what the
+    per-character scan it replaced rejected, on a name built around
+    every code point and on the empty name."""
+    names = [f"node{chr(cp)}1" for cp in range(sys.maxunicode + 1)] + [""]
+    split_check = [name.split() != [name] for name in names]
+    scan_check = [not name or any(map(str.isspace, name)) for name in names]
+    assert split_check == scan_check
+    assert sum(split_check) == len(WHITESPACE) + 1
+
+
+def test_node_name_rejects_every_whitespace_character():
+    for c in WHITESPACE:
+        for name in (c, f"{c}a", f"a{c}", f"a{c}b"):
+            with pytest.raises(DagError):
+                DagNode(name=name, spec=spec("x"))
+    with pytest.raises(DagError):
+        DagNode(name="", spec=spec("x"))
+    for name in ("a", "fdw.A-0001_x", "ü\u200b", "\x00"):
+        assert DagNode(name=name, spec=spec("x")).name == name
 
 
 def test_unknown_node_lookup():

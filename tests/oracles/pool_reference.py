@@ -126,8 +126,9 @@ class ReferencePoolSimulator(OSPoolSimulator):
         job.transition(JobState.RUNNING, now)
         job.slot_name = slot
         run.user_log.record(JobEventType.EXECUTE, job.cluster_id, now, host=slot)
+        site = int(self._rng_transfer.integers(self.config.transfer.n_cache_sites))
         duration = self.cache.transfer_time(
-            job.spec, self._rng_transfer
+            job.spec, site
         ) + self.config.runtime.sample_seconds(job.spec, self._rng_runtime)
         handle = self.sim.schedule(
             duration, lambda: self._finish_job(run, node_name, job)

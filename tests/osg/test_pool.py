@@ -1,19 +1,27 @@
 """Tests for repro.osg.pool — the integrated pool simulator."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.condor.dagfile import DagDescription
 from repro.condor.dagman import DagmanOptions
+from repro.condor.events import JobEventType
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
 from repro.core.workflow import build_fdw_dag
 from repro.errors import DagError, SimulationError
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
+from repro.osg.metrics import JobRecord
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.osg.runtimes import RuntimeModel
 from repro.osg.transfer import TransferConfig
+from repro.wf import replay_instance
+
+FDW64 = Path(__file__).resolve().parents[2] / "examples" / "fdw64_wfformat.json"
 
 
 def tiny_dag(n_jobs=6, phase="A", name="t"):
@@ -278,3 +286,30 @@ def test_cyclic_dag_rejected_before_any_submission():
     with pytest.raises(DagError, match="cycle"):
         pool.submit_dagman(dag)
     assert pool.dagman_runs == {}
+
+
+def test_records_and_user_logs_hold_builtin_scalars():
+    """Every record field and user-log event field is a Python scalar,
+    never a numpy one: the pool converts nothing it reads from its job
+    table or draws from its streams, and numpy 2 formats a numpy float
+    as ``np.float64(...)`` under ``!r``."""
+    result = replay_instance(
+        FDW64,
+        seed=4,
+        runtime="model",
+        config=OSPoolConfig(success_prob=0.9),
+        capacity=MarkovModulatedCapacity(levels=[8, 2], mean_dwell_s=[300.0, 300.0]),
+    )
+    records = result.metrics.records
+    assert any(not r.success for r in records) and any(r.n_evictions for r in records)
+    for record in records:
+        for f in fields(JobRecord):
+            assert type(getattr(record, f.name)) in (str, int, float, bool), f.name
+    logged = set()
+    for log in result.user_logs.values():
+        for event_type, cluster_id, time_s, host, return_value in log._events:
+            logged.add(event_type)
+            assert type(cluster_id) is int and type(time_s) is float
+            assert type(host) is str
+            assert return_value is None or type(return_value) is int
+    assert {JobEventType.EXECUTE, JobEventType.TERMINATED, JobEventType.EVICTED} <= logged

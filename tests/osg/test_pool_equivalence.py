@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import rng as rng_module
 from repro.condor.dagfile import DagDescription, ScriptSpec
 from repro.condor.dagman import DagmanOptions
 from repro.condor.jobs import JobPayload, JobSpec
@@ -262,6 +263,29 @@ def test_fdw64_partition_study_identical():
         assert {n: log.render() for n, log in ref.user_logs.items()} == {
             n: log.render() for n, log in vec.user_logs.items()
         }
+
+
+# -- block-stream refills ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_fixed_scenarios_identical_across_block_refills(block, monkeypatch, tmp_path):
+    """Rerun every fixed scenario with the product's transfer-site and
+    failure streams refilling every ``block`` draws. At the product's
+    block size none of these runs draws a whole block, so without this
+    no refill would ever meet the oracle's scalar draws."""
+    monkeypatch.setattr(rng_module, "BLOCK_SIZE", block)
+    test_flat_dag_identical()
+    test_failures_and_retries_identical()
+    test_concurrent_dagmans_identical()
+    test_preemption_under_markov_capacity_identical()
+    test_injected_evictions_identical()
+    test_holds_identical()
+    test_injected_holds_identical()
+    test_kill_and_rescue_identical(tmp_path)
+    for runtime in ("trace", "model"):
+        test_fdw64_replay_identical(runtime)
+    test_fdw64_partition_study_identical()
 
 
 # -- random scenarios ------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.errors import SimulationError
@@ -96,3 +98,34 @@ def test_calibrate_from_kernels_runs_and_preserves_shape():
     assert model.b_per_station_s > 0
     assert model.c_per_station_s > 0
     assert model.dist_base_s > 0
+
+
+def frozen_sample_seconds(model, spec, rng):
+    """``RuntimeModel.sample_seconds`` as it drew through numpy's scalar
+    samplers, kept verbatim: the pool and its test oracle share the
+    product formula, so only this comparison guards its bits."""
+    if spec.payload is None:
+        mean = 300.0
+    else:
+        mean = model.mean_seconds(spec.payload)
+    noise = float(rng.lognormal(mean=-0.5 * model.sigma_log**2, sigma=model.sigma_log))
+    speed = float(rng.uniform(*model.speed_range))
+    return max(1.0, mean * noise / speed)
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    sigma_log=st.one_of(st.just(0.0), st.just(0.18), st.floats(0.0, 1.0)),
+    lo=st.floats(0.05, 4.0),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    phase=st.sampled_from([None, "dist", "A", "B", "C"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_sample_seconds_bits_match_numpy_samplers(seed, sigma_log, lo, width, phase):
+    model = RuntimeModel(sigma_log=sigma_log, speed_range=(lo, lo + width))
+    spec = JobSpec(name="j", payload=None if phase is None else payload(phase, n_items=2))
+    product, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(500):
+        got = model.sample_seconds(spec, product)
+        assert type(got) is float
+        assert got.hex() == frozen_sample_seconds(model, spec, frozen).hex()

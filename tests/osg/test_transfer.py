@@ -20,10 +20,9 @@ def one_site_cache(**kwargs):
 
 def test_cold_then_warm():
     cache = one_site_cache(origin_mb_per_s=10.0, cache_mb_per_s=100.0, include_image=False)
-    rng = np.random.default_rng(0)
     job = spec({"gf.npz": 1000.0})
-    cold = cache.transfer_time(job, rng)
-    warm = cache.transfer_time(job, rng)
+    cold = cache.transfer_time(job, 0)
+    warm = cache.transfer_time(job, 0)
     assert cold == pytest.approx(100.0)
     assert warm == pytest.approx(10.0)
     assert cache.n_cold_transfers == 1
@@ -32,25 +31,22 @@ def test_cold_then_warm():
 
 def test_image_included_by_default():
     cache = one_site_cache()
-    rng = np.random.default_rng(0)
-    t = cache.transfer_time(spec(), rng)
+    t = cache.transfer_time(spec(), 0)
     assert t == pytest.approx(SINGULARITY_IMAGE_MB / 25.0)
 
 
 def test_setup_overhead_always_charged():
     cache = one_site_cache(setup_overhead_s=35.0, include_image=False)
-    rng = np.random.default_rng(0)
-    assert cache.transfer_time(spec(), rng) == pytest.approx(35.0)
+    assert cache.transfer_time(spec(), 0) == pytest.approx(35.0)
 
 
 def test_multiple_sites_cache_independently():
     cache = StashCache(
         TransferConfig(n_cache_sites=4, setup_overhead_s=0.0, include_image=False)
     )
-    rng = np.random.default_rng(1)
     job = spec({"big.npz": 500.0})
-    for _ in range(40):
-        cache.transfer_time(job, rng)
+    for i in range(40):
+        cache.transfer_time(job, i % 4)
     # Every site eventually warmed exactly once.
     assert cache.n_cold_transfers == 4
     assert cache.n_warm_transfers == 36
@@ -58,10 +54,17 @@ def test_multiple_sites_cache_independently():
         assert cache.is_warm("big.npz", site)
 
 
+def test_site_outside_the_cache_sites_rejected():
+    cache = StashCache(TransferConfig(n_cache_sites=4))
+    for site in (-1, 4):
+        with pytest.raises(SimulationError, match="cache site"):
+            cache.transfer_time(spec(), site)
+    assert cache.n_cold_transfers == 0
+
+
 def test_reset_clears_state():
     cache = one_site_cache(include_image=False)
-    rng = np.random.default_rng(2)
-    cache.transfer_time(spec({"f": 10.0}), rng)
+    cache.transfer_time(spec({"f": 10.0}), 0)
     cache.reset()
     assert cache.n_cold_transfers == 0
     assert not cache.is_warm("f", 0)
@@ -72,7 +75,7 @@ def test_negative_file_size_rejected():
     bad = JobSpec(name="j", input_files={"f": 1.0})
     bad.input_files["f"] = -5.0  # bypass JobSpec validation deliberately
     with pytest.raises(SimulationError):
-        cache.transfer_time(bad, np.random.default_rng(0))
+        cache.transfer_time(bad, 0)
 
 
 def test_config_validation():
@@ -94,27 +97,25 @@ def test_lru_eviction_refetches_from_origin():
         origin_mb_per_s=10.0, cache_mb_per_s=100.0,
         include_image=False, max_entries_per_site=2,
     )
-    rng = np.random.default_rng(0)
-    cache.transfer_time(spec({"f1": 100.0, "f2": 100.0}), rng)
+    cache.transfer_time(spec({"f1": 100.0, "f2": 100.0}), 0)
     assert cache.n_evictions == 0
     # f3 exceeds the cap: f1 (least recently used) is evicted.
-    cache.transfer_time(spec({"f3": 100.0}), rng)
+    cache.transfer_time(spec({"f3": 100.0}), 0)
     assert cache.n_evictions == 1
     assert not cache.is_warm("f1", 0)
     assert cache.is_warm("f2", 0)
     assert cache.is_warm("f3", 0)
     # f1 now pays origin bandwidth again.
-    t = cache.transfer_time(spec({"f1": 100.0}), rng)
+    t = cache.transfer_time(spec({"f1": 100.0}), 0)
     assert t == pytest.approx(10.0)
 
 
 def test_lru_recency_updated_on_warm_hit():
     cache = one_site_cache(include_image=False, max_entries_per_site=2)
-    rng = np.random.default_rng(0)
-    cache.transfer_time(spec({"f1": 1.0}), rng)
-    cache.transfer_time(spec({"f2": 1.0}), rng)
-    cache.transfer_time(spec({"f1": 1.0}), rng)  # touch f1: f2 becomes LRU
-    cache.transfer_time(spec({"f3": 1.0}), rng)
+    cache.transfer_time(spec({"f1": 1.0}), 0)
+    cache.transfer_time(spec({"f2": 1.0}), 0)
+    cache.transfer_time(spec({"f1": 1.0}), 0)  # touch f1: f2 becomes LRU
+    cache.transfer_time(spec({"f3": 1.0}), 0)
     assert cache.is_warm("f1", 0)
     assert not cache.is_warm("f2", 0)
     assert cache.is_warm("f3", 0)
@@ -122,9 +123,8 @@ def test_lru_recency_updated_on_warm_hit():
 
 def test_no_cap_means_no_evictions():
     cache = one_site_cache(include_image=False)
-    rng = np.random.default_rng(0)
     for i in range(50):
-        cache.transfer_time(spec({f"f{i}": 1.0}), rng)
+        cache.transfer_time(spec({f"f{i}": 1.0}), 0)
     assert cache.n_evictions == 0
     assert all(cache.is_warm(f"f{i}", 0) for i in range(50))
 
@@ -141,14 +141,13 @@ def test_default_config_transfer_times_unchanged_by_lru_code():
         cache = StashCache(TransferConfig(n_cache_sites=3, **cfg_kw))
         rng = np.random.default_rng(5)
         for _ in range(30):
-            out.append(cache.transfer_time(spec(dict(files)), rng))
+            out.append(cache.transfer_time(spec(dict(files)), int(rng.integers(3))))
     assert times_default == times_huge_cap
 
 
 def test_reset_clears_evictions():
     cache = one_site_cache(include_image=False, max_entries_per_site=1)
-    rng = np.random.default_rng(0)
-    cache.transfer_time(spec({"f1": 1.0, "f2": 1.0}), rng)
+    cache.transfer_time(spec({"f1": 1.0, "f2": 1.0}), 0)
     assert cache.n_evictions == 1
     cache.reset()
     assert cache.n_evictions == 0
@@ -185,8 +184,8 @@ def test_zero_prob_faults_match_fault_free_times():
     armed = one_site_faulted(include_image=False)
     job = spec({"gf.npz": 1000.0})
     for _ in range(5):
-        assert plain.transfer_time(job, np.random.default_rng(3)) == pytest.approx(
-            armed.transfer_time(job, np.random.default_rng(3))
+        assert plain.transfer_time(job, 0) == pytest.approx(
+            armed.transfer_time(job, 0)
         )
     assert armed.n_transfer_faults == 0
     assert armed.total_backoff_seconds == 0.0
@@ -198,9 +197,8 @@ def test_fault_draws_deterministic_across_caches():
             fault_kwargs=dict(failure_prob=0.3, slow_prob=0.2, seed=seed),
             include_image=False,
         )
-        rng = np.random.default_rng(0)
         times = [
-            cache.transfer_time(spec({f"f{i}": 50.0}), rng) for i in range(20)
+            cache.transfer_time(spec({f"f{i}": 50.0}), 0) for i in range(20)
         ]
         return times, cache.n_transfer_faults, cache.faults.n_slow
 
@@ -217,7 +215,7 @@ def test_slow_attempt_multiplies_bandwidth_not_setup():
         origin_mb_per_s=10.0,
         include_image=False,
     )
-    t = cache.transfer_time(spec({"f": 100.0}), np.random.default_rng(0))
+    t = cache.transfer_time(spec({"f": 100.0}), 0)
     assert t == pytest.approx(35.0 + 4.0 * 10.0)
     assert cache.faults.n_slow == 1
 
@@ -231,7 +229,7 @@ def test_failed_attempts_pay_backoff_then_succeed():
         cache_mb_per_s=100.0,
         include_image=False,
     )
-    t = cache.transfer_time(spec({"f": 100.0}), np.random.default_rng(0))
+    t = cache.transfer_time(spec({"f": 100.0}), 0)
     # Every attempt failed: 1 cold + (max_attempts - 1) warm re-pulls,
     # the full backoff schedule, then the degraded direct origin pull.
     policy = RetryPolicy()
@@ -251,8 +249,7 @@ def test_reset_rewinds_fault_stream():
     )
 
     def storm():
-        rng = np.random.default_rng(1)
-        return [cache.transfer_time(spec({"f": 10.0}), rng) for _ in range(10)]
+        return [cache.transfer_time(spec({"f": 10.0}), 0) for _ in range(10)]
 
     first = storm()
     counters = (cache.n_transfer_faults, cache.n_degraded_transfers)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,17 @@ class TestValidation:
         )
         with pytest.raises(WfFormatError, match="cycle"):
             WfInstance(name="w", tasks=tasks)
+
+    def test_task_name_rejects_whitespace_and_empty(self):
+        whitespace = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        for c in whitespace:
+            for name in (c, f"{c}a", f"a{c}", f"a{c}b"):
+                with pytest.raises(WfFormatError, match="bad task name"):
+                    _task(name)
+        with pytest.raises(WfFormatError, match="bad task name"):
+            _task("")
+        for name in ("a", "fdw.A-0001_x", "ü\u200b", "\x00"):
+            assert _task(name).name == name
 
     def test_negative_runtime_rejected(self):
         with pytest.raises(WfFormatError, match="negative runtime"):

@@ -169,13 +169,15 @@ class DagDescription:
         whole DAG once, and every :class:`~repro.condor.dagman.DagmanEngine`
         validates the DAG it runs.
         """
-        for name in (parent, child):
-            if name not in self._nodes:
-                raise DagError(f"unknown DAG node {name!r}")
+        children = self._children.get(parent)
+        parents = self._parents.get(child)
+        if children is None or parents is None:
+            unknown = parent if children is None else child
+            raise DagError(f"unknown DAG node {unknown!r}")
         if parent == child:
             raise DagError(f"self-edge on {parent!r}")
-        self._children[parent][child] = None
-        self._parents[child][parent] = None
+        children[child] = None
+        parents[parent] = None
 
     def add_edges(self, parents: list[str], children: list[str]) -> None:
         """All-to-all PARENT..CHILD edges (HTCondor's multi-name form)."""
@@ -219,10 +221,6 @@ class DagDescription:
         """Direct children of a node."""
         self.node(name)
         return sorted(self._children[name])
-
-    def roots(self) -> list[str]:
-        """Nodes with no parents (initially ready)."""
-        return [n for n, parents in self._parents.items() if not parents]
 
     def topological_order(self) -> list[str]:
         """A topological ordering of node names (see :func:`kahn_order`).

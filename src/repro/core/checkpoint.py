@@ -50,6 +50,7 @@ import json
 import pickle
 import shutil
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import CheckpointError, IntegrityError
 from repro.core.config import FdwConfig
@@ -60,8 +61,9 @@ from repro.integrity import (
     sha256_bytes,
     write_artifact,
 )
-from repro.seismo.mudpy_io import ProductArchive
-from repro.seismo.ruptures import Rupture
+
+if TYPE_CHECKING:
+    from repro.seismo.ruptures import Rupture
 
 __all__ = ["RunCheckpoint", "config_digest"]
 
@@ -258,6 +260,8 @@ class RunCheckpoint:
         Only the archive's own manifest and product subdirectories are
         touched; the checkpoint directory survives.
         """
+        from repro.seismo.mudpy_io import ProductArchive
+
         for kind in ("waveforms", "ruptures"):
             shutil.rmtree(self.archive_dir / kind, ignore_errors=True)
         manifest = self.archive_dir / ProductArchive.MANIFEST

@@ -15,10 +15,11 @@ plays that role two ways:
   56.8 % headline).
 
 The pool path shares one Green's-function bank across all workers
-through :mod:`repro.core.gfcache`: the parent computes (or cache-loads)
-the bank once, publishes its arrays into ``multiprocessing``
-shared-memory segments, and ships workers only a small picklable
-:class:`~repro.core.gfcache.SharedBankHandle` plus the pre-generated
+through :mod:`repro.core.gfcache` and :mod:`repro.core.sharedbank`: the
+parent computes (or cache-loads) the bank once, publishes its arrays
+into ``multiprocessing`` shared-memory segments, and ships workers only
+a small picklable
+:class:`~repro.core.sharedbank.SharedBankHandle` plus the pre-generated
 rupture chunk. Each worker keeps one FakeQuakes session per
 configuration, which recycles the attached bank and runs the same
 :meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
@@ -37,27 +38,39 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.errors import ConfigError
 from repro.resilience import RetryPolicy, retry_call
 from repro.core.checkpoint import CRow, RunCheckpoint
 from repro.core.config import FdwConfig
-from repro.core.gfcache import (
-    GFCache,
-    SharedBankHandle,
-    attach_shared_bank,
-    gf_bank_key,
-    publish_shared_bank,
-)
 from repro.core.phases import chunk_bounds, plan_phases
+from repro.core.sharedbank import SharedBankHandle, attach_shared_bank, publish_shared_bank
 from repro.osg.runtimes import RuntimeModel
-from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
-from repro.seismo.geometry import FaultGeometry
-from repro.seismo.klcache import KLCache
-from repro.seismo.mudpy_io import ProductArchive, write_rupt
-from repro.seismo.ruptures import Rupture
-from repro.seismo.waveforms import WaveformSet
+from repro.rupt import write_rupt
+
+# The seismic stack (repro.seismo, scipy.linalg) and the GF cache load
+# where a run executes its phases or writes its archive, not when
+# repro.core is imported: the pool and portal paths import this package
+# and never run a kernel. The shared-bank helpers and the .rupt writer
+# above load none of it, so they are bound here, where
+# benchmarks/e2e/layers.py wraps them.
+if TYPE_CHECKING:
+    from repro.core.gfcache import GFCache
+    from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
+    from repro.seismo.geometry import FaultGeometry
+    from repro.seismo.klcache import KLCache
+    from repro.seismo.mudpy_io import ProductArchive
+    from repro.seismo.ruptures import Rupture
+    from repro.seismo.waveforms import WaveformSet
+
+    #: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
+    _AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
+
+    #: Pool task for one Phase-C chunk: (shared-bank handle, parameters,
+    #: rupture chunk, spool dir).
+    _CChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], Path | None]
 
 __all__ = ["LocalRunResult", "LocalRunner", "estimate_sequential_runtime_s"]
 
@@ -94,6 +107,8 @@ def _fakequakes_for(
     gf_cache: GFCache | None = None,
     kl_cache: KLCache | None = None,
 ) -> FakeQuakes:
+    from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
+
     params = FakeQuakesParameters(
         n_ruptures=config.n_waveforms,
         n_stations=config.n_stations,
@@ -104,13 +119,6 @@ def _fakequakes_for(
     )
     return FakeQuakes.from_parameters(params, gf_cache=gf_cache, kl_cache=kl_cache)
 
-
-#: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
-_AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
-
-#: Pool task for one Phase-C chunk: (shared-bank handle, parameters,
-#: rupture chunk, spool dir).
-_CChunkTask = tuple[SharedBankHandle, FakeQuakesParameters, list[Rupture], Path | None]
 
 #: Worker-side sessions: (parameters, K-L dir) -> FakeQuakes. Kept for
 #: the life of the worker process, so geometry, distance matrices and
@@ -125,6 +133,9 @@ def _session(params: FakeQuakesParameters, kl_dir: str | None = None) -> FakeQua
     ``kl_dir`` (the runner's disk store), built on first use."""
     fq = _SESSIONS.get((params, kl_dir))
     if fq is None:
+        from repro.seismo.fakequakes import FakeQuakes
+        from repro.seismo.klcache import KLCache
+
         fq = FakeQuakes.from_parameters(params, kl_cache=KLCache(cache_dir=kl_dir))
         _SESSIONS[(params, kl_dir)] = fq
     return fq
@@ -413,6 +424,9 @@ class LocalRunner:
         kl_cache: KLCache | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
+        from repro.core.gfcache import GFCache
+        from repro.seismo.klcache import KLCache
+
         if n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
@@ -500,6 +514,9 @@ class LocalRunner:
         chunk whose record or products fail verification on resume is
         quarantined and transparently re-executed.
         """
+        from repro.core.gfcache import gf_bank_key
+        from repro.seismo.mudpy_io import ProductArchive
+
         if (checkpoint or resume) and archive_dir is None:
             raise ConfigError("checkpoint/resume requires an archive_dir")
         fq = _fakequakes_for(config, gf_cache=self.gf_cache, kl_cache=self.kl_cache)

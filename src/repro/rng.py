@@ -22,6 +22,10 @@ from itertools import chain
 
 import numpy as np
 
+# numpy loads numpy.random on first use: importing it here puts that
+# cost where repro is imported, not where a run makes its first stream.
+from numpy.random import Generator, default_rng
+
 __all__ = ["BLOCK_SIZE", "RngFactory", "block_stream", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
@@ -88,24 +92,24 @@ class RngFactory:
         """Return the derived integer seed for a key path."""
         return derive_seed(self.seed, *keys)
 
-    def generator(self, *keys: str | int) -> np.random.Generator:
+    def generator(self, *keys: str | int) -> Generator:
         """Return a fresh :class:`~numpy.random.Generator` for a key path."""
-        return np.random.default_rng(self.child_seed(*keys))
+        return default_rng(self.child_seed(*keys))
 
     def spawn(self, *keys: str | int) -> "RngFactory":
         """Return a sub-factory rooted at a key path (for subsystems)."""
         return RngFactory(self.child_seed(*keys))
 
-    def generators(self, prefix: str, count: int) -> list[np.random.Generator]:
+    def generators(self, prefix: str, count: int) -> list[Generator]:
         """Return ``count`` generators keyed ``(prefix, 0..count-1)``."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         return [self.generator(prefix, i) for i in range(count)]
 
     @staticmethod
-    def independent(seeds: Iterable[int]) -> list[np.random.Generator]:
+    def independent(seeds: Iterable[int]) -> list[Generator]:
         """Generators from explicit seeds (escape hatch for tests)."""
-        return [np.random.default_rng(int(s)) for s in seeds]
+        return [default_rng(int(s)) for s in seeds]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RngFactory(seed={self.seed})"

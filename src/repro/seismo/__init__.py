@@ -27,6 +27,7 @@ from repro.seismo.fakequakes import FakeQuakes, FakeQuakesParameters
 from repro.seismo.geometry import FaultGeometry, build_cascadia_slab, build_chile_slab
 from repro.seismo.greens import GreensFunctionBank, compute_gf_bank
 from repro.seismo.klcache import KLCache, kl_basis_key
+from repro.seismo.mudpy_io import ProductArchive, read_rupt, write_rupt
 from repro.seismo.okada import compute_okada_gf_bank, okada85
 from repro.seismo.ruptures import Rupture, RuptureGenerator
 from repro.seismo.stations import Station, StationNetwork, chilean_network
@@ -45,6 +46,9 @@ __all__ = [
     "okada85",
     "KLCache",
     "kl_basis_key",
+    "ProductArchive",
+    "read_rupt",
+    "write_rupt",
     "Rupture",
     "RuptureGenerator",
     "Station",

@@ -66,7 +66,9 @@ def kl_basis_key(
     """
     idx = np.ascontiguousarray(np.asarray(patch, dtype=np.int64))
     h = hashlib.sha256()
-    h.update(b"klbasis-v1\x1f")
+    # v2: bases are solved on one BLAS thread; a v1 entry may hold a
+    # basis solved on several, whose bits depend on the thread count.
+    h.update(b"klbasis-v2\x1f")
     h.update(distances.content_digest.encode("ascii") + b"\x1f")
     h.update(np.int64([idx.size]).tobytes())
     h.update(idx.tobytes())

@@ -11,10 +11,11 @@ few plain-text and binary artifacts:
 * per-rupture waveform files (trimmed-record ``.npz`` products, see
   :mod:`repro.seismo.waveforms`).
 
-This module implements the ``.rupt`` format plus a *product archive*: a
-directory with a JSON manifest that congregates and labels the thousands
-of output files a workflow produces ("After simulation, thousands of
-files are congregated, labeled, and archived on OSG storage capacity").
+The ``.rupt`` format is implemented in :mod:`repro.rupt` and
+re-exported here. This module adds a *product archive*: a directory
+with a JSON manifest that congregates and labels the thousands of
+output files a workflow produces ("After simulation, thousands of files
+are congregated, labeled, and archived on OSG storage capacity").
 """
 
 from __future__ import annotations
@@ -26,105 +27,17 @@ import shutil
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
-from repro.errors import ArchiveError, RuptureError
+from repro.errors import ArchiveError
 from repro.integrity import atomic_write_bytes
-from repro.seismo.geometry import FaultGeometry
-from repro.seismo.ruptures import Rupture
+from repro.rupt import read_rupt, write_rupt
 
 __all__ = [
     "write_rupt",
     "read_rupt",
     "ProductArchive",
 ]
-
-_RUPT_COLUMNS = (
-    "subfault lon lat depth_km strike_deg dip_deg length_km width_km "
-    "slip_m rise_s onset_s"
-).split()
-
-#: printf codes of one ``.rupt`` row after its geometry columns
-#: (:meth:`FaultGeometry.rupt_rows`): slip and kinematics.
-_RUPT_ROW = "%s %.6f %.4f %.4f\n"
-
-
-def write_rupt(
-    rupture: Rupture, geometry: FaultGeometry, path: str | Path
-) -> Path:
-    """Write a rupture as a MudPy-style ``.rupt`` whitespace table."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # One %-format over every row: the %-codes round exactly like the
-    # equivalent f-string specs (a property test holds them to a
-    # per-row f-string formatter).
-    values = chain.from_iterable(
-        zip(
-            geometry.rupt_rows(rupture.subfault_indices),
-            rupture.slip_m.tolist(),
-            rupture.rise_time_s.tolist(),
-            rupture.onset_time_s.tolist(),
-        )
-    )
-    rows = (_RUPT_ROW * rupture.n_subfaults) % tuple(values)
-    path.write_text(
-        f"# rupt {rupture.rupture_id} target_mw={rupture.target_mw:.4f} "
-        f"actual_mw={rupture.actual_mw:.4f} hypo={rupture.hypocenter_index}\n"
-        "# " + " ".join(_RUPT_COLUMNS) + "\n" + rows
-    )
-    return path
-
-
-def read_rupt(path: str | Path) -> Rupture:
-    """Read a rupture written by :func:`write_rupt`.
-
-    Geometry columns are not re-validated against a mesh here; the
-    subfault indices tie the rupture back to its fault model.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise RuptureError(f"rupt file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# rupt "):
-        raise RuptureError(f"{path}: missing '# rupt' header")
-    header = lines[0].split()
-    rupture_id = header[2]
-    fields = dict(item.split("=", 1) for item in header[3:] if "=" in item)
-    try:
-        target_mw = float(fields["target_mw"])
-        actual_mw = float(fields["actual_mw"])
-        hypo = int(fields["hypo"])
-    except (KeyError, ValueError) as exc:
-        raise RuptureError(f"{path}: malformed header fields: {exc}") from exc
-
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != len(_RUPT_COLUMNS):
-            raise RuptureError(
-                f"{path}:{lineno}: expected {len(_RUPT_COLUMNS)} columns, got {len(parts)}"
-            )
-        rows.append([float(p) for p in parts])
-    if not rows:
-        raise RuptureError(f"{path}: no subfault rows")
-    table = np.array(rows)
-    return Rupture(
-        rupture_id=rupture_id,
-        target_mw=target_mw,
-        actual_mw=actual_mw,
-        subfault_indices=table[:, 0].astype(int),
-        slip_m=table[:, 8],
-        rise_time_s=table[:, 9],
-        onset_time_s=table[:, 10],
-        hypocenter_index=hypo,
-    )
-
 
 def _move(source: Path, dest: Path) -> None:
     """Rename ``source`` to ``dest``; copy and unlink across filesystems."""

@@ -16,15 +16,92 @@ top.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 import scipy.special
 
 from repro.errors import RuptureError
 
 __all__ = ["von_karman_correlation", "KarhunenLoeveBasis"]
+
+
+#: (library glob, getter, setter) of the OpenBLAS copies scipy's Linux
+#: wheels bundle in ``scipy.libs``: ``libscipy_openblas`` with prefixed
+#: symbols (the scipy-openblas32 build, as in scipy 1.17's wheels) and
+#: the plain ``libopenblas`` with unprefixed ones (older wheels).
+_BUNDLED_OPENBLAS = (
+    ("libscipy_openblas*.so*", "scipy_openblas_get_num_threads",
+     "scipy_openblas_set_num_threads"),
+    ("libopenblas*.so*", "openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_openblas_threads(
+    libs: Path,
+) -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the first OpenBLAS in
+    ``libs`` that exports a :data:`_BUNDLED_OPENBLAS` pair, or ``None``.
+
+    Loading the library by path returns the copy :mod:`scipy.linalg`
+    already mapped.
+    """
+    for pattern, getter, setter in _BUNDLED_OPENBLAS:
+        for path in sorted(libs.glob(pattern)):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get, put = getattr(lib, getter), getattr(lib, setter)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread controls of scipy's bundled OpenBLAS; ``None`` on a
+    build without one (e.g. scipy built against a system OpenBLAS or
+    MKL, or a wheel that keeps its libraries elsewhere)."""
+    return _find_openblas_threads(Path(scipy.__file__).parent.parent / "scipy.libs")
+
+
+#: Serializes the one-thread regions: the thread count is process state.
+_BLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the enclosed scipy LAPACK calls on one OpenBLAS thread, then
+    restore the previous count.
+
+    A threaded eigensolve sums in a thread-count-dependent order, so
+    the same correlation matrix would give slightly different bases
+    (and catalogs) on hosts with different core counts. Where the
+    bundled OpenBLAS is not found, the calls run at whatever thread
+    count the BLAS has.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _BLAS_LOCK:
+        previous = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(previous)
 
 
 def von_karman_correlation(
@@ -138,7 +215,8 @@ class KarhunenLoeveBasis:
         the leading ``n_modes`` eigenpairs are computed — the correlation
         matrix can be large (n_subfaults^2) and, per the optimization
         guidance, we avoid the full decomposition when a truncation is
-        requested.
+        requested. The solve runs on one BLAS thread, so the basis is
+        the same on every host and in every process.
         """
         c = np.asarray(correlation, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -147,7 +225,8 @@ class KarhunenLoeveBasis:
         k = n if n_modes is None else int(n_modes)
         if not (1 <= k <= n):
             raise RuptureError(f"n_modes must be in 1..{n}, got {n_modes}")
-        vals, vecs = scipy.linalg.eigh(c, subset_by_index=(n - k, n - 1))
+        with _one_blas_thread():
+            vals, vecs = scipy.linalg.eigh(c, subset_by_index=(n - k, n - 1))
         # eigh returns ascending order; flip to descending. Materialize
         # the flipped view C-contiguous: BLAS picks layout-dependent
         # kernels in ``sample``'s matmul, so a basis reloaded from the

@@ -86,6 +86,31 @@ def _target_counts(
     return out
 
 
+def _slugs(ordered_types: list[tuple[int, str]]) -> dict[tuple[int, str], str]:
+    """The task-name slug of every type: its sanitized category.
+
+    Two categories of one level can sanitize alike (``"a.b"`` and
+    ``"a-b"``). The first of them in type order keeps the slug; each
+    later one takes the first ``-2``, ``-3``, ... suffix that no slug of
+    its level uses, so every name stays unique and no type whose slug
+    was already unique is renamed.
+    """
+    taken = {(level, _sanitize(category)) for level, category in ordered_types}
+    used: set[tuple[int, str]] = set()
+    slugs: dict[tuple[int, str], str] = {}
+    for level, category in ordered_types:
+        slug = _sanitize(category)
+        if (level, slug) in used:
+            k = 2
+            while (level, f"{slug}-{k}") in taken:
+                k += 1
+            slug = f"{slug}-{k}"
+            taken.add((level, slug))
+        used.add((level, slug))
+        slugs[level, category] = slug
+    return slugs
+
+
 @collector_paused()
 def generate_instance(
     source: WfInstance, n_tasks: int, seed: int, *, name: str | None = None
@@ -93,123 +118,124 @@ def generate_instance(
     """Generate a synthetic instance of ``n_tasks`` tasks from a pattern.
 
     Deterministic: the same ``(source, n_tasks, seed)`` always yields an
-    identical instance (asserted by the regression tests).
+    identical instance (asserted by the regression tests). Task names
+    are ``<name>_<category slug>_L<level>_<index>``, with any whitespace
+    in ``name`` replaced by ``-``.
     """
     if n_tasks < 1:
         raise WfFormatError(f"n_tasks must be >= 1, got {n_tasks}")
     rng = RngFactory(seed).generator("wf", "generate")
     levels = source.levels()
-    type_of = {t.name: (levels[t.name], t.category) for t in source.tasks}
+    type_of: dict[str, tuple[int, str]] = {}
     groups: dict[tuple[int, str], list[WfTask]] = {}
-    for task in source.tasks:
-        groups.setdefault(type_of[task.name], []).append(task)
-    ordered_types = sorted(groups)
-    counts = {t: len(g) for t, g in groups.items()}
-    targets = _target_counts(ordered_types, counts, n_tasks)
-
-    # Files staged by more than one source task keep their identity.
     usage: dict[str, int] = {}
     for task in source.tasks:
+        wtype = type_of[task.name] = (levels[task.name], task.category)
+        groups.setdefault(wtype, []).append(task)
         for f in task.files:
             usage[f.name] = usage.get(f.name, 0) + 1
-    shared = {fname for fname, n in usage.items() if n > 1}
+    ordered_types = sorted(groups)
+    targets = _target_counts(
+        ordered_types, {t: len(g) for t, g in groups.items()}, n_tasks
+    )
 
     gen_name = name or f"{source.name}_gen{n_tasks}"
-    gen_tasks: dict[tuple[int, str], list[dict]] = {}
+    prefix = "".join("-" if c.isspace() else c for c in gen_name)
+    slugs = _slugs(ordered_types)
+    names: dict[tuple[int, str], list[str]] = {}
+    drawn: dict[tuple[int, str], list[int]] = {}
     for wtype in ordered_types:
-        level, category = wtype
-        group = groups[wtype]
-        slug = _sanitize(category)
-        tasks_of_type: list[dict] = []
-        for i in range(targets[wtype]):
-            template = group[int(rng.integers(len(group)))]
-            task_name = f"{gen_name}_{slug}_L{level}_{i:05d}"
-            files = [f for f in template.files if f.name in shared]
-            unique = [f for f in template.files if f.name not in shared]
-            files += [
-                WfFile(
-                    name=f"{task_name}_in{j}", size_bytes=f.size_bytes, link=f.link
-                )
-                for j, f in enumerate(unique)
-            ]
-            tasks_of_type.append(
-                {
-                    "name": task_name,
-                    "category": category,
-                    "runtime_s": template.runtime_s,
-                    "files": tuple(files),
-                    "cores": template.cores,
-                    "memory_mb": template.memory_mb,
-                    "retries": template.retries,
-                    "program": template.program,
-                    "payload": template.payload,
-                    "parents": set(),
-                }
-            )
-        gen_tasks[wtype] = tasks_of_type
+        stem = f"{prefix}_{slugs[wtype]}_L{wtype[0]}_"
+        names[wtype] = [f"{stem}{i:05d}" for i in range(targets[wtype])]
+        # One block draw yields the values, and leaves the generator in
+        # the state, of one scalar draw per task.
+        drawn[wtype] = rng.integers(len(groups[wtype]), size=targets[wtype]).tolist()
 
-    # Type-to-type wiring observed in the source.
+    # Type-to-type wiring observed in the source: every child of a type
+    # gets all tasks of an all-to-all parent type (``common``) and its
+    # own sample of each sparser one (``picked``, one list per child).
+    parents_of: dict[tuple[int, str], list[tuple[str, ...]]] = {}
     for wtype in ordered_types:
-        group = groups[wtype]
-        parent_types = sorted(
-            {type_of[p] for task in group for p in task.parents}
-        )
-        children = gen_tasks[wtype]
+        group, n = groups[wtype], targets[wtype]
+        parent_types = sorted({type_of[p] for task in group for p in task.parents})
+        common: list[str] = []
+        picked: list[list[str]] | None = None
         for ptype in parent_types:
-            pgroup = groups[ptype]
+            pnames = names[ptype]
             in_degrees = [
                 sum(1 for p in task.parents if type_of[p] == ptype) for task in group
             ]
-            all_to_all = all(d == len(pgroup) for d in in_degrees)
-            parents = gen_tasks[ptype]
-            for child in children:
-                if all_to_all:
-                    chosen = range(len(parents))
-                else:
-                    d = int(in_degrees[int(rng.integers(len(in_degrees)))])
-                    d = min(d, len(parents))
-                    chosen = sorted(
-                        int(k) for k in rng.choice(len(parents), size=d, replace=False)
-                    )
-                for k in chosen:
-                    child["parents"].add(parents[k]["name"])
+            if all(d == len(groups[ptype]) for d in in_degrees):
+                common += pnames
+                continue
+            if picked is None:
+                picked = [[] for _ in range(n)]
+            for chosen in picked:
+                d = min(in_degrees[int(rng.integers(len(in_degrees)))], len(pnames))
+                sample = rng.choice(len(pnames), size=d, replace=False).tolist()
+                chosen += [pnames[k] for k in sample]
+        if picked is None:
+            parents_of[wtype] = [tuple(sorted(common))] * n
+            continue
         # A type whose source tasks all had parents must not generate
         # orphan roots (that would shift every downstream level).
-        if parent_types and all(len(t.parents) > 0 for t in group):
-            fallback = gen_tasks[parent_types[0]]
-            for child in children:
-                if not child["parents"]:
-                    child["parents"].add(
-                        fallback[int(rng.integers(len(fallback)))]["name"]
-                    )
+        if not common and all(task.parents for task in group):
+            fallback = names[parent_types[0]]
+            for chosen in picked:
+                if not chosen:
+                    chosen.append(fallback[int(rng.integers(len(fallback)))])
+        parents_of[wtype] = [tuple(sorted(common + chosen)) for chosen in picked]
 
-    # Materialize WfTasks with symmetric parent/child tuples.
-    all_gen = [t for wtype in ordered_types for t in gen_tasks[wtype]]
-    children_of: dict[str, set[str]] = {t["name"]: set() for t in all_gen}
-    for t in all_gen:
-        for p in t["parents"]:
-            children_of[p].add(t["name"])
-    tasks = tuple(
-        WfTask(
-            name=t["name"],
-            category=t["category"],
-            runtime_s=t["runtime_s"],
-            parents=tuple(sorted(t["parents"])),
-            children=tuple(sorted(children_of[t["name"]])),
-            files=t["files"],
-            cores=t["cores"],
-            memory_mb=t["memory_mb"],
-            retries=t["retries"],
-            program=t["program"],
-            payload=t["payload"],
-        )
-        for t in all_gen
-    )
+    children_of: dict[str, list[str]] = {}
+    for wtype in ordered_types:
+        for child, parents in zip(names[wtype], parents_of[wtype]):
+            for parent in parents:
+                children_of.setdefault(parent, []).append(child)
+
+    # Files staged by more than one source task keep their identity;
+    # the others are renamed per generated task.
+    templates = {
+        wtype: [
+            (
+                task,
+                tuple(f for f in task.files if usage[f.name] > 1),
+                [f for f in task.files if usage[f.name] == 1],
+            )
+            for task in group
+        ]
+        for wtype, group in groups.items()
+    }
+    tasks = []
+    for wtype in ordered_types:
+        category, options = wtype[1], templates[wtype]
+        for task_name, k, parents in zip(names[wtype], drawn[wtype], parents_of[wtype]):
+            template, files, unique = options[k]
+            if unique:
+                files += tuple([
+                    WfFile(f"{task_name}_in{j}", f.size_bytes, f.link)
+                    for j, f in enumerate(unique)
+                ])
+            children = children_of.get(task_name)
+            tasks.append(
+                WfTask(
+                    name=task_name,
+                    category=category,
+                    runtime_s=template.runtime_s,
+                    parents=parents,
+                    children=tuple(sorted(children)) if children else (),
+                    files=files,
+                    cores=template.cores,
+                    memory_mb=template.memory_mb,
+                    retries=template.retries,
+                    program=template.program,
+                    payload=template.payload,
+                )
+            )
     return WfInstance(
         name=gen_name,
         description=f"synthetic instance generated from {source.name!r} "
         f"(n_tasks={n_tasks}, seed={seed})",
-        tasks=tasks,
+        tasks=tuple(tasks),
         machines=source.machines,
         attributes={"generatedFrom": source.name, "seed": seed, "nTasks": n_tasks},
     )

@@ -78,7 +78,8 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     """Translate an instance (or a WfFormat JSON path) for the pool.
 
     The DAG is not validated here: the instance already rejected
-    cycles, and the engine that runs the DAG validates it.
+    cycles, and the engine that runs the DAG validates it. Tasks with
+    equal payloads share one :class:`~repro.condor.jobs.JobPayload`.
 
     Raises
     ------
@@ -91,10 +92,19 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     dag = DagDescription(name=instance.name)
     runtimes: dict[str, float] = {}
     files_mb: dict[str, float] = {}
+    # Payload fields (or, without a payload, the category) -> the
+    # JobPayload every such task shares.
+    payloads: dict[tuple[str, int, int] | str, JobPayload | None] = {}
     for task in instance.tasks:
-        input_files = {f.name: f.size_mb for f in task.input_files()}
+        input_files: dict[str, float] = {}
         for f in task.files:
-            files_mb[f.name] = f.size_mb
+            size_mb = files_mb[f.name] = f.size_bytes / 1048576.0
+            if f.link == "input":
+                input_files[f.name] = size_mb
+        wp = task.payload
+        key = task.category if wp is None else (wp.phase, wp.n_items, wp.n_stations)
+        if key not in payloads:
+            payloads[key] = _task_payload(task)
         spec = JobSpec(
             name=task.name,
             executable=task.program or "run_fdw_phase.sh",
@@ -102,9 +112,9 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
             request_cpus=task.cores,
             request_memory_mb=task.memory_mb if task.memory_mb is not None else 8192,
             input_files=input_files,
-            payload=_task_payload(task),
+            payload=payloads[key],
         )
-        dag.add_node(DagNode(name=task.name, spec=spec, retries=task.retries))
+        dag.add_node(DagNode(task.name, spec, task.retries))
         runtimes[task.name] = task.runtime_s
     for task in instance.tasks:
         for parent in sorted(task.parents):

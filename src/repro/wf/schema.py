@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from repro.condor.dagfile import kahn_order
 from repro.errors import WfFormatError
@@ -88,11 +90,6 @@ class WfFile:
             raise WfFormatError(f"file {self.name!r}: negative size {self.size_bytes}")
         if self.link not in _LINKS:
             raise WfFormatError(f"file {self.name!r}: link must be one of {_LINKS}")
-
-    @property
-    def size_mb(self) -> float:
-        """Size in MB (exact: 2**20 divides binary floats exactly)."""
-        return self.size_bytes / 1048576.0
 
 
 @dataclass(frozen=True)
@@ -164,10 +161,6 @@ class WfTask:
         if self.retries < 0:
             raise WfFormatError(f"task {self.name!r}: retries must be >= 0")
 
-    def input_files(self) -> tuple[WfFile, ...]:
-        """The task's staged inputs."""
-        return tuple(f for f in self.files if f.link == "input")
-
 
 @dataclass(frozen=True)
 class WfInstance:
@@ -190,14 +183,38 @@ class WfInstance:
             raise WfFormatError(f"instance {self.name!r} has no tasks")
         if self.makespan_s is not None and self.makespan_s < 0:
             raise WfFormatError(f"instance {self.name!r}: negative makespan")
-        names = [t.name for t in self.tasks]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise WfFormatError(f"instance {self.name!r}: duplicate tasks {dupes}")
         by_name = {t.name: t for t in self.tasks}
-        # Membership goes against per-task sets, not the parents/children
-        # tuples: a wide fan-in (the FDW's all-to-all B stage) would make
-        # tuple scans quadratic in the edge count at million-task scale.
+        if len(by_name) < len(self.tasks):
+            seen = Counter(t.name for t in self.tasks)
+            dupes = sorted(n for n, k in seen.items() if k > 1)
+            raise WfFormatError(f"instance {self.name!r}: duplicate tasks {dupes}")
+        # Every edge must be listed from both ends: the children each task
+        # lists must be, as a set, the tasks that list it as a parent.
+        # Gathering those in one pass costs O(tasks + edges) and no set
+        # per task; only a defect sends the check to the task-by-task
+        # scan that names it.
+        listed_by: dict[str, list[str]] | None = {name: [] for name in by_name}
+        try:
+            for task in self.tasks:
+                for parent in task.parents:
+                    listed_by[parent].append(task.name)
+        except KeyError:  # an unknown parent
+            listed_by = None
+        if listed_by is None or any(
+            tuple(back) != task.children and set(back) != set(task.children)
+            for task, back in zip(self.tasks, listed_by.values())
+        ):
+            self._reject_edges(by_name)
+        order = self._topological_order()
+        if len(order) < len(self.tasks):
+            stuck = sorted(by_name.keys() - set(order))
+            raise WfFormatError(
+                f"instance {self.name!r} contains a cycle (involving {stuck[:5]})"
+            )
+
+    def _reject_edges(self, by_name: dict[str, WfTask]) -> NoReturn:
+        """Raise for the first unknown reference or one-sided edge, in
+        task order (each task's references before its edges)."""
         parent_sets = {t.name: frozenset(t.parents) for t in self.tasks}
         child_sets = {t.name: frozenset(t.children) for t in self.tasks}
         for task in self.tasks:
@@ -218,12 +235,7 @@ class WfInstance:
                         f"asymmetric edge: {task.name!r} lists child {child!r} "
                         f"but {child!r} does not list it as a parent"
                     )
-        order = self._topological_order()
-        if len(order) < len(self.tasks):
-            stuck = sorted(by_name.keys() - set(order))
-            raise WfFormatError(
-                f"instance {self.name!r} contains a cycle (involving {stuck[:5]})"
-            )
+        raise AssertionError("_reject_edges found no defect")
 
     def _topological_order(self) -> list[str]:
         """Task names in Kahn order (:func:`~repro.condor.dagfile.kahn_order`),
@@ -239,13 +251,6 @@ class WfInstance:
     def n_tasks(self) -> int:
         """Tasks in the instance."""
         return len(self.tasks)
-
-    def task(self, name: str) -> WfTask:
-        """Task by name."""
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise WfFormatError(f"unknown task {name!r}")
 
     def n_edges(self) -> int:
         """Parent->child edge count."""
@@ -317,9 +322,15 @@ def _parse_task(raw: object, where: str) -> WfTask:
         runtime = _num(raw["runtime"], f"{where}.runtime")
     else:
         raise WfFormatError(f"{where} ({name!r}): missing runtimeInSeconds")
+    # Whole MB, a positive size under 1 MiB rounding up to 1; 0 bytes
+    # is no request.
     memory_mb: int | None = None
     if raw.get("memoryInBytes") is not None:
-        memory_mb = int(_num(raw["memoryInBytes"], f"{where}.memoryInBytes") / 1048576.0)
+        memory = _num(raw["memoryInBytes"], f"{where}.memoryInBytes")
+        if memory < 0:
+            raise WfFormatError(f"{where}.memoryInBytes: negative size {memory}")
+        if memory > 0:
+            memory_mb = max(1, int(memory / 1048576.0))
     program: str | None = None
     arguments: tuple[str, ...] = ()
     command = raw.get("command")

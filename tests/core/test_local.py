@@ -510,3 +510,58 @@ def test_archive_digest_identical_on_every_path(tmp_path):
         assert sorted(p.name for p in root.iterdir()) == [
             "manifest.json", "ruptures", "waveforms",
         ], root.name
+
+
+_BLAS_RUN = """
+import hashlib, sys
+from pathlib import Path
+from repro.core.config import FdwConfig
+from repro.core.gfcache import GFCache
+from repro.core.local import LocalRunner
+from repro.seismo.klcache import KLCache
+
+work = Path(sys.argv[2])
+config = FdwConfig(n_waveforms=12, n_stations=20, mesh=(30, 15), seed=11)
+with LocalRunner(
+    n_workers=int(sys.argv[1]),
+    gf_cache=GFCache(work / "gf"),
+    kl_cache=KLCache(cache_dir=work / "kl"),
+) as runner:
+    runner.run(config, archive_dir=work / "archive")
+"""
+
+
+def test_archive_independent_of_blas_threads(tmp_path):
+    """The archive of one seed does not depend on the BLAS thread count.
+
+    Each run is a fresh interpreter, because OpenBLAS reads
+    ``OPENBLAS_NUM_THREADS`` once, at load. The K-L eigensolve used to
+    run threaded, and its bases (hence slip, hence every product)
+    differed in the last bits between one and two threads, for
+    sequential and pooled runs alike.
+    """
+    import os
+    import subprocess
+    import sys
+
+    from repro.seismo import spectra
+
+    if spectra._openblas_threads() is None:
+        pytest.skip("this scipy build bundles no OpenBLAS with thread controls")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        for n_workers in ("1", "2"):
+            work = tmp_path / f"t{threads}-w{n_workers}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            env.pop("REPRO_GF_CACHE_DIR", None)
+            env.pop("REPRO_KL_CACHE_DIR", None)
+            subprocess.run(
+                [sys.executable, "-c", _BLAS_RUN, n_workers, str(work)],
+                env=env, check=True, timeout=300,
+            )
+            digests[threads, n_workers] = _archive_digest(work / "archive")
+    assert len(set(digests.values())) == 1, digests

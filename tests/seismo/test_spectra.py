@@ -1,5 +1,7 @@
 """Tests for repro.seismo.spectra."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,3 +210,69 @@ def test_kl_bad_modes_rejected(small_distances):
         KarhunenLoeveBasis.from_correlation(c, n_modes=0)
     with pytest.raises(RuptureError):
         KarhunenLoeveBasis.from_correlation(c, n_modes=c.shape[0] + 1)
+
+
+def test_eigensolve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    """The solve sees one thread; the caller's count comes back after."""
+    from repro.seismo import spectra
+
+    api = spectra._openblas_threads()
+    if api is None:
+        pytest.skip("this scipy build bundles no OpenBLAS with thread controls")
+    get, put = api
+    seen = []
+    eigh = spectra.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        seen.append(get())
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra.scipy.linalg, "eigh", counting_eigh)
+    previous = get()
+    put(2)
+    try:
+        ds, dd = _grid_distances()
+        KarhunenLoeveBasis.from_correlation(von_karman_correlation(ds, dd, 30.0, 20.0), 3)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        put(previous)
+
+
+def test_eigensolve_without_bundled_openblas(monkeypatch):
+    """On a scipy build without the thread controls the solve runs as is."""
+    from repro.seismo import spectra
+
+    ds, dd = _grid_distances()
+    c = von_karman_correlation(ds, dd, 30.0, 20.0)
+    expected = KarhunenLoeveBasis.from_correlation(c, 3)
+    monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
+    basis = KarhunenLoeveBasis.from_correlation(c, 3)
+    np.testing.assert_array_equal(basis.eigenvalues, expected.eigenvalues)
+    np.testing.assert_array_equal(basis.eigenvectors, expected.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "library, prefix",
+    [("libscipy_openblas-6cdc3b4a.so", "scipy_"), ("libopenblasp-r0-23e5df77.3.21.dev.so", "")],
+)
+def test_bundled_openblas_found_under_either_naming(tmp_path, monkeypatch, library, prefix):
+    """Both namings scipy wheels have bundled are found; a library
+    without the thread controls is passed over."""
+    from repro.seismo import spectra
+
+    class FakeLibrary:
+        def __init__(self, path):
+            if Path(path).name == library:
+                for op in ("get", "set"):
+                    setattr(self, f"{prefix}openblas_{op}_num_threads", lambda *a: None)
+
+    (tmp_path / library).touch()
+    (tmp_path / "libopenblas-nothreads.so").touch()
+    monkeypatch.setattr(spectra.ctypes, "CDLL", FakeLibrary)
+    found = spectra._find_openblas_threads(tmp_path)
+    assert found is not None
+    assert found[0].restype is spectra.ctypes.c_int
+    assert found[1].argtypes == [spectra.ctypes.c_int]
+    (tmp_path / library).unlink()
+    assert spectra._find_openblas_threads(tmp_path) is None

@@ -121,6 +121,37 @@ class TestGenerate:
         with pytest.raises(WfFormatError, match=">= 1"):
             generate_instance(fdw_like, 0, seed=0)
 
+    def test_categories_sanitizing_alike_get_unique_names(self):
+        """Regression: ``"a.b"`` and ``"a-b"`` both slug to ``a-b``, so two
+        types of one level generated the same task names."""
+        source = WfInstance(
+            name="slugs",
+            tasks=(
+                WfTask(name="r", category="root", runtime_s=1.0, children=("x", "y", "z")),
+                WfTask(name="x", category="a.b", runtime_s=2.0, parents=("r",)),
+                WfTask(name="y", category="a-b", runtime_s=3.0, parents=("r",)),
+                WfTask(name="z", category="a-b-2", runtime_s=4.0, parents=("r",)),
+            ),
+        )
+        gen = generate_instance(source, 7, seed=0)
+        names = [t.name for t in gen.tasks]
+        assert len(set(names)) == len(names) == 7
+        slug_of = {t.category: t.name.split("_")[2] for t in gen.tasks}
+        # The first of the clashing types keeps its slug, the next takes a
+        # suffix no category of the level uses, and the rest keep theirs.
+        assert slug_of == {"root": "root", "a-b": "a-b", "a.b": "a-b-3", "a-b-2": "a-b-2"}
+
+    @pytest.mark.parametrize("source_name, name", [("my workflow", None), ("w", "my\tgen run")])
+    def test_whitespace_in_the_name_stays_out_of_task_names(self, fdw_like, source_name, name):
+        """Regression: a source name or ``name=`` with whitespace produced
+        task names such as ``'my workflow_gen5_...'``, which WfTask rejects."""
+        source = WfInstance(name=source_name, tasks=fdw_like.tasks)
+        gen = generate_instance(source, 12, seed=1, name=name)
+        assert gen.name == (name or f"{source_name}_gen12")
+        prefix = "-".join((name or f"{source_name}_gen12").split())
+        assert all(t.name.startswith(prefix + "_") for t in gen.tasks)
+        assert all(t.name.split() == [t.name] for t in gen.tasks)
+
     def test_pure_chain_scales_every_stage(self):
         chain = WfInstance(
             name="chain",
@@ -168,19 +199,6 @@ class TestPartition:
             "91b25db000563aa30edd31ac0a466e39fdcc0a7ae1aa73392123f2c609144244",
             "3d4bc91c0a4c5c094b992c9a2accfa4fa8e14339911e2b156cad1eded490e6c1",
         ]
-
-    def test_partition_never_looks_tasks_up_by_name(self, fdw_like, monkeypatch):
-        """``WfInstance.task`` scans every task, so calling it once per
-        task made splitting quadratic in the instance size."""
-
-        def no_lookup(self, name):
-            raise AssertionError(f"partition_instance looked up {name!r} by name")
-
-        monkeypatch.setattr(WfInstance, "task", no_lookup)
-        parts = partition_instance(fdw_like, 2, seed=0)
-        assert [p.n_tasks for p in parts] == [5, 5]
-        with pytest.raises(WfFormatError, match="at least"):
-            partition_instance(fdw_like, 5, seed=0)
 
     def test_partition_too_small_rejected(self, fdw_like):
         with pytest.raises(WfFormatError, match="at least"):

@@ -128,9 +128,7 @@ class TestQueries:
         inst = WfInstance(name="w", tasks=tasks)
         assert inst.levels() == {"a": 0, "b": 1, "c": 1, "d": 2}
         assert inst.categories() == ["mid", "root", "sink"]
-        assert inst.task("d").parents == ("b", "c")
-        with pytest.raises(WfFormatError, match="unknown task"):
-            inst.task("nope")
+        assert {t.name: t for t in inst.tasks}["d"].parents == ("b", "c")
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -163,8 +161,14 @@ class TestQueries:
         assert WfInstance(name="w", tasks=tasks).levels() == expected
 
     def test_size_mb_is_exact(self):
+        """The importer's manifests hold sizes in exact MB (2**20 is a
+        power of two)."""
+        from repro.wf import import_instance
+
         f = WfFile(name="f", size_bytes=13.25 * 1048576.0)
-        assert f.size_mb == 13.25  # 2**20 is a power of two: exact
+        imported = import_instance(WfInstance(name="w", tasks=(_task("t", files=(f,)),)))
+        assert imported.files_mb == {"f": 13.25}
+        assert imported.dag.node("t").spec.input_files == {"f": 13.25}
 
 
 class TestJson:
@@ -193,10 +197,10 @@ class TestJson:
                 ]
             },
         }
-        inst = loads_instance(json.dumps(doc))
-        assert inst.task("a").runtime_s == 5.0
+        task = {t.name: t for t in loads_instance(json.dumps(doc)).tasks}["a"]
+        assert task.runtime_s == 5.0
         # category falls back to the task name when absent
-        assert inst.task("a").category == "a"
+        assert task.category == "a"
 
     def test_loads_legacy_keys(self):
         doc = {
@@ -216,7 +220,7 @@ class TestJson:
         inst = loads_instance(json.dumps(doc))
         assert inst.makespan_s == 60.0
         assert inst.machines[0].cpu_cores == 8
-        assert inst.task("a").files[0].size_mb == 2.0
+        assert {t.name: t for t in inst.tasks}["a"].files[0].size_bytes == 2.0 * 1048576
 
     def test_loads_symmetrizes_one_sided_edges(self):
         doc = {
@@ -229,7 +233,7 @@ class TestJson:
             },
         }
         inst = loads_instance(json.dumps(doc))
-        assert inst.task("a").children == ("b",)
+        assert {t.name: t for t in inst.tasks}["a"].children == ("b",)
         assert inst.n_edges() == 1
 
     def test_loads_rejects_bad_documents(self):
@@ -273,6 +277,32 @@ class TestJson:
         assert ("NaN" if value != value else "Infinity") in text
         with pytest.raises(WfFormatError, match=f"{key}: expected a finite number"):
             loads_instance(text)
+
+    @staticmethod
+    def _memory_doc(memory):
+        return json.dumps({"name": "w", "workflow": {"tasks": [
+            {"name": "a", "runtimeInSeconds": 1, "memoryInBytes": memory},
+        ]}})
+
+    def test_loads_memory_under_one_mib_as_one_mb(self):
+        """Regression: a positive request under 1 MiB truncated to 0 MB,
+        which WfTask then refused as ``memory_mb must be >= 1``."""
+        for memory in (1, 524288, 1048575):
+            (task,) = loads_instance(self._memory_doc(memory)).tasks
+            assert task.memory_mb == 1
+
+    def test_loads_zero_memory_as_no_request(self):
+        (task,) = loads_instance(self._memory_doc(0)).tasks
+        assert task.memory_mb is None
+
+    def test_loads_rejects_negative_memory(self):
+        with pytest.raises(WfFormatError, match=r"tasks\[0\]\.memoryInBytes: negative"):
+            loads_instance(self._memory_doc(-1048576))
+
+    def test_loads_memory_of_one_mib_or_more_in_whole_mb(self):
+        for memory in (1048576, 1572864, 8589934592, 3.5 * 1048576):
+            (task,) = loads_instance(self._memory_doc(memory)).tasks
+            assert task.memory_mb == int(memory / 1048576.0)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(WfFormatError, match="not found"):

@@ -2,11 +2,13 @@
 
 A :class:`DagDescription` is the static workflow structure DAGMan
 executes: named nodes, each bound to a :class:`~repro.condor.jobs.JobSpec`,
-plus PARENT/CHILD edges. Each node's parents and children are kept in
-insertion-ordered dicts, and one Kahn pass (:func:`kahn_order`, shared
-with :class:`~repro.wf.schema.WfInstance`) gives both the topological
-order and the cycle check. The structure holds no reference back to
-itself, so a dropped DAG is freed by reference counting alone.
+plus PARENT/CHILD edges. Each node keeps its parents in a list; a
+node's children are an insertion-ordered dict made at its first
+outgoing edge, so a leaf holds none. One Kahn pass (:func:`kahn_order`,
+shared with :class:`~repro.wf.schema.WfInstance`) gives both the
+topological order and the cycle check. The structure holds no
+reference back to itself, so a dropped DAG is freed by reference
+counting alone.
 
 ``.dag`` file round-tripping follows HTCondor's syntax::
 
@@ -33,18 +35,19 @@ def kahn_order(
 ) -> list[str]:
     """Kahn's algorithm, first-in first-out.
 
-    ``parents`` and ``children`` map every node to its direct parents
-    and children. The roots come in ``parents``' key order, then every
-    node as soon as its last parent is placed, children in the order
-    ``children`` lists them: the generation-by-generation order of
-    ``networkx``'s ``topological_sort``, which rescue files were written
-    in. A node on or below a cycle is never placed, so the order is
+    ``parents`` maps every node to its direct parents, and ``children``
+    maps a node to its direct children (a node it lacks has none). The
+    roots come in ``parents``' key order, then every node as soon as its
+    last parent is placed, children in the order ``children`` lists
+    them: the generation-by-generation order of ``networkx``'s
+    ``topological_sort``, which rescue files were written in. A node on or below a cycle is never placed, so the order is
     shorter than ``parents`` exactly when the graph is cyclic.
     """
     in_degree = {n: len(p) for n, p in parents.items() if p}
     order = [n for n, p in parents.items() if not p]
+    children_of = children.get
     for name in order:  # grows while it is walked
-        for child in children[name]:
+        for child in children_of(name, ()):
             left = in_degree[child] - 1
             in_degree[child] = left
             if not left:
@@ -80,7 +83,7 @@ class ScriptSpec:
         return self.exit_code == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DagNode:
     """One DAG node: a name, the job it submits, optional PRE/POST
     scripts and a retry budget.
@@ -113,8 +116,9 @@ class DagDescription:
     def __init__(self, name: str = "dag") -> None:
         self.name = name
         self._nodes: dict[str, DagNode] = {}
-        # Node -> parents / children, as insertion-ordered key sets.
-        self._parents: dict[str, dict[str, None]] = {}
+        # Node -> parents in edge order, and parent -> children as an
+        # insertion-ordered key set (no entry until the first edge).
+        self._parents: dict[str, list[str]] = {}
         self._children: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------
@@ -124,8 +128,7 @@ class DagDescription:
         if node.name in self._nodes:
             raise DagError(f"duplicate DAG node {node.name!r}")
         self._nodes[node.name] = node
-        self._parents[node.name] = {}
-        self._children[node.name] = {}
+        self._parents[node.name] = []
 
     def add_job(self, name: str, spec: JobSpec, retries: int = 0) -> DagNode:
         """Convenience: build and add a node in one step."""
@@ -165,19 +168,25 @@ class DagDescription:
     def add_edge(self, parent: str, child: str) -> None:
         """Declare ``parent`` must complete before ``child`` starts.
 
-        Cycles are not checked per edge: :meth:`validate` checks the
-        whole DAG once, and every :class:`~repro.condor.dagman.DagmanEngine`
-        validates the DAG it runs.
+        A repeated edge is ignored. Cycles are not checked per edge:
+        :meth:`validate` checks the whole DAG once, and every
+        :class:`~repro.condor.dagman.DagmanEngine` validates the DAG it
+        runs.
         """
-        children = self._children.get(parent)
         parents = self._parents.get(child)
-        if children is None or parents is None:
-            unknown = parent if children is None else child
+        if parent not in self._nodes or parents is None:
+            unknown = child if parent in self._nodes else parent
             raise DagError(f"unknown DAG node {unknown!r}")
         if parent == child:
             raise DagError(f"self-edge on {parent!r}")
-        children[child] = None
-        parents[parent] = None
+        children = self._children.get(parent)
+        if children is None:
+            self._children[parent] = {child: None}
+        elif child in children:
+            return
+        else:
+            children[child] = None
+        parents.append(parent)
 
     def add_edges(self, parents: list[str], children: list[str]) -> None:
         """All-to-all PARENT..CHILD edges (HTCondor's multi-name form)."""
@@ -220,7 +229,7 @@ class DagDescription:
     def children(self, name: str) -> list[str]:
         """Direct children of a node."""
         self.node(name)
-        return sorted(self._children[name])
+        return sorted(self._children.get(name, ()))
 
     def topological_order(self) -> list[str]:
         """A topological ordering of node names (see :func:`kahn_order`).
@@ -260,8 +269,8 @@ class DagDescription:
             for when, script in (("PRE", node.pre_script), ("POST", node.post_script)):
                 if script is not None:
                     lines.append(f"SCRIPT {when} {node.name} {script.command}")
-        for parent, children in self._children.items():
-            for child in children:
+        for parent in self._nodes:
+            for child in self._children.get(parent, ()):
                 lines.append(f"PARENT {parent} CHILD {child}")
         dag_path = directory / f"{self.name}.dag"
         dag_path.write_text("\n".join(lines) + "\n")

@@ -80,6 +80,8 @@ class DagmanEngine:
         self.options = options or DagmanOptions()
         self._status: dict[str, NodeStatus] = {}
         self._remaining_parents: dict[str, int] = {}
+        # Only a node that has failed has a counter; until then its
+        # budget is the DagNode's own ``retries``.
         self._retries_left: dict[str, int] = {}
         # A deque: at million-root scale, pull_submissions slicing a
         # list left-shifts every remaining name each cycle (quadratic).
@@ -91,7 +93,6 @@ class DagmanEngine:
         for name in dag.node_names:
             n_parents = dag.n_parents(name)
             self._remaining_parents[name] = n_parents
-            self._retries_left[name] = dag.node(name).retries
             if n_parents == 0:
                 self._status[name] = NodeStatus.READY
                 self._ready_fifo.append(name)
@@ -136,7 +137,8 @@ class DagmanEngine:
     def retries_left(self, name: str) -> int:
         """Remaining DAG-level retries for a node."""
         self.status(name)  # validates the name
-        return self._retries_left[name]
+        left = self._retries_left.get(name)
+        return self.dag.node(name).retries if left is None else left
 
     # -- driving ------------------------------------------------------------
 
@@ -192,8 +194,9 @@ class DagmanEngine:
                 f"node {name!r} reported result while {self.status(name).value}"
             )
         if not success:
-            if self._retries_left[name] > 0:
-                self._retries_left[name] -= 1
+            left = self.retries_left(name)
+            if left > 0:
+                self._retries_left[name] = left - 1
                 self._status[name] = NodeStatus.READY
                 self._ready_fifo.append(name)
                 return [name]

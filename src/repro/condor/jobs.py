@@ -73,7 +73,7 @@ class JobPayload:
             raise JobStateError("payload sizes must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """Static job description (the submit-file content).
 

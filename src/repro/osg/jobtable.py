@@ -7,9 +7,9 @@ stores the dynamic record columnwise instead — typed
 retries, slot, cluster id, and owning DAGMan index, plus parallel
 Python lists for the spec and node name — and :class:`JobView` is a
 two-word handle that duck-types ``Job`` over one row. Everything
-downstream of the simulator (schedd queues, ``DagmanRun.jobs``,
-metrics, rescue, fault injection) accepts a view wherever it accepted
-a ``Job``. The columns hold the widths numpy columns would, but a row
+downstream of the simulator (schedd queues, held-job lists, metrics,
+rescue, fault injection) accepts a view wherever it accepted a
+``Job``. The columns hold the widths numpy columns would, but a row
 read returns a Python ``int`` or ``float``, so the pool's per-job path
 never touches a numpy scalar.
 

@@ -105,12 +105,7 @@ class OSPoolConfig:
 
 @dataclass
 class DagmanRun:
-    """Live state of one submitted DAGMan.
-
-    ``jobs`` holds one :class:`~repro.osg.jobtable.JobView` per attempt,
-    in submission order: a row of the pool's job table behind the
-    :class:`~repro.condor.jobs.Job` attribute surface.
-    """
+    """Live state of one submitted DAGMan."""
 
     name: str
     engine: DagmanEngine
@@ -120,7 +115,6 @@ class DagmanRun:
     index: int = 0  # submission ordinal (the JobTable's dagman column)
     end_time: float | None = None
     dead: bool = False  # terminal failure (retries exhausted)
-    jobs: dict[str, list[JobView]] = field(default_factory=dict)
     rescue_file: Path | None = None
     holds: dict[str, int] = field(default_factory=dict)  # node -> times held
     held: list[tuple[str, JobView]] = field(default_factory=list)
@@ -317,14 +311,12 @@ class OSPoolSimulator:
         rows = table.add_batch(node_names, specs, run.index, first_cluster, now)
         record = run.user_log.record
         host = f"schedd-{run.name}"
-        jobs = run.jobs
         entries: list[tuple[str, JobView]] = []
         cluster = first_cluster
         for row, node_name in zip(rows, node_names):
             view = JobView(table, row)
             record(JobEventType.SUBMIT, cluster, now, host=host)
             cluster += 1
-            jobs.setdefault(node_name, []).append(view)
             entries.append((node_name, view))
         run.queue.enqueue_many(entries)
 

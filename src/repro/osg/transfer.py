@@ -26,6 +26,7 @@ simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,9 @@ __all__ = ["TransferConfig", "StashCache", "SINGULARITY_IMAGE_MB"]
 
 #: The MudPy Singularity image from the paper (Section 3).
 SINGULARITY_IMAGE_MB = 928.0
+
+_IMAGE = "singularity.sif"
+_IMAGE_ENTRY = ((_IMAGE, SINGULARITY_IMAGE_MB),)
 
 
 @dataclass(frozen=True)
@@ -159,38 +163,45 @@ class StashCache:
         """True when ``filename`` is cached at ``site``."""
         return filename in self._warm.get(site, ())
 
-    def _job_files(self, spec: JobSpec) -> dict[str, float]:
-        files = dict(spec.input_files)
-        if self.config.include_image:
-            files.setdefault("singularity.sif", SINGULARITY_IMAGE_MB)
-        return files
+    def _job_files(self, spec: JobSpec) -> tuple[Iterable[tuple[str, float]], ...]:
+        """A job's (file, MB) entries in staging order, without a copy:
+        the spec's inputs, then the image when it is charged and the
+        spec does not list it."""
+        files = spec.input_files
+        if self.config.include_image and _IMAGE not in files:
+            return files.items(), _IMAGE_ENTRY
+        return (files.items(),)
 
-    def _stage_at(self, files: dict[str, float], site: int) -> float:
-        """Stage a file set at one site; returns elapsed seconds
-        (including the setup overhead) and marks the files warm."""
+    def _stage_at(
+        self, files: tuple[Iterable[tuple[str, float]], ...], site: int
+    ) -> float:
+        """Stage a job's files (:meth:`_job_files`) at one site; returns
+        elapsed seconds (including the setup overhead) and marks the
+        files warm."""
         cfg = self.config
         total = cfg.setup_overhead_s
         site_cache = self._warm.setdefault(site, OrderedDict())
-        for filename, size_mb in files.items():
-            if size_mb < 0:
-                raise SimulationError(f"negative file size for {filename!r}")
-            if filename in site_cache:
-                bw = cfg.cache_mb_per_s
-                self.n_warm_transfers += 1
-                self.warm_mb_total += size_mb
-                site_cache.move_to_end(filename)
-            else:
-                bw = cfg.origin_mb_per_s
-                site_cache[filename] = None
-                self.n_cold_transfers += 1
-                self.cold_mb_total += size_mb
-                if (
-                    cfg.max_entries_per_site is not None
-                    and len(site_cache) > cfg.max_entries_per_site
-                ):
-                    site_cache.popitem(last=False)
-                    self.n_evictions += 1
-            total += size_mb / bw
+        for entries in files:
+            for filename, size_mb in entries:
+                if size_mb < 0:
+                    raise SimulationError(f"negative file size for {filename!r}")
+                if filename in site_cache:
+                    bw = cfg.cache_mb_per_s
+                    self.n_warm_transfers += 1
+                    self.warm_mb_total += size_mb
+                    site_cache.move_to_end(filename)
+                else:
+                    bw = cfg.origin_mb_per_s
+                    site_cache[filename] = None
+                    self.n_cold_transfers += 1
+                    self.cold_mb_total += size_mb
+                    if (
+                        cfg.max_entries_per_site is not None
+                        and len(site_cache) > cfg.max_entries_per_site
+                    ):
+                        site_cache.popitem(last=False)
+                        self.n_evictions += 1
+                total += size_mb / bw
         # Bandwidth-bound time only; the fixed setup overhead is not a
         # transfer and would dilute cache-efficiency accounting.
         self.total_transfer_seconds += total - cfg.setup_overhead_s
@@ -272,7 +283,8 @@ class StashCache:
         # Retries exhausted: the job pulls everything straight from the
         # origin, bypassing the cache path. Expensive but always lands.
         self.n_degraded_transfers += 1
-        self.degraded_mb_total += sum(files.values())
-        direct = sum(files.values()) / cfg.origin_mb_per_s
+        staged_mb = sum(size_mb for entries in files for _, size_mb in entries)
+        self.degraded_mb_total += staged_mb
+        direct = staged_mb / cfg.origin_mb_per_s
         self.total_transfer_seconds += direct
         return total + cfg.setup_overhead_s + direct

@@ -111,6 +111,153 @@ def _slugs(ordered_types: list[tuple[int, str]]) -> dict[tuple[int, str], str]:
     return slugs
 
 
+class _Pattern:
+    """What generation reads from a source instance, derived once.
+
+    The task types in order with their sizes and name slugs, each type's
+    templates (a source task with its shared files and the ones renamed
+    per generated task) and its wiring: every parent type with the
+    source in-degrees from it, or ``None`` when the type takes all of
+    that parent type's tasks. :meth:`instantiate` makes one generated
+    instance from it, so a split derives the pattern once for all its
+    parts.
+    """
+
+    def __init__(self, source: WfInstance) -> None:
+        self.source = source
+        levels = source.levels()
+        type_of: dict[str, tuple[int, str]] = {}
+        groups: dict[tuple[int, str], list[WfTask]] = {}
+        usage: dict[str, int] = {}
+        for task in source.tasks:
+            wtype = type_of[task.name] = (levels[task.name], task.category)
+            groups.setdefault(wtype, []).append(task)
+            for f in task.files:
+                usage[f.name] = usage.get(f.name, 0) + 1
+        self.types = sorted(groups)
+        self.sizes = {t: len(g) for t, g in groups.items()}
+        self.slugs = _slugs(self.types)
+        # Files staged by more than one source task keep their identity;
+        # the others are renamed per generated task.
+        self.templates = {
+            wtype: [
+                (
+                    task,
+                    tuple(f for f in task.files if usage[f.name] > 1),
+                    [f for f in task.files if usage[f.name] == 1],
+                )
+                for task in group
+            ]
+            for wtype, group in groups.items()
+        }
+        # Type -> its parent types, each with the in-degree from it of
+        # every source task of the type (None when each takes all of
+        # that parent type), and whether every such task has a parent.
+        self.wiring = {}
+        for wtype in self.types:
+            group = groups[wtype]
+            links = []
+            for ptype in sorted({type_of[p] for task in group for p in task.parents}):
+                in_degrees = [
+                    sum(1 for p in task.parents if type_of[p] == ptype) for task in group
+                ]
+                all_to_all = all(d == self.sizes[ptype] for d in in_degrees)
+                links.append((ptype, None if all_to_all else in_degrees))
+            self.wiring[wtype] = (links, all(task.parents for task in group))
+
+    def instantiate(self, n_tasks: int, seed: int, name: str | None) -> WfInstance:
+        """One generated instance of ``n_tasks`` tasks (see
+        :func:`generate_instance`)."""
+        source, ordered_types = self.source, self.types
+        rng = RngFactory(seed).generator("wf", "generate")
+        targets = _target_counts(ordered_types, self.sizes, n_tasks)
+
+        gen_name = name or f"{source.name}_gen{n_tasks}"
+        prefix = "".join("-" if c.isspace() else c for c in gen_name)
+        names: dict[tuple[int, str], list[str]] = {}
+        drawn: dict[tuple[int, str], list[int]] = {}
+        for wtype in ordered_types:
+            stem = f"{prefix}_{self.slugs[wtype]}_L{wtype[0]}_"
+            names[wtype] = [f"{stem}{i:05d}" for i in range(targets[wtype])]
+            # One block draw yields the values, and leaves the generator
+            # in the state, of one scalar draw per task.
+            drawn[wtype] = rng.integers(self.sizes[wtype], size=targets[wtype]).tolist()
+
+        # Type-to-type wiring observed in the source: every child of a
+        # type gets all tasks of an all-to-all parent type (``common``)
+        # and its own sample of each sparser one (``picked``, one list
+        # per child).
+        parents_of: dict[tuple[int, str], list[tuple[str, ...]]] = {}
+        for wtype in ordered_types:
+            n = targets[wtype]
+            links, all_have_parents = self.wiring[wtype]
+            common: list[str] = []
+            picked: list[list[str]] | None = None
+            for ptype, in_degrees in links:
+                pnames = names[ptype]
+                if in_degrees is None:
+                    common += pnames
+                    continue
+                if picked is None:
+                    picked = [[] for _ in range(n)]
+                for chosen in picked:
+                    d = min(in_degrees[int(rng.integers(len(in_degrees)))], len(pnames))
+                    sample = rng.choice(len(pnames), size=d, replace=False).tolist()
+                    chosen += [pnames[k] for k in sample]
+            if picked is None:
+                parents_of[wtype] = [tuple(sorted(common))] * n
+                continue
+            # A type whose source tasks all had parents must not generate
+            # orphan roots (that would shift every downstream level).
+            if not common and all_have_parents:
+                fallback = names[links[0][0]]
+                for chosen in picked:
+                    if not chosen:
+                        chosen.append(fallback[int(rng.integers(len(fallback)))])
+            parents_of[wtype] = [tuple(sorted(common + chosen)) for chosen in picked]
+
+        children_of: dict[str, list[str]] = {}
+        for wtype in ordered_types:
+            for child, parents in zip(names[wtype], parents_of[wtype]):
+                for parent in parents:
+                    children_of.setdefault(parent, []).append(child)
+
+        tasks = []
+        for wtype in ordered_types:
+            category, options = wtype[1], self.templates[wtype]
+            for task_name, k, parents in zip(names[wtype], drawn[wtype], parents_of[wtype]):
+                template, files, unique = options[k]
+                if unique:
+                    files += tuple([
+                        WfFile(f"{task_name}_in{j}", f.size_bytes, f.link)
+                        for j, f in enumerate(unique)
+                    ])
+                children = children_of.get(task_name)
+                tasks.append(
+                    WfTask(
+                        name=task_name,
+                        category=category,
+                        runtime_s=template.runtime_s,
+                        parents=parents,
+                        children=tuple(sorted(children)) if children else (),
+                        files=files,
+                        cores=template.cores,
+                        memory_mb=template.memory_mb,
+                        retries=template.retries,
+                        program=template.program,
+                        payload=template.payload,
+                    )
+                )
+        return WfInstance(
+            name=gen_name,
+            description=f"synthetic instance generated from {source.name!r} "
+            f"(n_tasks={n_tasks}, seed={seed})",
+            tasks=tuple(tasks),
+            machines=source.machines,
+            attributes={"generatedFrom": source.name, "seed": seed, "nTasks": n_tasks},
+        )
+
+
 @collector_paused()
 def generate_instance(
     source: WfInstance, n_tasks: int, seed: int, *, name: str | None = None
@@ -124,123 +271,10 @@ def generate_instance(
     """
     if n_tasks < 1:
         raise WfFormatError(f"n_tasks must be >= 1, got {n_tasks}")
-    rng = RngFactory(seed).generator("wf", "generate")
-    levels = source.levels()
-    type_of: dict[str, tuple[int, str]] = {}
-    groups: dict[tuple[int, str], list[WfTask]] = {}
-    usage: dict[str, int] = {}
-    for task in source.tasks:
-        wtype = type_of[task.name] = (levels[task.name], task.category)
-        groups.setdefault(wtype, []).append(task)
-        for f in task.files:
-            usage[f.name] = usage.get(f.name, 0) + 1
-    ordered_types = sorted(groups)
-    targets = _target_counts(
-        ordered_types, {t: len(g) for t, g in groups.items()}, n_tasks
-    )
-
-    gen_name = name or f"{source.name}_gen{n_tasks}"
-    prefix = "".join("-" if c.isspace() else c for c in gen_name)
-    slugs = _slugs(ordered_types)
-    names: dict[tuple[int, str], list[str]] = {}
-    drawn: dict[tuple[int, str], list[int]] = {}
-    for wtype in ordered_types:
-        stem = f"{prefix}_{slugs[wtype]}_L{wtype[0]}_"
-        names[wtype] = [f"{stem}{i:05d}" for i in range(targets[wtype])]
-        # One block draw yields the values, and leaves the generator in
-        # the state, of one scalar draw per task.
-        drawn[wtype] = rng.integers(len(groups[wtype]), size=targets[wtype]).tolist()
-
-    # Type-to-type wiring observed in the source: every child of a type
-    # gets all tasks of an all-to-all parent type (``common``) and its
-    # own sample of each sparser one (``picked``, one list per child).
-    parents_of: dict[tuple[int, str], list[tuple[str, ...]]] = {}
-    for wtype in ordered_types:
-        group, n = groups[wtype], targets[wtype]
-        parent_types = sorted({type_of[p] for task in group for p in task.parents})
-        common: list[str] = []
-        picked: list[list[str]] | None = None
-        for ptype in parent_types:
-            pnames = names[ptype]
-            in_degrees = [
-                sum(1 for p in task.parents if type_of[p] == ptype) for task in group
-            ]
-            if all(d == len(groups[ptype]) for d in in_degrees):
-                common += pnames
-                continue
-            if picked is None:
-                picked = [[] for _ in range(n)]
-            for chosen in picked:
-                d = min(in_degrees[int(rng.integers(len(in_degrees)))], len(pnames))
-                sample = rng.choice(len(pnames), size=d, replace=False).tolist()
-                chosen += [pnames[k] for k in sample]
-        if picked is None:
-            parents_of[wtype] = [tuple(sorted(common))] * n
-            continue
-        # A type whose source tasks all had parents must not generate
-        # orphan roots (that would shift every downstream level).
-        if not common and all(task.parents for task in group):
-            fallback = names[parent_types[0]]
-            for chosen in picked:
-                if not chosen:
-                    chosen.append(fallback[int(rng.integers(len(fallback)))])
-        parents_of[wtype] = [tuple(sorted(common + chosen)) for chosen in picked]
-
-    children_of: dict[str, list[str]] = {}
-    for wtype in ordered_types:
-        for child, parents in zip(names[wtype], parents_of[wtype]):
-            for parent in parents:
-                children_of.setdefault(parent, []).append(child)
-
-    # Files staged by more than one source task keep their identity;
-    # the others are renamed per generated task.
-    templates = {
-        wtype: [
-            (
-                task,
-                tuple(f for f in task.files if usage[f.name] > 1),
-                [f for f in task.files if usage[f.name] == 1],
-            )
-            for task in group
-        ]
-        for wtype, group in groups.items()
-    }
-    tasks = []
-    for wtype in ordered_types:
-        category, options = wtype[1], templates[wtype]
-        for task_name, k, parents in zip(names[wtype], drawn[wtype], parents_of[wtype]):
-            template, files, unique = options[k]
-            if unique:
-                files += tuple([
-                    WfFile(f"{task_name}_in{j}", f.size_bytes, f.link)
-                    for j, f in enumerate(unique)
-                ])
-            children = children_of.get(task_name)
-            tasks.append(
-                WfTask(
-                    name=task_name,
-                    category=category,
-                    runtime_s=template.runtime_s,
-                    parents=parents,
-                    children=tuple(sorted(children)) if children else (),
-                    files=files,
-                    cores=template.cores,
-                    memory_mb=template.memory_mb,
-                    retries=template.retries,
-                    program=template.program,
-                    payload=template.payload,
-                )
-            )
-    return WfInstance(
-        name=gen_name,
-        description=f"synthetic instance generated from {source.name!r} "
-        f"(n_tasks={n_tasks}, seed={seed})",
-        tasks=tuple(tasks),
-        machines=source.machines,
-        attributes={"generatedFrom": source.name, "seed": seed, "nTasks": n_tasks},
-    )
+    return _Pattern(source).instantiate(n_tasks, seed, name)
 
 
+@collector_paused()
 def partition_instance(
     source: WfInstance, k: int, seed: int = 0
 ) -> list[WfInstance]:
@@ -249,16 +283,17 @@ def partition_instance(
 
     Task counts split as evenly as possible (remainders to the first
     partitions, like :func:`repro.core.partition.partition_config`) and
-    each partition is generated with a derived seed, so the joint
-    workload is deterministic.
+    each partition is generated, from one derivation of the source's
+    pattern, with a derived seed, so the joint workload is
+    deterministic.
     """
     if k < 1:
         raise WfFormatError(f"partition count must be >= 1, got {k}")
     if k == 1:
         return [source]
     n = source.n_tasks
-    levels = source.levels()
-    n_types = len({(levels[t.name], t.category) for t in source.tasks})
+    pattern = _Pattern(source)
+    n_types = len(pattern.types)
     base, extra = divmod(n, k)
     counts = [base + (1 if i < extra else 0) for i in range(k)]
     if min(counts) < n_types:
@@ -267,11 +302,8 @@ def partition_instance(
             f"at least {n_types} tasks (one per pattern type)"
         )
     return [
-        generate_instance(
-            source,
-            counts[i],
-            derive_seed(seed, "wf-partition", i),
-            name=f"{source.name}_p{i:02d}",
+        pattern.instantiate(
+            counts[i], derive_seed(seed, "wf-partition", i), f"{source.name}_p{i:02d}"
         )
         for i in range(k)
     ]

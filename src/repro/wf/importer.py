@@ -10,6 +10,9 @@ downloaded WfCommons trace, or a generated synthetic instance — into:
 * a transfer manifest (logical file name -> size in MB) for the
   :class:`~repro.osg.transfer.StashCache`.
 
+The two manifests are derived from the instance when read, so a
+model-mode replay, which reads neither, never builds them.
+
 The existing :class:`~repro.osg.pool.OSPoolSimulator` consumes the
 result unchanged — jobs stage their declared inputs through the cache
 model and the DAGMan engine enforces the imported edges. Tasks are
@@ -43,10 +46,21 @@ class ImportedWorkflow:
 
     instance: WfInstance
     dag: DagDescription
-    #: Task name -> traced runtime in seconds (drives trace-mode replay).
-    runtimes: dict[str, float]
-    #: Logical file name -> size in MB (the Stash transfer manifest).
-    files_mb: dict[str, float]
+
+    @property
+    def runtimes(self) -> dict[str, float]:
+        """Task name -> traced runtime in seconds (drives trace-mode replay)."""
+        return {task.name: task.runtime_s for task in self.instance.tasks}
+
+    @property
+    def files_mb(self) -> dict[str, float]:
+        """Logical file name -> size in MB (the Stash transfer manifest),
+        in first-seen order; a file listed twice keeps its last size."""
+        files_mb: dict[str, float] = {}
+        for task in self.instance.tasks:
+            for f in task.files:
+                files_mb[f.name] = f.size_bytes / 1048576.0
+        return files_mb
 
     @property
     def name(self) -> str:
@@ -90,17 +104,14 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
         source if isinstance(source, WfInstance) else load_instance(source)
     )
     dag = DagDescription(name=instance.name)
-    runtimes: dict[str, float] = {}
-    files_mb: dict[str, float] = {}
     # Payload fields (or, without a payload, the category) -> the
     # JobPayload every such task shares.
     payloads: dict[tuple[str, int, int] | str, JobPayload | None] = {}
     for task in instance.tasks:
         input_files: dict[str, float] = {}
         for f in task.files:
-            size_mb = files_mb[f.name] = f.size_bytes / 1048576.0
             if f.link == "input":
-                input_files[f.name] = size_mb
+                input_files[f.name] = f.size_bytes / 1048576.0
         wp = task.payload
         key = task.category if wp is None else (wp.phase, wp.n_items, wp.n_stations)
         if key not in payloads:
@@ -115,10 +126,7 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
             payload=payloads[key],
         )
         dag.add_node(DagNode(task.name, spec, task.retries))
-        runtimes[task.name] = task.runtime_s
     for task in instance.tasks:
         for parent in sorted(task.parents):
             dag.add_edge(parent, task.name)
-    return ImportedWorkflow(
-        instance=instance, dag=dag, runtimes=runtimes, files_mb=files_mb
-    )
+    return ImportedWorkflow(instance=instance, dag=dag)

@@ -75,7 +75,7 @@ SCHEMA_VERSION = "1.4"
 _LINKS = ("input", "output")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WfFile:
     """One file a task reads (``link="input"``) or writes (``"output"``)."""
 
@@ -128,7 +128,7 @@ class WfPayload:
             raise WfFormatError("payload sizes must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WfTask:
     """One task of a workflow instance."""
 

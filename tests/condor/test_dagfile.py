@@ -49,8 +49,28 @@ def test_duplicate_node_rejected():
 def test_unknown_edge_endpoint_rejected():
     dag = DagDescription()
     dag.add_job("x", spec("x"))
-    with pytest.raises(DagError):
+    with pytest.raises(DagError, match="'nope'"):
         dag.add_edge("x", "nope")
+    with pytest.raises(DagError, match="'nope'"):
+        dag.add_edge("nope", "x")
+    with pytest.raises(DagError, match="'p'"):
+        dag.add_edge("p", "q")
+
+
+def test_repeated_edge_ignored(tmp_path):
+    dag = diamond()
+    dag.add_edge("a", "b")
+    dag.add_edges(["b", "c"], ["d"])
+    assert dag.parents("b") == ["a"] and dag.n_parents("d") == 2
+    assert dag.children("a") == ["b", "c"] and dag.children("d") == []
+    assert dag.topological_order() == ["a", "b", "c", "d"]
+    text = dag.write(tmp_path).read_text()
+    assert [line for line in text.splitlines() if line.startswith("PARENT")] == [
+        "PARENT a CHILD b",
+        "PARENT a CHILD c",
+        "PARENT b CHILD d",
+        "PARENT c CHILD d",
+    ]
 
 
 def test_self_edge_rejected():

@@ -97,7 +97,7 @@ class TestPoolSemantics:
         run = pool.dagman_runs["s"]
         assert run.dead
         assert metrics.records == []  # the job never executed
-        assert run.jobs == {}
+        assert len(run.user_log) == 0  # nor was it ever submitted
 
     def test_failing_pre_retried(self):
         dag = single_node_dag(retries=2)

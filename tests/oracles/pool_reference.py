@@ -98,7 +98,6 @@ class ReferencePoolSimulator(OSPoolSimulator):
         run.user_log.record(
             JobEventType.SUBMIT, job.cluster_id, now, host=f"schedd-{run.name}"
         )
-        run.jobs.setdefault(node_name, []).append(job)
         run.queue.enqueue(node_name, job)
 
     def _negotiator_cycle(self) -> None:

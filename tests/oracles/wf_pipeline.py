@@ -11,7 +11,10 @@ equivalence properties can hold the product pipeline to them byte for
 byte and message for message. The bodies are unchanged except that
 the importer filters inputs and converts sizes to MB inline
 (``WfTask.input_files`` and ``WfFile.size_mb`` left ``src/`` with it),
-and they build the product's record types, which the rewrite kept. The type apportionment (``_target_counts``) and the
+and they build the product's record types, which the rewrite kept. The
+importer returns its two manifests beside the DAG in an
+:class:`ImportResult`: ``ImportedWorkflow`` now derives them from the
+instance when read. The type apportionment (``_target_counts``) and the
 category sanitizer (``_sanitize``) are imported: the rewrite left them
 as they were.
 """
@@ -19,16 +22,16 @@ as they were.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.condor.dagfile import DagDescription, DagNode, kahn_order
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.errors import WfFormatError
 from repro.rng import RngFactory
 from repro.wf.generate import _sanitize, _target_counts
-from repro.wf.importer import ImportedWorkflow
 from repro.wf.schema import WfFile, WfInstance, WfTask
 
-__all__ = ["generate_instance", "import_instance", "validate_instance"]
+__all__ = ["ImportResult", "generate_instance", "import_instance", "validate_instance"]
 
 
 def validate_instance(
@@ -210,7 +213,17 @@ def _task_payload(task: WfTask) -> JobPayload | None:
     return None
 
 
-def import_instance(instance: WfInstance) -> ImportedWorkflow:
+@dataclass(frozen=True)
+class ImportResult:
+    """What the importer built: the DAG and both manifests."""
+
+    instance: WfInstance
+    dag: DagDescription
+    runtimes: dict[str, float]
+    files_mb: dict[str, float]
+
+
+def import_instance(instance: WfInstance) -> ImportResult:
     """The two-walk importer with one payload per task."""
     dag = DagDescription(name=instance.name)
     runtimes: dict[str, float] = {}
@@ -235,6 +248,6 @@ def import_instance(instance: WfInstance) -> ImportedWorkflow:
     for task in instance.tasks:
         for parent in sorted(task.parents):
             dag.add_edge(parent, task.name)
-    return ImportedWorkflow(
+    return ImportResult(
         instance=instance, dag=dag, runtimes=runtimes, files_mb=files_mb
     )

@@ -307,7 +307,7 @@ def test_records_and_user_logs_hold_builtin_scalars():
             assert type(getattr(record, f.name)) in (str, int, float, bool), f.name
     logged = set()
     for log in result.user_logs.values():
-        for event_type, cluster_id, time_s, host, return_value in log._events:
+        for event_type, cluster_id, time_s, host, return_value in log._rows():
             logged.add(event_type)
             assert type(cluster_id) is int and type(time_s) is float
             assert type(host) is str

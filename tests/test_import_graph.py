@@ -10,7 +10,9 @@ interpreter, since this test process has long loaded everything.
 The functions the runner calls by name and the e2e harness
 (``benchmarks/e2e/layers.py``) wraps where the runner looks them up
 stay bound at its import, so they live in modules that load no seismic
-code.
+code. The harness itself must still find every entry point it wraps:
+a moved method or import breaks each traced benchmark run, and the
+harness's own tests are outside this suite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
+_LAYERS = str(_ROOT / "benchmarks" / "e2e" / "layers.py")
 
 _LOADED = """
 import importlib, json, sys
@@ -55,13 +59,36 @@ print("ok")
 """
 
 
+_WRAPPERS = """
+import importlib.util, inspect, sys
+spec = importlib.util.spec_from_file_location("e2e_layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = layers
+spec.loader.exec_module(layers)
+def bound():
+    return [
+        inspect.getattr_static(place, t.attr)
+        for t in layers.TARGETS
+        for place in (layers._resolve(t.owner), *map(importlib.import_module, t.lookups))
+    ]
+before = bound()
+uninstall = layers.install(layers.SpanRecorder())
+assert all(now is not then for now, then in zip(bound(), before))
+uninstall()
+assert all(now is then for now, then in zip(bound(), before))
+print(len(layers.TARGETS))
+"""
+
+
 def _run(code: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -81,3 +108,10 @@ def test_runner_binds_the_wrapped_functions_without_the_seismic_stack():
     """``repro.core.local`` holds the shared-bank helpers and the
     ``.rupt`` writer as the objects their owner modules export."""
     assert _run(_BOUND).split() == ["ok"]
+
+
+def test_e2e_harness_wraps_every_target():
+    """``install`` finds each wrapped method and function on its owner
+    and in every module that looks it up, and ``uninstall`` restores
+    them all."""
+    assert int(_run(_WRAPPERS, _LAYERS)) > 0

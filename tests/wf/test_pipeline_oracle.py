@@ -133,7 +133,7 @@ def _assert_same_import(new, old) -> None:
         assert node == expected
         assert list(node.spec.input_files.items()) == list(expected.spec.input_files.items())
         assert list(new.dag._parents[name]) == list(old.dag._parents[name])
-        assert list(new.dag._children[name]) == list(old.dag._children[name])
+        assert list(new.dag._children.get(name, ())) == list(old.dag._children.get(name, ()))
     assert list(new.runtimes.items()) == list(old.runtimes.items())
     assert list(new.files_mb.items()) == list(old.files_mb.items())
 

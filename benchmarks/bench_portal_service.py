@@ -10,15 +10,23 @@ What the service layer is for, measured:
 * **Queue-wait distribution** — p50/p99 virtual queue wait across all
   tickets at N simulated tenants, the fair-share/backpressure health
   numbers a gateway operator watches.
-* **Service overhead** — the benchmark timing itself: everything but
-  the (virtual-cost) backend, i.e. the queueing, negotiation,
-  coalescing, and deposit machinery at community scale.
+* **Service overhead** — the benchmark timing itself: one whole
+  session at community scale, i.e. the queueing, negotiation,
+  coalescing and deposit machinery plus the virtual-cost backend's
+  ``SimulatedRunner.execute`` calls (a seeded makespan per distinct
+  scenario; no pool simulation runs).
+* **Identity** — the community session publishes the sha256 of its
+  queue trace and its executed/coalesced counts in ``extra_info``;
+  bench-smoke's group check pins them, so a speed-up that moved a
+  placement or a virtual timestamp fails CI.
 
 Run: ``PYTHONPATH=src pytest benchmarks/bench_portal_service.py -q
 --benchmark-only``.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -56,6 +64,10 @@ def test_service_session_throughput(benchmark):
     benchmark.extra_info["n_tenants"] = N_TENANTS
     benchmark.extra_info["n_submissions"] = N_SUBMISSIONS
     benchmark.extra_info["n_executed"] = stats.n_executed
+    benchmark.extra_info["n_coalesced"] = stats.n_coalesced
+    benchmark.extra_info["queue_trace_sha256"] = hashlib.sha256(
+        repr(report.trace).encode()
+    ).hexdigest()
     benchmark.extra_info["coalescing_hit_rate"] = round(
         stats.coalescing_hit_rate, 4
     )

@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from repro.errors import ConfigError
 
 __all__ = ["FdwConfig"]
+
+#: Longest config name. The name becomes part of DAG node names, file
+#: names and VDC product ids (``run-<n>-<name>.<kind>``, at most 128
+#: characters), and 96 leaves room for a 17-digit run counter.
+MAX_NAME_LEN = 96
+
+_NAME_RE = re.compile(rf"[A-Za-z0-9._-]{{1,{MAX_NAME_LEN}}}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,8 @@ class FdwConfig:
     seed:
         Root seed of the run.
     name:
-        Workflow name (used for DAG/node naming and output labels).
+        Workflow name (used for DAG/node naming and output labels): 1 to
+        :data:`MAX_NAME_LEN` characters of ``[A-Za-z0-9._-]``.
     """
 
     n_waveforms: int = 1024
@@ -99,8 +109,11 @@ class FdwConfig:
             raise ConfigError(
                 f"gf_dtype must be 'float64' or 'float32', got {self.gf_dtype!r}"
             )
-        if not self.name:
-            raise ConfigError("name must be non-empty")
+        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
+            raise ConfigError(
+                f"name must be 1-{MAX_NAME_LEN} characters of [A-Za-z0-9._-], "
+                f"got {self.name!r}"
+            )
 
     # -- derived -----------------------------------------------------------
 
@@ -119,8 +132,14 @@ class FdwConfig:
         station network, and seed, and therefore the downstream
         content-addressed GF-bank and K-L keys
         (:func:`~repro.core.gfcache.gf_bank_key`,
-        :mod:`repro.seismo.klcache`).
+        :mod:`repro.seismo.klcache`). Computed once per config object
+        (the fields are frozen); :meth:`with_waveforms` and
+        :func:`dataclasses.replace` build new objects with their own.
         """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         lines = [
             f"{self.n_waveforms}",
             f"{self.n_stations}",
@@ -205,7 +224,10 @@ class FdwConfig:
                 kwargs["name"] = section["name"]
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def write(self, path: str | Path) -> Path:
         """Write the config in the file format :meth:`read` parses."""

@@ -98,7 +98,7 @@ class ServiceQuota:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One entry of the service's queue trace (the audit log)."""
 
@@ -110,7 +110,7 @@ class TraceEvent:
     entry_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceResult:
     """What one resolved ticket delivers back to its tenant."""
 
@@ -220,6 +220,8 @@ class Ticket:
     them yields the same run id and product ids.
     """
 
+    __slots__ = ("ticket_id", "tenant", "submitted_at", "coalesced", "_entry")
+
     def __init__(
         self,
         ticket_id: str,
@@ -249,16 +251,16 @@ class Ticket:
         outcome = entry.outcome
         assert outcome is not None  # future only resolves after success
         return ServiceResult(
-            ticket_id=self.ticket_id,
-            tenant=self.tenant,
-            run_id=entry.run_id,
-            product_ids=entry.product_ids,
-            backend=outcome.backend,
-            coalesced=self.coalesced,
-            report=outcome.report,
-            submitted_at=self.submitted_at,
-            started_at=entry.started_at,
-            finished_at=entry.finished_at,
+            self.ticket_id,
+            self.tenant,
+            entry.run_id,
+            entry.product_ids,
+            outcome.backend,
+            self.coalesced,
+            outcome.report,
+            self.submitted_at,
+            entry.started_at,
+            entry.finished_at,
         )
 
     def __await__(self):
@@ -330,9 +332,14 @@ class PortalService:
         self._deposit_site = deposit_site or next(iter(self.portal.storage.sites))
         self.stats = ServiceStats()
 
+        #: Each tenant's queue, and its place in the round-robin ring
+        #: (first-submission order).
         self._queues: dict[str, ScheddQueue] = {}
-        self._tenant_order: list[str] = []
+        self._ring: dict[str, int] = {}
         self._rr_offset = 0
+        #: Tenants whose queue holds idle entries: the only ones a
+        #: negotiation cycle can match.
+        self._waiting: set[str] = set()
         self._entries: dict[str, _Entry] = {}
         self._by_key: dict[tuple, _Entry] = {}
         self._pending: dict[str, int] = {}
@@ -418,10 +425,7 @@ class PortalService:
         now = self.clock.now()
         if self._pending.get(tenant, 0) >= self.quota.max_pending_per_tenant:
             self.stats.n_quota_rejected += 1
-            obs.counter_add(
-                "repro_service_admissions_total", 1,
-                {"tenant": tenant, "outcome": "quota_rejected"},
-            )
+            self._count_admission(tenant, "quota_rejected")
             raise QuotaExceededError(
                 f"tenant {tenant!r} has {self._pending[tenant]} pending "
                 f"submission(s), the per-tenant quota "
@@ -433,18 +437,12 @@ class PortalService:
         if entry is not None and not entry.future.done():
             ticket = self._make_ticket(tenant, entry, now, coalesced=True)
             self.stats.n_coalesced += 1
-            obs.counter_add(
-                "repro_service_admissions_total", 1,
-                {"tenant": tenant, "outcome": "coalesced"},
-            )
+            self._count_admission(tenant, "coalesced")
             self._record(now, "coalesce", tenant, ticket.ticket_id, entry.entry_id)
             return ticket
         if self._n_queued >= self.quota.max_queue_depth:
             self.stats.n_backpressure_rejected += 1
-            obs.counter_add(
-                "repro_service_admissions_total", 1,
-                {"tenant": tenant, "outcome": "backpressure_rejected"},
-            )
+            self._count_admission(tenant, "backpressure_rejected")
             raise BackpressureError(
                 f"submission queue is full ({self._n_queued} waiting, "
                 f"cap {self.quota.max_queue_depth}); back off and retry"
@@ -465,17 +463,14 @@ class PortalService:
         self._by_key[key] = entry
         queue = self._queues.get(tenant)
         if queue is None:
-            queue = ScheddQueue(tenant)
-            self._queues[tenant] = queue
-            self._tenant_order.append(tenant)
+            queue = self._queues[tenant] = ScheddQueue(tenant)
+            self._ring[tenant] = len(self._ring)
         queue.enqueue(entry_id, job)
+        self._waiting.add(tenant)
         self._n_queued += 1
         self._idle.clear()
         ticket = self._make_ticket(tenant, entry, now, coalesced=False)
-        obs.counter_add(
-            "repro_service_admissions_total", 1,
-            {"tenant": tenant, "outcome": "accepted"},
-        )
+        self._count_admission(tenant, "accepted")
         self._record(now, "submit", tenant, ticket.ticket_id, entry_id)
         self._wake.set()
         return ticket
@@ -484,16 +479,21 @@ class PortalService:
         self, tenant: str, entry: _Entry, now: float, coalesced: bool
     ) -> Ticket:
         ticket = Ticket(
-            ticket_id=f"tkt-{self.stats.n_submitted:05d}",
-            tenant=tenant,
-            entry=entry,
-            submitted_at=now,
-            coalesced=coalesced,
+            f"tkt-{self.stats.n_submitted:05d}", tenant, entry, now, coalesced
         )
         entry.tickets.append(ticket)
         self._pending[tenant] = self._pending.get(tenant, 0) + 1
         self.stats.n_submitted += 1
         return ticket
+
+    @staticmethod
+    def _count_admission(tenant: str, outcome: str) -> None:
+        # The label dict is built only when a session will read it.
+        if obs.enabled():
+            obs.counter_add(
+                "repro_service_admissions_total", 1,
+                {"tenant": tenant, "outcome": outcome},
+            )
 
     # -- results API ---------------------------------------------------------
 
@@ -559,11 +559,13 @@ class PortalService:
                 self._idle.set()
 
     def _rotated_queues(self) -> list[ScheddQueue]:
-        order = self._tenant_order
-        if not order:
-            return []
-        k = self._rr_offset % len(order)
-        return [self._queues[t] for t in order[k:] + order[:k]]
+        """The queues with idle entries, in ring order from the tenant
+        after the last one matched."""
+        ring, k, n = self._ring, self._rr_offset, len(self._ring)
+        queues = self._queues
+        return [
+            queues[t] for t in sorted(self._waiting, key=lambda t: (ring[t] - k) % n)
+        ]
 
     def _start_ready(self) -> None:
         while self._free_workers > 0 and self._n_queued > 0:
@@ -573,11 +575,11 @@ class PortalService:
             if not matches:
                 break
             for queue, entry_id, job in matches:
+                if not queue.n_idle:
+                    self._waiting.discard(queue.name)
                 self._start_entry(entry_id, job)
             last_tenant = matches[-1][0].name
-            self._rr_offset = (
-                self._tenant_order.index(last_tenant) + 1
-            ) % len(self._tenant_order)
+            self._rr_offset = (self._ring[last_tenant] + 1) % len(self._ring)
 
     def _start_entry(self, entry_id: str, job: Job) -> None:
         entry = self._entries[entry_id]
@@ -622,14 +624,18 @@ class PortalService:
         if entry.error is None:
             entry.job.transition(JobState.COMPLETED, finish)
             self.stats.n_executed += 1
+            observing = obs.enabled()
+            waits = self.stats.queue_waits_s
+            started_at = entry.started_at
             for ticket in entry.tickets:
-                wait = max(0.0, entry.started_at - ticket.submitted_at)
-                self.stats.queue_waits_s.append(wait)
-                obs.histogram_observe(
-                    "repro_service_queue_wait_seconds", wait,
-                    {"tenant": ticket.tenant},
-                )
-            if obs.enabled() and entry.outcome is not None:
+                wait = max(0.0, started_at - ticket.submitted_at)
+                waits.append(wait)
+                if observing:
+                    obs.histogram_observe(
+                        "repro_service_queue_wait_seconds", wait,
+                        {"tenant": ticket.tenant},
+                    )
+            if observing and entry.outcome is not None:
                 obs.counter_add(
                     "repro_service_runs_total", 1,
                     {"backend": entry.outcome.backend, "outcome": "success"},
@@ -649,13 +655,7 @@ class PortalService:
     def _record(
         self, time: float, event: str, tenant: str, ticket_id: str, entry_id: str
     ) -> None:
-        self._trace.append(
-            TraceEvent(
-                seq=len(self._trace),
-                time=time,
-                event=event,
-                tenant=tenant,
-                ticket_id=ticket_id,
-                entry_id=entry_id,
-            )
+        trace = self._trace
+        trace.append(
+            TraceEvent(len(trace), time, event, tenant, ticket_id, entry_id)
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,16 +66,6 @@ def normalize_tags(tags: object) -> frozenset[str] | None:
 _Key = tuple["str | None", "str | None"]
 
 
-def _posting_keys(record: ProductRecord) -> list[_Key]:
-    """Every posting a record belongs to."""
-    kind = record.kind
-    keys: list[_Key] = [(kind, None)]
-    for tag in record.tags:
-        keys.append((None, tag))
-        keys.append((kind, tag))
-    return keys
-
-
 def _in_ranges(metadata: dict, ranges: dict[str, tuple[float, float]]) -> bool:
     """Whether every ranged metadata value is a number inside its range."""
     for key, (lo, hi) in ranges.items():
@@ -90,7 +81,7 @@ def _in_ranges(metadata: dict, ranges: dict[str, tuple[float, float]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductRecord:
     """One curated data product.
 
@@ -139,8 +130,11 @@ class DataCatalog:
         #: iterates in deposit order and hands back the current record
         #: of each id (see :meth:`search`). The (kind, tag) postings
         #: answer the portal's usual query, one kind and one tag,
-        #: without a membership test per candidate.
-        self._postings: dict[_Key, dict[str, ProductRecord]] = {}
+        #: without a membership test per candidate. Reads use ``get``,
+        #: so only a deposit creates a posting.
+        self._postings: defaultdict[_Key, dict[str, ProductRecord]] = (
+            defaultdict(dict)
+        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -151,25 +145,37 @@ class DataCatalog:
     # -- postings ----------------------------------------------------------------
 
     def _post(self, record: ProductRecord) -> None:
-        """Store ``record`` under its id and in each of its postings.
+        """Store ``record`` under its id and in each of its postings:
+        its kind's, and each of its tags' alone and paired with the kind.
 
         Re-posting an updated record keeps each id's place in deposit
         order.
         """
         product_id = record.product_id
+        kind = record.kind
         self._records[product_id] = record
-        for key in _posting_keys(record):
-            self._postings.setdefault(key, {})[product_id] = record
+        postings = self._postings
+        postings[kind, None][product_id] = record
+        for tag in record.tags:
+            postings[None, tag][product_id] = record
+            postings[kind, tag][product_id] = record
 
     def _unpost(self, record: ProductRecord) -> None:
         """Remove ``record`` from the catalog and from its postings."""
         product_id = record.product_id
+        kind = record.kind
         del self._records[product_id]
-        for key in _posting_keys(record):
-            posting = self._postings[key]
-            del posting[product_id]
-            if not posting:
-                del self._postings[key]
+        self._drop((kind, None), product_id)
+        for tag in record.tags:
+            self._drop((None, tag), product_id)
+            self._drop((kind, tag), product_id)
+
+    def _drop(self, key: _Key, product_id: str) -> None:
+        """Remove an id from one posting; an emptied posting goes."""
+        posting = self._postings[key]
+        del posting[product_id]
+        if not posting:
+            del self._postings[key]
 
     # -- deposition / curation ----------------------------------------------
 

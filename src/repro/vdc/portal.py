@@ -151,34 +151,31 @@ class Portal:
         the multi-tenant service layer (:mod:`repro.service`). Returns
         the deposited product ids.
         """
-        base_tags = {"fdw", "chile", f"user:{user}"}
-        waveform_mb = 0.25 * config.n_waveforms  # compressed per-set payloads
-        products = [
-            ("waveforms", waveform_mb, {"n_waveforms": config.n_waveforms}),
-            ("ruptures", 0.02 * config.n_waveforms, {"n_ruptures": config.n_waveforms}),
-            ("gf_bank", gf_archive_mb(config), {"n_stations": config.n_stations}),
-        ]
+        # One tag set per run: the run's records share it (frozensets
+        # are immutable, and curation replaces a record's set).
+        tags = frozenset(("fdw", "chile", f"user:{user}"))
+        n = config.n_waveforms
+        mw_min, mw_max = config.mw_range
+        n_stations = config.n_stations
+        products = (
+            ("waveforms", 0.25 * n, "n_waveforms", n),  # compressed per-set payloads
+            ("ruptures", 0.02 * n, "n_ruptures", n),
+            ("gf_bank", gf_archive_mb(config), "n_stations", n_stations),
+        )
         stored: list[str] = []
         deposited: list[str] = []
         try:
-            for kind, size_mb, meta in products:
+            for kind, size_mb, meta_key, meta_value in products:
                 product_id = f"{run_id}.{kind}"
                 self.storage.store(product_id, size_mb, site)
                 stored.append(product_id)
+                metadata = {
+                    "mw_min": mw_min, "mw_max": mw_max, "n_stations": n_stations
+                }
+                metadata[meta_key] = meta_value
                 self.catalog.deposit(
                     ProductRecord(
-                        product_id=product_id,
-                        kind=kind,
-                        site=site,
-                        size_mb=size_mb,
-                        tags=frozenset(base_tags),
-                        metadata={
-                            "mw_min": config.mw_range[0],
-                            "mw_max": config.mw_range[1],
-                            "n_stations": config.n_stations,
-                            **meta,
-                        },
-                        provenance=run_id,
+                        product_id, kind, site, size_mb, tags, metadata, run_id
                     )
                 )
                 deposited.append(product_id)

@@ -93,7 +93,8 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
 
     The DAG is not validated here: the instance already rejected
     cycles, and the engine that runs the DAG validates it. Tasks with
-    equal payloads share one :class:`~repro.condor.jobs.JobPayload`.
+    equal payloads share one :class:`~repro.condor.jobs.JobPayload`, and
+    input files of equal size one MB value.
 
     Raises
     ------
@@ -107,11 +108,17 @@ def import_instance(source: WfInstance | str | Path) -> ImportedWorkflow:
     # Payload fields (or, without a payload, the category) -> the
     # JobPayload every such task shares.
     payloads: dict[tuple[str, int, int] | str, JobPayload | None] = {}
+    # Byte size -> its MB value: an instance repeats a few sizes across
+    # many files, and those files share one float per size.
+    sizes_mb: dict[float, float] = {}
     for task in instance.tasks:
         input_files: dict[str, float] = {}
         for f in task.files:
             if f.link == "input":
-                input_files[f.name] = f.size_bytes / 1048576.0
+                size_mb = sizes_mb.get(f.size_bytes)
+                if size_mb is None:
+                    size_mb = sizes_mb[f.size_bytes] = f.size_bytes / 1048576.0
+                input_files[f.name] = size_mb
         wp = task.payload
         key = task.category if wp is None else (wp.phase, wp.n_items, wp.n_stations)
         if key not in payloads:

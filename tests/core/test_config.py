@@ -1,9 +1,16 @@
 """Tests for repro.core.config."""
 
-import pytest
+import string
 
-from repro.core.config import FdwConfig
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import MAX_NAME_LEN, FdwConfig
+from repro.core.phases import count_jobs, gf_product_id
+from repro.core.workflow import build_fdw_dag
 from repro.errors import ConfigError
+from repro.vdc.catalog import ProductRecord
 
 
 def test_defaults_valid():
@@ -32,6 +39,42 @@ def test_validation():
         FdwConfig(max_idle=-1)
     with pytest.raises(ConfigError):
         FdwConfig(name="")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["my run", "a/b", "x" * 200, "n" * (MAX_NAME_LEN + 1), "tab\tname",
+     "colon:name", "caf\u00e9", "pct%", None, 7],
+    ids=["space", "slash", "200-chars", "one-too-long", "tab", "colon",
+         "non-ascii", "percent", "none", "int"],
+)
+def test_bad_name_rejected_at_construction(name):
+    with pytest.raises(ConfigError, match="name"):
+        FdwConfig(name=name)
+
+
+def test_bad_name_rejected_by_read(tmp_path):
+    for name in ("my run", "a/b", "x" * 200):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[fdw]\nname = {name}\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: name must be"):
+            FdwConfig.read(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.text(string.ascii_letters + string.digits + "._-", min_size=1,
+                 max_size=MAX_NAME_LEN),
+)
+def test_any_valid_name_names_nodes_files_and_products(name):
+    """A name the config accepts makes valid DAG node names, and valid
+    catalog ids for the GF archive and for a portal run's products at
+    any run counter up to 17 digits."""
+    config = FdwConfig(n_waveforms=4, chunk_a=2, chunk_c=2, name=name)
+    assert len(build_fdw_dag(config)) == count_jobs(config)  # nodes validate
+    ProductRecord(gf_product_id(config), "gf_bank", "site", 1.0)
+    for kind in ("waveforms", "ruptures", "gf_bank"):
+        ProductRecord(f"run-{10**17 - 1}-{name}.{kind}", kind, "site", 1.0)
 
 
 def test_with_waveforms():

@@ -47,6 +47,31 @@ def test_simulated_runner_seed_sensitive(config):
     assert runner.execute(config, 1).elapsed_s != runner.execute(config, 2).elapsed_s
 
 
+def test_simulated_runner_hit_equals_fresh_outcome(config):
+    runner = SimulatedRunner()
+    first = runner.execute(config, 5)
+    # An equal config built anew shares the content digest, so it hits.
+    twin = FdwConfig(n_waveforms=8, n_stations=2, mesh=(8, 5), name="rn")
+    assert twin is not config
+    for hit in (runner.execute(config, 5), runner.execute(twin, 5)):
+        assert hit == first == SimulatedRunner().execute(config, 5)
+        assert hit.elapsed_s.hex() == first.elapsed_s.hex()
+    assert len(runner._outcomes) == 1
+
+
+def test_simulated_runner_map_stays_at_its_bound(config):
+    runner = SimulatedRunner()
+    runner.max_cached = 4
+    for seed in range(10):
+        assert runner.execute(config, seed) == SimulatedRunner().execute(config, seed)
+        assert len(runner._outcomes) == min(seed + 1, 4)
+    # The oldest pairs went first; a dropped pair recomputes the same.
+    digest = config.content_digest()
+    assert list(runner._outcomes) == [(digest, seed) for seed in range(6, 10)]
+    assert runner.execute(config, 0) == SimulatedRunner().execute(config, 0)
+    assert list(runner._outcomes) == [(digest, seed) for seed in (7, 8, 9, 0)]
+
+
 def test_simulated_runner_validation():
     with pytest.raises(ServiceError):
         SimulatedRunner(base_s=0.0)

@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.errors import DagError
 from repro.condor.jobs import JobSpec
 from repro.condor.submit import SubmitDescription
+from repro.slotinit import slot_init
 
 __all__ = ["DagNode", "DagDescription", "ScriptSpec", "kahn_order"]
 
@@ -83,6 +84,7 @@ class ScriptSpec:
         return self.exit_code == 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DagNode:
     """One DAG node: a name, the job it submits, optional PRE/POST
@@ -200,6 +202,18 @@ class DagDescription:
     def node_names(self) -> list[str]:
         """Node names in insertion order."""
         return list(self._nodes)
+
+    @property
+    def nodes(self) -> Mapping[str, DagNode]:
+        """Name -> node in insertion order: the DAG's own map, for
+        readers that look a node up per job (do not mutate it)."""
+        return self._nodes
+
+    @property
+    def parent_lists(self) -> Mapping[str, list[str]]:
+        """Node -> its direct parents in edge order, every node in
+        insertion order: the DAG's own map (do not mutate it)."""
+        return self._parents
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -35,6 +35,15 @@ class NodeStatus(enum.Enum):
     FAILED = "failed"  # terminal failure (retries exhausted)
 
 
+# Members bound once: reading one off the class (``NodeStatus.DONE``)
+# costs an enum-metaclass lookup, and the engine does it per job.
+_WAITING = NodeStatus.WAITING
+_READY = NodeStatus.READY
+_SUBMITTED = NodeStatus.SUBMITTED
+_DONE = NodeStatus.DONE
+_FAILED = NodeStatus.FAILED
+
+
 @dataclass(frozen=True)
 class DagmanOptions:
     """Engine throttles.
@@ -78,8 +87,15 @@ class DagmanEngine:
         dag.validate()
         self.dag = dag
         self.options = options or DagmanOptions()
+        #: Name -> :class:`~repro.condor.dagfile.DagNode`: the DAG's own
+        #: map, which the pool reads per job instead of the validating
+        #: ``dag.node()``.
+        self.nodes = dag.nodes
         self._status: dict[str, NodeStatus] = {}
         self._remaining_parents: dict[str, int] = {}
+        # Node -> its children, sorted once here from the parent lists
+        # (``dag.children()`` order); a leaf has no entry.
+        self._children: dict[str, list[str]] = {}
         # Only a node that has failed has a counter; until then its
         # budget is the DagNode's own ``retries``.
         self._retries_left: dict[str, int] = {}
@@ -90,14 +106,22 @@ class DagmanEngine:
         self._n_failed = 0
         # Roots enter the ready FIFO in insertion order, which is where
         # the topological order puts them too.
-        for name in dag.node_names:
-            n_parents = dag.n_parents(name)
-            self._remaining_parents[name] = n_parents
-            if n_parents == 0:
-                self._status[name] = NodeStatus.READY
-                self._ready_fifo.append(name)
+        children = self._children
+        for name, parents in dag.parent_lists.items():
+            self._remaining_parents[name] = len(parents)
+            if parents:
+                self._status[name] = _WAITING
+                for parent in parents:
+                    kids = children.get(parent)
+                    if kids is None:
+                        children[parent] = [name]
+                    else:
+                        kids.append(name)
             else:
-                self._status[name] = NodeStatus.WAITING
+                self._status[name] = _READY
+                self._ready_fifo.append(name)
+        for kids in children.values():
+            kids.sort()
 
     # -- queries ------------------------------------------------------------
 
@@ -138,7 +162,7 @@ class DagmanEngine:
         """Remaining DAG-level retries for a node."""
         self.status(name)  # validates the name
         left = self._retries_left.get(name)
-        return self.dag.node(name).retries if left is None else left
+        return self.nodes[name].retries if left is None else left
 
     # -- driving ------------------------------------------------------------
 
@@ -160,7 +184,7 @@ class DagmanEngine:
         popleft = self._ready_fifo.popleft
         batch = [popleft() for _ in range(n)]
         for name in batch:
-            self._status[name] = NodeStatus.SUBMITTED
+            self._status[name] = _SUBMITTED
         return batch
 
     def mark_done(self, name: str) -> list[str]:
@@ -173,13 +197,13 @@ class DagmanEngine:
         done; the newly ready names are returned.
         """
         status = self.status(name)
-        if status not in (NodeStatus.WAITING, NodeStatus.READY):
+        if status not in (_WAITING, _READY):
             raise DagError(
                 f"cannot fast-forward node {name!r} from state {status.value}"
             )
-        if status is NodeStatus.READY:
+        if status is _READY:
             self._ready_fifo.remove(name)
-        self._status[name] = NodeStatus.SUBMITTED  # legal path to DONE
+        self._status[name] = _SUBMITTED  # legal path to DONE
         return self.on_node_result(name, success=True)
 
     def on_node_result(self, name: str, success: bool) -> list[str]:
@@ -189,29 +213,37 @@ class DagmanEngine:
         READY (their names are returned). On failure, the node is
         re-queued while retries remain, else marked FAILED.
         """
-        if self.status(name) is not NodeStatus.SUBMITTED:
-            raise DagError(
-                f"node {name!r} reported result while {self.status(name).value}"
-            )
+        status = self._status
+        current = status.get(name)
+        if current is not _SUBMITTED:
+            if current is None:
+                raise DagError(f"unknown DAG node {name!r}")
+            raise DagError(f"node {name!r} reported result while {current.value}")
         if not success:
-            left = self.retries_left(name)
+            left = self._retries_left.get(name)
+            if left is None:
+                left = self.nodes[name].retries
             if left > 0:
                 self._retries_left[name] = left - 1
-                self._status[name] = NodeStatus.READY
+                status[name] = _READY
                 self._ready_fifo.append(name)
                 return [name]
-            self._status[name] = NodeStatus.FAILED
+            status[name] = _FAILED
             self._n_failed += 1
             return []
-        self._status[name] = NodeStatus.DONE
+        status[name] = _DONE
         self._n_done += 1
         newly_ready: list[str] = []
-        for child in self.dag.children(name):
-            self._remaining_parents[child] -= 1
-            if self._remaining_parents[child] < 0:
-                raise DagError(f"parent accounting underflow on {child!r}")
-            if self._remaining_parents[child] == 0 and self._status[child] is NodeStatus.WAITING:
-                self._status[child] = NodeStatus.READY
-                self._ready_fifo.append(child)
-                newly_ready.append(child)
+        kids = self._children.get(name)
+        if kids is not None:
+            remaining = self._remaining_parents
+            for child in kids:
+                left = remaining[child] - 1
+                if left < 0:
+                    raise DagError(f"parent accounting underflow on {child!r}")
+                remaining[child] = left
+                if left == 0 and status[child] is _WAITING:
+                    status[child] = _READY
+                    self._ready_fifo.append(child)
+                    newly_ready.append(child)
         return newly_ready

@@ -111,40 +111,43 @@ class UserLog:
 
     Events are stored column by column: event types, hosts and return
     values in lists, cluster ids and times in typed arrays, 40 bytes an
-    event beside the host string the caller passes (the pool makes one
-    per execute event and one per submit batch). Text is formatted only
-    when a caller asks for it (:meth:`render`, :meth:`write`). At
-    million-job scale the simulator records ~3 events per job on its
-    hot path, so ``record`` stays five appends, and in-process
-    monitoring reads :meth:`events` without formatting any text.
+    event beside its host. A host is a name (the pool passes one string
+    per submit batch) or an execute slot's number, which the log names
+    ``slot-<number>``: the pool passes the int it already holds, so an
+    execute event costs no string. Text is formatted only when a caller
+    asks for it (:meth:`render`, :meth:`write`). At million-job scale
+    the simulator records ~3 events per job on its hot path, so
+    ``record`` stays five appends, a submit batch is one extend per
+    column (:meth:`record_submits`), and in-process monitoring reads
+    :meth:`events` without formatting any log text.
     """
 
     def __init__(self) -> None:
         self._types: list[JobEventType] = []
         self._clusters = array("q")
         self._times = array("d")
-        self._hosts: list[str] = []
+        self._hosts: list[str | int] = []
         self._return_values: list[int | None] = []
 
     def __len__(self) -> int:
         return len(self._types)
 
     def _rows(self):
-        """(type, cluster id, time, host, return value) per event, in
-        record order."""
-        return zip(
-            self._types, self._clusters, self._times, self._hosts, self._return_values
-        )
+        """(type, cluster id, time, host name, return value) per event,
+        in record order."""
+        hosts = [h if isinstance(h, str) else f"slot-{h}" for h in self._hosts]
+        return zip(self._types, self._clusters, self._times, hosts, self._return_values)
 
     def record(
         self,
         event_type: JobEventType,
         cluster_id: int,
         time_s: float,
-        host: str = "",
+        host: str | int = "",
         return_value: int | None = None,
     ) -> None:
-        """Append one event."""
+        """Append one event. ``host`` is a host name, or the number N of
+        the execute slot the log names ``slot-N``."""
         if time_s < 0:
             raise LogParseError(f"negative event time {time_s}")
         self._types.append(event_type)
@@ -152,6 +155,19 @@ class UserLog:
         self._times.append(time_s)
         self._hosts.append(host)
         self._return_values.append(return_value)
+
+    def record_submits(self, first_cluster: int, n: int, time_s: float, host: str) -> None:
+        """Append the SUBMIT events of clusters ``first_cluster`` to
+        ``first_cluster + n - 1``, all at ``time_s`` from ``host``: the
+        rows ``n`` :meth:`record` calls would append, one extend per
+        column."""
+        if time_s < 0:
+            raise LogParseError(f"negative event time {time_s}")
+        self._types.extend([JobEventType.SUBMIT] * n)
+        self._clusters.extend(range(first_cluster, first_cluster + n))
+        self._times.extend(array("d", [time_s]) * n)
+        self._hosts.extend([host] * n)
+        self._return_values.extend([None] * n)
 
     def events(self) -> list[JobEvent]:
         """The recorded events exactly as :func:`parse_user_log` reads

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import JobStateError
+from repro.slotinit import slot_init
 
 __all__ = ["JobState", "JobSpec", "Job", "JobPayload"]
 
@@ -73,6 +74,7 @@ class JobPayload:
             raise JobStateError("payload sizes must be >= 1")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class JobSpec:
     """Static job description (the submit-file content).

@@ -119,7 +119,12 @@ def gf_product_id(config: FdwConfig) -> str:
 
 
 def plan_phases(config: FdwConfig) -> PhasePlan:
-    """Build every job spec for one FDW DAG."""
+    """Build every job spec for one FDW DAG.
+
+    Chunks of one size share one :class:`JobPayload` (only a phase's
+    final chunk can be shorter), as imported tasks with equal payloads
+    do, so the runtime model computes each phase's mean once.
+    """
     name = config.name
     dist_files = {
         f"{name}_distances_strike.npy": _distance_npy_mb(config),
@@ -136,16 +141,19 @@ def plan_phases(config: FdwConfig) -> PhasePlan:
             request_memory_mb=16384,  # "up to 16GB ... large matrix files"
         )
 
+    a_bounds = chunk_bounds(config.n_waveforms, config.chunk_a)
+    a_payloads = {
+        count: JobPayload(phase="A", n_items=count, n_stations=config.n_stations)
+        for count in {count for _, count in a_bounds}
+    }
     a_jobs = [
         JobSpec(
             name=f"{name}_A_{i:05d}",
             arguments=f"--phase A --start {start} --count {count}",
-            payload=JobPayload(
-                phase="A", n_items=count, n_stations=config.n_stations
-            ),
+            payload=a_payloads[count],
             input_files=dict(dist_files),
         )
-        for i, (start, count) in enumerate(chunk_bounds(config.n_waveforms, config.chunk_a))
+        for i, (start, count) in enumerate(a_bounds)
     ]
 
     b_job = JobSpec(
@@ -156,22 +164,23 @@ def plan_phases(config: FdwConfig) -> PhasePlan:
         request_memory_mb=16384,
     )
 
+    gf_id = gf_product_id(config)
     gf_mb = gf_archive_mb(config)
+    c_bounds = chunk_bounds(config.n_waveforms, config.chunk_c)
+    c_payloads = {
+        count: JobPayload(phase="C", n_items=count, n_stations=config.n_stations)
+        for count in {count for _, count in c_bounds}
+    }
     # Each C job stages the GF archive plus its rupture chunk (.rupt
     # files are small text tables).
     c_jobs = [
         JobSpec(
             name=f"{name}_C_{i:05d}",
             arguments=f"--phase C --start {start} --count {count}",
-            payload=JobPayload(
-                phase="C", n_items=count, n_stations=config.n_stations
-            ),
-            input_files={
-                gf_product_id(config): gf_mb,
-                f"{name}_ruptures_{i:05d}.tar": 0.2 * count,
-            },
+            payload=c_payloads[count],
+            input_files={gf_id: gf_mb, f"{name}_ruptures_{i:05d}.tar": 0.2 * count},
         )
-        for i, (start, count) in enumerate(chunk_bounds(config.n_waveforms, config.chunk_c))
+        for i, (start, count) in enumerate(c_bounds)
     ]
 
     return PhasePlan(

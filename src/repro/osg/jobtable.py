@@ -3,8 +3,8 @@
 At million-job scale, one :class:`~repro.condor.jobs.Job` dataclass per
 job attempt dominates memory and allocator time. :class:`JobTable`
 stores the dynamic record columnwise instead — typed
-:class:`array.array` columns for state, timestamps, sampled runtime,
-retries, slot, cluster id, and owning DAGMan index, plus parallel
+:class:`array.array` columns for state, timestamps, retries,
+evictions, slot, cluster id, and owning DAGMan index, plus parallel
 Python lists for the spec and node name — and :class:`JobView` is a
 two-word handle that duck-types ``Job`` over one row. Everything
 downstream of the simulator (schedd queues, held-job lists, metrics,
@@ -36,18 +36,20 @@ __all__ = ["JobTable", "JobView"]
 #: in ``JobTable.state``. Order matches the JobState declaration so code
 #: 0 is UNSUBMITTED.
 STATES: tuple[JobState, ...] = tuple(JobState)
-_CODE: dict[JobState, int] = {s: i for i, s in enumerate(STATES)}
+#: Member name -> code. Keyed by name because a str key hashes in C,
+#: while a JobState key calls Enum.__hash__, a Python method.
+_CODE: dict[str, int] = {s.name: i for i, s in enumerate(STATES)}
 _ALLOWED: tuple[frozenset[int], ...] = tuple(
-    frozenset(_CODE[t] for t in _TRANSITIONS[s]) for s in STATES
+    frozenset(_CODE[t.name] for t in _TRANSITIONS[s]) for s in STATES
 )
 
-_UNSUBMITTED = _CODE[JobState.UNSUBMITTED]
-_IDLE = _CODE[JobState.IDLE]
-_RUNNING = _CODE[JobState.RUNNING]
-_COMPLETED = _CODE[JobState.COMPLETED]
-_FAILED = _CODE[JobState.FAILED]
-_HELD = _CODE[JobState.HELD]
-_REMOVED = _CODE[JobState.REMOVED]
+_UNSUBMITTED = _CODE["UNSUBMITTED"]
+_IDLE = _CODE["IDLE"]
+_RUNNING = _CODE["RUNNING"]
+_COMPLETED = _CODE["COMPLETED"]
+_FAILED = _CODE["FAILED"]
+_HELD = _CODE["HELD"]
+_REMOVED = _CODE["REMOVED"]
 _REQUEUE_FROM = frozenset({_RUNNING, _FAILED, _HELD})
 _TERMINAL = frozenset({_COMPLETED, _FAILED, _REMOVED})
 
@@ -57,7 +59,6 @@ _COLUMNS: tuple[tuple[str, str, float], ...] = (
     ("submit_time", "d", math.nan),
     ("start_time", "d", math.nan),
     ("end_time", "d", math.nan),
-    ("runtime_s", "d", math.nan),  # sampled transfer+exec duration
     ("retries", "i", 0),  # re-queues (evict/release)
     ("n_evictions", "i", 0),
     ("slot", "q", 0),
@@ -128,7 +129,7 @@ class JobTable:
     def transition(self, index: int, new_state: JobState, time: float) -> None:
         """Row-wise ``Job.transition`` with identical rules and effects."""
         code = self.state[index]
-        new_code = _CODE[new_state]
+        new_code = _CODE[new_state._name_]
         if new_code not in _ALLOWED[code]:
             raise JobStateError(
                 f"job {self.specs[index].name} (cluster {self.cluster_id[index]}): "
@@ -145,12 +146,6 @@ class JobTable:
         elif new_code in _TERMINAL:
             self.end_time[index] = time
         self.state[index] = new_code
-
-    def view(self, index: int) -> "JobView":
-        """A ``Job``-compatible view over one row."""
-        if not 0 <= index < self.n:
-            raise JobStateError(f"row {index} out of range (table has {self.n})")
-        return JobView(self, index)
 
 
 class JobView:

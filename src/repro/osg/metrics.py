@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.slotinit import slot_init
 from repro.units import jobs_per_minute
 
 __all__ = ["JobRecord", "DagmanSummary", "PoolMetrics"]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class JobRecord:
     """Final timing record of one job attempt that completed.

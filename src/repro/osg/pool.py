@@ -47,6 +47,14 @@ __all__ = [
     "resubmit_with_rescue",
 ]
 
+# Enum members the per-job path uses, bound once: reading one off its
+# class costs an enum-metaclass lookup.
+_RUNNING = JobState.RUNNING
+_COMPLETED = JobState.COMPLETED
+_FAILED = JobState.FAILED
+_EXECUTE = JobEventType.EXECUTE
+_TERMINATED = JobEventType.TERMINATED
+
 
 @dataclass(frozen=True)
 class OSPoolConfig:
@@ -103,26 +111,69 @@ class OSPoolConfig:
             raise SimulationError("max_sim_time_s must be positive")
 
 
-@dataclass
-class DagmanRun:
-    """Live state of one submitted DAGMan."""
+class _OpenCount:
+    """How many of a pool's DAGMans have not finished."""
 
-    name: str
-    engine: DagmanEngine
-    queue: ScheddQueue
-    user_log: UserLog
-    submit_time: float
-    index: int = 0  # submission ordinal (the JobTable's dagman column)
-    end_time: float | None = None
-    dead: bool = False  # terminal failure (retries exhausted)
-    rescue_file: Path | None = None
-    holds: dict[str, int] = field(default_factory=dict)  # node -> times held
-    held: list[tuple[str, JobView]] = field(default_factory=list)
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+
+class DagmanRun:
+    """Live state of one submitted DAGMan.
+
+    ``end_time`` is set once, when the DAG completes, fails terminally
+    or is killed, by whichever code ends the run. Setting it takes the
+    run off its pool's count of unfinished DAGMans, so the pool's done
+    check after every event reads one integer instead of scanning its
+    runs.
+    """
+
+    __slots__ = (
+        "name", "engine", "queue", "user_log", "submit_time", "index", "dead",
+        "rescue_file", "holds", "held", "_end_time", "_open",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        engine: DagmanEngine,
+        queue: ScheddQueue,
+        user_log: UserLog,
+        submit_time: float,
+        index: int,
+        open_count: _OpenCount,
+    ) -> None:
+        self.name = name
+        self.engine = engine
+        self.queue = queue
+        self.user_log = user_log
+        self.submit_time = submit_time
+        self.index = index  # submission ordinal (the JobTable's dagman column)
+        self.dead = False  # terminal failure (retries exhausted)
+        self.rescue_file: Path | None = None
+        self.holds: dict[str, int] = {}  # node -> times held
+        self.held: list[tuple[str, JobView]] = []
+        self._end_time: float | None = None
+        self._open = open_count
+        open_count.n += 1
+
+    @property
+    def end_time(self) -> float | None:
+        """When the run finished (simulation seconds), or None."""
+        return self._end_time
+
+    @end_time.setter
+    def end_time(self, value: float) -> None:
+        if self._end_time is None and value is not None:
+            self._open.n -= 1
+        self._end_time = value
 
     @property
     def finished(self) -> bool:
         """Completed or terminally failed."""
-        return self.end_time is not None
+        return self._end_time is not None
 
     @property
     def n_jobs(self) -> int:
@@ -196,6 +247,7 @@ class OSPoolSimulator:
             retry_seed=seed,
         )
         self._dagmans: dict[str, DagmanRun] = {}
+        self._open = _OpenCount()
         # Running set: token -> (run, node, view). Tokens increase with
         # start time, so dict order doubles as newest-last preemption
         # order, and a token absent from the map makes a stale coalesced
@@ -245,12 +297,7 @@ class OSPoolSimulator:
         if name in self._dagmans:
             raise SimulationError(f"duplicate DAGMan name {name!r}")
         run = DagmanRun(
-            name=name,
-            engine=engine,
-            queue=ScheddQueue(name),
-            user_log=UserLog(),
-            submit_time=at_time,
-            index=len(self._dagmans),
+            name, engine, ScheddQueue(name), UserLog(), at_time, len(self._dagmans), self._open
         )
         if engine.is_complete:
             # A fully-rescued DAG has nothing to run.
@@ -262,7 +309,7 @@ class OSPoolSimulator:
     # -- event handlers ------------------------------------------------------
 
     def _all_done(self) -> bool:
-        return all(d.finished for d in self._dagmans.values())
+        return not self._open.n
 
     def _dagman_cycle(self, run: DagmanRun) -> None:
         """One DAGMan submit cycle: release ready nodes into the queue.
@@ -273,52 +320,45 @@ class OSPoolSimulator:
         """
         if run.finished:
             return
-        batch = run.engine.pull_submissions(run.queue.n_idle)
+        engine = run.engine
+        batch = engine.pull_submissions(run.queue.n_idle)
         if batch:
-            dag_node = run.engine.dag.node
+            nodes = engine.nodes
             plain: list[str] = []
             for node_name in batch:
-                node = dag_node(node_name)
-                if node.pre_script is not None:
-                    script = node.pre_script
-                    if script.succeeds:
-                        self.sim.schedule(
-                            script.duration_s,
-                            partial(self._enqueue_single, run, node_name),
-                        )
-                    else:
-                        self.sim.schedule(
-                            script.duration_s,
-                            partial(self._report_result, run, node_name, False),
-                        )
-                else:
+                script = nodes[node_name].pre_script
+                if script is None:
                     # Plain nodes batch into one table append below; PRE
                     # nodes take their cluster ids at script completion,
                     # so deferring keeps the id sequence identical.
                     plain.append(node_name)
+                elif script.succeeds:
+                    self.sim.schedule(
+                        script.duration_s, partial(self._enqueue_single, run, node_name)
+                    )
+                else:
+                    self.sim.schedule(
+                        script.duration_s,
+                        partial(self._report_result, run, node_name, False),
+                    )
             if plain:
                 self._enqueue_batch(run, plain)
         self.sim.schedule(self.config.dagman_cycle_s, partial(self._dagman_cycle, run))
 
     def _enqueue_batch(self, run: DagmanRun, node_names: list[str]) -> None:
-        """Append one submit batch to the job table and the queue."""
+        """Append one submit batch to the job table, the log and the queue."""
         now = self.sim.now
-        dag_node = run.engine.dag.node
-        specs = [dag_node(n).spec for n in node_names]
+        nodes = run.engine.nodes
+        specs = [nodes[n].spec for n in node_names]
+        n = len(node_names)
         first_cluster = self._next_cluster
-        self._next_cluster += len(node_names)
+        self._next_cluster = first_cluster + n
         table = self._table
         rows = table.add_batch(node_names, specs, run.index, first_cluster, now)
-        record = run.user_log.record
-        host = f"schedd-{run.name}"
-        entries: list[tuple[str, JobView]] = []
-        cluster = first_cluster
-        for row, node_name in zip(rows, node_names):
-            view = JobView(table, row)
-            record(JobEventType.SUBMIT, cluster, now, host=host)
-            cluster += 1
-            entries.append((node_name, view))
-        run.queue.enqueue_many(entries)
+        run.user_log.record_submits(first_cluster, n, now, f"schedd-{run.name}")
+        run.queue.enqueue_many(
+            [(node_name, JobView(table, row)) for node_name, row in zip(node_names, rows)]
+        )
 
     def _enqueue_single(self, run: DagmanRun, node_name: str) -> None:
         """Queue one PRE-cleared node."""
@@ -365,26 +405,18 @@ class OSPoolSimulator:
         row = view.index
         slot = self._next_slot
         self._next_slot = slot + 1
-        table.transition(row, JobState.RUNNING, now)
+        table.transition(row, _RUNNING, now)
         table.slot[row] = slot
-        run.user_log.record(
-            JobEventType.EXECUTE, table.cluster_id[row], now, host=f"slot-{slot}"
-        )
+        # The log keeps the slot number; it names the host slot-<number>.
+        run.user_log.record(_EXECUTE, table.cluster_id[row], now, slot)
         spec = table.specs[row]
         duration = self.cache.transfer_time(
             spec, next(self._transfer_sites)
         ) + self.config.runtime.sample_seconds(spec, self._rng_runtime)
-        table.runtime_s[row] = duration
         token = self._next_token
         self._next_token = token + 1
         self._running[token] = (run, node_name, view)
         return now + duration, token
-
-    def _start_single(self, run: DagmanRun, node_name: str, view: JobView) -> None:
-        """Claim-reuse start: one job, its own (uncoalesced) completion."""
-        now = self.sim.now
-        finish, token = self._claim(run, node_name, view, now)
-        self.sim.schedule_at(finish, partial(self._complete_batch, [token]))
 
     def _complete_batch(self, tokens: list[int]) -> None:
         """Finish a coalesced batch of jobs sharing one finish time.
@@ -397,11 +429,12 @@ class OSPoolSimulator:
         event was scheduled: stale members are skipped, which is how the
         pool "cancels" completions without touching the heap.
         """
+        # Coalesced members are rare (a cycle's finish times are mostly
+        # distinct, and a reused claim's completion is its own event), so
+        # this is the per-job path: it binds only what it reads.
         running = self._running
         table = self._table
         config = self.config
-        failure_draws = self._failure_draws
-        records = self._records
         now = self.sim.now
         for token in tokens:
             entry = running.pop(token, None)
@@ -412,11 +445,13 @@ class OSPoolSimulator:
             # Claim reuse (HTCondor default): the freed slot immediately
             # runs the submitter's next idle job instead of idling until
             # the next negotiation cycle. This is what lets short
-            # small-input jobs sustain the paper's high throughputs.
+            # small-input jobs sustain the paper's high throughputs. The
+            # reused claim's completion is its own (uncoalesced) event.
             if len(running) < self._capacity and run.queue.n_idle > 0:
                 next_node, next_view = run.queue.pop()
-                self._start_single(run, next_node, next_view)
-            success = next(failure_draws) < config.success_prob
+                finish, next_token = self._claim(run, next_node, next_view, now)
+                self.sim.schedule_at(finish, partial(self._complete_batch, [next_token]))
+            success = next(self._failure_draws) < config.success_prob
             if (
                 not success
                 and config.max_job_holds > 0
@@ -430,15 +465,11 @@ class OSPoolSimulator:
                 # terminal.
                 self._hold_job(run, node_name, view)
                 continue
-            table.transition(
-                row, JobState.COMPLETED if success else JobState.FAILED, now
-            )
+            table.transition(row, _COMPLETED if success else _FAILED, now)
             cluster = table.cluster_id[row]
-            run.user_log.record(
-                JobEventType.TERMINATED, cluster, now, return_value=0 if success else 1
-            )
+            run.user_log.record(_TERMINATED, cluster, now, "", 0 if success else 1)
             payload = table.specs[row].payload
-            records.append(
+            self._records.append(
                 JobRecord(
                     node_name,
                     run.name,
@@ -451,14 +482,13 @@ class OSPoolSimulator:
                     success,
                 )
             )
-            node = run.engine.dag.node(node_name)
-            if node.post_script is not None:
+            post_script = run.engine.nodes[node_name].post_script
+            if post_script is not None:
                 # DAGMan semantics: the POST script's exit code becomes
                 # the node result (masking or overriding the job's own).
-                final = node.post_script.succeeds
                 self.sim.schedule(
-                    node.post_script.duration_s,
-                    partial(self._report_result, run, node_name, final),
+                    post_script.duration_s,
+                    partial(self._report_result, run, node_name, post_script.succeeds),
                 )
             else:
                 self._report_result(run, node_name, success)
@@ -509,14 +539,14 @@ class OSPoolSimulator:
 
     def _report_result(self, run: DagmanRun, node_name: str, success: bool) -> None:
         """Deliver a node's final result to its DAGMan engine."""
-        if run.finished:
+        if run._end_time is not None:  # finished
             return
-        now = self.sim.now
-        run.engine.on_node_result(node_name, success)
-        if run.engine.is_complete:
-            run.end_time = now
-        elif run.engine.has_failed and self._no_inflight(run):
-            run.end_time = now
+        engine = run.engine
+        engine.on_node_result(node_name, success)
+        if engine.is_complete:
+            run.end_time = self.sim.now
+        elif engine.has_failed and self._no_inflight(run):
+            run.end_time = self.sim.now
             run.dead = True
             self._write_rescue(run)
 

@@ -80,6 +80,13 @@ class RuntimeModel:
         lo, hi = self.speed_range
         if not (0 < lo <= hi):
             raise SimulationError(f"bad speed range {self.speed_range}")
+        # id(payload) -> (payload, mean seconds). Jobs of one import share
+        # one JobPayload per distinct payload, so each mean is computed
+        # once per shared payload. An entry keeps its payload alive, and
+        # a hit must hold the very payload asked about (a copied or
+        # unpickled model carries entries keyed by other objects' ids).
+        # Not a field: eq, hash and repr never see it.
+        object.__setattr__(self, "_means", {})
 
     # -- deterministic means ---------------------------------------------------
 
@@ -104,10 +111,15 @@ class RuntimeModel:
         Jobs without an FDW payload get a 5-minute generic duration —
         they only appear in substrate-level tests.
         """
-        if spec.payload is None:
+        payload = spec.payload
+        if payload is None:
             mean = 300.0
         else:
-            mean = self.mean_seconds(spec.payload)
+            means = self._means
+            known = means.get(id(payload))
+            if known is None or known[0] is not payload:
+                known = means[id(payload)] = (payload, self.mean_seconds(payload))
+            mean = known[1]
         # rng.lognormal(mu, sigma) and rng.uniform(lo, hi), spelled as
         # the IEEE operations numpy's C samplers perform on the same
         # draws (same bits), without the scalar-call overhead.
@@ -115,7 +127,10 @@ class RuntimeModel:
         noise = math.exp(-0.5 * sigma**2 + sigma * rng.standard_normal())
         lo, hi = self.speed_range
         speed = lo + (hi - lo) * rng.random()
-        return max(1.0, mean * noise / speed)
+        seconds = mean * noise / speed
+        # max(1.0, seconds) without the builtin's call cost (same value,
+        # NaN included).
+        return seconds if seconds > 1.0 else 1.0
 
     # -- calibration against the real kernels --------------------------------------
 

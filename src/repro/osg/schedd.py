@@ -61,16 +61,3 @@ class ScheddQueue:
         if not self._idle:
             raise SimulationError(f"schedd {self.name}: pop from empty queue")
         return self._idle.popleft()
-
-    def peek_oldest_wait(self, now: float) -> float | None:
-        """Queue age in seconds of the oldest idle job, or None.
-
-        Entries whose job has no ``submit_time`` yet are skipped rather
-        than masking the jobs queued behind them — the throttle probe
-        must see the oldest *timed* wait, not give up at an untimed
-        head entry.
-        """
-        for _, job in self._idle:
-            if job.submit_time is not None:
-                return now - job.submit_time
-        return None

@@ -124,10 +124,11 @@ class StashCache:
         self.faults = faults
         self.retry_policy = retry_policy or RetryPolicy()
         self.retry_seed = retry_seed
-        # Per-site LRU ordering: oldest entry first. Without a
-        # max_entries_per_site cap nothing is ever evicted and the dicts
-        # behave exactly like the former (file, site) membership set.
-        self._warm: dict[int, OrderedDict[str, None]] = {}
+        # Warm files per site. A capped cache keeps each site's files in
+        # LRU order (oldest first) for its evictions; an uncapped one
+        # never evicts, so nothing reads that order and a site holds a
+        # plain set.
+        self._warm: dict[int, OrderedDict[str, None] | set[str]] = {}
         self.n_cold_transfers = 0
         self.n_warm_transfers = 0
         self.n_evictions = 0
@@ -172,12 +173,12 @@ class StashCache:
             return files.items(), _IMAGE_ENTRY
         return (files.items(),)
 
-    def _stage_at(
+    def _stage_lru(
         self, files: tuple[Iterable[tuple[str, float]], ...], site: int
     ) -> float:
-        """Stage a job's files (:meth:`_job_files`) at one site; returns
-        elapsed seconds (including the setup overhead) and marks the
-        files warm."""
+        """Stage a job's files (:meth:`_job_files`) at one site of a
+        capped cache; returns elapsed seconds (including the setup
+        overhead), marks the files warm and evicts past the cap."""
         cfg = self.config
         total = cfg.setup_overhead_s
         site_cache = self._warm.setdefault(site, OrderedDict())
@@ -195,16 +196,53 @@ class StashCache:
                     site_cache[filename] = None
                     self.n_cold_transfers += 1
                     self.cold_mb_total += size_mb
-                    if (
-                        cfg.max_entries_per_site is not None
-                        and len(site_cache) > cfg.max_entries_per_site
-                    ):
+                    if len(site_cache) > cfg.max_entries_per_site:
                         site_cache.popitem(last=False)
                         self.n_evictions += 1
                 total += size_mb / bw
         # Bandwidth-bound time only; the fixed setup overhead is not a
         # transfer and would dilute cache-efficiency accounting.
         self.total_transfer_seconds += total - cfg.setup_overhead_s
+        return total
+
+    def _stage_uncapped(
+        self, files: tuple[Iterable[tuple[str, float]], ...], site: int
+    ) -> float:
+        """:meth:`_stage_lru` for a cache without a cap: set membership
+        and no recency order. The counters and sums take the same values
+        in the same order, so every total has the same bits."""
+        cfg = self.config
+        setup = cfg.setup_overhead_s
+        warm_bw = cfg.cache_mb_per_s
+        cold_bw = cfg.origin_mb_per_s
+        site_cache = self._warm.get(site)
+        if site_cache is None:
+            site_cache = self._warm[site] = set()
+        n_warm = self.n_warm_transfers
+        n_cold = self.n_cold_transfers
+        warm_mb = self.warm_mb_total
+        cold_mb = self.cold_mb_total
+        total = setup
+        try:
+            for entries in files:
+                for filename, size_mb in entries:
+                    if size_mb < 0:
+                        raise SimulationError(f"negative file size for {filename!r}")
+                    if filename in site_cache:
+                        n_warm += 1
+                        warm_mb += size_mb
+                        total += size_mb / warm_bw
+                    else:
+                        site_cache.add(filename)
+                        n_cold += 1
+                        cold_mb += size_mb
+                        total += size_mb / cold_bw
+        finally:
+            self.n_warm_transfers = n_warm
+            self.n_cold_transfers = n_cold
+            self.warm_mb_total = warm_mb
+            self.cold_mb_total = cold_mb
+        self.total_transfer_seconds += total - setup
         return total
 
     def observe_flush(self) -> None:
@@ -264,12 +302,13 @@ class StashCache:
                 f"cache site {site!r} outside range({cfg.n_cache_sites})"
             )
         files = self._job_files(spec)
+        stage = self._stage_uncapped if cfg.max_entries_per_site is None else self._stage_lru
         if self.faults is None:
-            return self._stage_at(files, site)
+            return stage(files, site)
         total = 0.0
         delays = self.retry_policy.schedule(self.retry_seed, "transfer", spec.name)
         for attempt in range(self.retry_policy.max_attempts):
-            elapsed = self._stage_at(files, site)
+            elapsed = stage(files, site)
             fails, slow = self.faults.draw()
             # The multiplier degrades bandwidth, not the fixed setup.
             total += cfg.setup_overhead_s + (elapsed - cfg.setup_overhead_s) * slow

@@ -55,6 +55,7 @@ from typing import NoReturn
 
 from repro.condor.dagfile import kahn_order
 from repro.errors import WfFormatError
+from repro.slotinit import slot_init
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -75,6 +76,7 @@ SCHEMA_VERSION = "1.4"
 _LINKS = ("input", "output")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WfFile:
     """One file a task reads (``link="input"``) or writes (``"output"``)."""
@@ -128,6 +130,7 @@ class WfPayload:
             raise WfFormatError("payload sizes must be >= 1")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WfTask:
     """One task of a workflow instance."""

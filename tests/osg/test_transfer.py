@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.condor.jobs import JobSpec
 from repro.errors import SimulationError
@@ -143,6 +145,57 @@ def test_default_config_transfer_times_unchanged_by_lru_code():
         for _ in range(30):
             out.append(cache.transfer_time(spec(dict(files)), int(rng.integers(3))))
     assert times_default == times_huge_cap
+
+
+_FILE_NAMES = [f"f{i}.npy" for i in range(8)] + ["singularity.sif"]
+_SIZES_MB = st.one_of(
+    st.sampled_from([0.0, 1.5, 928.0, 2048.0]),
+    st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(_FILE_NAMES), _SIZES_MB, max_size=5),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    include_image=st.booleans(),
+    setup=st.sampled_from([0.0, 35.0, 1.25]),
+)
+def test_uncapped_staging_matches_a_cap_above_every_file_count(jobs, include_image, setup):
+    """The uncapped cache keeps sets of warm files and no recency order;
+    a cache whose cap no site can reach evicts nothing either, so the
+    two must agree bit for bit: every job's time, every counter and MB
+    total, and which files are warm where."""
+    caches = [
+        StashCache(TransferConfig(
+            n_cache_sites=4, setup_overhead_s=setup, include_image=include_image,
+            max_entries_per_site=cap,
+        ))
+        for cap in (None, len(_FILE_NAMES) + 1)
+    ]
+    times = [
+        [cache.transfer_time(spec(dict(files)), site).hex() for files, site in jobs]
+        for cache in caches
+    ]
+    assert times[0] == times[1]
+    counters = [
+        (c.n_cold_transfers, c.n_warm_transfers, c.n_evictions,
+         c.cold_mb_total.hex(), c.warm_mb_total.hex(), c.total_transfer_seconds.hex())
+        for c in caches
+    ]
+    assert counters[0] == counters[1]
+    assert caches[1].n_evictions == 0
+    warm = [
+        {(name, site) for name in _FILE_NAMES for site in range(4) if c.is_warm(name, site)}
+        for c in caches
+    ]
+    assert warm[0] == warm[1]
 
 
 def test_reset_clears_evictions():

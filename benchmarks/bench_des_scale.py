@@ -55,7 +55,6 @@ import pytest
 
 from _common import bench_scale
 from repro.condor.dagman import DagmanOptions
-from repro.condor.jobs import Job, JobSpec, JobState
 from repro.osg.capacity import FixedCapacity
 from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.pool import OSPoolConfig
@@ -252,10 +251,7 @@ PORTAL_CYCLES = 1_000
 
 def _idle_queue(name: str, n_jobs: int) -> ScheddQueue:
     queue = ScheddQueue(name)
-    for i in range(n_jobs):
-        job = Job(JobSpec(name=f"{name}.{i}"))
-        job.transition(JobState.IDLE, 0.0)
-        queue.enqueue(f"{name}.{i}", job)
+    queue.enqueue_many([(f"{name}.{i}", i) for i in range(n_jobs)])
     return queue
 
 

@@ -5,7 +5,7 @@ A from-scratch model of the HTCondor pieces the FDW uses:
 * :mod:`repro.condor.classads` — a ClassAd-lite attribute/expression
   model used for requirements matching,
 * :mod:`repro.condor.submit` — submit description files,
-* :mod:`repro.condor.jobs` — job records with the HTCondor state machine,
+* :mod:`repro.condor.jobs` — job specs and the HTCondor job lifecycle,
 * :mod:`repro.condor.events` — user-log event writing/parsing (what the
   paper's monitoring shell scripts consume),
 * :mod:`repro.condor.dagfile` — ``.dag`` files and the DAG structure,
@@ -19,7 +19,7 @@ by the discrete-event pool simulator in :mod:`repro.osg`.
 from repro.condor.dagfile import DagDescription, DagNode
 from repro.condor.dagman import DagmanEngine, DagmanOptions
 from repro.condor.events import JobEvent, JobEventType, UserLog, parse_user_log
-from repro.condor.jobs import Job, JobSpec, JobState
+from repro.condor.jobs import JobSpec, JobState
 from repro.condor.rescue import apply_rescue, read_rescue_file, write_rescue_file
 from repro.condor.submit import SubmitDescription
 
@@ -28,7 +28,6 @@ __all__ = [
     "DagNode",
     "DagmanEngine",
     "DagmanOptions",
-    "Job",
     "JobEvent",
     "JobEventType",
     "JobSpec",

@@ -13,8 +13,8 @@ subpackage models exactly those mechanisms:
   the paper's observed phase costs,
 * :mod:`repro.osg.schedd` / :mod:`repro.osg.negotiator` — queueing and
   matchmaking (one fair round-robin matcher per negotiation cycle),
-* :mod:`repro.osg.jobtable` — struct-of-arrays job state behind the
-  pool engine,
+* :mod:`repro.osg.jobtable` — struct-of-arrays job state and the job
+  state machine behind the pool engine,
 * :mod:`repro.osg.metrics` — per-job and per-second statistics,
 * :mod:`repro.osg.pool` — the :class:`OSPoolSimulator` facade that runs
   DAGMan engines to completion on one struct-of-arrays engine (batched
@@ -26,7 +26,7 @@ documented in DESIGN.md.
 
 from repro.osg.capacity import CapacityProcess, FixedCapacity, MarkovModulatedCapacity
 from repro.osg.des import Simulator
-from repro.osg.jobtable import JobTable, JobView
+from repro.osg.jobtable import JobTable
 from repro.osg.metrics import JobRecord, PoolMetrics
 from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.pool import DagmanRun, OSPoolConfig, OSPoolSimulator
@@ -39,7 +39,6 @@ __all__ = [
     "FixedCapacity",
     "JobRecord",
     "JobTable",
-    "JobView",
     "MarkovModulatedCapacity",
     "NegotiatorConfig",
     "OSPoolConfig",

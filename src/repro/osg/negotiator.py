@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.condor.jobs import Job
 from repro.osg.schedd import ScheddQueue
 
 __all__ = ["NegotiatorConfig", "negotiate"]
@@ -53,26 +52,26 @@ def negotiate(
     queues: list[ScheddQueue],
     free_slots: int,
     config: NegotiatorConfig,
-) -> list[tuple[ScheddQueue, str, Job]]:
+) -> list[tuple[ScheddQueue, str, object]]:
     """Run one negotiation cycle.
 
-    Round-robins over the queues, taking the oldest idle job from each
+    Round-robins over the queues, taking the oldest idle item from each
     in turn, until free slots run out, the cycle match limit trips, or
-    every queue is empty. Returns the matches as
-    ``(queue, node_name, job)`` tuples; the caller starts the jobs.
+    every queue is empty. Returns the matches as ``(queue, name, item)``
+    tuples; the caller starts them.
     """
     if free_slots < 0:
         raise SimulationError(f"free_slots must be >= 0, got {free_slots}")
     budget = min(free_slots, config.match_limit_per_cycle)
-    matches: list[tuple[ScheddQueue, str, Job]] = []
+    matches: list[tuple[ScheddQueue, str, object]] = []
     active = [q for q in queues if q.n_idle > 0]
     while budget > 0 and active:
         next_round: list[ScheddQueue] = []
         for queue in active:
             if budget == 0:
                 break
-            node_name, job = queue.pop()
-            matches.append((queue, node_name, job))
+            name, item = queue.pop()
+            matches.append((queue, name, item))
             budget -= 1
             if queue.n_idle > 0:
                 next_round.append(queue)

@@ -32,7 +32,7 @@ from repro.condor.jobs import JobState
 from repro.condor.rescue import apply_rescue, read_rescue_file, rescue_path, write_rescue_file
 from repro.osg.capacity import CapacityProcess, default_ospool_capacity
 from repro.osg.des import Simulator
-from repro.osg.jobtable import JobTable, JobView
+from repro.osg.jobtable import STATES, JobTable
 from repro.osg.metrics import DagmanSummary, JobRecord, PoolMetrics
 from repro.osg.negotiator import NegotiatorConfig, negotiate_vectorized
 from repro.osg.runtimes import RuntimeModel
@@ -47,11 +47,14 @@ __all__ = [
     "resubmit_with_rescue",
 ]
 
-# Enum members the per-job path uses, bound once: reading one off its
-# class costs an enum-metaclass lookup.
+# Enum members the pool passes to its job table and user logs, bound
+# once: reading one off its class costs an enum-metaclass lookup.
+_IDLE = JobState.IDLE
 _RUNNING = JobState.RUNNING
 _COMPLETED = JobState.COMPLETED
 _FAILED = JobState.FAILED
+_HELD = JobState.HELD
+_REMOVED = JobState.REMOVED
 _EXECUTE = JobEventType.EXECUTE
 _TERMINATED = JobEventType.TERMINATED
 
@@ -131,7 +134,7 @@ class DagmanRun:
     """
 
     __slots__ = (
-        "name", "engine", "queue", "user_log", "submit_time", "index", "dead",
+        "name", "engine", "queue", "user_log", "submit_time", "dead",
         "rescue_file", "holds", "held", "_end_time", "_open",
     )
 
@@ -142,7 +145,6 @@ class DagmanRun:
         queue: ScheddQueue,
         user_log: UserLog,
         submit_time: float,
-        index: int,
         open_count: _OpenCount,
     ) -> None:
         self.name = name
@@ -150,11 +152,10 @@ class DagmanRun:
         self.queue = queue
         self.user_log = user_log
         self.submit_time = submit_time
-        self.index = index  # submission ordinal (the JobTable's dagman column)
         self.dead = False  # terminal failure (retries exhausted)
         self.rescue_file: Path | None = None
         self.holds: dict[str, int] = {}  # node -> times held
-        self.held: list[tuple[str, JobView]] = []
+        self.held: list[tuple[str, int]] = []  # (node, job-table row)
         self._end_time: float | None = None
         self._open = open_count
         open_count.n += 1
@@ -248,19 +249,19 @@ class OSPoolSimulator:
         )
         self._dagmans: dict[str, DagmanRun] = {}
         self._open = _OpenCount()
-        # Running set: token -> (run, node, view). Tokens increase with
+        # Running set: token -> (run, node, row). Tokens increase with
         # start time, so dict order doubles as newest-last preemption
         # order, and a token absent from the map makes a stale coalesced
         # completion a no-op.
-        self._running: dict[int, tuple[DagmanRun, str, JobView]] = {}
+        self._running: dict[int, tuple[DagmanRun, str, int]] = {}
         self._next_token = 0
         self._table = JobTable()
         self._records: list[JobRecord] = []
         self._capacity = 0
         self._capacity_trace: list[tuple[float, int]] = []
         self._next_slot = 1
-        # Per-pool cluster ids keep user logs reproducible run-to-run
-        # (the Job default draws from a process-global counter).
+        # Cluster ids count per pool, so user logs are reproducible
+        # whatever else the process has simulated.
         self._next_cluster = 1
         self._started = False
 
@@ -296,9 +297,7 @@ class OSPoolSimulator:
             raise SimulationError(f"at_time must be >= 0, got {at_time}")
         if name in self._dagmans:
             raise SimulationError(f"duplicate DAGMan name {name!r}")
-        run = DagmanRun(
-            name, engine, ScheddQueue(name), UserLog(), at_time, len(self._dagmans), self._open
-        )
+        run = DagmanRun(name, engine, ScheddQueue(name), UserLog(), at_time, self._open)
         if engine.is_complete:
             # A fully-rescued DAG has nothing to run.
             run.end_time = at_time
@@ -349,16 +348,13 @@ class OSPoolSimulator:
         """Append one submit batch to the job table, the log and the queue."""
         now = self.sim.now
         nodes = run.engine.nodes
-        specs = [nodes[n].spec for n in node_names]
         n = len(node_names)
         first_cluster = self._next_cluster
         self._next_cluster = first_cluster + n
-        table = self._table
-        rows = table.add_batch(node_names, specs, run.index, first_cluster, now)
+        specs = [nodes[name].spec for name in node_names]
+        rows = self._table.add_batch(specs, first_cluster, now)
         run.user_log.record_submits(first_cluster, n, now, f"schedd-{run.name}")
-        run.queue.enqueue_many(
-            [(node_name, JobView(table, row)) for node_name, row in zip(node_names, rows)]
-        )
+        run.queue.enqueue_many(list(zip(node_names, rows)))
 
     def _enqueue_single(self, run: DagmanRun, node_name: str) -> None:
         """Queue one PRE-cleared node."""
@@ -384,9 +380,9 @@ class OSPoolSimulator:
             # complete through one heap event, members in match order —
             # the order one event per job would fire them in.
             groups: dict[float, list[int]] = {}
-            for queue, node_name, view in matches:
+            for queue, node_name, row in matches:
                 run = dagmans[queue.name]
-                finish, token = self._claim(run, node_name, view, now)
+                finish, token = self._claim(run, node_name, row, now)
                 group = groups.get(finish)
                 if group is None:
                     groups[finish] = [token]
@@ -398,15 +394,13 @@ class OSPoolSimulator:
         self.sim.schedule(self.config.negotiator.cycle_s, self._negotiator_cycle)
 
     def _claim(
-        self, run: DagmanRun, node_name: str, view: JobView, now: float
+        self, run: DagmanRun, node_name: str, row: int, now: float
     ) -> tuple[float, int]:
         """Start a matched job; returns (finish time, running-set token)."""
         table = self._table
-        row = view.index
         slot = self._next_slot
         self._next_slot = slot + 1
         table.transition(row, _RUNNING, now)
-        table.slot[row] = slot
         # The log keeps the slot number; it names the host slot-<number>.
         run.user_log.record(_EXECUTE, table.cluster_id[row], now, slot)
         spec = table.specs[row]
@@ -415,7 +409,7 @@ class OSPoolSimulator:
         ) + self.config.runtime.sample_seconds(spec, self._rng_runtime)
         token = self._next_token
         self._next_token = token + 1
-        self._running[token] = (run, node_name, view)
+        self._running[token] = (run, node_name, row)
         return now + duration, token
 
     def _complete_batch(self, tokens: list[int]) -> None:
@@ -440,16 +434,15 @@ class OSPoolSimulator:
             entry = running.pop(token, None)
             if entry is None:
                 continue
-            run, node_name, view = entry
-            row = view.index
+            run, node_name, row = entry
             # Claim reuse (HTCondor default): the freed slot immediately
             # runs the submitter's next idle job instead of idling until
             # the next negotiation cycle. This is what lets short
             # small-input jobs sustain the paper's high throughputs. The
             # reused claim's completion is its own (uncoalesced) event.
             if len(running) < self._capacity and run.queue.n_idle > 0:
-                next_node, next_view = run.queue.pop()
-                finish, next_token = self._claim(run, next_node, next_view, now)
+                next_node, next_row = run.queue.pop()
+                finish, next_token = self._claim(run, next_node, next_row, now)
                 self.sim.schedule_at(finish, partial(self._complete_batch, [next_token]))
             success = next(self._failure_draws) < config.success_prob
             if (
@@ -463,7 +456,7 @@ class OSPoolSimulator:
                 # ON_EXIT_HOLD / periodic-release pattern). No TERMINATED
                 # event, no record — like an eviction, the attempt is not
                 # terminal.
-                self._hold_job(run, node_name, view)
+                self._hold_job(run, node_name, row)
                 continue
             table.transition(row, _COMPLETED if success else _FAILED, now)
             cluster = table.cluster_id[row]
@@ -493,18 +486,17 @@ class OSPoolSimulator:
             else:
                 self._report_result(run, node_name, success)
 
-    def _evict_entries(self, entries: list[tuple[DagmanRun, str, JobView]]) -> None:
+    def _evict_entries(self, entries: list[tuple[DagmanRun, str, int]]) -> None:
         """Return running entries (tokens already popped) to the queue fronts."""
         now = self.sim.now
         table = self._table
-        for run, node_name, view in entries:
-            row = view.index
-            table.transition(row, JobState.IDLE, now)
+        for run, node_name, row in entries:
+            table.transition(row, _IDLE, now)
             run.user_log.record(JobEventType.EVICTED, table.cluster_id[row], now)
             table.n_evictions[row] += 1
-            run.queue.enqueue(node_name, view, front=True)
+            run.queue.enqueue(node_name, row, front=True)
 
-    def _pop_newest(self, count: int) -> list[tuple[DagmanRun, str, JobView]]:
+    def _pop_newest(self, count: int) -> list[tuple[DagmanRun, str, int]]:
         """Remove and return the ``count`` newest running entries.
 
         Tokens are issued in start order, so the map's insertion order
@@ -515,27 +507,28 @@ class OSPoolSimulator:
             del self._running[token]
         return [entry for _, entry in items]
 
-    def _hold_job(self, run: DagmanRun, node_name: str, job: JobView) -> None:
+    def _hold_job(self, run: DagmanRun, node_name: str, row: int) -> None:
         """Put a job on HOLD; it auto-releases after ``hold_release_s``."""
         now = self.sim.now
-        job.transition(JobState.HELD, now)
-        run.user_log.record(JobEventType.HELD, job.cluster_id, now)
+        table = self._table
+        table.transition(row, _HELD, now)
+        run.user_log.record(JobEventType.HELD, table.cluster_id[row], now)
         run.holds[node_name] = run.holds.get(node_name, 0) + 1
-        run.held.append((node_name, job))
+        run.held.append((node_name, row))
         self.sim.schedule(
-            self.config.hold_release_s,
-            lambda: self._release_job(run, node_name, job),
+            self.config.hold_release_s, partial(self._release_job, run, node_name, row)
         )
 
-    def _release_job(self, run: DagmanRun, node_name: str, job: JobView) -> None:
+    def _release_job(self, run: DagmanRun, node_name: str, row: int) -> None:
         """Release a held job back to IDLE (front of its queue)."""
-        if run.finished or job.state is not JobState.HELD:
+        table = self._table
+        if run.finished or STATES[table.state[row]] is not _HELD:
             return  # the DAGMan ended (e.g. killed) while the job was held
         now = self.sim.now
-        run.held.remove((node_name, job))
-        job.transition(JobState.IDLE, now)
-        run.user_log.record(JobEventType.RELEASED, job.cluster_id, now)
-        run.queue.enqueue(node_name, job, front=True)
+        run.held.remove((node_name, row))
+        table.transition(row, _IDLE, now)
+        run.user_log.record(JobEventType.RELEASED, table.cluster_id[row], now)
+        run.queue.enqueue(node_name, row, front=True)
 
     def _report_result(self, run: DagmanRun, node_name: str, success: bool) -> None:
         """Deliver a node's final result to its DAGMan engine."""
@@ -616,9 +609,9 @@ class OSPoolSimulator:
             if dagman is None or entry[0].name == dagman
         ]
         victims = items[-count:]
-        for token, (run, node_name, view) in victims:
+        for token, (run, node_name, row) in victims:
             del self._running[token]
-            self._hold_job(run, node_name, view)
+            self._hold_job(run, node_name, row)
         return len(victims)
 
     def kill_dagman(self, name: str) -> Path | None:
@@ -640,19 +633,17 @@ class OSPoolSimulator:
         if run.finished:
             raise SimulationError(f"DAGMan {name!r} already finished")
         now = self.sim.now
+        # Running jobs in start order, then idle ones in queue order, then held.
         tokens = [token for token, entry in self._running.items() if entry[0] is run]
-        for token in tokens:
-            _, _, view = self._running.pop(token)
-            view.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, view.cluster_id, now)
+        rows = [self._running.pop(token)[2] for token in tokens]
         while run.queue.n_idle:
-            _, job = run.queue.pop()
-            job.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
-        for _, job in run.held:
-            job.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
+            rows.append(run.queue.pop()[1])
+        rows.extend(row for _, row in run.held)
         run.held.clear()
+        table = self._table
+        for row in rows:
+            table.transition(row, _REMOVED, now)
+            run.user_log.record(JobEventType.ABORTED, table.cluster_id[row], now)
         run.end_time = now
         run.dead = True
         return self._write_rescue(run)
@@ -760,21 +751,6 @@ class OSPoolSimulator:
         """Submitted DAGMan states (for logs and assertions)."""
         return dict(self._dagmans)
 
-    @property
-    def current_capacity(self) -> int:
-        """Capacity at the current simulation time."""
-        return self._capacity
-
-    def mean_capacity(self) -> float:
-        """Time-weighted mean capacity over the recorded trace."""
-        if len(self._capacity_trace) < 2:
-            return float(self._capacity)
-        times = np.array([t for t, _ in self._capacity_trace] + [self.sim.now])
-        caps = np.array([c for _, c in self._capacity_trace], dtype=float)
-        dt = np.diff(times)
-        if dt.sum() <= 0:
-            return float(caps[-1])
-        return float(np.sum(caps * dt) / dt.sum())
 
 
 # -- recovery ------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Schedd: the per-submitter job queue.
+"""Schedd: the per-submitter idle queue.
 
 Each DAGMan in our experiments gets its own submitter queue (in OSG
 terms they share a user but the negotiator interleaves their job
 streams; modelling each as a queue captures the observed fair
-interleaving directly). The schedd tracks idle jobs FIFO and per-queue
-idle counts so DAGMan's ``max_idle`` throttle can be honoured.
+interleaving directly), and the portal service gives each tenant one.
+A queue is a FIFO of ``(name, item)`` pairs and knows nothing of job
+state: the pool queues job-table rows it has just moved to IDLE, the
+portal queues its pending executions. The idle count lets DAGMan's
+``max_idle`` throttle be honoured.
 """
 
 from __future__ import annotations
@@ -12,52 +15,40 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SimulationError
-from repro.condor.jobs import Job, JobState
 
 __all__ = ["ScheddQueue"]
 
 
 class ScheddQueue:
-    """FIFO idle queue for one submitter (one DAGMan instance)."""
+    """FIFO idle queue for one submitter (one DAGMan or tenant)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._idle: deque[tuple[str, Job]] = deque()
+        self._idle: deque[tuple[str, object]] = deque()
 
     def __len__(self) -> int:
         return len(self._idle)
 
     @property
     def n_idle(self) -> int:
-        """Jobs currently idle in this queue."""
+        """Items currently idle in this queue."""
         return len(self._idle)
 
-    def enqueue(self, node_name: str, job: Job, front: bool = False) -> None:
-        """Add an idle job; ``front=True`` re-queues an evicted job with
+    def enqueue(self, name: str, item: object, front: bool = False) -> None:
+        """Add an idle item; ``front=True`` re-queues an evicted job with
         its original priority (HTCondor keeps the original queue
         position on eviction)."""
-        if job.state is not JobState.IDLE:
-            raise SimulationError(
-                f"job {job.spec.name} enqueued while {job.state.value}"
-            )
         if front:
-            self._idle.appendleft((node_name, job))
+            self._idle.appendleft((name, item))
         else:
-            self._idle.append((node_name, job))
+            self._idle.append((name, item))
 
-    def enqueue_many(self, entries: list[tuple[str, Job]]) -> None:
-        """Append a batch of freshly-submitted idle jobs (FIFO order).
-
-        Batch counterpart of :meth:`enqueue` for the vectorized pool
-        engine. The caller guarantees every job is IDLE — the batch
-        submit path creates them in that state immediately before the
-        call, so re-validating each would only re-check the invariant
-        the table transition just enforced.
-        """
+    def enqueue_many(self, entries: list[tuple[str, object]]) -> None:
+        """Append a batch of ``(name, item)`` pairs in FIFO order."""
         self._idle.extend(entries)
 
-    def pop(self) -> tuple[str, Job]:
-        """Remove and return the oldest idle job."""
+    def pop(self) -> tuple[str, object]:
+        """Remove and return the oldest idle ``(name, item)`` pair."""
         if not self._idle:
             raise SimulationError(f"schedd {self.name}: pop from empty queue")
         return self._idle.popleft()

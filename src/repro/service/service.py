@@ -10,11 +10,12 @@ async results API over the VDC catalog/storage.
 Design points:
 
 * **Fair share reuses the pool machinery.** Each tenant gets a
-  :class:`~repro.osg.schedd.ScheddQueue`; the dispatcher hands free
-  workers out with the same :func:`~repro.osg.negotiator.negotiate`
-  round-robin the OSPool model uses for concurrent DAGMans (rotated
-  across cycles so no tenant is starved) — the Fig 3 interleaving,
-  applied to people instead of DAGMans.
+  :class:`~repro.osg.schedd.ScheddQueue` of its pending executions;
+  the dispatcher hands free workers out with the same
+  :func:`~repro.osg.negotiator.negotiate` round-robin the OSPool model
+  uses for concurrent DAGMans (rotated across cycles so no tenant is
+  starved) — the Fig 3 interleaving, applied to people instead of
+  DAGMans.
 * **Coalescing is content-addressed.** A submission is keyed by
   ``(FdwConfig.content_digest(), seed, backend)`` — the same
   content-addressing that keys the GF-bank and K-L caches. Identical
@@ -47,7 +48,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.condor.jobs import Job, JobSpec, JobState
 from repro.core.config import FdwConfig
 from repro.errors import BackpressureError, QuotaExceededError, ServiceError
 from repro.obs.stats import percentile
@@ -176,7 +176,6 @@ class _Entry:
         "config",
         "seed",
         "tenant",
-        "job",
         "future",
         "tickets",
         "outcome",
@@ -194,7 +193,6 @@ class _Entry:
         config: FdwConfig,
         seed: int,
         tenant: str,
-        job: Job,
         future: asyncio.Future,
     ) -> None:
         self.entry_id = entry_id
@@ -202,7 +200,6 @@ class _Entry:
         self.config = config
         self.seed = seed
         self.tenant = tenant
-        self.job = job
         self.future = future
         self.tickets: list[Ticket] = []
         self.outcome: RunnerOutcome | None = None
@@ -448,15 +445,12 @@ class PortalService:
                 f"cap {self.quota.max_queue_depth}); back off and retry"
             )
         entry_id = f"svc-{len(self._entries):05d}"
-        job = Job(spec=JobSpec(name=entry_id), owner=tenant)
-        job.transition(JobState.IDLE, now)
         entry = _Entry(
             entry_id=entry_id,
             key=key,
             config=config,
             seed=int(seed),
             tenant=tenant,
-            job=job,
             future=asyncio.get_running_loop().create_future(),
         )
         self._entries[entry_id] = entry
@@ -465,7 +459,7 @@ class PortalService:
         if queue is None:
             queue = self._queues[tenant] = ScheddQueue(tenant)
             self._ring[tenant] = len(self._ring)
-        queue.enqueue(entry_id, job)
+        queue.enqueue(entry_id, entry)
         self._waiting.add(tenant)
         self._n_queued += 1
         self._idle.clear()
@@ -574,21 +568,19 @@ class PortalService:
             )
             if not matches:
                 break
-            for queue, entry_id, job in matches:
+            for queue, _, entry in matches:
                 if not queue.n_idle:
                     self._waiting.discard(queue.name)
-                self._start_entry(entry_id, job)
+                self._start_entry(entry)
             last_tenant = matches[-1][0].name
             self._rr_offset = (self._ring[last_tenant] + 1) % len(self._ring)
 
-    def _start_entry(self, entry_id: str, job: Job) -> None:
-        entry = self._entries[entry_id]
+    def _start_entry(self, entry: _Entry) -> None:
         now = self.clock.now()
-        job.transition(JobState.RUNNING, now)
         entry.started_at = now
         self._free_workers -= 1
         self._n_queued -= 1
-        self._record(now, "start", entry.tenant, "", entry_id)
+        self._record(now, "start", entry.tenant, "", entry.entry_id)
         try:
             entry.outcome = self.runner.execute(entry.config, entry.seed)
             finish = now + max(0.0, entry.outcome.elapsed_s)
@@ -622,7 +614,6 @@ class PortalService:
         for ticket in entry.tickets:
             self._pending[ticket.tenant] -= 1
         if entry.error is None:
-            entry.job.transition(JobState.COMPLETED, finish)
             self.stats.n_executed += 1
             observing = obs.enabled()
             waits = self.stats.queue_waits_s
@@ -643,7 +634,6 @@ class PortalService:
             self._record(finish, "finish", entry.tenant, "", entry.entry_id)
             entry.future.set_result(entry)
         else:
-            entry.job.transition(JobState.FAILED, finish)
             self.stats.n_failed += 1
             obs.counter_add(
                 "repro_service_runs_total", 1,

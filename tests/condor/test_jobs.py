@@ -1,75 +1,92 @@
-"""Tests for repro.condor.jobs."""
+"""Tests for repro.condor.jobs: job specs and the job lifecycle.
+
+The lifecycle runs on the pool's :class:`~repro.osg.jobtable.JobTable`,
+the program's one job state machine; a row enters it submitted (IDLE).
+"""
+
+import math
 
 import pytest
 
-from repro.condor.jobs import Job, JobPayload, JobSpec, JobState
+from repro.condor.jobs import _TRANSITIONS, JobPayload, JobSpec, JobState
 from repro.errors import JobStateError
+from repro.osg.jobtable import STATES, JobTable
 
 
-def make_job(**kwargs):
-    return Job(JobSpec(name="j", **kwargs))
+def submitted(t=0.0):
+    """A table holding one job (row 0), submitted at ``t``."""
+    table = JobTable()
+    table.add_batch([JobSpec(name="j")], 1, t)
+    return table
+
+
+def state(table):
+    return STATES[table.state[0]]
 
 
 def test_happy_path_transitions():
-    job = make_job()
-    job.transition(JobState.IDLE, 10.0)
-    job.transition(JobState.RUNNING, 20.0)
-    job.transition(JobState.COMPLETED, 50.0)
-    assert job.submit_time == 10.0
-    assert job.start_time == 20.0
-    assert job.end_time == 50.0
-    assert job.wait_time == 10.0
-    assert job.execution_time == 30.0
-    assert job.is_terminal
+    table = submitted(10.0)
+    table.transition(0, JobState.RUNNING, 20.0)
+    table.transition(0, JobState.COMPLETED, 50.0)
+    assert state(table) is JobState.COMPLETED
+    assert table.submit_time[0] == 10.0
+    assert table.start_time[0] == 20.0
 
 
 def test_illegal_transition_raises():
-    job = make_job()
+    table = submitted()
     with pytest.raises(JobStateError):
-        job.transition(JobState.RUNNING, 0.0)  # unsubmitted -> running
+        table.transition(0, JobState.COMPLETED, 0.0)  # idle -> completed
+    assert state(table) is JobState.IDLE
 
 
 def test_completed_is_terminal():
-    job = make_job()
-    job.transition(JobState.IDLE, 0.0)
-    job.transition(JobState.RUNNING, 1.0)
-    job.transition(JobState.COMPLETED, 2.0)
+    table = submitted()
+    table.transition(0, JobState.RUNNING, 1.0)
+    table.transition(0, JobState.COMPLETED, 2.0)
     with pytest.raises(JobStateError):
-        job.transition(JobState.IDLE, 3.0)
+        table.transition(0, JobState.IDLE, 3.0)
 
 
 def test_eviction_requeues_and_clears_execution():
-    job = make_job()
-    job.transition(JobState.IDLE, 0.0)
-    job.transition(JobState.RUNNING, 5.0)
-    job.slot_name = "slot-1"
-    job.transition(JobState.IDLE, 8.0)  # evicted
-    assert job.submit_time == 0.0  # original submit retained
-    assert job.start_time is None
-    assert job.slot_name is None
-    assert job.wait_time is None
+    table = submitted()
+    table.transition(0, JobState.RUNNING, 5.0)
+    table.transition(0, JobState.IDLE, 8.0)  # evicted
+    assert table.submit_time[0] == 0.0  # original submit retained
+    assert math.isnan(table.start_time[0])
+    table.transition(0, JobState.RUNNING, 9.0)  # the next claim stamps anew
+    assert table.start_time[0] == 9.0
+    assert table.submit_time[0] == 0.0
 
 
 def test_failed_can_retry():
-    job = make_job()
-    job.transition(JobState.IDLE, 0.0)
-    job.transition(JobState.RUNNING, 1.0)
-    job.transition(JobState.FAILED, 2.0)
-    job.transition(JobState.IDLE, 3.0)
-    assert job.state is JobState.IDLE
+    table = submitted()
+    table.transition(0, JobState.RUNNING, 1.0)
+    table.transition(0, JobState.FAILED, 2.0)
+    table.transition(0, JobState.IDLE, 3.0)
+    assert state(table) is JobState.IDLE
 
 
 def test_hold_release_cycle():
-    job = make_job()
-    job.transition(JobState.IDLE, 0.0)
-    job.transition(JobState.HELD, 1.0)
-    job.transition(JobState.IDLE, 2.0)
-    assert job.state is JobState.IDLE
+    table = submitted()
+    table.transition(0, JobState.HELD, 1.0)
+    table.transition(0, JobState.IDLE, 2.0)
+    assert state(table) is JobState.IDLE
 
 
-def test_cluster_ids_unique():
-    a, b = make_job(), make_job()
-    assert a.cluster_id != b.cluster_id
+def test_every_move_follows_the_lifecycle_table():
+    """Each (from, to) pair is legal exactly when the lifecycle lists it."""
+    for source in JobState:
+        for target in JobState:
+            table = submitted()
+            table.state[0] = STATES.index(source)
+            if target in _TRANSITIONS[source]:
+                table.transition(0, target, 1.0)
+                assert state(table) is target
+            else:
+                with pytest.raises(JobStateError):
+                    table.transition(0, target, 1.0)
+                assert state(table) is source
 
 
 def test_spec_validation():
@@ -90,10 +107,3 @@ def test_payload_validation():
         JobPayload(phase="A", n_items=0)
     payload = JobPayload(phase="C", n_items=2, n_stations=121)
     assert payload.phase == "C"
-
-
-def test_wait_time_none_until_started():
-    job = make_job()
-    job.transition(JobState.IDLE, 0.0)
-    assert job.wait_time is None
-    assert job.execution_time is None

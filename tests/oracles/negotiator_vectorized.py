@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.condor.jobs import Job
 from repro.errors import SimulationError
 from repro.osg.negotiator import NegotiatorConfig
 from repro.osg.schedd import ScheddQueue
@@ -52,7 +51,7 @@ def negotiate_vectorized(
     queues: list[ScheddQueue],
     free_slots: int,
     config: NegotiatorConfig,
-) -> list[tuple[ScheddQueue, str, Job]]:
+) -> list[tuple[ScheddQueue, str, object]]:
     """Run one negotiation cycle as array operations.
 
     Produces the *identical* match sequence as the scalar
@@ -80,7 +79,7 @@ def negotiate_vectorized(
     slice_starts = np.cumsum(m) - m
     rounds = np.arange(total) - np.repeat(slice_starts, m)
     order = np.lexsort((queue_pos, rounds))
-    matches: list[tuple[ScheddQueue, str, Job]] = []
+    matches: list[tuple[ScheddQueue, str, object]] = []
     append = matches.append
     for flat in order:
         qi = int(queue_pos[flat])

@@ -3,22 +3,29 @@
 ``ReferencePoolSimulator`` is ``OSPoolSimulator(engine="reference")`` as
 it shipped while the pool carried two engines, frozen here so the
 equivalence tests can hold the product engine to it bit for bit. Each
-job is a full :class:`~repro.condor.jobs.Job`, every start schedules its
-own completion event, the running set is a list rebuilt on each
-completion, and evictions, holds and kills cancel the victim's
-completion through the handle the slab loop returns. It runs on the
-frozen slab loop of :mod:`tests.oracles.des_slab`, so it shares no
-event-loop code with the product.
+job is a full :class:`Job`, every start schedules its own completion
+event, the running set is a list rebuilt on each completion, and
+evictions, holds and kills cancel the victim's completion through the
+handle the slab loop returns. It runs on the frozen slab loop of
+:mod:`tests.oracles.des_slab`, so it shares no event-loop code with the
+product.
+
+:class:`Job` is the dynamic job record and state machine the program
+carried before its job table became the only one, frozen verbatim; this
+engine is its only user, and the job-table tests hold
+``JobTable.transition``'s error message to it.
 
 The handlers below are the reference handlers verbatim, plus the
 reference halves of the methods that used to branch on the engine
 (``_no_inflight``, ``_preempt_to_capacity``, ``inject_eviction``,
-``inject_hold``, ``kill_dagman``). Everything else — submission,
-capacity steps, holds and releases, node results, rescue files,
-``run`` and telemetry — is inherited from the product class, exactly as
-the two engines shared it. Because the product's handlers carry the
-same names (``_dagman_cycle``, ``_negotiator_cycle``), the inherited
-``submit_engine`` and ``run`` dispatch to the reference ones here.
+``inject_hold``, ``kill_dagman``) and of the hold and release the two
+engines shared (``_hold_job``, ``_release_job``) as they ran on
+``Job``-like records. Everything else — submission, capacity steps,
+node results, rescue files, ``run`` and telemetry — is inherited from
+the product class, exactly as the two engines shared it. Because the
+product's handlers carry the same names (``_dagman_cycle``,
+``_negotiator_cycle``), the inherited ``submit_engine`` and ``run``
+dispatch to the reference ones here.
 
 :func:`on_reference_pool` calls an entry point that builds its own pool
 (``replay_instance``, ``replay_study``, ``resubmit_with_rescue``,
@@ -28,15 +35,17 @@ place of the product's.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.condor.events import JobEventType
-from repro.condor.jobs import Job, JobState
+from repro.condor.jobs import _TRANSITIONS, JobSpec, JobState
 from repro.core import submit_osg
-from repro.errors import SimulationError
+from repro.errors import JobStateError, SimulationError
 from repro.osg import pool as pool_module
 from repro.osg.metrics import JobRecord
 from repro.osg.negotiator import negotiate
@@ -44,7 +53,85 @@ from repro.osg.pool import DagmanRun, OSPoolSimulator
 from repro.wf import replay as replay_module
 from tests.oracles.des_slab import EventHandle, Simulator
 
-__all__ = ["ReferencePoolSimulator", "on_reference_pool"]
+__all__ = ["Job", "ReferencePoolSimulator", "on_reference_pool"]
+
+
+_cluster_counter = itertools.count(1)
+
+
+@dataclass
+class Job:
+    """Dynamic job record tracked by the schedd and the simulator.
+
+    Timestamps are simulation seconds; ``None`` until the corresponding
+    event happens. ``submit_time``/``start_time``/``end_time`` are what
+    the bursting-trace CSVs export.
+    """
+
+    spec: JobSpec
+    cluster_id: int = field(default_factory=lambda: next(_cluster_counter))
+    state: JobState = JobState.UNSUBMITTED
+    submit_time: float | None = None
+    start_time: float | None = None
+    end_time: float | None = None
+    slot_name: str | None = None
+    n_retries: int = 0
+    owner: str = "fdw"
+
+    def transition(self, new_state: JobState, time: float) -> None:
+        """Move to ``new_state`` at simulation time ``time``.
+
+        Updates the timestamp that corresponds to the entered state and
+        enforces the legal-transition table.
+        """
+        allowed = _TRANSITIONS[self.state]
+        if new_state not in allowed:
+            raise JobStateError(
+                f"job {self.spec.name} (cluster {self.cluster_id}): illegal "
+                f"transition {self.state.value} -> {new_state.value}"
+            )
+        if new_state is JobState.IDLE and self.state is JobState.UNSUBMITTED:
+            self.submit_time = time
+        elif new_state is JobState.IDLE and self.state in (
+            JobState.RUNNING,
+            JobState.FAILED,
+            JobState.HELD,
+        ):
+            # Re-queue (eviction, retry, or release): clear the execution record.
+            self.start_time = None
+            self.slot_name = None
+        elif new_state is JobState.RUNNING:
+            self.start_time = time
+        elif new_state in (JobState.COMPLETED, JobState.FAILED, JobState.REMOVED):
+            self.end_time = time
+        self.state = new_state
+
+    # -- derived --------------------------------------------------------------
+
+    @property
+    def wait_time(self) -> float | None:
+        """Queue wait (start - submit) in seconds, when both are known."""
+        if self.submit_time is None or self.start_time is None:
+            return None
+        return self.start_time - self.submit_time
+
+    @property
+    def execution_time(self) -> float | None:
+        """Execution wall time (end - start) in seconds, when known."""
+        if self.start_time is None or self.end_time is None:
+            return None
+        return self.end_time - self.start_time
+
+    @property
+    def is_terminal(self) -> bool:
+        """True in COMPLETED or REMOVED (no further transitions expected)."""
+        return self.state in (JobState.COMPLETED, JobState.REMOVED)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Job({self.spec.name}, cluster={self.cluster_id}, "
+            f"state={self.state.value})"
+        )
 
 
 class ReferencePoolSimulator(OSPoolSimulator):
@@ -188,6 +275,28 @@ class ReferencePoolSimulator(OSPoolSimulator):
             )
         else:
             self._report_result(run, node_name, success)
+
+    def _hold_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
+        """Put a job on HOLD; it auto-releases after ``hold_release_s``."""
+        now = self.sim.now
+        job.transition(JobState.HELD, now)
+        run.user_log.record(JobEventType.HELD, job.cluster_id, now)
+        run.holds[node_name] = run.holds.get(node_name, 0) + 1
+        run.held.append((node_name, job))
+        self.sim.schedule(
+            self.config.hold_release_s,
+            lambda: self._release_job(run, node_name, job),
+        )
+
+    def _release_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
+        """Release a held job back to IDLE (front of its queue)."""
+        if run.finished or job.state is not JobState.HELD:
+            return  # the DAGMan ended (e.g. killed) while the job was held
+        now = self.sim.now
+        run.held.remove((node_name, job))
+        job.transition(JobState.IDLE, now)
+        run.user_log.record(JobEventType.RELEASED, job.cluster_id, now)
+        run.queue.enqueue(node_name, job, front=True)
 
     def _no_inflight(self, run: DagmanRun) -> bool:
         if run.queue.n_idle > 0 or run.engine.n_ready > 0 or run.held:

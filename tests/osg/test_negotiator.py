@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.condor.jobs import Job, JobSpec, JobState
 from repro.errors import SimulationError
 from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.schedd import ScheddQueue
@@ -14,9 +13,7 @@ from tests.oracles.negotiator_vectorized import negotiate_vectorized
 def queue_with(name, n):
     q = ScheddQueue(name)
     for i in range(n):
-        job = Job(JobSpec(name=f"{name}{i}"))
-        job.transition(JobState.IDLE, 0.0)
-        q.enqueue(f"{name}{i}", job)
+        q.enqueue(f"{name}{i}", (name, i))
     return q
 
 
@@ -96,7 +93,7 @@ def assert_equivalent(sizes, free_slots, match_limit):
     assert [(q.name, node) for q, node, _ in scalar] == [
         (q.name, node) for q, node, _ in vector
     ]
-    assert [j.spec.name for _, _, j in scalar] == [j.spec.name for _, _, j in vector]
+    assert [item for _, _, item in scalar] == [item for _, _, item in vector]
     assert [q.n_idle for q in scalar_qs] == [q.n_idle for q in vector_qs]
 
 

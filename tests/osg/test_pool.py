@@ -1,23 +1,26 @@
 """Tests for repro.osg.pool — the integrated pool simulator."""
 
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.condor.dagfile import DagDescription
+from repro.condor.dagfile import DagDescription, ScriptSpec
 from repro.condor.dagman import DagmanOptions
 from repro.condor.events import JobEventType
-from repro.condor.jobs import JobPayload, JobSpec
+from repro.condor.jobs import JobPayload, JobSpec, JobState
 from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
 from repro.core.workflow import build_fdw_dag
 from repro.errors import DagError, SimulationError
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
+from repro.osg.jobtable import STATES
 from repro.osg.metrics import JobRecord
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.osg.runtimes import RuntimeModel
+from repro.osg.schedd import ScheddQueue
 from repro.osg.transfer import TransferConfig
 from repro.wf import replay_instance
 
@@ -234,9 +237,83 @@ def test_run_until_partial():
 def test_mean_capacity_tracks_process():
     pool = quiet_pool(slots=7)
     pool.submit_dagman(tiny_dag())
-    pool.run()
-    assert pool.mean_capacity() == pytest.approx(7.0)
-    assert pool.current_capacity == 7
+    metrics = pool.run()
+    times = [t for t, _ in metrics.capacity_trace] + [metrics.dagmans["t"].end_time]
+    caps = [c for _, c in metrics.capacity_trace]
+    assert np.average(caps, weights=np.diff(times)) == pytest.approx(7.0)
+    assert caps[-1] == 7
+
+
+def test_queued_rows_are_idle(monkeypatch, tmp_path):
+    """Every job-table row entering or leaving a schedd queue is IDLE.
+
+    The queue keeps no job state, so this pins that each pool enqueue
+    follows a submission or a table transition to IDLE and each queued
+    row stays IDLE until popped: under preemption, holds and releases,
+    injected evictions and holds, a PRE script and a killed DAGMan.
+    """
+    pool = OSPoolSimulator(
+        config=OSPoolConfig(
+            transfer=TransferConfig(setup_overhead_s=1.0, include_image=False),
+            runtime=RuntimeModel(a_base_s=120.0, a_per_rupture_s=0.0, sigma_log=0.18),
+            success_prob=0.6,
+            max_job_holds=2,
+            hold_release_s=45.0,
+        ),
+        capacity=MarkovModulatedCapacity(
+            levels=[6, 1], mean_dwell_s=[150.0, 100.0], jitter=0.0
+        ),
+        seed=11,
+        rescue_dir=tmp_path,
+    )
+    table = pool._table
+    checked = {"enqueue": 0, "pop": 0}
+
+    def assert_idle(where, rows):
+        for row in rows:
+            assert STATES[table.state[row]] is JobState.IDLE, (where, row)
+        checked[where] += len(rows)
+
+    enqueue, enqueue_many, pop = (
+        ScheddQueue.enqueue, ScheddQueue.enqueue_many, ScheddQueue.pop
+    )
+
+    def checked_enqueue(self, name, item, front=False):
+        assert_idle("enqueue", [item])
+        enqueue(self, name, item, front)
+
+    def checked_enqueue_many(self, entries):
+        assert_idle("enqueue", [item for _, item in entries])
+        enqueue_many(self, entries)
+
+    def checked_pop(self):
+        name, item = pop(self)
+        assert_idle("pop", [item])
+        return name, item
+
+    monkeypatch.setattr(ScheddQueue, "enqueue", checked_enqueue)
+    monkeypatch.setattr(ScheddQueue, "enqueue_many", checked_enqueue_many)
+    monkeypatch.setattr(ScheddQueue, "pop", checked_pop)
+
+    work = tiny_dag(16, name="w")
+    work.set_script("w_0", "PRE", ScriptSpec(command="pre.sh", duration_s=5.0))
+    pool.submit_dagman(work)
+    pool.submit_dagman(tiny_dag(30, name="k"))
+    pool.sim.schedule_at(60.0, lambda: pool.inject_eviction(2))
+    pool.sim.schedule_at(90.0, lambda: pool.inject_hold(2))
+    pool.sim.schedule_at(400.0, lambda: pool.kill_dagman("k"))
+    metrics = pool.run()
+
+    assert checked["enqueue"] > 0 and checked["pop"] > 0
+    events = Counter(
+        event.event_type
+        for run in pool.dagman_runs.values()
+        for event in run.user_log.events()
+    )
+    assert events[JobEventType.EVICTED] > 2  # capacity drops preempted too
+    assert events[JobEventType.RELEASED] > 2  # failures were held, not only injected
+    assert events[JobEventType.ABORTED] and pool.dagman_runs["k"].dead
+    assert "w_0" in {r.node_name for r in metrics.for_dagman("w")}  # PRE cleared
 
 
 def test_stagger_delays_second_dagman():

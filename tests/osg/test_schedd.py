@@ -1,21 +1,19 @@
-"""Tests for repro.osg.schedd."""
+"""Tests for repro.osg.schedd.
+
+A queue holds opaque items (the pool's job-table rows, the portal's
+executions); that every row the pool queues is IDLE is pinned at pool
+level (``tests/osg/test_pool.py::test_queued_rows_are_idle``).
+"""
 
 import pytest
 
-from repro.condor.jobs import Job, JobSpec, JobState
 from repro.errors import SimulationError
 from repro.osg.schedd import ScheddQueue
 
 
-def idle_job(t=0.0):
-    job = Job(JobSpec(name="j"))
-    job.transition(JobState.IDLE, t)
-    return job
-
-
 def test_fifo_order():
     q = ScheddQueue("q")
-    a, b = idle_job(), idle_job()
+    a, b = object(), object()
     q.enqueue("na", a)
     q.enqueue("nb", b)
     assert q.pop() == ("na", a)
@@ -24,16 +22,15 @@ def test_fifo_order():
 
 def test_front_requeue():
     q = ScheddQueue("q")
-    a, b = idle_job(), idle_job()
-    q.enqueue("na", a)
-    q.enqueue("nb", b, front=True)
-    assert q.pop()[0] == "nb"
+    q.enqueue("na", 0)
+    q.enqueue("nb", 1, front=True)
+    assert q.pop() == ("nb", 1)
 
 
 def test_len_and_n_idle():
     q = ScheddQueue("q")
     assert len(q) == 0 and q.n_idle == 0
-    q.enqueue("n", idle_job())
+    q.enqueue("n", 0)
     assert len(q) == 1 and q.n_idle == 1
 
 
@@ -42,16 +39,8 @@ def test_pop_empty_raises():
         ScheddQueue("q").pop()
 
 
-def test_enqueue_requires_idle_state():
-    q = ScheddQueue("q")
-    job = Job(JobSpec(name="j"))  # still UNSUBMITTED
-    with pytest.raises(SimulationError):
-        q.enqueue("n", job)
-
-
 def test_enqueue_many_preserves_fifo():
     q = ScheddQueue("q")
-    jobs = [idle_job() for _ in range(3)]
-    q.enqueue_many([(f"n{i}", j) for i, j in enumerate(jobs)])
+    q.enqueue_many([(f"n{i}", i) for i in range(3)])
     assert q.n_idle == 3
-    assert [q.pop()[0] for _ in range(3)] == ["n0", "n1", "n2"]
+    assert [q.pop() for _ in range(3)] == [("n0", 0), ("n1", 1), ("n2", 2)]

@@ -19,14 +19,19 @@ deflate encoder (``tests/oracles/waveform_deflate.py``) on the
 ``extra_info``. The ``phase-a-kernel`` / ``phase-a-cache`` /
 ``phase-a-pool`` groups track the Phase-A acceleration stack the same way: the dense
 von Kármán evaluation (``tests/oracles/von_karman_dense.py``) against
-the unique-lag kernel, cold vs. warm
+a whole-mesh ``von_karman_correlation`` (the ``unique_lag`` arm, now
+through a fresh lag table) and against the lag-table patch correlations
+of an ``fdw-full-cold``-shaped catalog (``speedup_vs_dense`` in
+``extra_info``), cold vs. warm
 :class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
 rupture sweep (dense kernel, no cache) against the pooled + memoized
 fan-out. ``phase-b-batch`` compares the frozen per-subfault ``okada85``
 loop (``tests/oracles/okada_loop.py``) against the vectorized
 Chinnery-corner bank build (bit-identical products) and the opt-in
 float32 bank, whose error budget lands in the
-bench JSON ``extra_info``. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
+bench JSON ``extra_info``, and times the point-source build; both
+builders publish ``peak_over_bank``, a build's peak traced bytes over
+its bank's. ``FDW_BENCH_SCALE`` shrinks the workload for smoke runs; pass
 ``--benchmark-json BENCH_kernels.json`` to persist the numbers (the CI
 smoke job archives that artifact).
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from unittest import mock
@@ -54,10 +60,11 @@ from repro.seismo.greens import compute_gf_bank
 from repro.seismo.klcache import KLCache
 from repro.seismo.okada import compute_okada_gf_bank
 from repro.seismo.ruptures import Rupture, RuptureGenerator
-from repro.seismo.spectra import von_karman_correlation
+from repro.seismo.spectra import KarhunenLoeveBasis, patch_correlation, von_karman_correlation
 from repro.seismo.stations import chilean_network
 from repro.seismo.waveforms import WaveformSet, WaveformSynthesizer
 from tests.oracles.okada_loop import reference_okada_gf_bank
+from tests.oracles.point_source_bank import reference_gf_bank
 from tests.oracles.synthesis_dense import dense_synthesize
 from tests.oracles.von_karman_dense import dense_von_karman_correlation
 from tests.oracles.waveform_deflate import deflate_save
@@ -302,13 +309,44 @@ def test_phase_b_reference(benchmark, paper_geometry, paper_network):
     assert bank.n_stations == len(paper_network)
 
 
+def _peak_over_bank(build, *args) -> float:
+    """Peak traced allocation of one bank build over the bank's bytes."""
+    build(*args)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        bank = build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / bank.nbytes
+
+
 @pytest.mark.benchmark(group="phase-b-batch")
 def test_phase_b_vector(benchmark, paper_geometry, paper_network):
-    """Batched evaluation: one Chinnery corner tensor for the whole bank."""
+    """Batched evaluation: one Chinnery corner tensor per station block;
+    the build's peak traced bytes over its bank's go into ``extra_info``."""
     bank = benchmark(compute_okada_gf_bank, paper_geometry, paper_network)
     reference = reference_okada_gf_bank(paper_geometry, paper_network)
     assert np.array_equal(bank.statics, reference.statics)  # bit-identical
     assert np.array_equal(bank.travel_time_s, reference.travel_time_s)
+    benchmark.extra_info["peak_over_bank"] = _peak_over_bank(
+        compute_okada_gf_bank, paper_geometry, paper_network
+    )
+
+
+@pytest.mark.benchmark(group="phase-b-batch")
+def test_phase_b_point(benchmark, paper_geometry, paper_network):
+    """The default point-source bank, built a station block at a time:
+    bit-identical to the frozen whole-network build
+    (``tests/oracles/point_source_bank.py``); its peak traced bytes over
+    its bank's go into ``extra_info``."""
+    bank = benchmark(compute_gf_bank, paper_geometry, paper_network)
+    reference = reference_gf_bank(paper_geometry, paper_network)
+    assert np.array_equal(bank.statics, reference.statics)  # bit-identical
+    assert np.array_equal(bank.travel_time_s, reference.travel_time_s)
+    benchmark.extra_info["peak_over_bank"] = _peak_over_bank(
+        compute_gf_bank, paper_geometry, paper_network
+    )
 
 
 @pytest.mark.benchmark(group="phase-b-batch")
@@ -442,7 +480,8 @@ def test_phase_a_kernel_dense(benchmark, paper_distances):
 
 @pytest.mark.benchmark(group="phase-a-kernel")
 def test_phase_a_kernel_unique_lag(benchmark, paper_distances):
-    """Unique-lag evaluation: one ``kv`` call per distinct separation."""
+    """Whole-mesh evaluation: the matrices' lag table, then one ``kv``
+    call per distinct separation pair."""
     corr = benchmark(
         von_karman_correlation,
         paper_distances.along_strike,
@@ -458,6 +497,67 @@ def test_phase_a_kernel_unique_lag(benchmark, paper_distances):
         30.0,
     )
     assert np.array_equal(corr, dense)  # bit-identical products
+
+
+@pytest.fixture(scope="module")
+def fdw_patches(paper_distances):
+    """(patch, strike and dip correlation lengths) of the ruptures the
+    ``fdw-full-cold`` benchmark workload draws: Mw 8.4-8.6 on the 30x15
+    mesh."""
+    generator = RuptureGenerator(
+        build_chile_slab(n_strike=30, n_dip=15),
+        distances=paper_distances,
+        mw_range=(8.4, 8.6),
+    )
+    n = max(8, int(round(64 * bench_scale())))
+    patches = []
+    for i in range(n):
+        rupture = generator.generate(np.random.default_rng(1000 + i), f"bench.{i:06d}")
+        meta = rupture.metadata
+        patches.append(
+            (
+                rupture.subfault_indices,
+                max(1e-3, 0.38 * meta["length_km"]),
+                max(1e-3, 0.27 * meta["width_km"]),
+            )
+        )
+    return patches
+
+
+def _dense_patches(distances, patches):
+    """The frozen dense evaluation of each patch's submatrices."""
+    return [
+        dense_von_karman_correlation(
+            distances.along_strike[np.ix_(patch, patch)],
+            distances.down_dip[np.ix_(patch, patch)],
+            cs,
+            cd,
+        )
+        for patch, cs, cd in patches
+    ]
+
+
+def _lag_table_patches(distances, patches):
+    return [
+        patch_correlation(distances.lag_table, patch, cs, cd) for patch, cs, cd in patches
+    ]
+
+
+@pytest.mark.benchmark(group="phase-a-kernel")
+def test_phase_a_kernel_lag_table(benchmark, paper_distances, fdw_patches):
+    """Patch correlations of a rupture catalog from the mesh's lag table
+    (gather int32 pair ids, one ``kv`` per pair present): bit-identical
+    to the dense evaluation, whose time over this arm's goes into
+    ``extra_info`` as ``speedup_vs_dense``."""
+    paper_distances.lag_table  # built once per mesh, outside the timing
+    corrs = benchmark(_lag_table_patches, paper_distances, fdw_patches)
+    dense = _dense_patches(paper_distances, fdw_patches)
+    for corr, ref in zip(corrs, dense):
+        assert np.array_equal(corr, ref)  # bit-identical products
+    benchmark.extra_info["n_patches"] = len(fdw_patches)
+    benchmark.extra_info["speedup_vs_dense"] = _best_of(
+        lambda: _dense_patches(paper_distances, fdw_patches)
+    ) / _best_of(lambda: _lag_table_patches(paper_distances, fdw_patches))
 
 
 # -- Phase A cache: cold vs warm K-L basis lookups ----------------------------
@@ -526,15 +626,26 @@ def a_pool_config():
     )
 
 
+def _dense_patch_basis(distances, patch, cs, cd, hurst=0.75, n_modes=None):
+    """The seed patch basis: dense correlation of the ``np.ix_``
+    submatrices, then the truncated eigendecomposition."""
+    corr = dense_von_karman_correlation(
+        distances.along_strike[np.ix_(patch, patch)],
+        distances.down_dip[np.ix_(patch, patch)],
+        cs,
+        cd,
+        hurst,
+    )
+    return KarhunenLoeveBasis.from_correlation(corr, n_modes=n_modes)
+
+
 def _seed_a_phase(config: FdwConfig) -> list[Rupture]:
     """Faithful reproduction of the seed Phase-A path: dense von Kármán
     kernel (one ``kv`` call per matrix element), no K-L cache, strictly
     sequential chunk loop."""
     fq = _fakequakes_for(config)
     fq.phase_a_distances()
-    with mock.patch.object(
-        ruptures_mod, "von_karman_correlation", dense_von_karman_correlation
-    ):
+    with mock.patch.object(ruptures_mod, "patch_basis", _dense_patch_basis):
         ruptures: list[Rupture] = []
         for start, count in chunk_bounds(config.n_waveforms, config.chunk_a):
             ruptures.extend(fq.phase_a_ruptures(start, count))

@@ -63,7 +63,7 @@ print(f"catalog: {len(ruptures)} ruptures, Mw {mags.min():.2f}-{mags.max():.2f},
 # Phase B and C.
 bank = fq.phase_b_greens_functions()
 print(f"GF bank: {bank.n_stations} stations x {bank.n_subfaults} subfaults")
-waveform_sets = fq.phase_c_waveforms(ruptures)
+waveform_sets = list(fq.phase_c_waveforms(ruptures))
 
 # Validation battery per product.
 failures = 0

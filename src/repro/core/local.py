@@ -33,9 +33,10 @@ from __future__ import annotations
 import shutil
 import time
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -160,6 +161,15 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
 _SPOOL = "_spool"
 
 
+def _spool_rows(waveforms: Iterator[WaveformSet], spool_dir: str | Path | None) -> list[CRow]:
+    """The Phase-C result rows of a chunk's lazily synthesized products.
+
+    ``map`` drops each product once its row is made, before the next is
+    synthesized, so a chunk holds one record at a time.
+    """
+    return list(map(_spool_row, waveforms, repeat(spool_dir)))
+
+
 def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
     """One Phase-C result row, spooling the product when the run archives:
     ``(rupture_id, max PGD, target Mw, spooled path or None)``."""
@@ -181,12 +191,13 @@ def _run_c_chunk(task: _CChunkTask) -> list[CRow]:
     The worker's session recycles the published bank (attached once per
     worker process; later chunks reuse the mapping) and runs the same
     :meth:`FakeQuakes.phase_c_waveforms` as an inline chunk, spooling
-    each product when the run archives (see :func:`_spool_row`).
+    each product before the next is synthesized when the run archives
+    (see :func:`_spool_rows`).
     """
     handle, params, ruptures, spool_dir = task
     fq = _session(params)
     fq.phase_b_greens_functions(recycled=attach_shared_bank(handle))
-    return [_spool_row(ws, spool_dir) for ws in fq.phase_c_waveforms(ruptures)]
+    return _spool_rows(fq.phase_c_waveforms(ruptures), spool_dir)
 
 
 def _assemble_archive(
@@ -598,7 +609,7 @@ class LocalRunner:
         rows_by_chunk: list[list[CRow]] = chunks.run(
             "C",
             len(c_chunks),
-            inline=lambda i: [_spool_row(ws, spool) for ws in fq.phase_c_waveforms(c_slice(i))],
+            inline=lambda i: _spool_rows(fq.phase_c_waveforms(c_slice(i)), spool),
             worker=_run_c_chunk,
             task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
         )

@@ -174,7 +174,7 @@ class RuntimeModel:
         t_b = (time.perf_counter() - t0) / n_probe_stations
 
         t0 = time.perf_counter()
-        fq.phase_c_waveforms(ruptures[:1])
+        list(fq.phase_c_waveforms(ruptures[:1]))
         t_c = (time.perf_counter() - t0) / n_probe_stations
 
         # Scale measured per-item times onto the reference magnitudes,

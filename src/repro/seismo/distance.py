@@ -10,7 +10,11 @@ the matrices, which parallel jobs will then use").
 
 The anisotropic pair (Dstrike, Ddip) is what the von Kármán slip
 correlation consumes, because correlation lengths differ along strike
-and down dip.
+and down dip. That correlation is a function of the separation pair
+only, and a mesh has far fewer distinct pairs than subfault pairs (the
+regular 30x15 mesh has 118 x 15 = 1,770 of 202,500), so each
+:class:`DistanceMatrices` also carries a :class:`LagTable`: the distinct
+pairs and the pair id of every matrix element, computed once per mesh.
 """
 
 from __future__ import annotations
@@ -25,7 +29,70 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.seismo.geometry import FaultGeometry
 
-__all__ = ["DistanceMatrices"]
+__all__ = ["DistanceMatrices", "LagTable"]
+
+#: Matrix elements :meth:`LagTable.from_matrices` encodes at a time, so
+#: its temporaries stay near 1 MB whatever the mesh size.
+_ENCODE_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class LagTable:
+    """The distinct (along-strike, down-dip) separation pairs of a matrix pair.
+
+    Attributes
+    ----------
+    strike, dip:
+        (n_pairs,) separations of each distinct pair, in km, in
+        ascending (strike, dip) order.
+    ids:
+        int32 array of the matrices' shape: the pair id of each element,
+        so ``strike[ids]`` and ``dip[ids]`` equal the two matrices. Ids
+        are compacted to the pairs that occur, so there are at most as
+        many as elements.
+    """
+
+    strike: np.ndarray
+    dip: np.ndarray
+    ids: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        """Number of distinct separation pairs."""
+        return self.strike.shape[0]
+
+    @classmethod
+    def from_matrices(cls, d_strike: np.ndarray, d_dip: np.ndarray) -> "LagTable":
+        """The lag table of two separation arrays (broadcast together).
+
+        Each element is encoded as one integer from the ranks of its two
+        separations among their distinct values; the distinct codes are
+        the pairs. Elements are encoded :data:`_ENCODE_BLOCK` at a time,
+        so besides the result this holds one int64 code per element and
+        a sorted copy of the codes.
+        """
+        d_strike, d_dip = np.broadcast_arrays(
+            np.asarray(d_strike, dtype=float), np.asarray(d_dip, dtype=float)
+        )
+        flat_strike, flat_dip = d_strike.ravel(), d_dip.ravel()
+        strike, dip = np.unique(flat_strike), np.unique(flat_dip)
+        blocks = [
+            slice(start, start + _ENCODE_BLOCK)
+            for start in range(0, flat_strike.size, _ENCODE_BLOCK)
+        ]
+        codes = np.empty(flat_strike.size, dtype=np.int64)
+        for block in blocks:
+            codes[block] = np.searchsorted(strike, flat_strike[block]) * dip.size
+            codes[block] += np.searchsorted(dip, flat_dip[block])
+        pairs = np.unique(codes)
+        ids = np.empty(codes.size, dtype=np.int32)
+        for block in blocks:
+            ids[block] = np.searchsorted(pairs, codes[block])
+        return cls(
+            strike=strike[pairs // dip.size],
+            dip=dip[pairs % dip.size],
+            ids=ids.reshape(d_strike.shape),
+        )
 
 
 @dataclass(frozen=True)
@@ -81,6 +148,12 @@ class DistanceMatrices:
         h.update(np.ascontiguousarray(self.along_strike, dtype=np.float64).tobytes())
         h.update(np.ascontiguousarray(self.down_dip, dtype=np.float64).tobytes())
         return h.hexdigest()
+
+    @cached_property
+    def lag_table(self) -> LagTable:
+        """The :class:`LagTable` of the two matrices (computed once per
+        instance): what every patch correlation on this mesh gathers."""
+        return LagTable.from_matrices(self.along_strike, self.down_dip)
 
     # -- construction --------------------------------------------------------
 

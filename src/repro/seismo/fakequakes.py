@@ -16,6 +16,7 @@ parallel jobs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -233,13 +234,17 @@ class FakeQuakes:
 
     def phase_c_waveforms(
         self, ruptures: list[Rupture], duration_s: float | None = None
-    ) -> list[WaveformSet]:
+    ) -> Iterator[WaveformSet]:
         """Synthesize waveforms for a chunk of ruptures (one C-phase job).
 
-        The whole chunk goes through the batched kernel
-        (:meth:`~repro.seismo.waveforms.WaveformSynthesizer.synthesize_batch`);
-        products are bit-identical to per-rupture synthesis, each
-        rupture keeping its own keyed noise stream.
+        The whole chunk is validated before this returns
+        (:meth:`~repro.seismo.waveforms.WaveformSynthesizer.check_batch`).
+        The products are then synthesized one at a time as the iterator
+        is consumed, each bit-identical to the chunk's batched
+        :meth:`~repro.seismo.waveforms.WaveformSynthesizer.synthesize_batch`
+        product and keeping its own keyed noise stream, so a caller that
+        writes each product out before taking the next holds one record
+        at a time.
         """
         bank = self.phase_b_greens_functions()
         noise = GnssNoiseModel() if self.params.with_noise else None
@@ -251,7 +256,7 @@ class FakeQuakes:
             if self.params.with_noise
             else None
         )
-        return synth.synthesize_batch(ruptures, rngs=rngs)
+        return map(synth.synthesize, ruptures, synth.check_batch(ruptures, rngs))
 
     # -- convenience ----------------------------------------------------------
 
@@ -260,7 +265,7 @@ class FakeQuakes:
         self.phase_a_distances()
         ruptures = self.phase_a_ruptures()
         self.phase_b_greens_functions()
-        return self.phase_c_waveforms(ruptures)
+        return list(self.phase_c_waveforms(ruptures))
 
     def catalog_magnitudes(self, ruptures: list[Rupture]) -> np.ndarray:
         """Realized magnitudes of a catalog (for validation plots)."""

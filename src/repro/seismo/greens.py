@@ -21,6 +21,7 @@ required input list of GNSS stations").
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,11 +156,7 @@ class GreensFunctionBank:
         error in synthesized waveforms — see DESIGN.md for the measured
         budget. A no-op cast still returns a new bank.
         """
-        out = np.dtype(dtype)
-        if out not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise GreensFunctionError(
-                f"GF bank dtype must be float64 or float32, got {out}"
-            )
+        out = _bank_dtype(dtype)
         return GreensFunctionBank(
             statics=self.statics.astype(out),
             travel_time_s=self.travel_time_s.astype(out),
@@ -177,14 +174,18 @@ class GreensFunctionBank:
     # -- persistence (the .mseed-archive stand-in) --------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the bank to a compressed ``.npz`` archive.
+        """Write the bank to an uncompressed ``.npz`` archive.
 
         This plays the role of the large ``.mseed`` archives Phase B
-        produces (possibly exceeding 1 GB in the paper's runs).
+        produces (possibly exceeding 1 GB in the paper's runs). The
+        members are stored, not deflated: zlib took most of a cold
+        Phase B's time and saved bytes that nothing charges for (the
+        storage layers charge :attr:`nbytes`). :meth:`load` reads
+        archives written either way.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
+        np.savez(
             path,
             statics=self.statics,
             travel_time_s=self.travel_time_s,
@@ -208,6 +209,33 @@ class GreensFunctionBank:
             )
 
 
+def _bank_dtype(dtype: str | np.dtype) -> np.dtype:
+    """``dtype`` as a bank dtype; float64 and float32 are the only two."""
+    out = np.dtype(dtype)
+    if out not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise GreensFunctionError(
+            f"GF bank dtype must be float64 or float32, got {out}"
+        )
+    return out
+
+
+def station_blocks(n_stations: int, n_subfaults: int, block_pairs: int) -> Iterator[slice]:
+    """The station slices a bank builder fills in turn.
+
+    A block is ``block_pairs // n_subfaults`` whole stations, at least
+    one, so its ``(n_block, n_subfaults)`` temporaries hold about
+    ``block_pairs`` elements each whatever the mesh size.
+    """
+    step = max(1, block_pairs // n_subfaults)
+    return (slice(start, start + step) for start in range(0, n_stations, step))
+
+
+#: (station, subfault) pairs :func:`compute_gf_bank` evaluates at once
+#: (9 stations of the 450-subfault mesh). A block's temporaries take
+#: about 1 MB, so a build's peak is its bank plus that.
+_BLOCK_PAIRS = 4096
+
+
 def compute_gf_bank(
     geometry: FaultGeometry,
     network: StationNetwork,
@@ -228,6 +256,11 @@ def compute_gf_bank(
     area/geometry dependence — which is the behaviour the validation
     checks (amplitude grows with moment, decays with distance).
 
+    The bank is filled a block of stations at a time (see
+    :data:`_BLOCK_PAIRS`). Every element goes through the same
+    elementwise operations whatever block it lands in, so the bank does
+    not depend on the block size.
+
     Parameters
     ----------
     min_distance_km:
@@ -235,16 +268,49 @@ def compute_gf_bank(
         amplitude finite for stations nearly atop a subfault.
     dtype:
         Output dtype of the bank arrays; the computation itself always
-        runs in float64 and ``"float32"`` casts the finished bank.
+        runs in float64 and ``"float32"`` casts each finished block.
     """
     if min_distance_km <= 0:
         raise GreensFunctionError(f"min_distance_km must be positive, got {min_distance_km}")
     if shear_velocity_kms <= 0:
         raise GreensFunctionError("shear velocity must be positive")
+    out = _bank_dtype(dtype)
 
     east_f, north_f, depth_f = geometry.enu()
     east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
+    n_sta, n_sub = len(east_s), len(east_f)
+    statics = np.empty((n_sta, n_sub, 3), dtype=out)
+    travel = np.empty((n_sta, n_sub), dtype=out)
+    for block in station_blocks(n_sta, n_sub, _BLOCK_PAIRS):
+        r, ue, un, uz = _point_source_block(
+            geometry, east_s[block], north_s[block], east_f, north_f, depth_f,
+            rake_deg, min_distance_km,
+        )
+        statics[block, :, 0] = ue
+        statics[block, :, 1] = un
+        statics[block, :, 2] = uz
+        travel[block] = r / shear_velocity_kms
 
+    return GreensFunctionBank(
+        statics=statics,
+        travel_time_s=travel,
+        station_names=tuple(network.names),
+        fault_name=geometry.name,
+    )
+
+
+def _point_source_block(
+    geometry: FaultGeometry,
+    east_s: np.ndarray,
+    north_s: np.ndarray,
+    east_f: np.ndarray,
+    north_f: np.ndarray,
+    depth_f: np.ndarray,
+    rake_deg: float,
+    min_distance_km: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Floored distance and (east, north, up) statics of a station block,
+    each ``(n_block, n_subfaults)`` in float64."""
     # Pairwise source->receiver vectors in km; receivers at the surface.
     dx = east_s[:, None] - east_f[None, :]  # east
     dy = north_s[:, None] - north_f[None, :]  # north
@@ -287,16 +353,4 @@ def compute_gf_bank(
     ue = amp * (f_p * gx + f_sv * vx + f_sh * hx)
     un = amp * (f_p * gy + f_sv * vy + f_sh * hy)
     uz = amp * (f_p * gz + f_sv * vz + f_sh * hz)
-
-    statics = np.stack([ue, un, uz], axis=-1)
-    travel = r / shear_velocity_kms
-
-    bank = GreensFunctionBank(
-        statics=statics,
-        travel_time_s=travel,
-        station_names=tuple(network.names),
-        fault_name=geometry.name,
-    )
-    if np.dtype(dtype) != np.dtype(np.float64):
-        bank = bank.astype(dtype)
-    return bank
+    return r, ue, un, uz

@@ -8,7 +8,9 @@ eigendecomposition for each rupture patch, and those depend only on a
 small set of inputs — the patch window, the correlation lengths, the
 Hurst exponent and the K-L truncation. Two ruptures with the same inputs
 redo identical linear algebra; a re-run of the same deterministic catalog
-redoes all of it.
+redoes all of it. The correlation lengths scale from continuous draws of
+each rupture's dimensions, so within one cold catalog the inputs do not
+repeat: the cache pays off when a catalog runs again.
 
 This module gives Phase A the same lever :mod:`repro.core.gfcache` gives
 Phase B:
@@ -23,8 +25,8 @@ Phase B:
   optional on-disk ``.npz`` store (point ``REPRO_KL_CACHE_DIR`` at a
   shared directory to reuse bases across processes and runs).
 
-A cold ``get_or_compute`` runs the very same kernel calls the uncached
-path runs, and both the memory and the ``.npz`` level round-trip float64
+A cold ``get_or_compute`` runs :func:`patch_basis`, as the uncached
+path does, and both the memory and the ``.npz`` level round-trip float64
 losslessly — so warm hits reproduce cold-path ruptures bit-for-bit.
 """
 
@@ -39,12 +41,33 @@ import numpy as np
 from repro.cache import ArtifactCache
 from repro.integrity import read_verified
 from repro.seismo.distance import DistanceMatrices
-from repro.seismo.spectra import KarhunenLoeveBasis, von_karman_correlation
+from repro.seismo.spectra import KarhunenLoeveBasis, patch_correlation
 
-__all__ = ["kl_basis_key", "KLCache"]
+__all__ = ["kl_basis_key", "patch_basis", "KLCache"]
 
 #: Environment variable naming a default on-disk store directory.
 CACHE_DIR_ENV = "REPRO_KL_CACHE_DIR"
+
+
+def patch_basis(
+    distances: DistanceMatrices,
+    patch: np.ndarray,
+    corr_len_strike_km: float,
+    corr_len_dip_km: float,
+    hurst: float = 0.75,
+    n_modes: int | None = None,
+) -> KarhunenLoeveBasis:
+    """Compute the truncated K-L basis of a patch's von Kármán correlation.
+
+    The one computation behind every patch basis, cached or not: the
+    patch correlation from the mesh's lag table
+    (:func:`~repro.seismo.spectra.patch_correlation`), then the
+    truncated eigendecomposition.
+    """
+    corr = patch_correlation(
+        distances.lag_table, patch, corr_len_strike_km, corr_len_dip_km, hurst
+    )
+    return KarhunenLoeveBasis.from_correlation(corr, n_modes=n_modes)
 
 
 def kl_basis_key(
@@ -125,10 +148,10 @@ class KLCache(ArtifactCache[KarhunenLoeveBasis]):
     ) -> KarhunenLoeveBasis:
         """Return the patch basis for these inputs, computing it at most once.
 
-        The cold path runs the exact kernel calls
-        :meth:`~repro.seismo.ruptures.RuptureGenerator._sample_slip` runs
-        without a cache (unique-lag correlation + truncated ``eigh``), so
-        warm hits are bit-identical to the uncached computation.
+        The cold path is :func:`patch_basis`, which
+        :meth:`~repro.seismo.ruptures.RuptureGenerator._sample_slip` also
+        calls without a cache, so warm hits are bit-identical to the
+        uncached computation.
         """
         patch = np.asarray(patch, dtype=np.int64)
         key = kl_basis_key(
@@ -137,13 +160,8 @@ class KLCache(ArtifactCache[KarhunenLoeveBasis]):
         )
         basis = self.get(key)
         if basis is None:
-            corr = von_karman_correlation(
-                distances.along_strike[np.ix_(patch, patch)],
-                distances.down_dip[np.ix_(patch, patch)],
-                corr_len_strike_km,
-                corr_len_dip_km,
-                hurst,
+            basis = patch_basis(
+                distances, patch, corr_len_strike_km, corr_len_dip_km, hurst, n_modes
             )
-            basis = KarhunenLoeveBasis.from_correlation(corr, n_modes=n_modes)
             self.put(key, basis)
         return basis

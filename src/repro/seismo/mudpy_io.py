@@ -7,7 +7,7 @@ few plain-text and binary artifacts:
   (position, geometry, slip, kinematics),
 * the recyclable distance-matrix ``.npy`` pair (see
   :mod:`repro.seismo.distance`),
-* GF archives (``.mseed`` in MudPy; a compressed ``.npz`` bank here),
+* GF archives (``.mseed`` in MudPy; an uncompressed ``.npz`` bank here),
 * per-rupture waveform files (trimmed-record ``.npz`` products, see
   :mod:`repro.seismo.waveforms`).
 

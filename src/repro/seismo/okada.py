@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import GreensFunctionError
 from repro.seismo.geometry import FaultGeometry
-from repro.seismo.greens import GreensFunctionBank
+from repro.seismo.greens import GreensFunctionBank, _bank_dtype, station_blocks
 from repro.seismo.kinematics import DEFAULT_SHEAR_VELOCITY_KMS
 from repro.seismo.stations import StationNetwork
 
@@ -195,21 +195,31 @@ def okada85(
     )
 
 
-def _bank_arrays(
+#: (station, subfault) pairs :func:`compute_okada_gf_bank` evaluates at
+#: once (3 stations of the 450-subfault mesh). Each pair spans four
+#: Chinnery corners, so a block's temporaries take about 1 MB and a
+#: build's peak is its bank plus that.
+_BLOCK_PAIRS = 1536
+
+
+def _fill_bank(
     geometry: FaultGeometry,
     network: StationNetwork,
     ss: float,
     ds: float,
     shear_velocity_kms: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Okada over all (station, subfault) pairs at once.
+    statics: np.ndarray,
+    travel: np.ndarray,
+) -> None:
+    """Okada over all (station, subfault) pairs, a station block at a time.
 
-    Stations are rotated into every subfault's local frame as one
-    ``(n_sta, n_sub)`` array, and :func:`_corner_sum` evaluates the
-    corners on a ``(n_sta, n_sub, 4)`` tensor. Every elementwise
+    Each block's stations are rotated into every subfault's local frame
+    as one ``(n_block, n_sub)`` array, and :func:`_corner_sum` evaluates
+    the corners on a ``(n_block, n_sub, 4)`` tensor. Every elementwise
     expression is the one :func:`okada85` applies to a single subfault,
     so each column's fault-local displacement equals an ``okada85`` call
-    bit for bit.
+    bit for bit, whatever the block. The blocks are written (and cast)
+    into the preallocated ``statics`` and ``travel``.
     """
     east_f, north_f, depth_f = geometry.enu()
     east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
@@ -229,29 +239,32 @@ def _bank_arrays(
     if np.any(length <= 0) or np.any(width <= 0):
         raise GreensFunctionError("fault dimensions must be positive")
 
-    # Station offsets -> fault-local frames, all subfaults at once.
-    de = east_s[:, None] - east_f[None, :]
-    dn = north_s[:, None] - north_f[None, :]
     sin_s = np.sin(strike)[None, :]
     cos_s = np.cos(strike)[None, :]
-    sx = de * sin_s + dn * cos_s
-    sy_updip = -(de * cos_s - dn * sin_s)
-    x_loc = sx + (0.5 * length)[None, :]
-    y_loc = sy_updip + (0.5 * width * np.cos(np.radians(dip_deg)))[None, :]
-
+    x_shift = (0.5 * length)[None, :]
+    y_shift = (0.5 * width * np.cos(np.radians(dip_deg)))[None, :]
     dip = np.minimum(dip_deg, 89.999)
     sd = np.sin(np.radians(dip))
     cd = np.cos(np.radians(dip))
-    p = y_loc * cd + bottom_depth * sd
-    q = y_loc * sd - bottom_depth * cd
-    ux, uy, uz = _corner_sum(x_loc, p, q, sd, cd, length, width, ss, ds)
+    depth_sq = (depth_f**2)[None, :]
 
-    ue = ux * sin_s - uy * cos_s
-    un = ux * cos_s + uy * sin_s
-    statics = np.stack([ue, un, uz], axis=2)
-    slant = np.sqrt(de**2 + dn**2 + (depth_f**2)[None, :])
-    travel = slant / shear_velocity_kms
-    return statics, travel
+    for block in station_blocks(len(east_s), len(east_f), _BLOCK_PAIRS):
+        # Station offsets -> fault-local frames, all subfaults at once.
+        de = east_s[block, None] - east_f[None, :]
+        dn = north_s[block, None] - north_f[None, :]
+        sx = de * sin_s + dn * cos_s
+        sy_updip = -(de * cos_s - dn * sin_s)
+        x_loc = sx + x_shift
+        y_loc = sy_updip + y_shift
+        p = y_loc * cd + bottom_depth * sd
+        q = y_loc * sd - bottom_depth * cd
+        ux, uy, uz = _corner_sum(x_loc, p, q, sd, cd, length, width, ss, ds)
+
+        statics[block, :, 0] = ux * sin_s - uy * cos_s
+        statics[block, :, 1] = ux * cos_s + uy * sin_s
+        statics[block, :, 2] = uz
+        slant = np.sqrt(de**2 + dn**2 + depth_sq)
+        travel[block] = slant / shear_velocity_kms
 
 
 def compute_okada_gf_bank(
@@ -270,25 +283,21 @@ def compute_okada_gf_bank(
     (same :class:`GreensFunctionBank` product), and more accurate in the
     near field where the point-source approximation breaks down.
 
-    The Chinnery corner evaluations broadcast over all (station,
-    subfault) pairs at once, always in float64; ``dtype="float32"``
-    casts the finished bank for half-size storage/transfer (see
-    DESIGN.md for the measured error budget).
+    The Chinnery corner evaluations broadcast over a block of stations
+    and every subfault at once (see :data:`_BLOCK_PAIRS`), always in
+    float64; ``dtype="float32"`` casts each finished block for half-size
+    storage/transfer (see DESIGN.md for the measured error budget).
     """
-    out_dtype = np.dtype(dtype)
-    if out_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise GreensFunctionError(
-            f"GF bank dtype must be float64 or float32, got {out_dtype}"
-        )
+    out_dtype = _bank_dtype(dtype)
 
     rake = np.radians(rake_deg)
     ss = float(np.cos(rake))  # strike-slip component of unit slip
     ds = float(np.sin(rake))  # dip-slip component
 
-    statics, travel = _bank_arrays(geometry, network, ss, ds, shear_velocity_kms)
-    if out_dtype != np.dtype(np.float64):
-        statics = statics.astype(out_dtype)
-        travel = travel.astype(out_dtype)
+    shape = (len(network), geometry.n_subfaults)
+    statics = np.empty((*shape, 3), dtype=out_dtype)
+    travel = np.empty(shape, dtype=out_dtype)
+    _fill_bank(geometry, network, ss, ds, shear_velocity_kms, statics, travel)
 
     return GreensFunctionBank(
         statics=statics,

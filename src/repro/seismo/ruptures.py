@@ -36,14 +36,13 @@ from repro.errors import RuptureError
 from repro.seismo.distance import DistanceMatrices
 from repro.seismo.geometry import FaultGeometry
 from repro.seismo.kinematics import onset_times, rise_times
-from repro.seismo.klcache import KLCache
+from repro.seismo.klcache import KLCache, patch_basis
 from repro.seismo.scaling import (
     SUBDUCTION_INTERFACE,
     ScalingLaw,
     magnitude_from_moment,
     moment_from_magnitude,
 )
-from repro.seismo.spectra import KarhunenLoeveBasis, von_karman_correlation
 
 __all__ = ["Rupture", "RuptureGenerator"]
 
@@ -239,10 +238,7 @@ class RuptureGenerator:
                 self.distances, patch, corr_s, corr_d, hurst=self.hurst, n_modes=k
             )
         else:
-            d_s = self.distances.along_strike[np.ix_(patch, patch)]
-            d_d = self.distances.down_dip[np.ix_(patch, patch)]
-            corr = von_karman_correlation(d_s, d_d, corr_s, corr_d, self.hurst)
-            basis = KarhunenLoeveBasis.from_correlation(corr, n_modes=k)
+            basis = patch_basis(self.distances, patch, corr_s, corr_d, self.hurst, k)
         gaussian = basis.sample(rng)
 
         # Lognormal positivity transform with configured heterogeneity.

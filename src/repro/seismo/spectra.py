@@ -8,10 +8,10 @@ sampled with a truncated Karhunen-Loève (K-L) expansion: eigendecompose
 the correlation matrix once, then each realization is a cheap linear
 combination of the leading eigenmodes.
 
-This module is deliberately generic (it takes the two distance matrices
-and correlation lengths) so it is reusable and property-testable on its
-own; the rupture generator layers magnitude scaling and positivity on
-top.
+This module is deliberately generic (it takes the two distance matrices,
+or their lag table, and correlation lengths) so it is reusable and
+property-testable on its own; the rupture generator layers magnitude
+scaling and positivity on top.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import scipy.linalg
 import scipy.special
 
 from repro.errors import RuptureError
+from repro.seismo.distance import LagTable
 
-__all__ = ["von_karman_correlation", "KarhunenLoeveBasis"]
+__all__ = ["von_karman_correlation", "patch_correlation", "KarhunenLoeveBasis"]
 
 
 #: (library glob, getter, setter) of the OpenBLAS copies scipy's Linux
@@ -104,6 +105,20 @@ def _one_blas_thread() -> Iterator[None]:
             put(previous)
 
 
+def _check_parameters(
+    corr_len_strike_km: float, corr_len_dip_km: float, hurst: float
+) -> None:
+    """Reject correlation lengths that are not positive and Hurst
+    exponents outside (0, 1)."""
+    if corr_len_strike_km <= 0 or corr_len_dip_km <= 0:
+        raise RuptureError(
+            f"correlation lengths must be positive, got "
+            f"({corr_len_strike_km}, {corr_len_dip_km})"
+        )
+    if not (0.0 < hurst < 1.0):
+        raise RuptureError(f"Hurst exponent must be in (0, 1), got {hurst}")
+
+
 def von_karman_correlation(
     d_strike: np.ndarray,
     d_dip: np.ndarray,
@@ -129,36 +144,76 @@ def von_karman_correlation(
     hurst:
         Hurst exponent in (0, 1).
 
-    The Bessel kernel is evaluated once per *unique* normalized lag and
-    the results are scattered back. On the regular mesh a patch of p
-    subfaults has only O(n_strike * n_dip) distinct separation pairs, so
-    this cuts the O(p^2) ``kv`` evaluations — the dominant Phase-A cost
-    — down to the handful of distinct lags. Identical float inputs give
-    identical ``kv`` outputs, so the result is bit-identical to one
+    The matrices' :class:`~repro.seismo.distance.LagTable` is built
+    here, and the correlation evaluated through it as
+    :func:`patch_correlation` does; a mesh's patches should use
+    :func:`patch_correlation` with the table its
+    :class:`~repro.seismo.distance.DistanceMatrices` keeps.
+    """
+    _check_parameters(corr_len_strike_km, corr_len_dip_km, hurst)
+    table = LagTable.from_matrices(d_strike, d_dip)
+    return _pair_correlation(table, table.ids, corr_len_strike_km, corr_len_dip_km, hurst)
+
+
+def patch_correlation(
+    table: LagTable,
+    patch: np.ndarray,
+    corr_len_strike_km: float,
+    corr_len_dip_km: float,
+    hurst: float = 0.75,
+) -> np.ndarray:
+    """Von Kármán correlation matrix of a rupture patch.
+
+    Equal to :func:`von_karman_correlation` of the two distance
+    matrices' ``np.ix_(patch, patch)`` submatrices, bit for bit, but
+    gathers only the patch's int32 pair ids from ``table`` (the mesh's
+    :attr:`~repro.seismo.distance.DistanceMatrices.lag_table`) instead
+    of two float submatrices.
+    """
+    _check_parameters(corr_len_strike_km, corr_len_dip_km, hurst)
+    idx = np.asarray(patch, dtype=np.intp)
+    ids = table.ids[np.ix_(idx, idx)]
+    return _pair_correlation(table, ids, corr_len_strike_km, corr_len_dip_km, hurst)
+
+
+def _pair_correlation(
+    table: LagTable,
+    ids: np.ndarray,
+    corr_len_strike_km: float,
+    corr_len_dip_km: float,
+    hurst: float,
+) -> np.ndarray:
+    """The correlation of every element of the (p, p) pair ids ``ids``.
+
+    The Bessel kernel is evaluated once for each pair present in
+    ``ids`` (found with a presence mask over the table, no sort) and
+    the values are gathered back. On a regular mesh a patch has only
+    O(n_strike * n_dip) distinct pairs, so this cuts the O(p^2) ``kv``
+    evaluations — the dominant cost of a dense build — to a few
+    hundred. Each pair's lag and value go through the operations a
+    dense build applies to each element, and identical float inputs
+    give identical outputs, so the result is bit-identical to one
     ``kv`` evaluation per matrix element.
     """
-    if corr_len_strike_km <= 0 or corr_len_dip_km <= 0:
-        raise RuptureError(
-            f"correlation lengths must be positive, got "
-            f"({corr_len_strike_km}, {corr_len_dip_km})"
-        )
-    if not (0.0 < hurst < 1.0):
-        raise RuptureError(f"Hurst exponent must be in (0, 1), got {hurst}")
+    present = np.zeros(table.n_pairs, dtype=bool)
+    present[ids] = True
+    used = np.flatnonzero(present)
     r = np.hypot(
-        np.asarray(d_strike, dtype=float) / corr_len_strike_km,
-        np.asarray(d_dip, dtype=float) / corr_len_dip_km,
+        table.strike[used] / corr_len_strike_km, table.dip[used] / corr_len_dip_km
     )
     # G(0) is a removable singularity: lim_{r->0} r^H K_H(r) =
     # 2^(H-1) * Gamma(H). Mask zeros to avoid warnings, then patch.
     g0 = 2.0 ** (hurst - 1.0) * scipy.special.gamma(hurst)
-    lags, inverse = np.unique(r, return_inverse=True)
-    zero = lags == 0.0
-    lz = np.where(zero, 1.0, lags)  # placeholder value, overwritten below
-    g = lz**hurst * scipy.special.kv(hurst, lz)
+    zero = r == 0.0
+    rz = np.where(zero, 1.0, r)  # placeholder value, overwritten below
+    g = rz**hurst * scipy.special.kv(hurst, rz)
     g[zero] = g0
-    corr = g[inverse.reshape(r.shape)] / g0
+    value = np.empty(table.n_pairs)
+    value[used] = g / g0
+    corr = value[ids]
     # Numerical cleanup: exact symmetry and unit diagonal.
-    corr = 0.5 * (corr + corr.T)
+    corr = np.add(corr, corr.T)
+    corr *= 0.5
     np.fill_diagonal(corr, 1.0)
     return corr
 

@@ -147,9 +147,19 @@ class WaveformSet:
         return np.arange(self.n_samples) * self.dt_s
 
     def pgd_m(self) -> np.ndarray:
-        """Peak ground displacement per station: max 3-D vector norm."""
-        norm = np.sqrt(np.sum(self.data**2, axis=1))
-        return np.max(norm, axis=1)
+        """Peak ground displacement per station: max 3-D vector norm.
+
+        The squared components are summed into one (n_stations,
+        n_samples) buffer, east, then north, then up: the additions
+        ``np.sum(data**2, axis=1)`` makes, in its order, without a
+        squared copy of the whole record.
+        """
+        data = self.data
+        norm = np.square(data[:, 0, :])
+        square = np.empty_like(norm)
+        for component in (1, 2):
+            norm += np.square(data[:, component, :], out=square)
+        return np.max(np.sqrt(norm, out=norm), axis=1)
 
     def final_offsets_m(self) -> np.ndarray:
         """(n_stations, 3) displacement at the final sample (static field)."""
@@ -389,9 +399,12 @@ class WaveformSynthesizer:
     ) -> list[WaveformSet]:
         """Phase-C kernel: synthesize the waveform sets of a chunk.
 
-        Every rupture is validated before any is synthesized. Products
-        are bit-identical to the dense per-station loop that evaluates
-        every cell of every ramp plane (see :meth:`_clean_records`).
+        Every rupture is validated (:meth:`check_batch`) before any is
+        synthesized. Products are bit-identical to the dense per-station
+        loop that evaluates every cell of every ramp plane (see
+        :meth:`_clean_records`), and each depends only on its own
+        rupture and generator, so a chunk's products equal those of
+        one-rupture batches.
 
         Parameters
         ----------
@@ -401,6 +414,25 @@ class WaveformSynthesizer:
             :meth:`synthesize` loop), or one generator per rupture
             (the chunk-job mode where each rupture owns a keyed noise
             stream).
+
+        Raises
+        ------
+        WaveformError
+            As :meth:`check_batch`.
+        """
+        rng_list = self.check_batch(ruptures, rngs)
+        return [self._synthesize_one(r, rng) for r, rng in zip(ruptures, rng_list)]
+
+    def check_batch(
+        self,
+        ruptures: list[Rupture],
+        rngs: list[np.random.Generator | None]
+        | np.random.Generator
+        | None = None,
+    ) -> list[np.random.Generator | None]:
+        """Validate a chunk; return the generator of each rupture.
+
+        ``rngs`` takes the forms :meth:`synthesize_batch` accepts.
 
         Raises
         ------
@@ -428,24 +460,24 @@ class WaveformSynthesizer:
                 )
         if self.noise is not None and any(r is None for r in rng_list):
             raise WaveformError("noise model configured but no rng supplied")
+        return rng_list
 
-        sets: list[WaveformSet] = []
-        for rupture, rng in zip(ruptures, rng_list):
-            data = self._clean_records(rupture)
-            if self.noise is not None:
-                # The float64 draw is added in float64 and rounded once
-                # into the working dtype.
-                data += self.noise.sample(rng, data.shape, self.dt_s)  # type: ignore[arg-type]
-            sets.append(
-                WaveformSet(
-                    rupture_id=rupture.rupture_id,
-                    data=data,
-                    dt_s=self.dt_s,
-                    station_names=self.gf_bank.station_names,
-                    metadata={"target_mw": rupture.target_mw},
-                )
-            )
-        return sets
+    def _synthesize_one(
+        self, rupture: Rupture, rng: np.random.Generator | None
+    ) -> WaveformSet:
+        """The waveform set of one validated rupture."""
+        data = self._clean_records(rupture)
+        if self.noise is not None:
+            # The float64 draw is added in float64 and rounded once
+            # into the working dtype.
+            data += self.noise.sample(rng, data.shape, self.dt_s)  # type: ignore[arg-type]
+        return WaveformSet(
+            rupture_id=rupture.rupture_id,
+            data=data,
+            dt_s=self.dt_s,
+            station_names=self.gf_bank.station_names,
+            metadata={"target_mw": rupture.target_mw},
+        )
 
     def _clean_records(self, rupture: Rupture) -> np.ndarray:
         """(n_stations, 3, nt) noise-free displacement of one rupture.
@@ -478,13 +510,12 @@ class WaveformSynthesizer:
         value the dense plane holds, and the matmul gets the same
         operands in the same layout (Fortran-ordered ``(3, npatch)``
         weights, a C-contiguous ``(npatch, nt)`` plane), so BLAS returns
-        the same bits. Windows are evaluated :data:`_STATION_BLOCK`
-        stations at a time.
+        the same bits. Windows are evaluated, and the bank's statics
+        gathered and weighted, :data:`_STATION_BLOCK` stations at a time.
         """
         bank = self.gf_bank
         work = self._work_dtype
         patch = rupture.subfault_indices
-        gf = bank.statics[:, patch, :]  # (nsta, npatch, 3)
         tt = bank.travel_time_s[:, patch]  # (nsta, npatch)
         nt = self._record_length(rupture, tt)
         times = (np.arange(nt) * self.dt_s).astype(work, copy=False)
@@ -520,7 +551,7 @@ class WaveformSynthesizer:
             value = _ramp(x[band])
             cuts = np.searchsorted(cell, np.arange(stop - start + 1) * plane_size)
 
-            weighted = gf[start:stop] * slip[:, None]  # (b, npatch, 3)
+            weighted = bank.statics[start:stop, patch, :] * slip[:, None]  # (b, npatch, 3)
             for b in range(stop - start):
                 plane = steps[nt - lo[b]]  # (npatch, nt)
                 s, e = cuts[b], cuts[b + 1]

@@ -304,3 +304,58 @@ def test_clear_disk_leaves_quarantine_untouched(tmp_path, small_geometry,
     assert len(cache.quarantined) == 1
     cache.clear(disk=True)
     assert cache.quarantined[0].exists()  # evidence outlives cache resets
+
+
+# -- entry codec: stored members, deflated entries still read ------------------
+
+
+def _member_compression(path) -> set[int]:
+    import zipfile
+
+    with zipfile.ZipFile(path) as zf:
+        return {info.compress_type for info in zf.infolist()}
+
+
+def test_new_entries_store_members_uncompressed(tmp_path, small_geometry, small_network):
+    import zipfile
+
+    GFCache(cache_dir=tmp_path).get_or_compute(small_geometry, small_network)
+    (path,) = tmp_path.glob("gf_*.npz")
+    assert _member_compression(path) == {zipfile.ZIP_STORED}
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_entry_written_deflated_still_verifies_and_hits(
+    tmp_path, small_geometry, small_network, dtype
+):
+    """An entry the deflating codec wrote (``np.savez_compressed``, with
+    its sidecar) verifies, loads bit-identically and counts as a disk hit."""
+    import zipfile
+
+    from repro.integrity import publish_artifact, verify_artifact
+
+    bank = compute_gf_bank(small_geometry, small_network, dtype=dtype)
+    path = tmp_path / f"gf_{gf_bank_key(small_geometry, small_network, dtype=dtype)}.npz"
+    publish_artifact(
+        path,
+        lambda tmp: np.savez_compressed(
+            tmp,
+            statics=bank.statics,
+            travel_time_s=bank.travel_time_s,
+            station_names=np.array(bank.station_names),
+            fault_name=np.array(bank.fault_name),
+        ),
+    )
+    assert _member_compression(path) == {zipfile.ZIP_DEFLATED}
+    assert verify_artifact(path)
+
+    cache = GFCache(cache_dir=tmp_path)
+    loaded = cache.get_or_compute(small_geometry, small_network, dtype=dtype)
+    assert cache.stats.disk_hits == 1
+    assert cache.stats.misses == 0
+    assert cache.quarantined == []
+    assert loaded.statics.dtype == np.dtype(dtype)
+    assert loaded.statics.tobytes() == bank.statics.tobytes()
+    assert loaded.travel_time_s.tobytes() == bank.travel_time_s.tobytes()
+    assert loaded.station_names == bank.station_names
+    assert loaded.fault_name == bank.fault_name

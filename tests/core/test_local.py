@@ -565,3 +565,64 @@ def test_archive_independent_of_blas_threads(tmp_path):
             )
             digests[threads, n_workers] = _archive_digest(work / "archive")
     assert len(set(digests.values())) == 1, digests
+
+
+# -- Phase C: one record in flight ---------------------------------------------
+
+
+def test_phase_c_spools_each_record_before_the_next(tiny_config, tmp_path):
+    """A chunk's products are synthesized lazily and each is released
+    once spooled, so no earlier record is alive while the next is built,
+    and the rows match the batched products."""
+    import weakref
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.core.local import _fakequakes_for, _spool_rows
+    from repro.seismo.waveforms import WaveformSet, WaveformSynthesizer
+
+    fq = _fakequakes_for(tiny_config)
+    fq.phase_a_distances()
+    ruptures = fq.phase_a_ruptures(0, tiny_config.n_waveforms)
+    fq.phase_b_greens_functions()
+    records: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+    synthesize = WaveformSynthesizer._synthesize_one
+
+    def spy(self, rupture, rng):
+        alive_at_start.append(sum(ref() is not None for ref in records))
+        ws = synthesize(self, rupture, rng)
+        records.append(weakref.ref(ws))
+        return ws
+
+    with mock.patch.object(WaveformSynthesizer, "_synthesize_one", spy):
+        rows = _spool_rows(fq.phase_c_waveforms(ruptures), tmp_path)
+    assert alive_at_start == [0] * len(ruptures)
+
+    batch = WaveformSynthesizer(fq.phase_b_greens_functions()).synthesize_batch(ruptures)
+    for (rupture_id, pgd_max, _mw, path), ws in zip(rows, batch):
+        assert rupture_id == ws.rupture_id
+        assert pgd_max == float(ws.pgd_m().max())
+        assert WaveformSet.load(path).data.tobytes() == ws.data.tobytes()
+    assert np.all([Path(path).parent == tmp_path for *_, path in rows])
+
+
+def test_phase_c_validates_the_whole_chunk_first(tiny_config):
+    """A bad rupture anywhere in a chunk raises before any is synthesized."""
+    import dataclasses
+    from unittest import mock
+
+    from repro.core.local import _fakequakes_for
+    from repro.errors import WaveformError
+    from repro.seismo.waveforms import WaveformSynthesizer
+
+    fq = _fakequakes_for(tiny_config)
+    ruptures = fq.phase_a_ruptures(0, 3)
+    indices = ruptures[-1].subfault_indices.copy()
+    indices[0] = fq.geometry.n_subfaults
+    ruptures[-1] = dataclasses.replace(ruptures[-1], subfault_indices=indices)
+    with mock.patch.object(WaveformSynthesizer, "_synthesize_one") as synthesize:
+        with pytest.raises(WaveformError, match="outside GF bank"):
+            fq.phase_c_waveforms(ruptures)
+    synthesize.assert_not_called()

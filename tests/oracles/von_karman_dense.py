@@ -1,11 +1,12 @@
-"""Oracle: the dense von Kármán evaluation the unique-lag kernel replaced.
+"""Oracle: the dense von Kármán evaluation the faster kernels replaced.
 
 The body below is ``von_karman_correlation(..., unique_lags=False)`` as
 it shipped before the dense arm left ``src/``, frozen here so the tests
-can hold the unique-lag kernel to it bit for bit, and so the
-``phase-a-kernel`` and ``phase-a-pool`` benchmarks can time the
-evaluation it replaced. Every matrix element gets its own ``kv`` call.
-The argument checks and the symmetry cleanup are unchanged.
+can hold the lag-table kernel (``patch_correlation`` on a mesh's lag
+table, ``von_karman_correlation`` on arbitrary matrices) to it bit for
+bit, and so the ``phase-a-kernel`` and ``phase-a-pool`` benchmarks can
+time the evaluation it replaced. Every matrix element gets its own
+``kv`` call. The argument checks and the symmetry cleanup are unchanged.
 """
 
 from __future__ import annotations

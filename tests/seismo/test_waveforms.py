@@ -50,6 +50,29 @@ def test_record_long_enough_for_all_arrivals(clean_set, small_gf_bank, sample_ru
     assert clean_set.times_s[-1] > last_arrival + np.max(sample_rupture.rise_time_s)
 
 
+@given(
+    st.integers(1, 9),
+    st.integers(1, 40),
+    st.sampled_from(["float64", "float32"]),
+    st.floats(-30.0, 30.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_pgd_adds_squares_as_the_whole_record_sum_does(n_stations, n_samples, dtype, exponent, seed):
+    """``pgd_m`` sums the squared components in place, east, north, up:
+    bit for bit ``np.sum(data**2, axis=1)``, zeros of both signs included."""
+    rng = np.random.default_rng(seed)
+    data = (rng.standard_normal((n_stations, 3, n_samples)) * 10.0**exponent).astype(dtype)
+    data[rng.random(data.shape) < 0.2] = 0.0
+    data[rng.random(data.shape) < 0.1] = -0.0
+    with np.errstate(over="ignore"):
+        ws = WaveformSet("x", data, 1.0, tuple(f"S{i:03d}" for i in range(n_stations)))
+        got = ws.pgd_m()
+        expected = np.max(np.sqrt(np.sum(data**2, axis=1)), axis=1)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_pgd_positive_and_at_least_final_offset(clean_set):
     pgd = clean_set.pgd_m()
     final_norm = np.linalg.norm(clean_set.final_offsets_m(), axis=1)

@@ -8,10 +8,10 @@ waveform synthesis — the costs that anchor the OSG runtime model via
 The ``gf-cache`` and ``phase-c-pool`` groups track the GF reuse
 subsystem: cold vs. warm :class:`~repro.core.gfcache.GFCache` lookups
 and the seed pool path (every worker rebuilds the bank per chunk)
-against the shared-memory pool. ``phase-c-batch`` times the window
+against the shared-memory pool. ``phase-c-batch`` times the span
 synthesis kernel against the frozen dense per-station loop
-(``tests/oracles/synthesis_dense.py``; bit-identical products, speedup
-in ``extra_info``) and the float32 bank, whose error budget lands in
+(``tests/oracles/synthesis_dense.py``; products compared bit for bit,
+speedup in ``extra_info``) and the float32 bank, whose error budget lands in
 ``extra_info`` too. ``phase-c-save`` times the product encoder
 (``WaveformSet.save``, trimmed records stored raw) against the frozen
 deflate encoder (``tests/oracles/waveform_deflate.py``) on the
@@ -196,14 +196,16 @@ def test_phase_c_dense(benchmark, gf_bank, ruptures):
 
 @pytest.mark.benchmark(group="phase-c-batch")
 def test_phase_c_batched(benchmark, gf_bank, ruptures):
-    """The window kernel, bit-identical to the dense loop; its speedup
+    """The span kernel, bit-identical to the dense loop; its speedup
     over that loop goes into ``extra_info``."""
     synth = WaveformSynthesizer(gf_bank)
     sets = benchmark(synth.synthesize_batch, ruptures)
     assert len(sets) == len(ruptures)
     reference = [dense_synthesize(synth, r) for r in ruptures]
     for ws, ref in zip(sets, reference):
-        assert np.array_equal(ws.data, ref.data)  # bit-identical products
+        # Bit patterns, not values: -0.0 == +0.0 would pass as equal.
+        assert (ws.data.dtype, ws.data.shape) == (ref.data.dtype, ref.data.shape)
+        assert ws.data.tobytes() == ref.data.tobytes()
     benchmark.extra_info["speedup_vs_dense"] = _best_of(
         lambda: [dense_synthesize(synth, r) for r in ruptures]
     ) / _best_of(lambda: synth.synthesize_batch(ruptures))

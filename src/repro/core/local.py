@@ -23,9 +23,12 @@ a small picklable
 rupture chunk. Each worker keeps one FakeQuakes session per
 configuration, which recycles the attached bank and runs the same
 :meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
-inline chunk. Workers never recompute distances, ruptures, or the bank
-— the in-process equivalent of every Phase-C job pulling the Phase-B
-archive from the Stash/OSDF cache instead of recomputing it.
+inline chunk. Phase-C workers never recompute distances, ruptures, or
+the bank — the in-process equivalent of every Phase-C job pulling the
+Phase-B archive from the Stash/OSDF cache instead of recomputing it.
+Pooled Phase-A workers build the distance matrices in their own
+sessions, so the parent builds them only when it generates ruptures
+itself.
 """
 
 from __future__ import annotations
@@ -277,10 +280,11 @@ def _retire(future: Future) -> None:
 class _ChunkExecutor:
     """Runs the chunks of one :meth:`LocalRunner.run`, phase by phase.
 
-    Phases A and C both go through :meth:`run`, which restores
-    checkpointed chunks, executes the rest, and hands each result to the
-    checkpoint and the fault plan in chunk-index order — so checkpoints,
-    crash points and archives do not depend on where chunks ran. Every
+    Phases A and C both go through :meth:`restore`, which restores
+    checkpointed chunks, and :meth:`run`, which executes the rest and
+    hands each result to the checkpoint and the fault plan in
+    chunk-index order — so checkpoints, crash points and archives do
+    not depend on where chunks ran. Every
     attempt goes through :func:`~repro.resilience.retry_call`; a fault
     plan only adds its ``chunk_attempt`` hook before each attempt. The
     executor also keeps the run's chunk accounting.
@@ -309,25 +313,10 @@ class _ChunkExecutor:
             "repro_local_chunks_total", 1, {"phase": phase, "outcome": outcome}
         )
 
-    def run(
-        self,
-        phase: str,
-        n_chunks: int,
-        inline: Callable[[int], object],
-        worker: Callable[[object], object],
-        task: Callable[[int], object],
-    ) -> list:
-        """Execute one phase's chunks and return their results by index.
-
-        ``inline(i)`` computes chunk ``i`` in this process and
-        ``worker(task(i))`` computes it in a pool worker. The pool is
-        used only when the runner has ``n_workers > 1`` and more than
-        one chunk is pending; otherwise chunks run inline.
-        """
+    def restore(self, phase: str, n_chunks: int) -> tuple[list, list[int]]:
+        """One phase's checkpointed results by chunk index (``None`` for
+        a chunk that must run) and the indices of the chunks that must."""
         ckpt = self.ckpt
-        store = None
-        if ckpt is not None:
-            store = {"A": ckpt.store_a_chunk, "C": ckpt.store_c_chunk}[phase]
         results: list = [None] * n_chunks
         pending: list[int] = []
         for i in range(n_chunks):
@@ -337,11 +326,37 @@ class _ChunkExecutor:
             else:
                 results[i] = restored
                 self._count(phase, "skipped")
+        return results, pending
 
+    def pools(self, pending: list[int]) -> bool:
+        """Whether ``pending`` chunks run in pool workers: the runner has
+        ``n_workers > 1`` and more than one chunk is pending. Otherwise
+        they run in this process."""
+        return self.runner.n_workers > 1 and len(pending) > 1
+
+    def run(
+        self,
+        phase: str,
+        restored: tuple[list, list[int]],
+        inline: Callable[[int], object],
+        worker: Callable[[object], object],
+        task: Callable[[int], object],
+    ) -> list:
+        """Execute one phase's pending chunks; return all results by index.
+
+        ``restored`` is what :meth:`restore` returned for the phase.
+        ``inline(i)`` computes chunk ``i`` in this process and
+        ``worker(task(i))`` computes it in a pool worker, as
+        :meth:`pools` decides.
+        """
+        store = None
+        if self.ckpt is not None:
+            store = {"A": self.ckpt.store_a_chunk, "C": self.ckpt.store_c_chunk}[phase]
+        results, pending = restored
         futures: dict[int, Future] = {}
         compute: Callable[[int], object] = inline
         resubmit: Callable[[int], None] | None = None
-        if self.runner.n_workers > 1 and len(pending) > 1:
+        if self.pools(pending):
             pool = self.runner._ensure_pool()
 
             def submit(i: int) -> None:
@@ -420,6 +435,12 @@ class LocalRunner:
         fall-through). ``None`` builds a private cache (which still
         honours ``REPRO_KL_CACHE_DIR``). Pool workers always build
         their own per-process caches over the same disk store.
+
+    The parent builds the distance matrices only when it generates a
+    Phase-A chunk itself (``n_workers=1``, or a single pending chunk).
+    Pooled Phase-A workers build theirs in their own sessions, and a
+    parent copy made before the pool forks would sit in every worker
+    beside it.
 
     The pool and the published shared-memory segments persist across
     :meth:`run` calls — repeated runs of the same configuration skip
@@ -558,16 +579,23 @@ class LocalRunner:
         elif archive is not None:
             spool = archive.root / _SPOOL
 
+        chunks = _ChunkExecutor(self, config.seed, ckpt, faults)
+
+        # Rupture generation reads the distance matrices. The parent
+        # builds them only when it generates a Phase-A chunk itself:
+        # pool workers build their own in their sessions, and a parent
+        # copy would only be forked into each of them.
+        restored_a = chunks.restore("A", len(a_chunks))
+        pending_a = restored_a[1]
         t0 = time.perf_counter()
-        fq.phase_a_distances()
+        if pending_a and not chunks.pools(pending_a):
+            fq.phase_a_distances()
         timings["dist"] = time.perf_counter() - t0
         # Phase spans carry wall time; ``ts`` is the perf_counter origin
         # the tracer's default clock also uses, so runner spans line up
         # with any surrounding obs.span() blocks on the same timeline.
         obs.complete("phase:dist", ts=t0, dur=timings["dist"],
                      category="local", track="runner")
-
-        chunks = _ChunkExecutor(self, config.seed, ckpt, faults)
 
         # Pool workers share the runner's disk K-L store when one is
         # configured, and build their Phase-A sessions from the params.
@@ -577,7 +605,7 @@ class LocalRunner:
         )
         chunks_a = chunks.run(
             "A",
-            len(a_chunks),
+            restored_a,
             inline=lambda i: fq.phase_a_ruptures(*a_chunks[i]),
             worker=_run_a_chunk,
             task=lambda i: (fq.params, *a_chunks[i], kl_dir),
@@ -608,7 +636,7 @@ class LocalRunner:
 
         rows_by_chunk: list[list[CRow]] = chunks.run(
             "C",
-            len(c_chunks),
+            chunks.restore("C", len(c_chunks)),
             inline=lambda i: _spool_rows(fq.phase_c_waveforms(c_slice(i)), spool),
             worker=_run_c_chunk,
             task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),

@@ -20,8 +20,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.rng import RngFactory
 from repro.seismo.distance import DistanceMatrices
@@ -266,7 +264,3 @@ class FakeQuakes:
         ruptures = self.phase_a_ruptures()
         self.phase_b_greens_functions()
         return list(self.phase_c_waveforms(ruptures))
-
-    def catalog_magnitudes(self, ruptures: list[Rupture]) -> np.ndarray:
-        """Realized magnitudes of a catalog (for validation plots)."""
-        return np.array([r.actual_mw for r in ruptures])

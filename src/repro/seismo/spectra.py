@@ -291,22 +291,6 @@ class KarhunenLoeveBasis:
         vecs = np.ascontiguousarray(vecs[:, ::-1])
         return cls(eigenvalues=vals, eigenvectors=vecs)
 
-    def restricted(self, indices: np.ndarray) -> "KarhunenLoeveBasis":
-        """Basis restricted to a subset of points (a rupture patch).
-
-        Restriction of eigenvectors is not a true K-L basis of the
-        restricted correlation, but FakeQuakes' practice of sampling on
-        the patch is equivalent to drawing the global field and reading
-        it on the patch, which is exactly what restriction gives us.
-        """
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == 0:
-            raise RuptureError("cannot restrict K-L basis to an empty patch")
-        return KarhunenLoeveBasis(
-            eigenvalues=self.eigenvalues.copy(),
-            eigenvectors=self.eigenvectors[idx, :],
-        )
-
     def sample(self, rng: np.random.Generator, sigma: float = 1.0) -> np.ndarray:
         """Draw one zero-mean correlated field realization of length n.
 

@@ -9,7 +9,9 @@ earthquakes. Optionally, realistic GNSS noise (white + random walk) is
 added, following the noise characterization of Melgar et al. (2020).
 
 Each station's record is one matmul over a (subfaults x samples) ramp
-plane, so cost scales as O(n_stations * n_patch * n_samples) — the
+plane, taken over the station's active span only: from just before its
+first arrival to just after its last ramp ends, outside which the
+record is flat. Cost scales as O(n_stations * n_patch * span) — the
 station-count scaling the paper's Phase C job runtimes exhibit (15-20
 min at 121 stations vs. <1 min at 2).
 
@@ -47,6 +49,7 @@ quarter of their samples.
 from __future__ import annotations
 
 import io
+import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -160,10 +163,6 @@ class WaveformSet:
         for component in (1, 2):
             norm += np.square(data[:, component, :], out=square)
         return np.max(np.sqrt(norm, out=norm), axis=1)
-
-    def final_offsets_m(self) -> np.ndarray:
-        """(n_stations, 3) displacement at the final sample (static field)."""
-        return self.data[:, :, -1].copy()
 
     def station(self, name: str) -> np.ndarray:
         """(3, n_samples) series for one station by code."""
@@ -323,6 +322,54 @@ def _ramp(x: np.ndarray) -> np.ndarray:
     np.subtract(1.0, x, out=x)
     np.multiply(0.5, x, out=x)
     return x
+
+
+#: Random columns of the plane :func:`_spans_exact` probes with.
+_PROBE_COLUMNS = 16
+
+#: Per (dtype, patch size): the longest record known to allow narrow
+#: products and the shortest known not to (see :func:`_spans_exact`).
+#: The answers describe the process's BLAS, so the process keeps them;
+#: they decide how records are computed, never their values.
+_SPAN_BOUNDS: dict[tuple[np.dtype, int], list[int]] = {}
+
+
+def _spans_exact(dtype: np.dtype, n_patch: int, nt: int) -> bool:
+    """Whether BLAS computes a column of ``weights.T @ plane`` the same
+    way for every plane width from 2 to ``nt`` columns.
+
+    Only then do a record's active-span products equal its full-width
+    ones. It is not so everywhere: OpenBLAS 0.3.31 on SkylakeX (numpy
+    2.4.6) sums a column in one chain when ``3 * n_patch * columns <=
+    10**6``, and in blocks of 384 (float64) or 448 (float32) subfaults
+    above that, so a wider patch's columns then round differently. A
+    probe multiplies random weights by a plane whose first
+    :data:`_PROBE_COLUMNS` columns are random and the rest zero, at
+    full width and two columns at a time, and compares the bits. Its
+    answer covers every width in between, and every shorter (or, when
+    it fails, longer) record of the same patch size, when the BLAS
+    picks its method by a size that grows with the width, as OpenBLAS
+    does; :data:`_SPAN_BOUNDS` keeps those answers.
+    """
+    bounds = _SPAN_BOUNDS.setdefault((dtype, n_patch), [2, sys.maxsize])
+    if nt <= bounds[0] or nt >= bounds[1]:
+        return nt <= bounds[0]
+    rng = np.random.default_rng(0)
+    weights = rng.random((n_patch, 3)).astype(dtype)
+    plane = np.zeros((n_patch, nt), dtype)
+    probe = min(nt, _PROBE_COLUMNS)
+    plane[:, :probe] = rng.random((n_patch, probe))
+    wide = np.matmul(weights.T, plane)
+    bits = f"u{dtype.itemsize}"
+    exact = all(
+        np.array_equal(
+            np.matmul(weights.T, np.ascontiguousarray(plane[:, j : j + 2])).view(bits),
+            wide[:, j : j + 2].view(bits),
+        )
+        for j in range(0, probe - 1, 2)
+    )
+    bounds[0 if exact else 1] = nt
+    return exact
 
 
 class WaveformSynthesizer:
@@ -500,18 +547,28 @@ class WaveformSynthesizer:
           ulp of ``a + rise``. Rounding is monotone, so the ratio is at
           least ``fl(rise / rise) = 1``.
 
-        A plane starts as a gather of step rows, ``T(0)`` before ``lo``
-        and ``T(1)`` from ``lo`` on. One flat scatter then writes the
-        window's band cells, those with ``0 < ratio < 1``, each computed
-        by the dense path's own subtract, divide and :func:`_ramp`. The
-        rest of the window has ratio >= 1 and keeps the step's ``T(1)``.
-        A sample at exactly ``t == a`` therefore must not enter the
-        window, which is why ``lo`` is strict. Every cell holds the
-        value the dense plane holds, and the matmul gets the same
-        operands in the same layout (Fortran-ordered ``(3, npatch)``
-        weights, a C-contiguous ``(npatch, nt)`` plane), so BLAS returns
-        the same bits. Windows are evaluated, and the bank's statics
-        gathered and weighted, :data:`_STATION_BLOCK` stations at a time.
+        Only a station's active span of columns is built and multiplied:
+        from one column before its earliest ``lo`` to one column after
+        its latest ``hi``, and at least two columns (a one-column product
+        may go to gemv). The columns before the span are all ``T(0)``,
+        like the span's first, and those after it all ``T(1)``, like its
+        last, so the record is filled there with copies of those two
+        product columns: the bits BLAS gives such a column, zero signs
+        included. That holds while BLAS computes a product column the
+        same way whatever the number of columns in the call;
+        :func:`_spans_exact` probes this for the record's dtype and
+        shape, and where it fails every span is the whole record.
+
+        A span plane starts as a gather of step rows, ``T(0)`` before
+        ``lo`` and ``T(1)`` from ``lo`` on. One flat scatter then writes
+        every window cell as ``T(min(ratio, 1))``, by the dense path's
+        own subtract, divide and :func:`_ramp`: in the window ``t > a``,
+        so the ratio is positive and the clip is a minimum. Every cell
+        holds the value the dense plane holds, and the matmul gets the
+        dense layout (Fortran-ordered ``(3, npatch)`` weights, a
+        C-contiguous plane), so each product column has the dense bits.
+        Windows are evaluated, and the bank's statics gathered and
+        weighted, :data:`_STATION_BLOCK` stations at a time.
         """
         bank = self.gf_bank
         work = self._work_dtype
@@ -524,12 +581,13 @@ class WaveformSynthesizer:
         rise = np.maximum(rupture.rise_time_s, self.dt_s * 0.5).astype(
             work, copy=False
         )
-        # steps[nt - e] is T(0) before column e and T(1) from e on.
+        # steps[nt + s - e, :w] is columns [s, s + w) of a row that is
+        # T(0) before column e and T(1) from e on.
         plateaus = _ramp(np.array([0.0, 1.0], dtype=work))
         steps = sliding_window_view(np.repeat(plateaus, nt), nt)
 
         n_sta, n_patch = tt.shape
-        plane_size = n_patch * nt
+        narrow = _spans_exact(work, n_patch, nt)
         out = np.empty((n_sta, 3, nt), dtype=work)
         for start in range(0, n_sta, _STATION_BLOCK):
             stop = min(start + _STATION_BLOCK, n_sta)
@@ -537,24 +595,39 @@ class WaveformSynthesizer:
             lo = np.searchsorted(times, arrival, side="right")
             hi = np.searchsorted(times, arrival + rise, side="left") + 1
             np.minimum(hi, nt, out=hi)
+            # Each station's span [begin, end), the whole record where
+            # narrow products would round differently, and where its
+            # plane starts in the block's planes laid end to end.
+            if narrow:
+                begin = np.clip(lo.min(axis=1) - 1, 0, nt - 2)
+                end = np.maximum(np.minimum(hi.max(axis=1) + 1, nt), begin + 2)
+            else:
+                begin, end = np.zeros_like(lo[:, 0]), np.full_like(lo[:, 0], nt)
+            base = np.concatenate(([0], np.cumsum((end - begin) * n_patch)))
 
-            # Window cells [lo, hi) of every row of the block, row by row.
+            # Window cells [lo, hi) of every row of the block, row by row:
+            # ``col`` is a cell's column, then its index into the block's
+            # planes.
             width = (hi - lo).ravel()
             first = np.cumsum(width) - width
             col = np.arange(width.sum()) + np.repeat(lo.ravel() - first, width)
-            x = (times[col] - np.repeat(arrival, width)) / np.repeat(
-                np.broadcast_to(rise, arrival.shape), width
-            )
-            band = (x > 0.0) & (x < 1.0)
-            # Band cells as flat indices into the block's stacked planes.
-            cell = (col + np.repeat(np.arange(0, width.size * nt, nt), width))[band]
-            value = _ramp(x[band])
-            cuts = np.searchsorted(cell, np.arange(stop - start + 1) * plane_size)
+            x = times[col]
+            x -= np.repeat(arrival, width)
+            x /= np.repeat(np.broadcast_to(rise, arrival.shape), width)
+            value = _ramp(np.minimum(x, 1.0, out=x))
+            span = (end - begin)[:, None]
+            row_start = span * np.arange(n_patch) + (base[:-1] - begin)[:, None]
+            col += np.repeat(row_start.ravel(), width)
+            cuts = np.searchsorted(col, base)
 
             weighted = bank.statics[start:stop, patch, :] * slip[:, None]  # (b, npatch, 3)
             for b in range(stop - start):
-                plane = steps[nt - lo[b]]  # (npatch, nt)
+                s0, s1 = begin[b], end[b]
+                plane = steps[nt + s0 - lo[b], : s1 - s0]  # (npatch, span)
                 s, e = cuts[b], cuts[b + 1]
-                plane.reshape(-1)[cell[s:e] - b * plane_size] = value[s:e]
-                out[start + b] = weighted[b].T @ plane  # (3, nt)
+                plane.reshape(-1)[col[s:e] - base[b]] = value[s:e]
+                record = out[start + b]  # (3, nt)
+                np.matmul(weighted[b].T, plane, out=record[:, s0:s1])
+                record[:, :s0] = record[:, s0 : s0 + 1]
+                record[:, s1:] = record[:, s1 - 1 : s1]
         return out

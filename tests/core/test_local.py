@@ -303,6 +303,25 @@ def test_pooled_a_workers_share_disk_kl_store(tmp_path, pooled_a_config):
     assert first.pgd_by_rupture == second.pgd_by_rupture
 
 
+def test_parent_builds_distances_only_for_its_own_phase_a(pooled_a_config):
+    """A pooled Phase A builds the distance matrices in the workers'
+    sessions only; the parent would fork its copy into every worker. A
+    sequential run builds them once, for all its chunks."""
+    from unittest import mock
+
+    from repro.seismo.distance import DistanceMatrices
+
+    build = DistanceMatrices.from_geometry
+    with mock.patch.object(DistanceMatrices, "from_geometry", wraps=build) as spy:
+        with LocalRunner(n_workers=2) as runner:
+            pooled = runner.run(pooled_a_config)
+        assert spy.call_count == 0
+        sequential = LocalRunner().run(pooled_a_config)
+        assert spy.call_count == 1
+    assert pooled.pgd_by_rupture == sequential.pgd_by_rupture
+    assert set(pooled.phase_seconds) == set(sequential.phase_seconds)
+
+
 def test_single_chunk_a_stays_in_parent(tmp_path):
     """One A chunk -> no fan-out; the parent's own KLCache serves it."""
     from repro.seismo.klcache import KLCache
@@ -423,7 +442,9 @@ def test_retried_pool_attempt_never_outlives_its_phase(tmp_path):
 
     with LocalRunner(n_workers=2) as runner:
         chunks = _ChunkExecutor(runner, 0, None, FaultPlan(flakes=(ChunkFlake("A", 0),)))
-        results = chunks.run("A", 2, inline=None, worker=_touch_after, task=task)
+        results = chunks.run(
+            "A", chunks.restore("A", 2), inline=None, worker=_touch_after, task=task
+        )
         finished = sorted(p.name for p in tmp_path.iterdir())
     assert results == [str(tmp_path / "chunk0-3"), str(tmp_path / "chunk1-2")]
     assert finished == ["chunk0-1", "chunk0-3", "chunk1-2"]

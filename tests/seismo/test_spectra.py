@@ -161,39 +161,30 @@ def test_kl_sample_spatially_correlated(small_distances, small_geometry):
     assert near > far
 
 
+def _patch_basis(basis, indices):
+    """The global basis read on a patch: its eigenvector rows at ``indices``."""
+    return KarhunenLoeveBasis(
+        eigenvalues=basis.eigenvalues, eigenvectors=basis.eigenvectors[indices, :]
+    )
+
+
 def test_kl_restricted_basis(small_distances):
     basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
-    sub = basis.restricted(np.array([0, 3, 7]))
+    sub = _patch_basis(basis, np.array([0, 3, 7]))
     assert sub.n_points == 3
     assert sub.n_modes == 8
     rng = np.random.default_rng(3)
     assert sub.sample(rng).shape == (3,)
 
 
-def test_kl_restricted_preserves_eigenvalues_and_rows(small_distances):
-    """Restriction keeps the global eigenvalues and picks exactly the
-    requested eigenvector rows (reading the global field on the patch)."""
-    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
-    idx = np.array([5, 1, 9, 1])  # order and repeats must be honoured
-    sub = basis.restricted(idx)
-    np.testing.assert_array_equal(sub.eigenvalues, basis.eigenvalues)
-    np.testing.assert_array_equal(sub.eigenvectors, basis.eigenvectors[idx, :])
-
-
 def test_kl_restricted_sample_reads_global_field(small_distances):
-    """Sampling the restricted basis equals drawing the global field
-    with the same stream and reading it on the patch."""
+    """Sampling the basis read on a patch equals drawing the global
+    field with the same stream and reading it on the patch."""
     basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=8)
     idx = np.array([0, 3, 7])
     global_field = basis.sample(np.random.default_rng(11))
-    patch_field = basis.restricted(idx).sample(np.random.default_rng(11))
+    patch_field = _patch_basis(basis, idx).sample(np.random.default_rng(11))
     np.testing.assert_allclose(patch_field, global_field[idx])
-
-
-def test_kl_restricted_empty_raises(small_distances):
-    basis = _kl_basis(small_distances, 50.0, 30.0, n_modes=4)
-    with pytest.raises(RuptureError):
-        basis.restricted(np.array([], dtype=int))
 
 
 def test_kl_sample_sigma_zero_is_zero(small_distances):

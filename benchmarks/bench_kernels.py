@@ -23,7 +23,8 @@ a whole-mesh ``von_karman_correlation`` (the ``unique_lag`` arm, now
 through a fresh lag table) and against the lag-table patch correlations
 of an ``fdw-full-cold``-shaped catalog (``speedup_vs_dense`` in
 ``extra_info``), cold vs. warm
-:class:`~repro.seismo.klcache.KLCache` lookups, and the seed sequential
+:class:`~repro.seismo.klcache.KLCache` lookups and the memory level a
+64-patch catalog leaves (``resident_mib``), and the seed sequential
 rupture sweep (dense kernel, no cache) against the pooled + memoized
 fan-out. ``phase-b-batch`` compares the frozen per-subfault ``okada85``
 loop (``tests/oracles/okada_loop.py``) against the vectorized
@@ -609,6 +610,41 @@ def test_kl_cache_warm_memory(benchmark, paper_distances, kl_patch):
         cache.get_or_compute, paper_distances, kl_patch, 60.0, 30.0, 0.75, 64
     )
     assert basis.n_modes == 64
+
+
+@pytest.mark.benchmark(group="phase-a-cache")
+def test_kl_cache_catalog_resident(benchmark, paper_distances, tmp_path):
+    """The 64 patch bases of an ``fdw-full-cold``-shaped catalog (Mw
+    8.4-8.6 on the 30x15 mesh) through one disk-backed cache, cold:
+    every basis is solved and stored. ``resident_mib`` in ``extra_info``
+    is what the memory level holds afterwards, which
+    ``KLCache.max_memory_bytes`` caps; ``catalog_mib`` is what the
+    catalog's bases take in all."""
+    runs = itertools.count()
+    geometry = build_chile_slab(n_strike=30, n_dip=15)
+
+    def catalog():
+        cache = KLCache(cache_dir=tmp_path / f"kl{next(runs)}")
+        generator = RuptureGenerator(
+            geometry, distances=paper_distances, mw_range=(8.4, 8.6), kl_cache=cache
+        )
+        ruptures = [
+            generator.generate(np.random.default_rng(1000 + i), f"bench.{i:06d}")
+            for i in range(64)
+        ]
+        return cache, ruptures
+
+    cache, ruptures = benchmark.pedantic(catalog, rounds=1, iterations=1)
+    assert len(cache.disk_keys()) == len(ruptures) == 64
+    assert cache.memory_bytes <= KLCache.max_memory_bytes
+    # A basis holds p x k eigenvectors and k eigenvalues, k = min(64, p).
+    catalog_bytes = sum(
+        (r.n_subfaults + 1) * min(64, r.n_subfaults) * 8 for r in ruptures
+    )
+    benchmark.extra_info["n_patches"] = len(ruptures)
+    benchmark.extra_info["resident_mib"] = cache.memory_bytes / 2**20
+    benchmark.extra_info["catalog_mib"] = catalog_bytes / 2**20
+    benchmark.extra_info["evictions"] = cache.stats.evictions
 
 
 # -- Phase A pool: seed sequential sweep vs pooled + memoized -----------------

@@ -6,7 +6,9 @@ and the Phase-A inputs reused across rupture jobs ("recycling them is
 crucial"). :class:`ArtifactCache` is the one in-process implementation
 of that lever. It holds
 
-* an in-memory LRU of decoded entries (the worker-node cache tier);
+* an in-memory LRU of decoded entries (the worker-node cache tier),
+  bounded by entry count and, for codecs that set
+  :attr:`ArtifactCache.max_memory_bytes`, by resident bytes;
 * an optional on-disk ``.npz`` tier (the OSDF-origin analog) written
   through :func:`~repro.integrity.publish_artifact` and read back under
   sha256 sidecar verification — a damaged entry is quarantined and
@@ -83,6 +85,12 @@ class ArtifactCache(Generic[T]):
         LRU capacity. Entries evicted from memory survive on disk when a
         ``cache_dir`` is configured.
 
+    A codec whose :attr:`max_memory_bytes` is set also evicts, oldest
+    first, while the memory level holds more bytes than that; the entry
+    just stored or read always stays, so a lookup right after a store is
+    a memory hit even for an entry larger than the budget. Every
+    :meth:`put` still writes the disk tier.
+
     Every disk load verifies the entry's sha256 sidecar. A failed check
     — or an entry that cannot be parsed at all — is quarantined (moved
     into ``cache_dir/quarantine/``, never deleted) and treated as a miss.
@@ -94,6 +102,9 @@ class ArtifactCache(Generic[T]):
     noun = "artifact"
     #: Environment variable naming the default disk directory.
     env_var = ""
+    #: Budget of the memory level in entry bytes (``nbytes``); ``None``
+    #: bounds it by :attr:`max_memory_entries` alone.
+    max_memory_bytes: int | None = None
 
     def __init__(
         self,
@@ -109,6 +120,8 @@ class ArtifactCache(Generic[T]):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_memory_entries = int(max_memory_entries)
         self._memory: OrderedDict[str, T] = OrderedDict()
+        #: Bytes (``nbytes``) of the entries the memory level holds.
+        self.memory_bytes = 0
         self.stats = CacheStats()
         #: Paths of quarantined artifacts, in quarantine order.
         self.quarantined: list[Path] = []
@@ -181,10 +194,18 @@ class ArtifactCache(Generic[T]):
         self._count("stores", entry)
 
     def _remember(self, key: str, entry: T) -> None:
+        old = self._memory.pop(key, None)
+        if old is not None:
+            self.memory_bytes -= old.nbytes  # type: ignore[attr-defined]
         self._memory[key] = entry
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
+        self.memory_bytes += entry.nbytes  # type: ignore[attr-defined]
+        budget = self.max_memory_bytes
+        while len(self._memory) > 1 and (
+            len(self._memory) > self.max_memory_entries
+            or (budget is not None and self.memory_bytes > budget)
+        ):
+            _, evicted = self._memory.popitem(last=False)
+            self.memory_bytes -= evicted.nbytes  # type: ignore[attr-defined]
             self.stats.evictions += 1
 
     def _count(self, event: str, entry: T | None = None) -> None:
@@ -253,6 +274,7 @@ class ArtifactCache(Generic[T]):
         touched (evidence outlives cache resets).
         """
         self._memory.clear()
+        self.memory_bytes = 0
         if disk and self.cache_dir is not None and self.cache_dir.exists():
             for pattern in (f"{self.prefix}_*.npz", f"{self.prefix}_*.npz.sha256"):
                 for path in self.cache_dir.glob(pattern):

@@ -20,15 +20,23 @@ parent computes (or cache-loads) the bank once, publishes its arrays
 into ``multiprocessing`` shared-memory segments, and ships workers only
 a small picklable
 :class:`~repro.core.sharedbank.SharedBankHandle` plus the pre-generated
-rupture chunk. Each worker keeps one FakeQuakes session per
-configuration, which recycles the attached bank and runs the same
+rupture chunk. Each worker keeps one FakeQuakes session, for the
+configuration it is running; a task for another configuration replaces
+it. A Phase-C chunk recycles the attached bank into the session and
+runs the same
 :meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
 inline chunk. Phase-C workers never recompute distances, ruptures, or
 the bank — the in-process equivalent of every Phase-C job pulling the
 Phase-B archive from the Stash/OSDF cache instead of recomputing it.
 Pooled Phase-A workers build the distance matrices in their own
 sessions, so the parent builds them only when it generates ruptures
-itself.
+itself. Every process ends Phase A
+(:meth:`~repro.seismo.fakequakes.FakeQuakes.end_phase_a`) before it
+synthesizes: the parent when its own Phase A returns, a worker when it
+takes a Phase-C chunk. So no process carries the distance matrices,
+their lag table or the rupture generator through Phase C, and a
+repeated pooled run of one configuration rebuilds the matrices in each
+worker that runs one of its Phase-A chunks.
 """
 
 from __future__ import annotations
@@ -50,7 +58,12 @@ from repro.resilience import RetryPolicy, retry_call
 from repro.core.checkpoint import CRow, RunCheckpoint
 from repro.core.config import FdwConfig
 from repro.core.phases import chunk_bounds, plan_phases
-from repro.core.sharedbank import SharedBankHandle, attach_shared_bank, publish_shared_bank
+from repro.core.sharedbank import (
+    SharedBankHandle,
+    attach_shared_bank,
+    detach_shared_banks,
+    publish_shared_bank,
+)
 from repro.osg.runtimes import RuntimeModel
 from repro.rupt import write_rupt
 
@@ -124,25 +137,29 @@ def _fakequakes_for(
     return FakeQuakes.from_parameters(params, gf_cache=gf_cache, kl_cache=kl_cache)
 
 
-#: Worker-side sessions: (parameters, K-L dir) -> FakeQuakes. Kept for
-#: the life of the worker process, so geometry, distance matrices and
-#: the rupture generator with its K-L cache are built once per worker,
-#: not once per chunk, and Phase-C chunks reuse the session that holds
-#: the attached shared-memory bank.
-_SESSIONS: dict[tuple[FakeQuakesParameters, str | None], FakeQuakes] = {}
+#: This worker's session: the FakeQuakes of the configuration it is
+#: running, so geometry and network are built once per configuration
+#: and the distance matrices once per Phase A, not once per chunk, and
+#: Phase-C chunks reuse the session that holds the attached
+#: shared-memory bank. A task for another configuration replaces it.
+_SESSION: FakeQuakes | None = None
 
 
-def _session(params: FakeQuakesParameters, kl_dir: str | None = None) -> FakeQuakes:
-    """This worker's session for ``params``, with a K-L cache over
-    ``kl_dir`` (the runner's disk store), built on first use."""
-    fq = _SESSIONS.get((params, kl_dir))
-    if fq is None:
+def _session(params: FakeQuakesParameters) -> FakeQuakes:
+    """This worker's session for ``params``, built on first use.
+
+    Replacing the session of another configuration also drops this
+    process's bank attachments: the old session was their only viewer,
+    so their segments close at once.
+    """
+    global _SESSION
+    if _SESSION is None or _SESSION.params != params:
         from repro.seismo.fakequakes import FakeQuakes
-        from repro.seismo.klcache import KLCache
 
-        fq = FakeQuakes.from_parameters(params, kl_cache=KLCache(cache_dir=kl_dir))
-        _SESSIONS[(params, kl_dir)] = fq
-    return fq
+        _SESSION = None
+        detach_shared_banks()
+        _SESSION = FakeQuakes.from_parameters(params)
+    return _SESSION
 
 
 def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
@@ -152,12 +169,20 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
     an independent RNG from each rupture's *catalog index* — chunk
     [start, start+count) produces the identical ruptures in any process,
     so the pooled catalog is bit-identical to the sequential one. The
-    worker's session caches K-L bases over ``kl_dir`` — a basis
-    eigendecomposed by *any* worker is a disk hit for every other worker
-    and every later run of the same configuration.
+    chunk caches K-L bases through a cache over ``kl_dir``, the runner's
+    disk store, bound to this call only — a basis eigendecomposed by
+    *any* worker is a disk hit for every other worker and every later
+    run of the same configuration.
     """
+    from repro.seismo.klcache import KLCache
+
     params, start, count, kl_dir = task
-    return _session(params, kl_dir).phase_a_ruptures(start, count)
+    fq = _session(params)
+    fq.kl_cache = KLCache(cache_dir=kl_dir)
+    try:
+        return fq.phase_a_ruptures(start, count)
+    finally:
+        fq.kl_cache = None
 
 
 #: Subdirectory of the archive where products wait to be renamed in.
@@ -191,14 +216,15 @@ def _spool_row(ws: WaveformSet, spool_dir: str | Path | None) -> CRow:
 def _run_c_chunk(task: _CChunkTask) -> list[CRow]:
     """Worker: synthesize one Phase-C chunk against the shared GF bank.
 
-    The worker's session recycles the published bank (attached once per
-    worker process; later chunks reuse the mapping) and runs the same
-    :meth:`FakeQuakes.phase_c_waveforms` as an inline chunk, spooling
-    each product before the next is synthesized when the run archives
-    (see :func:`_spool_rows`).
+    The worker's session ends its Phase A, recycles the published bank
+    (attached once per worker process; later chunks reuse the mapping)
+    and runs the same :meth:`FakeQuakes.phase_c_waveforms` as an inline
+    chunk, spooling each product before the next is synthesized when
+    the run archives (see :func:`_spool_rows`).
     """
     handle, params, ruptures, spool_dir = task
     fq = _session(params)
+    fq.end_phase_a()
     fq.phase_b_greens_functions(recycled=attach_shared_bank(handle))
     return _spool_rows(fq.phase_c_waveforms(ruptures), spool_dir)
 
@@ -433,20 +459,25 @@ class LocalRunner:
         The :class:`~repro.seismo.klcache.KLCache` the *parent-side*
         Phase A routes through (sequential runs and the single-chunk
         fall-through). ``None`` builds a private cache (which still
-        honours ``REPRO_KL_CACHE_DIR``). Pool workers always build
-        their own per-process caches over the same disk store.
+        honours ``REPRO_KL_CACHE_DIR``). Each pooled Phase-A chunk runs
+        through its own cache over the same disk store.
 
     The parent builds the distance matrices only when it generates a
-    Phase-A chunk itself (``n_workers=1``, or a single pending chunk).
-    Pooled Phase-A workers build theirs in their own sessions, and a
-    parent copy made before the pool forks would sit in every worker
-    beside it.
+    Phase-A chunk itself (``n_workers=1``, or a single pending chunk),
+    and drops them, with the rupture generator, when its Phase A
+    returns. Pooled Phase-A workers build theirs in their own sessions
+    and drop them when they take a Phase-C chunk; a parent copy made
+    before the pool forks would sit in every worker beside it.
 
     The pool and the published shared-memory segments persist across
     :meth:`run` calls — repeated runs of the same configuration skip
     Phase B entirely and re-dispatch against the already-published
-    bank. Call :meth:`close` (or use the runner as a context manager)
-    to release them; a finalizer also releases on garbage collection.
+    bank, though each run's pooled Phase A builds the distance matrices
+    again. A worker keeps one session: a run of another configuration
+    replaces it and lets go of the old bank's mapping. Call
+    :meth:`close` (or use the runner as a context manager) to release
+    the pool and segments; a finalizer also releases on garbage
+    collection.
     """
 
     def __init__(
@@ -611,6 +642,7 @@ class LocalRunner:
             task=lambda i: (fq.params, *a_chunks[i], kl_dir),
         )
         ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
+        fq.end_phase_a()
         timings["A"] = time.perf_counter() - t0
         obs.complete("phase:A", ts=t0, dur=timings["A"],
                      category="local", track="runner",

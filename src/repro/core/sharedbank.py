@@ -6,6 +6,8 @@
 worker as read-only arrays, once per process. A process pool
 synthesizing Phase-C chunks so reads one physical copy instead of
 rebuilding O(n_stations x n_subfaults) arrays per worker per chunk.
+:func:`detach_shared_banks` drops a process's attachments; each
+segment is closed once no array views it.
 
 The module needs numpy and the standard library only (the bank class
 is imported where a worker builds one), so :mod:`repro.core.local`
@@ -15,6 +17,7 @@ binds these names at import without loading the seismic stack.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
@@ -39,7 +42,7 @@ class SharedBankHandle:
     """Picklable descriptor of a bank published into shared memory.
 
     Small enough to travel in every pool task; workers attach the named
-    segments once and cache the attachment for the life of the process.
+    segments once and keep the attachment until they detach it.
     """
 
     key: str
@@ -91,9 +94,30 @@ def publish_shared_bank(
     return handle, segments
 
 
-#: Worker-side attachment cache: handle key -> (bank, segments). Kept for
-#: the life of the worker process so each bank is mapped exactly once.
-_ATTACHED: dict[str, tuple[GreensFunctionBank, list[shared_memory.SharedMemory]]] = {}
+#: Worker-side attachments: handle key -> bank, so each bank is mapped
+#: once per process until :func:`detach_shared_banks` drops it.
+_ATTACHED: dict[str, GreensFunctionBank] = {}
+
+
+def _view(shm: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """A read-only array over a segment that closes the segment once no
+    array views it.
+
+    Every view of the array keeps the array as its base, so the
+    finalizer runs only after the last view is gone: closing under a
+    live view would unmap memory the view still reads.
+    """
+    arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+    arr.flags.writeable = False
+    weakref.finalize(arr, _close, shm).atexit = False
+    return arr
+
+
+def _close(shm: shared_memory.SharedMemory) -> None:
+    try:
+        shm.close()
+    except OSError:  # pragma: no cover - platform-dependent teardown
+        pass
 
 
 def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
@@ -103,9 +127,9 @@ def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
     segments — concurrent readers cannot corrupt them, and no copy of
     the O(n_stations x n_subfaults) data is made.
     """
-    cached = _ATTACHED.get(handle.key)
-    if cached is not None:
-        return cached[0]
+    bank = _ATTACHED.get(handle.key)
+    if bank is not None:
+        return bank
     from repro.seismo.greens import GreensFunctionBank
 
     try:
@@ -116,26 +140,20 @@ def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
             f"shared GF bank {handle.key[:12]} is gone (segments unlinked?)"
         ) from exc
     dtype = np.dtype(handle.dtype)
-    statics = np.ndarray(handle.statics_shape, dtype=dtype, buffer=statics_shm.buf)
-    travel = np.ndarray(handle.travel_shape, dtype=dtype, buffer=travel_shm.buf)
-    statics.flags.writeable = False
-    travel.flags.writeable = False
     bank = GreensFunctionBank(
-        statics=statics,
-        travel_time_s=travel,
+        statics=_view(statics_shm, handle.statics_shape, dtype),
+        travel_time_s=_view(travel_shm, handle.travel_shape, dtype),
         station_names=handle.station_names,
         fault_name=handle.fault_name,
     )
-    _ATTACHED[handle.key] = (bank, [statics_shm, travel_shm])
+    _ATTACHED[handle.key] = bank
     return bank
 
 
 def detach_shared_banks() -> None:
-    """Drop this process's attachments (close segments, keep them linked)."""
-    for _, segments in _ATTACHED.values():
-        for shm in segments:
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - platform-dependent teardown
-                pass
+    """Drop this process's attachments (the segments stay linked).
+
+    Each segment is closed as soon as no array views it: at once when
+    nothing else holds the bank, else when the last holder lets go.
+    """
     _ATTACHED.clear()

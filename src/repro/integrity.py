@@ -33,6 +33,7 @@ import os
 from collections import OrderedDict
 from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 from repro.errors import IntegrityError
 
@@ -61,6 +62,17 @@ QUARANTINE_DIRNAME = "quarantine"
 def sha256_bytes(data: bytes) -> str:
     """Hex sha256 of a byte string."""
     return hashlib.sha256(data).hexdigest()
+
+
+def _sha256_file(fh: BinaryIO) -> str:
+    """Hex sha256 of an open binary file, read a 256 KiB block at a time
+    into one buffer, so hashing a file never holds a copy of it."""
+    h = hashlib.sha256()
+    buf = bytearray(1 << 18)
+    view = memoryview(buf)
+    while n := fh.readinto(buf):
+        h.update(view[:n])
+    return h.hexdigest()
 
 
 def digest_path(path: str | Path) -> Path:
@@ -112,13 +124,14 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
     its bytes. The artifact and sidecar therefore always describe one
     write, however many processes race on the key. Where hard links are
     unsupported the temp is renamed over ``path`` instead. The temp
-    never outlives the call.
+    never outlives the call. The digest is streamed from the temp a
+    block at a time, so publishing holds no second copy of the payload.
     """
     tmp = _temp_path(path, ".tmp" + path.suffix)
     try:
         write(tmp)
         with open(tmp, "rb") as fh:
-            data = fh.read()
+            digest = _sha256_file(fh)
             os.fsync(fh.fileno())
         try:
             os.link(tmp, path)
@@ -126,7 +139,7 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
             return
         except OSError:
             os.replace(tmp, path)
-        write_digest(path, sha256_bytes(data))
+        write_digest(path, digest)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -159,7 +172,8 @@ def write_digest(path: str | Path, digest: str | None = None) -> Path:
     """
     path = Path(path)
     if digest is None:
-        digest = sha256_bytes(path.read_bytes())
+        with open(path, "rb") as fh:
+            digest = _sha256_file(fh)
     side = digest_path(path)
     atomic_write_bytes(side, f"{digest}  {path.name}\n".encode("ascii"))
     return side

@@ -5,6 +5,7 @@ rupture generator, GF computation and waveform synthesis behind one
 object with exactly the three entry points the FDW phases call:
 
 * :meth:`phase_a_distances` / :meth:`phase_a_ruptures` — Phase A,
+  which :meth:`end_phase_a` closes,
 * :meth:`phase_b_greens_functions` — Phase B,
 * :meth:`phase_c_waveforms` — Phase C.
 
@@ -160,7 +161,10 @@ class FakeQuakes:
         return self._distances
 
     def _ensure_generator(self) -> RuptureGenerator:
-        if self._generator is None:
+        # The generator draws its K-L bases through the session's current
+        # cache: one bound to a replaced cache is rebuilt (cheap; the
+        # distance matrices stay).
+        if self._generator is None or self._generator.kl_cache is not self.kl_cache:
             self._generator = RuptureGenerator(
                 self.geometry,
                 distances=self.phase_a_distances(),
@@ -192,6 +196,18 @@ class FakeQuakes:
             )
             for i in range(count)
         ]
+
+    def end_phase_a(self) -> None:
+        """End Phase A: drop the distance matrices, their lag table and
+        the rupture generator.
+
+        Phases B and C read none of them, and they are the largest state
+        Phase A leaves (3.2 MB of matrices and 0.8 MB of lag table on the
+        30x15 mesh). A later Phase-A call builds them again, so ending
+        Phase A changes no product, only what the session keeps.
+        """
+        self._distances = None
+        self._generator = None
 
     # -- Phase B -------------------------------------------------------------
 
@@ -262,5 +278,6 @@ class FakeQuakes:
         """MudPy-native behaviour: all three phases, one after another."""
         self.phase_a_distances()
         ruptures = self.phase_a_ruptures()
+        self.end_phase_a()
         self.phase_b_greens_functions()
         return list(self.phase_c_waveforms(ruptures))

@@ -21,9 +21,10 @@ Phase B:
   lengths, the Hurst exponent and the mode count;
 * :class:`KLCache` — the basis codec over the shared two-level
   :class:`~repro.cache.ArtifactCache`: an in-memory LRU of
-  :class:`~repro.seismo.spectra.KarhunenLoeveBasis` objects backed by an
-  optional on-disk ``.npz`` store (point ``REPRO_KL_CACHE_DIR`` at a
-  shared directory to reuse bases across processes and runs).
+  :class:`~repro.seismo.spectra.KarhunenLoeveBasis` objects, held to
+  :attr:`KLCache.max_memory_bytes` (2 MiB), backed by an optional
+  on-disk ``.npz`` store (point ``REPRO_KL_CACHE_DIR`` at a shared
+  directory to reuse bases across processes and runs).
 
 A cold ``get_or_compute`` runs :func:`patch_basis`, as the uncached
 path does, and both the memory and the ``.npz`` level round-trip float64
@@ -112,13 +113,20 @@ class KLCache(ArtifactCache[KarhunenLoeveBasis]):
         too, the cache is memory-only.
     max_memory_entries:
         LRU capacity. Bases evicted from memory survive on disk when a
-        ``cache_dir`` is configured. Patch bases are far smaller than GF
-        banks (p x k floats), so the default is generous.
+        ``cache_dir`` is configured.
+
+    The memory level also holds at most :attr:`max_memory_bytes` of
+    bases, the newest one aside: about nine of the largest 30x15-mesh
+    bases (420 x 64 float64, 210 KiB each). A cold catalog never repeats
+    a key, so a larger memory level would only keep bases no lookup
+    reads; a run that repeats a catalog reads them back from disk,
+    bit-identical.
     """
 
     prefix = "kl"
     noun = "K-L basis"
     env_var = CACHE_DIR_ENV
+    max_memory_bytes = 2 * 2**20
 
     def __init__(
         self,

@@ -246,7 +246,10 @@ def _fill_bank(
     dip = np.minimum(dip_deg, 89.999)
     sd = np.sin(np.radians(dip))
     cd = np.cos(np.radians(dip))
-    depth_sq = (depth_f**2)[None, :]
+    # Squared as the per-subfault loop squares a float64 scalar (libm
+    # ``pow``): the array square (``x * x``) differs from it in the last
+    # bit for about one depth in a thousand.
+    depth_sq = np.array([z**2 for z in depth_f])[None, :]
 
     for block in station_blocks(len(east_s), len(east_f), _BLOCK_PAIRS):
         # Station offsets -> fault-local frames, all subfaults at once.

@@ -335,6 +335,151 @@ def test_single_chunk_a_stays_in_parent(tmp_path):
     assert cache.stats.misses >= 1  # parent-side cache was exercised
 
 
+# -- what each process keeps ----------------------------------------------------
+
+
+def test_sequential_run_ends_phase_a_before_phase_b(tiny_config):
+    """A sequential run, by the runner or by ``run_sequential``, holds no
+    distance matrices (nor their lag table or the rupture generator) once
+    Phase A returns: a weakref taken when Phase A built them is dead when
+    Phase B is entered."""
+    import weakref
+    from unittest import mock
+
+    from repro.core.local import _fakequakes_for
+    from repro.seismo.distance import DistanceMatrices
+    from repro.seismo.fakequakes import FakeQuakes
+
+    built, at_phase_b = [], []
+    build = DistanceMatrices.from_geometry
+    phase_b = FakeQuakes.phase_b_greens_functions
+
+    def spy_build(geometry):
+        distances = build(geometry)
+        built.append(weakref.ref(distances))
+        return distances
+
+    def spy_phase_b(self, recycled=None):
+        at_phase_b.append((len(built), [ref() is None for ref in built],
+                           self._generator is None))
+        return phase_b(self, recycled)
+
+    with mock.patch.object(DistanceMatrices, "from_geometry", side_effect=spy_build), \
+            mock.patch.object(FakeQuakes, "phase_b_greens_functions", spy_phase_b):
+        LocalRunner().run(tiny_config)
+        runner_calls = len(at_phase_b)
+        _fakequakes_for(tiny_config).run_sequential()
+    assert len(built) == 2 and runner_calls >= 1 and len(at_phase_b) > runner_calls
+    for n_built, dead, no_generator in at_phase_b:
+        assert n_built >= 1 and all(dead) and no_generator
+
+
+#: Worker-side weakrefs to every session and attached bank a probe saw.
+_SEEN: list = []
+
+
+def _worker_probe(task):
+    """Pool probe: what this worker keeps, reported once every worker
+    has checked in, so each worker answers exactly one probe.
+
+    Reports the session's configuration, whether it still holds Phase-A
+    state, how many banks it has attached, and how many of the sessions
+    and banks any probe in this worker saw are still alive.
+    """
+    import os
+    import weakref
+
+    from repro.core import local, sharedbank
+
+    rendezvous, n_workers = task
+    Path(rendezvous, str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(list(Path(rendezvous).iterdir())) < n_workers:
+        if time.monotonic() > deadline:
+            raise TimeoutError("not every pool worker took a probe")
+        time.sleep(0.01)
+    fq = local._SESSION
+    for kind, obj in [("session", fq)] + [("bank", b) for b in sharedbank._ATTACHED.values()]:
+        if obj is not None and not any(ref() is obj for _, ref in _SEEN):
+            _SEEN.append((kind, weakref.ref(obj)))
+    alive = [kind for kind, ref in _SEEN if ref() is not None]
+    return (
+        os.getpid(),
+        None if fq is None else fq.params,
+        fq is not None and fq._distances is None and fq._generator is None,
+        len(sharedbank._ATTACHED),
+        alive.count("session"),
+        alive.count("bank"),
+    )
+
+
+def test_pool_worker_keeps_one_session(tmp_path):
+    """Over three distinct configurations on one pooled runner, each
+    worker keeps at most one session and one attached bank, the ones it
+    replaced are freed, and every archive equals the sequential one."""
+    from repro.core.local import _fakequakes_for
+
+    configs = [
+        FdwConfig(n_waveforms=8, n_stations=n_stations, mesh=(8, 5), chunk_a=2,
+                  chunk_c=2, name="session", seed=seed)
+        for n_stations, seed in ((3, 1), (4, 2), (3, 3))
+    ]
+    with LocalRunner(n_workers=2) as runner:
+        for i, config in enumerate(configs):
+            runner.run(config, archive_dir=tmp_path / f"pooled{i}")
+            rendezvous = tmp_path / f"probe{i}"
+            rendezvous.mkdir()
+            pool = runner._state["pool"]
+            reports = list(pool.map(_worker_probe, [(str(rendezvous), 2)] * 2))
+            assert len({pid for pid, *_ in reports}) == 2
+            # Which worker ran which chunk is the pool's choice: a worker
+            # may still hold an earlier configuration's session, or this
+            # one's Phase-A state if it took no Phase-C chunk.
+            params = _fakequakes_for(config).params
+            assert params in {session_params for _, session_params, *_ in reports}
+            for _pid, _params, _ended, attached, sessions, banks in reports:
+                assert sessions <= 1 and banks <= 1 and attached <= 1
+    for i, config in enumerate(configs):
+        LocalRunner().run(config, archive_dir=tmp_path / f"sequential{i}")
+        assert _archive_digest(tmp_path / f"pooled{i}") == _archive_digest(
+            tmp_path / f"sequential{i}"
+        )
+
+
+def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
+    """A worker's session keeps its distance matrices and generator
+    between Phase-A chunks, holds a K-L cache only while a chunk runs,
+    and drops its Phase-A state when it takes a Phase-C chunk, whose
+    rows carry the sequential run's PGDs."""
+    from repro.core import local
+    from repro.core.sharedbank import detach_shared_banks, publish_shared_bank
+
+    monkeypatch.setattr(local, "_SESSION", None)
+    params = local._fakequakes_for(pooled_a_config).params
+    ruptures = local._run_a_chunk((params, 0, 2, None))
+    session = local._SESSION
+    distances = session._distances
+    ruptures += local._run_a_chunk((params, 2, 2, None))
+    assert local._SESSION is session and session._distances is distances
+    assert session.kl_cache is None and session._generator is not None
+    fq = local._fakequakes_for(pooled_a_config)
+    handle, segments = publish_shared_bank(fq.phase_b_greens_functions(), "phase-a-end")
+    try:
+        rows = local._run_c_chunk((handle, params, ruptures, None))
+        assert local._SESSION is session
+        assert session._distances is None and session._generator is None
+    finally:
+        monkeypatch.setattr(local, "_SESSION", None)
+        detach_shared_banks()
+        for shm in segments:
+            shm.close()
+            shm.unlink()
+    sequential = LocalRunner().run(pooled_a_config)
+    assert {rid: pgd for rid, pgd, *_ in rows} == {
+        r.rupture_id: sequential.pgd_by_rupture[r.rupture_id] for r in ruptures
+    }
+
+
 # -- estimate_sequential_runtime_s validation ---------------------------------
 
 

@@ -228,3 +228,85 @@ def test_bitflipped_disk_entry_fails_digest(tmp_path, small_distances, patch):
     fresh.get_or_compute(small_distances, patch, 50.0, 30.0, n_modes=8)
     assert fresh.stats.integrity_failures == 1
     assert len(fresh.quarantined) == 1
+
+
+# -- memory budget ------------------------------------------------------------
+
+
+def _basis(n_points, seed):
+    """A stand-in basis of ``n_points`` x 64 float64: the cache stores
+    whatever basis it is given, however it was solved."""
+    rng = np.random.default_rng(seed)
+    return KarhunenLoeveBasis(
+        eigenvalues=np.sort(rng.uniform(0.0, 1.0, 64))[::-1].copy(),
+        eigenvectors=rng.standard_normal((n_points, 64)),
+    )
+
+
+def _same_bits(a, b):
+    return (a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            and a.eigenvectors.tobytes() == b.eigenvectors.tobytes())
+
+
+def test_memory_level_held_to_its_byte_budget(tmp_path):
+    """Over a stream of bases far larger in total than the budget, the
+    memory level keeps the newest bases that fit, evicting oldest first;
+    every basis still reaches disk and reloads bit-identical."""
+    from repro.core.gfcache import GFCache
+
+    assert GFCache.max_memory_bytes is None  # banks are bounded by count only
+    budget = KLCache.max_memory_bytes
+    cache = KLCache(cache_dir=tmp_path)
+    # Patch sizes of the 30x15 mesh, the largest (420) among smaller ones.
+    sizes = [420, 56, 300, 420, 128, 364, 420, 200, 420, 96, 420, 420, 250, 420, 420] * 2
+    bases = {f"{i:064x}": _basis(p, i) for i, p in enumerate(sizes)}
+    assert sum(b.nbytes for b in bases.values()) > 2 * budget
+    stored = []
+    for key, basis in bases.items():
+        cache.put(key, basis)
+        stored.append(key)
+        resident = cache.memory_keys()
+        assert cache.memory_bytes == sum(bases[k].nbytes for k in resident)
+        assert cache.memory_bytes <= budget
+        # LRU-first: the newest bases stay, and no more were evicted
+        # than the budget needed.
+        assert resident == stored[-len(resident):]
+        if len(resident) < len(stored):
+            older = stored[-len(resident) - 1]
+            assert cache.memory_bytes + bases[older].nbytes > budget
+    assert cache.stats.evictions == len(stored) - len(cache.memory_keys())
+    assert sorted(cache.disk_keys()) == sorted(bases)
+
+    # A read refreshes a basis: the next store evicts the one after it.
+    oldest, second = cache.memory_keys()[:2]
+    assert cache.get(oldest) is bases[oldest]
+    cache.put("f" * 64, _basis(420, 99))
+    assert oldest in cache.memory_keys() and second not in cache.memory_keys()
+
+    # Every evicted basis reloads from disk bit-identical.
+    evicted = [k for k in stored if k not in cache.memory_keys()]
+    hits = cache.stats.disk_hits
+    for key in evicted:
+        reloaded = cache.get(key)
+        assert reloaded is not bases[key] and _same_bits(reloaded, bases[key])
+    assert cache.stats.disk_hits == hits + len(evicted)
+    assert cache.memory_bytes <= budget
+
+
+def test_basis_larger_than_the_budget(tmp_path):
+    """A basis over the whole budget still reaches disk and is a memory
+    hit right after: the entry just stored always stays."""
+    cache = KLCache(cache_dir=tmp_path)
+    cache.put("a" * 64, _basis(100, 0))
+    big = _basis(KLCache.max_memory_bytes // (64 * 8) + 1, 1)
+    assert big.nbytes > KLCache.max_memory_bytes
+    cache.put("b" * 64, big)
+    assert cache.disk_path("b" * 64).exists()
+    assert cache.memory_keys() == ["b" * 64]
+    assert cache.memory_bytes == big.nbytes
+    assert cache.get("b" * 64) is big
+    assert (cache.stats.memory_hits, cache.stats.evictions) == (1, 1)
+    reloaded = KLCache(cache_dir=tmp_path).get("b" * 64)
+    assert _same_bits(reloaded, big)
+    cache.clear()
+    assert cache.memory_bytes == 0

@@ -236,7 +236,7 @@ class TestVectorEngineProperty:
         return geom, stations
 
     def test_property_vector_equals_reference(self):
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         @settings(max_examples=25, deadline=None)
@@ -246,6 +246,9 @@ class TestVectorEngineProperty:
             n_sta=st.integers(1, 6),
             rake=st.floats(-180.0, 180.0, allow_nan=False),
         )
+        # A subfault depth whose scalar square (libm pow) and array square
+        # differ in the last bit.
+        @example(seed=719, n_sub=2, n_sta=3, rake=0.0)
         def check(seed, n_sub, n_sta, rake):
             geom, stations = self._random_case(seed, n_sub, n_sta, rake)
             ref = reference_okada_gf_bank(geom, stations, rake_deg=rake)

@@ -14,20 +14,18 @@ to offload. The replay semantics:
 * the batch ends when every job (OSG or VDC) has completed — bursting
   the tail is what shortens the makespan.
 
-The per-second loop is O(1) amortized per second + per event (sorted
+Each replayed second is O(1) amortized plus its events (sorted
 pointers, an idle heap, and a VDC completion heap), so multi-hour
 batches replay in well under a second.
 
-The replay is additionally *event-driven between policy-relevant
-seconds* (``run(event_driven=True)``, the default): whenever no policy
-can possibly fire — no policies configured, or the burst cap already
-reached — the loop jumps straight to the next second at which
+The replay is *event-driven between policy-relevant seconds*: whenever
+no policy can possibly fire — no policies configured, or the burst cap
+already reached — the loop jumps straight to the next second at which
 ``completed`` can change (a trace end event or a VDC completion) and
 fills the skipped seconds of the throughput series analytically with
 the exact same float expression the per-second update uses. The series
-and the full :class:`BurstingResult` are bit-identical to the
-per-second loop (``event_driven=False``), which is kept as the
-reference arm and asserted against in the regression tests.
+and the full :class:`BurstingResult` are bit-identical to a loop that
+replays every second, the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -258,13 +256,11 @@ class BurstingSimulator:
             )
         self.max_burst_fraction = max_burst_fraction
 
-    def run(self, event_driven: bool = True) -> BurstingResult:
+    def run(self) -> BurstingResult:
         """Execute the replay; returns the result bundle.
 
-        With ``event_driven=True`` (default) the loop skips ahead
-        between policy-relevant seconds (see module docstring); the
-        result is bit-identical to ``event_driven=False``, the
-        reference per-second loop.
+        The loop skips ahead between policy-relevant seconds (see the
+        module docstring).
         """
         state = _ReplayState(self.trace, self.cloud)
         n_jobs = state.n_jobs
@@ -285,7 +281,7 @@ class BurstingSimulator:
         )
 
         while state.completed < n_jobs:
-            if event_driven and (not self.policies or n_bursted >= max_bursts):
+            if not self.policies or n_bursted >= max_bursts:
                 # No policy can fire from here on this second range, so
                 # nothing observable changes until the next completion
                 # event. Fill the series analytically up to (not

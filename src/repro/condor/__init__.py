@@ -2,8 +2,6 @@
 
 A from-scratch model of the HTCondor pieces the FDW uses:
 
-* :mod:`repro.condor.classads` — a ClassAd-lite attribute/expression
-  model used for requirements matching,
 * :mod:`repro.condor.submit` — submit description files,
 * :mod:`repro.condor.jobs` — job specs and the HTCondor job lifecycle,
 * :mod:`repro.condor.events` — user-log event writing/parsing (what the

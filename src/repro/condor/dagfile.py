@@ -233,13 +233,6 @@ class DagDescription:
         self.node(name)
         return sorted(self._parents[name])
 
-    def n_parents(self, name: str) -> int:
-        """Number of direct parents of a node."""
-        try:
-            return len(self._parents[name])
-        except KeyError:
-            raise DagError(f"unknown DAG node {name!r}") from None
-
     def children(self, name: str) -> list[str]:
         """Direct children of a node."""
         self.node(name)

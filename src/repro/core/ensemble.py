@@ -45,11 +45,6 @@ class RepeatedRuns:
     runtimes_s: tuple[float, ...]
     job_counts: tuple[int, ...]
 
-    @property
-    def n_repeats(self) -> int:
-        """Number of independent pool runs."""
-        return len(self.results)
-
     def average_total_runtime_s(self) -> float:
         """Eq. (1)/(3)."""
         return average_total_runtime(list(self.runtimes_s))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,6 @@ from repro.seismo.stations import StationNetwork
 from repro.core.sharedbank import (
     SharedBankHandle,
     attach_shared_bank,
-    detach_shared_banks,
     publish_shared_bank,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "SharedBankHandle",
     "publish_shared_bank",
     "attach_shared_bank",
-    "detach_shared_banks",
 ]
 
 #: Environment variable naming a default on-disk store directory.
@@ -162,15 +159,12 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
         shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
         min_distance_km: float = 1.0,
         dtype: str = "float64",
-        compute: Callable[[], GreensFunctionBank] | None = None,
     ) -> GreensFunctionBank:
         """Return the bank for these inputs, computing it at most once.
 
-        ``compute`` overrides the default kernel call (used by the Okada
-        flavour and by tests); its result is stored under the
-        content-addressed key of the inputs. ``dtype`` is part of that
-        key, so float32 and float64 banks of the same physics occupy
-        distinct entries.
+        The bank is stored under the content-addressed key of the
+        inputs. ``dtype`` is part of that key, so float32 and float64
+        banks of the same physics occupy distinct entries.
         """
         key = gf_bank_key(
             geometry,
@@ -184,9 +178,7 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
         bank = self.get(key)
         if bank is not None:
             return bank
-        if compute is not None:
-            bank = compute()
-        elif gf_method == "okada":
+        if gf_method == "okada":
             from repro.seismo.okada import compute_okada_gf_bank
 
             bank = compute_okada_gf_bank(geometry, network, dtype=dtype)

@@ -22,8 +22,9 @@ a small picklable
 :class:`~repro.core.sharedbank.SharedBankHandle` plus the pre-generated
 rupture chunk. Each worker keeps one FakeQuakes session, for the
 configuration it is running; a task for another configuration replaces
-it. A Phase-C chunk recycles the attached bank into the session and
-runs the same
+it. A session's first Phase-C chunk attaches the bank into it, and the
+session keeps that mapping until it is replaced. Phase-C chunks run
+the same
 :meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
 inline chunk. Phase-C workers never recompute distances, ruptures, or
 the bank — the in-process equivalent of every Phase-C job pulling the
@@ -46,6 +47,7 @@ import time
 import weakref
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import resource_tracker
@@ -61,7 +63,6 @@ from repro.core.phases import chunk_bounds, plan_phases
 from repro.core.sharedbank import (
     SharedBankHandle,
     attach_shared_bank,
-    detach_shared_banks,
     publish_shared_bank,
 )
 from repro.osg.runtimes import RuntimeModel
@@ -140,24 +141,23 @@ def _fakequakes_for(
 #: This worker's session: the FakeQuakes of the configuration it is
 #: running, so geometry and network are built once per configuration
 #: and the distance matrices once per Phase A, not once per chunk, and
-#: Phase-C chunks reuse the session that holds the attached
-#: shared-memory bank. A task for another configuration replaces it.
+#: Phase-C chunks reuse the shared-memory bank the session attached.
+#: A task for another configuration replaces it.
 _SESSION: FakeQuakes | None = None
 
 
 def _session(params: FakeQuakesParameters) -> FakeQuakes:
     """This worker's session for ``params``, built on first use.
 
-    Replacing the session of another configuration also drops this
-    process's bank attachments: the old session was their only viewer,
-    so their segments close at once.
+    Replacing the session of another configuration also drops the bank
+    the old session attached: the session was its only holder, so its
+    segments close at once.
     """
     global _SESSION
     if _SESSION is None or _SESSION.params != params:
         from repro.seismo.fakequakes import FakeQuakes
 
         _SESSION = None
-        detach_shared_banks()
         _SESSION = FakeQuakes.from_parameters(params)
     return _SESSION
 
@@ -217,15 +217,18 @@ def _run_c_chunk(task: _CChunkTask) -> list[CRow]:
     """Worker: synthesize one Phase-C chunk against the shared GF bank.
 
     The worker's session ends its Phase A, recycles the published bank
-    (attached once per worker process; later chunks reuse the mapping)
-    and runs the same :meth:`FakeQuakes.phase_c_waveforms` as an inline
-    chunk, spooling each product before the next is synthesized when
-    the run archives (see :func:`_spool_rows`).
+    (attached at the session's first Phase-C chunk; later chunks reuse
+    the mapping) and runs the same :meth:`FakeQuakes.phase_c_waveforms`
+    as an inline chunk, spooling each product before the next is
+    synthesized when the run archives (see :func:`_spool_rows`). The
+    session's parameters determine the bank's key, so the bank a
+    session holds is the one ``handle`` names.
     """
     handle, params, ruptures, spool_dir = task
     fq = _session(params)
     fq.end_phase_a()
-    fq.phase_b_greens_functions(recycled=attach_shared_bank(handle))
+    if fq._gf_bank is None:
+        fq.phase_b_greens_functions(recycled=attach_shared_bank(handle))
     return _spool_rows(fq.phase_c_waveforms(ruptures), spool_dir)
 
 
@@ -438,6 +441,30 @@ class _ChunkExecutor:
         ).value
 
 
+@contextmanager
+def _phase(
+    phase_seconds: dict[str, float], name: str, chunks: _ChunkExecutor | None = None
+) -> Iterator[None]:
+    """Time one phase of a run: its wall seconds go to
+    ``phase_seconds[name]`` and into a ``phase:<name>`` span, which for
+    a chunked phase also carries how many of its chunks ``chunks``
+    executed and skipped.
+
+    Spans carry wall time; ``ts`` is the perf_counter origin the
+    tracer's default clock also uses, so runner spans line up with any
+    surrounding obs.span() blocks on the same timeline.
+    """
+    t0 = time.perf_counter()
+    yield
+    dur = phase_seconds[name] = time.perf_counter() - t0
+    args = None
+    if chunks is not None:
+        args = {"executed": chunks.counts["executed"][name],
+                "skipped": chunks.counts["skipped"][name]}
+    obs.complete(f"phase:{name}", ts=t0, dur=dur, category="local", track="runner",
+                 args=args)
+
+
 class LocalRunner:
     """Run an FDW configuration on this machine with real kernels.
 
@@ -583,7 +610,7 @@ class LocalRunner:
         if (checkpoint or resume) and archive_dir is None:
             raise ConfigError("checkpoint/resume requires an archive_dir")
         fq = _fakequakes_for(config, gf_cache=self.gf_cache, kl_cache=self.kl_cache)
-        timings: dict[str, float] = {}
+        phase_seconds: dict[str, float] = {}
         a_chunks = chunk_bounds(config.n_waveforms, config.chunk_a)
         c_chunks = chunk_bounds(config.n_waveforms, config.chunk_c)
         ckpt: RunCheckpoint | None = None
@@ -618,94 +645,72 @@ class LocalRunner:
         # copy would only be forked into each of them.
         restored_a = chunks.restore("A", len(a_chunks))
         pending_a = restored_a[1]
-        t0 = time.perf_counter()
-        if pending_a and not chunks.pools(pending_a):
-            fq.phase_a_distances()
-        timings["dist"] = time.perf_counter() - t0
-        # Phase spans carry wall time; ``ts`` is the perf_counter origin
-        # the tracer's default clock also uses, so runner spans line up
-        # with any surrounding obs.span() blocks on the same timeline.
-        obs.complete("phase:dist", ts=t0, dur=timings["dist"],
-                     category="local", track="runner")
+        with _phase(phase_seconds, "dist"):
+            if pending_a and not chunks.pools(pending_a):
+                fq.phase_a_distances()
 
         # Pool workers share the runner's disk K-L store when one is
         # configured, and build their Phase-A sessions from the params.
-        t0 = time.perf_counter()
-        kl_dir = (
-            str(self.kl_cache.cache_dir) if self.kl_cache.cache_dir is not None else None
-        )
-        chunks_a = chunks.run(
-            "A",
-            restored_a,
-            inline=lambda i: fq.phase_a_ruptures(*a_chunks[i]),
-            worker=_run_a_chunk,
-            task=lambda i: (fq.params, *a_chunks[i], kl_dir),
-        )
-        ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
-        fq.end_phase_a()
-        timings["A"] = time.perf_counter() - t0
-        obs.complete("phase:A", ts=t0, dur=timings["A"],
-                     category="local", track="runner",
-                     args={"executed": chunks.counts["executed"]["A"],
-                           "skipped": chunks.counts["skipped"]["A"]})
+        with _phase(phase_seconds, "A", chunks):
+            kl_dir = (
+                str(self.kl_cache.cache_dir) if self.kl_cache.cache_dir is not None else None
+            )
+            chunks_a = chunks.run(
+                "A",
+                restored_a,
+                inline=lambda i: fq.phase_a_ruptures(*a_chunks[i]),
+                worker=_run_a_chunk,
+                task=lambda i: (fq.params, *a_chunks[i], kl_dir),
+            )
+            ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
+            fq.end_phase_a()
 
-        t0 = time.perf_counter()
-        fq.phase_b_greens_functions()
-        timings["B"] = time.perf_counter() - t0
-        obs.complete("phase:B", ts=t0, dur=timings["B"],
-                     category="local", track="runner")
+        with _phase(phase_seconds, "B"):
+            fq.phase_b_greens_functions()
 
         # Pooled C chunks read the bank from shared memory, published
         # once per bank key when the first task is built.
-        t0 = time.perf_counter()
-        bank_key = gf_bank_key(
-            fq.geometry, fq.network, gf_method=fq.params.gf_method, dtype=fq.params.gf_dtype
-        )
+        with _phase(phase_seconds, "C", chunks):
+            bank_key = gf_bank_key(
+                fq.geometry, fq.network, gf_method=fq.params.gf_method, dtype=fq.params.gf_dtype
+            )
 
-        def c_slice(i: int) -> list[Rupture]:
-            start, count = c_chunks[i]
-            return ruptures[start : start + count]
+            def c_slice(i: int) -> list[Rupture]:
+                start, count = c_chunks[i]
+                return ruptures[start : start + count]
 
-        rows_by_chunk: list[list[CRow]] = chunks.run(
-            "C",
-            chunks.restore("C", len(c_chunks)),
-            inline=lambda i: _spool_rows(fq.phase_c_waveforms(c_slice(i)), spool),
-            worker=_run_c_chunk,
-            task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
-        )
-        pgd: dict[str, float] = {}
-        n_sets = 0
-        for chunk_rows in rows_by_chunk:
-            for rupture_id, pgd_max, _target_mw, _path in chunk_rows:
-                pgd[rupture_id] = pgd_max
-                n_sets += 1
-        timings["C"] = time.perf_counter() - t0
-        obs.complete("phase:C", ts=t0, dur=timings["C"],
-                     category="local", track="runner",
-                     args={"executed": chunks.counts["executed"]["C"],
-                           "skipped": chunks.counts["skipped"]["C"]})
+            rows_by_chunk: list[list[CRow]] = chunks.run(
+                "C",
+                chunks.restore("C", len(c_chunks)),
+                inline=lambda i: _spool_rows(fq.phase_c_waveforms(c_slice(i)), spool),
+                worker=_run_c_chunk,
+                task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
+            )
+            pgd: dict[str, float] = {}
+            n_sets = 0
+            for chunk_rows in rows_by_chunk:
+                for rupture_id, pgd_max, _target_mw, _path in chunk_rows:
+                    pgd[rupture_id] = pgd_max
+                    n_sets += 1
 
         if archive_dir is not None:
             # Workers only spool; the parent owns the manifest (the
             # archive index is not multiprocess-safe).
-            t0 = time.perf_counter()
-            if ckpt is not None:
-                ckpt.reset_archive()
-                archive = ProductArchive(Path(archive_dir), name=config.name)
-            _assemble_archive(
-                archive, rows_by_chunk, ruptures, fq.geometry,  # type: ignore[arg-type]
-                keep_waveforms=ckpt is not None,
-            )
-            if ckpt is not None:
-                ckpt.finalize()
-            timings["archive"] = time.perf_counter() - t0
-            obs.complete("phase:archive", ts=t0, dur=timings["archive"],
-                         category="local", track="runner")
+            with _phase(phase_seconds, "archive"):
+                if ckpt is not None:
+                    ckpt.reset_archive()
+                    archive = ProductArchive(Path(archive_dir), name=config.name)
+                _assemble_archive(
+                    archive, rows_by_chunk, ruptures, fq.geometry,  # type: ignore[arg-type]
+                    keep_waveforms=ckpt is not None,
+                )
+                if ckpt is not None:
+                    ckpt.finalize()
 
         return LocalRunResult(
             config=config,
             n_waveform_sets=n_sets,
-            phase_seconds=timings,
+            phase_seconds=phase_seconds,
             archive_root=archive.root if archive is not None else None,
             pgd_by_rupture=pgd,
             chunks_executed=chunks.counts["executed"],

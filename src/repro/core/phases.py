@@ -77,16 +77,6 @@ class PhasePlan:
         """Total jobs in the DAG."""
         return count_jobs(self.config)
 
-    def all_specs(self) -> list[JobSpec]:
-        """Every job spec in phase order."""
-        specs: list[JobSpec] = []
-        if self.dist_job is not None:
-            specs.append(self.dist_job)
-        specs.extend(self.a_jobs)
-        specs.append(self.b_job)
-        specs.extend(self.c_jobs)
-        return specs
-
 
 def _distance_npy_mb(config: FdwConfig) -> float:
     """Size of one distance ``.npy`` (n_subfaults^2 float64)."""

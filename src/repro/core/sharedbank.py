@@ -3,11 +3,11 @@
 :func:`publish_shared_bank` copies a bank's two large arrays into
 ``multiprocessing.shared_memory`` segments and returns a small picklable
 :class:`SharedBankHandle`; :func:`attach_shared_bank` maps them in a
-worker as read-only arrays, once per process. A process pool
-synthesizing Phase-C chunks so reads one physical copy instead of
-rebuilding O(n_stations x n_subfaults) arrays per worker per chunk.
-:func:`detach_shared_banks` drops a process's attachments; each
-segment is closed once no array views it.
+worker as read-only arrays. A process pool synthesizing Phase-C chunks
+so reads one physical copy instead of rebuilding
+O(n_stations x n_subfaults) arrays per worker per chunk. A mapped
+segment is closed once no array views it, so whoever holds the
+attached bank decides how long the mapping lives.
 
 The module needs numpy and the standard library only (the bank class
 is imported where a worker builds one), so :mod:`repro.core.local`
@@ -33,7 +33,6 @@ __all__ = [
     "SharedBankHandle",
     "publish_shared_bank",
     "attach_shared_bank",
-    "detach_shared_banks",
 ]
 
 
@@ -41,8 +40,8 @@ __all__ = [
 class SharedBankHandle:
     """Picklable descriptor of a bank published into shared memory.
 
-    Small enough to travel in every pool task; workers attach the named
-    segments once and keep the attachment until they detach it.
+    Small enough to travel in every pool task; a worker attaches the
+    named segments once per session (:mod:`repro.core.local`).
     """
 
     key: str
@@ -94,11 +93,6 @@ def publish_shared_bank(
     return handle, segments
 
 
-#: Worker-side attachments: handle key -> bank, so each bank is mapped
-#: once per process until :func:`detach_shared_banks` drops it.
-_ATTACHED: dict[str, GreensFunctionBank] = {}
-
-
 def _view(shm: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype) -> np.ndarray:
     """A read-only array over a segment that closes the segment once no
     array views it.
@@ -121,15 +115,14 @@ def _close(shm: shared_memory.SharedMemory) -> None:
 
 
 def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
-    """Map a published bank in this process (idempotent per key).
+    """Map a published bank in this process.
 
     The returned bank's arrays are **read-only views** over the shared
     segments — concurrent readers cannot corrupt them, and no copy of
-    the O(n_stations x n_subfaults) data is made.
+    the O(n_stations x n_subfaults) data is made. Each call maps the
+    segments anew; the mapping closes once the bank and every view of
+    its arrays are gone.
     """
-    bank = _ATTACHED.get(handle.key)
-    if bank is not None:
-        return bank
     from repro.seismo.greens import GreensFunctionBank
 
     try:
@@ -140,20 +133,9 @@ def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
             f"shared GF bank {handle.key[:12]} is gone (segments unlinked?)"
         ) from exc
     dtype = np.dtype(handle.dtype)
-    bank = GreensFunctionBank(
+    return GreensFunctionBank(
         statics=_view(statics_shm, handle.statics_shape, dtype),
         travel_time_s=_view(travel_shm, handle.travel_shape, dtype),
         station_names=handle.station_names,
         fault_name=handle.fault_name,
     )
-    _ATTACHED[handle.key] = bank
-    return bank
-
-
-def detach_shared_banks() -> None:
-    """Drop this process's attachments (the segments stay linked).
-
-    Each segment is closed as soon as no array views it: at once when
-    nothing else holds the bank, else when the last holder lets go.
-    """
-    _ATTACHED.clear()

@@ -96,10 +96,6 @@ class BatchTrace:
         """Batch runtime (submit to last termination)."""
         return self.end_s - self.submit_s
 
-    def phase_jobs(self, phase: str) -> list[JobTrace]:
-        """Jobs of one FDW phase."""
-        return [j for j in self.jobs if j.phase == phase]
-
 
 def metrics_to_batch_trace(metrics: PoolMetrics, dagman: str) -> BatchTrace:
     """Build one DAGMan's bursting trace from pool metrics.

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError, TransferError
+from repro.errors import ReproError
 from repro.rng import RngFactory
 
 __all__ = [
@@ -227,10 +227,6 @@ class TransferFaults:
         if slow:
             self.n_slow += 1
         return fails, (self.slow_factor if slow else 1.0)
-
-    def fail_now(self, detail: str) -> "TransferError":
-        """The typed, retryable error one failed attempt raises."""
-        return TransferError(f"injected transfer fault: {detail}")
 
 
 @dataclass(frozen=True)

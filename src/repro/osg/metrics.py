@@ -122,14 +122,6 @@ class PoolMetrics:
             raise SimulationError(f"unknown DAGMan {name!r}")
         return [r for r in self.records if r.dagman == name]
 
-    def phase_records(self, phase: str, dagman: str | None = None) -> list[JobRecord]:
-        """Records filtered by FDW phase (and optionally DAGMan)."""
-        return [
-            r
-            for r in self.records
-            if r.phase == phase and (dagman is None or r.dagman == dagman)
-        ]
-
     # -- scalar statistics ---------------------------------------------------
 
     def wait_times_s(self, phase: str | None = None, dagman: str | None = None) -> np.ndarray:

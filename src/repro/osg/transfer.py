@@ -8,10 +8,11 @@ deliveries hit the regional cache and are much faster.
 
 We model a configurable number of cache *sites*; each job lands at a
 random site (the caller draws it), and the cache state is per (file,
-site). Transfer time is ``size / bandwidth`` plus a fixed per-job setup
-overhead (scheduling, container start). The resulting cold-start ramp
-is visible in DAGMan instant-throughput traces and is ablated by
-``bench_ablation_cache``.
+site). A site never evicts: once delivered there, a file stays warm for
+the rest of the campaign. Transfer time is ``size / bandwidth`` plus a
+fixed per-job setup overhead (scheduling, container start). The
+resulting cold-start ramp is visible in DAGMan instant-throughput
+traces and is ablated by ``bench_ablation_cache``.
 
 Resilience (PR 8): a cache built with a
 :class:`~repro.faults.TransferFaults` model retries failed attempts
@@ -25,7 +26,6 @@ simulator.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -64,13 +64,6 @@ class TransferConfig:
     include_image:
         Charge the Singularity image on every job (it is cached like any
         other file).
-    max_entries_per_site:
-        Optional cap on warm entries per cache site. When set, each site
-        evicts its least-recently-used file once the cap is exceeded
-        (real Stash caches have finite disk); evicted files pay origin
-        bandwidth again on their next delivery. ``None`` (default)
-        disables eviction entirely, preserving the unbounded-cache
-        behaviour bit-identically.
     """
 
     origin_mb_per_s: float = 25.0
@@ -78,7 +71,6 @@ class TransferConfig:
     n_cache_sites: int = 12
     setup_overhead_s: float = 35.0
     include_image: bool = True
-    max_entries_per_site: int | None = None
 
     def __post_init__(self) -> None:
         if self.origin_mb_per_s <= 0 or self.cache_mb_per_s <= 0:
@@ -87,11 +79,6 @@ class TransferConfig:
             raise SimulationError("need at least one cache site")
         if self.setup_overhead_s < 0:
             raise SimulationError("setup overhead must be non-negative")
-        if self.max_entries_per_site is not None and self.max_entries_per_site < 1:
-            raise SimulationError(
-                f"max_entries_per_site must be >= 1 or None, "
-                f"got {self.max_entries_per_site}"
-            )
 
 
 class StashCache:
@@ -124,14 +111,10 @@ class StashCache:
         self.faults = faults
         self.retry_policy = retry_policy or RetryPolicy()
         self.retry_seed = retry_seed
-        # Warm files per site. A capped cache keeps each site's files in
-        # LRU order (oldest first) for its evictions; an uncapped one
-        # never evicts, so nothing reads that order and a site holds a
-        # plain set.
-        self._warm: dict[int, OrderedDict[str, None] | set[str]] = {}
+        # Warm files per site.
+        self._warm: dict[int, set[str]] = {}
         self.n_cold_transfers = 0
         self.n_warm_transfers = 0
-        self.n_evictions = 0
         self.n_transfer_faults = 0
         self.n_transfer_retries = 0
         self.n_degraded_transfers = 0
@@ -147,7 +130,6 @@ class StashCache:
         self._warm.clear()
         self.n_cold_transfers = 0
         self.n_warm_transfers = 0
-        self.n_evictions = 0
         self.n_transfer_faults = 0
         self.n_transfer_retries = 0
         self.n_degraded_transfers = 0
@@ -173,44 +155,12 @@ class StashCache:
             return files.items(), _IMAGE_ENTRY
         return (files.items(),)
 
-    def _stage_lru(
+    def _stage(
         self, files: tuple[Iterable[tuple[str, float]], ...], site: int
     ) -> float:
-        """Stage a job's files (:meth:`_job_files`) at one site of a
-        capped cache; returns elapsed seconds (including the setup
-        overhead), marks the files warm and evicts past the cap."""
-        cfg = self.config
-        total = cfg.setup_overhead_s
-        site_cache = self._warm.setdefault(site, OrderedDict())
-        for entries in files:
-            for filename, size_mb in entries:
-                if size_mb < 0:
-                    raise SimulationError(f"negative file size for {filename!r}")
-                if filename in site_cache:
-                    bw = cfg.cache_mb_per_s
-                    self.n_warm_transfers += 1
-                    self.warm_mb_total += size_mb
-                    site_cache.move_to_end(filename)
-                else:
-                    bw = cfg.origin_mb_per_s
-                    site_cache[filename] = None
-                    self.n_cold_transfers += 1
-                    self.cold_mb_total += size_mb
-                    if len(site_cache) > cfg.max_entries_per_site:
-                        site_cache.popitem(last=False)
-                        self.n_evictions += 1
-                total += size_mb / bw
-        # Bandwidth-bound time only; the fixed setup overhead is not a
-        # transfer and would dilute cache-efficiency accounting.
-        self.total_transfer_seconds += total - cfg.setup_overhead_s
-        return total
-
-    def _stage_uncapped(
-        self, files: tuple[Iterable[tuple[str, float]], ...], site: int
-    ) -> float:
-        """:meth:`_stage_lru` for a cache without a cap: set membership
-        and no recency order. The counters and sums take the same values
-        in the same order, so every total has the same bits."""
+        """Stage a job's files (:meth:`_job_files`) at one site; returns
+        elapsed seconds (including the setup overhead) and marks the
+        files warm."""
         cfg = self.config
         setup = cfg.setup_overhead_s
         warm_bw = cfg.cache_mb_per_s
@@ -242,6 +192,8 @@ class StashCache:
             self.n_cold_transfers = n_cold
             self.warm_mb_total = warm_mb
             self.cold_mb_total = cold_mb
+        # Bandwidth-bound time only; the fixed setup overhead is not a
+        # transfer and would dilute cache-efficiency accounting.
         self.total_transfer_seconds += total - setup
         return total
 
@@ -268,7 +220,6 @@ class StashCache:
              self.warm_mb_total),
             ("repro_transfer_mb_total", {"temperature": "degraded"},
              self.degraded_mb_total),
-            ("repro_transfer_evictions_total", {}, float(self.n_evictions)),
             ("repro_transfer_faults_total", {}, float(self.n_transfer_faults)),
             ("repro_transfer_retries_total", {},
              float(self.n_transfer_retries)),
@@ -302,13 +253,12 @@ class StashCache:
                 f"cache site {site!r} outside range({cfg.n_cache_sites})"
             )
         files = self._job_files(spec)
-        stage = self._stage_uncapped if cfg.max_entries_per_site is None else self._stage_lru
         if self.faults is None:
-            return stage(files, site)
+            return self._stage(files, site)
         total = 0.0
         delays = self.retry_policy.schedule(self.retry_seed, "transfer", spec.name)
         for attempt in range(self.retry_policy.max_attempts):
-            elapsed = stage(files, site)
+            elapsed = self._stage(files, site)
             fails, slow = self.faults.draw()
             # The multiplier degrades bandwidth, not the fixed setup.
             total += cfg.setup_overhead_s + (elapsed - cfg.setup_overhead_s) * slow

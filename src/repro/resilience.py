@@ -20,10 +20,9 @@ deterministic form:
   the caller (simulation clock or wall clock), never read from the
   environment, keeping campaigns replayable.
 
-Nothing in this module sleeps by default: delays are *returned and
-accounted*, which is what the simulators need (they advance their own
-clocks) and what keeps the test suite fast. Pass ``sleep=time.sleep``
-for real wall-clock backoff.
+Nothing in this module sleeps: delays are *returned and accounted*,
+which is what the simulators need (they advance their own clocks) and
+what keeps the test suite fast.
 """
 
 from __future__ import annotations
@@ -65,6 +64,10 @@ def is_retryable(exc: BaseException) -> bool:
 class RetryPolicy:
     """Bounded exponential backoff with decorrelated jitter.
 
+    Each delay is drawn uniformly from ``[base, 3 * previous]``
+    (AWS-style decorrelated jitter — spreads a thundering herd without
+    the full-jitter's long idle tails).
+
     Attributes
     ----------
     max_attempts:
@@ -73,18 +76,11 @@ class RetryPolicy:
         Lower bound of every backoff delay; also the first draw's floor.
     max_delay_s:
         Cap on any single delay.
-    jitter:
-        ``True`` (default) draws each delay uniformly from
-        ``[base, 3 * previous]`` (AWS-style decorrelated jitter — spreads
-        a thundering herd without the full-jitter's long idle tails);
-        ``False`` doubles deterministically (``base * 2^n``), useful when
-        a test wants a schedule independent of any RNG.
     """
 
     max_attempts: int = 5
     base_delay_s: float = 0.5
     max_delay_s: float = 30.0
-    jitter: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -101,7 +97,7 @@ class RetryPolicy:
                 f"({self.base_delay_s})"
             )
 
-    def delays(self, rng: np.random.Generator | None = None) -> list[float]:
+    def delays(self, rng: np.random.Generator) -> list[float]:
         """The full backoff schedule: one delay per possible retry.
 
         Deterministic for a given generator state — two generators
@@ -111,16 +107,8 @@ class RetryPolicy:
         out: list[float] = []
         prev = self.base_delay_s
         for _ in range(self.max_attempts - 1):
-            if self.jitter:
-                if rng is None:
-                    raise SimulationError(
-                        "jittered RetryPolicy.delays needs a Generator; "
-                        "pass rng= or use schedule(seed, ...)"
-                    )
-                hi = max(self.base_delay_s, prev * 3.0)
-                delay = float(rng.uniform(self.base_delay_s, hi))
-            else:
-                delay = self.base_delay_s * (2.0 ** len(out))
+            hi = max(self.base_delay_s, prev * 3.0)
+            delay = float(rng.uniform(self.base_delay_s, hi))
             delay = min(delay, self.max_delay_s)
             out.append(delay)
             prev = delay
@@ -157,11 +145,9 @@ class RetryOutcome:
 def retry_call(
     fn: Callable[[], object],
     policy: RetryPolicy | None = None,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
     keys: tuple[str | int, ...] = (),
-    classify: Callable[[BaseException], bool] = is_retryable,
-    sleep: Callable[[float], None] | None = None,
     on_retry: Callable[[int, BaseException, float], None] | None = None,
 ) -> RetryOutcome:
     """Call ``fn`` under a retry policy; return value plus accounting.
@@ -172,37 +158,25 @@ def retry_call(
         Zero-argument callable (close over the real arguments).
     policy:
         Backoff parameters; default :class:`RetryPolicy()`.
-    rng, seed, keys:
-        Jitter source: pass an explicit generator, or a ``seed`` plus a
-        stable ``keys`` path (→ :meth:`RetryPolicy.schedule` semantics).
-        One of the two is required for a jittered policy.
-    classify:
-        Predicate deciding whether an exception is worth retrying
-        (default: the :attr:`~repro.errors.ReproError.retryable` flag).
-    sleep:
-        Called with each backoff delay; ``None`` (default) records the
-        delay without sleeping — simulation time, not wall time.
+    seed, keys:
+        Jitter source: the backoff delays are
+        ``policy.schedule(seed, *keys)``.
     on_retry:
         Observer hook ``(attempt_number, exception, delay_s)`` fired
         before each retry.
 
+    The delays are recorded, not slept: simulation time, not wall time.
     Raises the last exception when attempts are exhausted, and the first
-    exception immediately when ``classify`` rejects it.
+    exception immediately when :func:`is_retryable` rejects it.
     """
     policy = policy or RetryPolicy()
-    if policy.jitter and rng is None:
-        if seed is None:
-            raise SimulationError(
-                "retry_call with a jittered policy needs rng= or seed="
-            )
-        rng = RngFactory(seed).generator("retry", *keys)
-    plan = policy.delays(rng)
+    plan = policy.schedule(seed, *keys)
     delays: list[float] = []
     for attempt in range(1, policy.max_attempts + 1):
         try:
             return RetryOutcome(value=fn(), attempts=attempt, delays=delays)
         except BaseException as exc:  # noqa: BLE001 - reclassified below
-            if attempt >= policy.max_attempts or not classify(exc):
+            if attempt >= policy.max_attempts or not is_retryable(exc):
                 raise
             delay = plan[attempt - 1]
             delays.append(delay)
@@ -214,8 +188,6 @@ def retry_call(
                 obs.counter_add("repro_retry_backoff_seconds_total", delay)
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
-            if sleep is not None:
-                sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

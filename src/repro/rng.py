@@ -96,10 +96,6 @@ class RngFactory:
         """Return a fresh :class:`~numpy.random.Generator` for a key path."""
         return default_rng(self.child_seed(*keys))
 
-    def spawn(self, *keys: str | int) -> "RngFactory":
-        """Return a sub-factory rooted at a key path (for subsystems)."""
-        return RngFactory(self.child_seed(*keys))
-
     def generators(self, prefix: str, count: int) -> list[Generator]:
         """Return ``count`` generators keyed ``(prefix, 0..count-1)``."""
         if count < 0:

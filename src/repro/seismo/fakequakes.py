@@ -246,9 +246,7 @@ class FakeQuakes:
 
     # -- Phase C -------------------------------------------------------------
 
-    def phase_c_waveforms(
-        self, ruptures: list[Rupture], duration_s: float | None = None
-    ) -> Iterator[WaveformSet]:
+    def phase_c_waveforms(self, ruptures: list[Rupture]) -> Iterator[WaveformSet]:
         """Synthesize waveforms for a chunk of ruptures (one C-phase job).
 
         The whole chunk is validated before this returns
@@ -262,9 +260,7 @@ class FakeQuakes:
         """
         bank = self.phase_b_greens_functions()
         noise = GnssNoiseModel() if self.params.with_noise else None
-        synth = WaveformSynthesizer(
-            bank, dt_s=self.params.dt_s, duration_s=duration_s, noise=noise
-        )
+        synth = WaveformSynthesizer(bank, dt_s=self.params.dt_s, noise=noise)
         rngs = (
             [self.rngs.generator("noise", r.rupture_id) for r in ruptures]
             if self.params.with_noise

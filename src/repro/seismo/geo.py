@@ -16,7 +16,6 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "haversine_km",
     "LocalProjection",
-    "distance_3d_km",
 ]
 
 EARTH_RADIUS_KM = 6371.0
@@ -41,25 +40,6 @@ def haversine_km(
     a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1r) * np.cos(lat2r) * np.sin(dlon / 2.0) ** 2
     # Clip guards against tiny negative values from rounding.
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-def distance_3d_km(
-    lon1: np.ndarray | float,
-    lat1: np.ndarray | float,
-    depth1: np.ndarray | float,
-    lon2: np.ndarray | float,
-    lat2: np.ndarray | float,
-    depth2: np.ndarray | float,
-) -> np.ndarray | float:
-    """Slant distance in km including the depth difference.
-
-    Uses the great-circle surface distance as the horizontal leg, which
-    is accurate to well under a percent at the regional (<1500 km) scales
-    the simulator works at.
-    """
-    horiz = haversine_km(lon1, lat1, lon2, lat2)
-    dz = np.asarray(depth2, dtype=float) - np.asarray(depth1, dtype=float)
-    return np.sqrt(horiz**2 + dz**2)
 
 
 class LocalProjection:

@@ -164,13 +164,6 @@ class GreensFunctionBank:
             fault_name=self.fault_name,
         )
 
-    def station_index(self, name: str) -> int:
-        """Index of a station by code."""
-        try:
-            return self.station_names.index(name)
-        except ValueError:
-            raise GreensFunctionError(f"station {name!r} not in GF bank") from None
-
     # -- persistence (the .mseed-archive stand-in) --------------------------
 
     def save(self, path: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""Kinematic rupture parameters: rise times, onset times, source pulses.
+"""Kinematic rupture parameters: rise times and onset times.
 
 Given a slip distribution on a patch of subfaults, FakeQuakes assigns
 each subfault a **rise time** (how long it takes the slip to occur,
@@ -19,7 +19,6 @@ __all__ = [
     "DEFAULT_RUPTURE_VELOCITY_FRACTION",
     "rise_times",
     "onset_times",
-    "slip_ramp",
 ]
 
 #: Crustal shear-wave speed used for travel/rupture timing (km/s).
@@ -105,19 +104,3 @@ def onset_times(
         + (depth - depth[hypocenter_index]) ** 2
     )
     return dist / vr
-
-
-def slip_ramp(t: np.ndarray, onset_s: float, rise_s: float) -> np.ndarray:
-    """Normalized cosine-ramp slip history: 0 before onset, 1 after rise.
-
-    ``s(t) = 0.5 * (1 - cos(pi * (t - onset)/rise))`` inside the ramp.
-    This is the integral shape of a raised-cosine slip-rate pulse — a
-    smooth, band-limited source time function appropriate for 1 Hz GNSS
-    displacement synthesis.
-    """
-    if rise_s <= 0:
-        raise RuptureError(f"rise time must be positive, got {rise_s}")
-    t = np.asarray(t, dtype=float)
-    x = (t - onset_s) / rise_s
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))
-    return ramp

@@ -59,6 +59,36 @@ def _link(source: Path, dest: Path) -> None:
         shutil.copyfile(source, dest)
 
 
+#: The fields of a manifest entry that :class:`ProductArchive` reads.
+_ENTRY_FIELDS = ("kind", "label", "path", "bytes", "metadata")
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``, checked to be a JSON object whose
+    ``entries`` is a list of archive entries.
+
+    The file comes from outside the program, so anything else, a file
+    that is not JSON included, is an :class:`~repro.errors.ArchiveError`
+    naming the path.
+    """
+    try:
+        manifest = json.loads(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ArchiveError(f"cannot read manifest {path}: {exc}") from exc
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ArchiveError(f"manifest {path} is not a JSON object with an entries list")
+    for i, e in enumerate(entries):
+        if not (
+            isinstance(e, dict)
+            and all(f in e for f in _ENTRY_FIELDS)
+            and isinstance(e["kind"], str)
+            and isinstance(e["label"], str)
+        ):
+            raise ArchiveError(f"manifest {path}: entry {i} is not an archive entry")
+    return manifest
+
+
 @dataclass
 class ProductArchive:
     """A labeled directory of simulation products with a JSON manifest.
@@ -86,7 +116,7 @@ class ProductArchive:
         self._manifest_path = self.root / self.MANIFEST
         self._batch_depth = 0
         if self._manifest_path.exists():
-            self._manifest = json.loads(self._manifest_path.read_text())
+            self._manifest = _read_manifest(self._manifest_path)
             if self._manifest.get("archive") != self.name:
                 # Reopening with a different label is almost always an
                 # accident; keep the stored name authoritative.

@@ -312,6 +312,10 @@ _STATION_BLOCK = 8
 def _ramp(x: np.ndarray) -> np.ndarray:
     """The cosine slip ramp ``0.5 * (1 - cos(pi * x))``, in place on ``x``.
 
+    This is the integral shape of a raised-cosine slip-rate pulse — a
+    smooth, band-limited source time function appropriate for 1 Hz GNSS
+    displacement synthesis.
+
     For ``0 <= x <= 1`` these are the IEEE operations of the dense
     plane's ``0.5 * (1.0 - np.cos(np.pi * np.clip(x, 0.0, 1.0)))``, in
     the same order and dtype. Each is elementwise, so a cell's value does

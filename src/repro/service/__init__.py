@@ -9,7 +9,7 @@ over the VDC catalog/storage. See :mod:`repro.service.service` for the
 design notes.
 """
 
-from repro.service.clock import Clock, VirtualClock
+from repro.service.clock import VirtualClock
 from repro.service.demo import DemoReport, run_service_demo
 from repro.service.runner import (
     BurstingRunner,
@@ -29,7 +29,6 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "Clock",
     "VirtualClock",
     "Runner",
     "RunnerOutcome",

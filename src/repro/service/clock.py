@@ -13,27 +13,13 @@ service test suite pins).
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from repro.errors import ServiceError
 
-__all__ = ["Clock", "VirtualClock"]
-
-
-class Clock(Protocol):
-    """What the service needs from a clock."""
-
-    def now(self) -> float:
-        """Current time in seconds."""
-        ...
-
-    def advance_to(self, t: float) -> None:
-        """Move time forward to ``t`` (never backward)."""
-        ...
+__all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Monotone simulated clock (the default and the test clock)."""
+    """Monotone simulated clock."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)

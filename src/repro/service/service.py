@@ -53,7 +53,7 @@ from repro.errors import BackpressureError, QuotaExceededError, ServiceError
 from repro.obs.stats import percentile
 from repro.osg.negotiator import NegotiatorConfig, negotiate
 from repro.osg.schedd import ScheddQueue
-from repro.service.clock import Clock, VirtualClock
+from repro.service.clock import VirtualClock
 from repro.service.runner import PoolRunner, Runner, RunnerOutcome
 from repro.vdc.catalog import ProductRecord
 from repro.vdc.portal import Portal
@@ -289,9 +289,6 @@ class PortalService:
     negotiator:
         Fair-share knobs forwarded to
         :func:`~repro.osg.negotiator.negotiate`.
-    clock:
-        Service clock; defaults to a fresh
-        :class:`~repro.service.clock.VirtualClock`.
     deposit_site:
         Storage site receiving each run's primary replicas (default:
         the portal storage's first site).
@@ -311,7 +308,6 @@ class PortalService:
         n_workers: int = 2,
         quota: ServiceQuota | None = None,
         negotiator: NegotiatorConfig | None = None,
-        clock: Clock | None = None,
         deposit_site: str | None = None,
     ) -> None:
         if n_workers < 1:
@@ -322,7 +318,7 @@ class PortalService:
         )
         self.quota = quota or ServiceQuota()
         self.negotiator = negotiator or NegotiatorConfig()
-        self.clock: Clock = clock or VirtualClock()
+        self.clock = VirtualClock()
         self.n_workers = n_workers
         if deposit_site is not None:
             self.portal.storage.site(deposit_site)  # validate early

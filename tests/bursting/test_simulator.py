@@ -12,6 +12,7 @@ from repro.bursting.policies import (
 from repro.bursting.simulator import BurstingSimulator, _ReplayState
 from repro.core.traces import BatchTrace, JobTrace
 from repro.errors import PolicyError, TraceError
+from tests.oracles.bursting_per_second import PerSecondSimulator
 
 
 def synthetic_trace(n_jobs=40, exec_s=300.0, stagger_s=60.0, phase="C"):
@@ -232,12 +233,12 @@ def test_event_driven_bit_identical_to_per_second(make_policies, cap):
     loop exactly — including every float of the throughput series.
     Policies are stateful, so each arm gets fresh instances."""
     trace = synthetic_trace(n_jobs=25, exec_s=130.5, stagger_s=17.0)
-    reference = BurstingSimulator(
+    reference = PerSecondSimulator(
         trace, policies=make_policies(), max_burst_fraction=cap
-    ).run(event_driven=False)
+    ).run()
     fast = BurstingSimulator(
         trace, policies=make_policies(), max_burst_fraction=cap
-    ).run(event_driven=True)
+    ).run()
     assert _result_fields(fast) == _result_fields(reference)
     assert len(fast.throughput_series_jpm) == len(reference.throughput_series_jpm)
     assert np.array_equal(
@@ -263,16 +264,16 @@ def test_event_driven_bit_identical_when_bursting_fires():
         dagman="stuck", submit_s=0.0, first_execute_s=10.0, end_s=7480.0, jobs=jobs
     )
     for cap in (None, 0.25):
-        reference = BurstingSimulator(
+        reference = PerSecondSimulator(
             trace,
             policies=[QueueTimePolicy(max_queue_s=600.0)],
             max_burst_fraction=cap,
-        ).run(event_driven=False)
+        ).run()
         fast = BurstingSimulator(
             trace,
             policies=[QueueTimePolicy(max_queue_s=600.0)],
             max_burst_fraction=cap,
-        ).run(event_driven=True)
+        ).run()
         assert _result_fields(fast) == _result_fields(reference)
         assert np.array_equal(
             fast.throughput_series_jpm, reference.throughput_series_jpm

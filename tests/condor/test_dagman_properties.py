@@ -65,7 +65,7 @@ def test_topological_order_matches_networkx(graph):
     oracle.add_edges_from(edges)
     order = list(nx.topological_sort(oracle))
     assert dag.topological_order() == order
-    roots = [n for n in dag.node_names if dag.n_parents(n) == 0]
+    roots = [n for n in dag.node_names if not dag.parents(n)]
     assert roots == [n for n in nodes if oracle.in_degree(n) == 0]
     if edges:
         parent, child = edges[-1]
@@ -155,7 +155,7 @@ def test_rescue_commutes_with_execution(dag, seed):
 def test_initial_ready_set_is_exactly_the_roots(dag):
     engine = DagmanEngine(dag)
     counts = engine.counts()
-    n_roots = sum(1 for n in dag.node_names if dag.n_parents(n) == 0)
+    n_roots = sum(1 for n in dag.node_names if not dag.parents(n))
     assert counts[NodeStatus.READY] == n_roots
     assert counts[NodeStatus.WAITING] == len(dag) - n_roots
 

@@ -15,7 +15,7 @@ def point():
 
 
 def test_counts(point):
-    assert point.n_repeats == 3
+    assert len(point.results) == 3
     assert len(point.runtimes_s) == 3  # one DAGMan per repeat
     assert all(r > 0 for r in point.runtimes_s)
     assert len(set(point.job_counts)) == 1  # same DAG every repeat

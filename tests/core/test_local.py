@@ -383,13 +383,13 @@ def _worker_probe(task):
     has checked in, so each worker answers exactly one probe.
 
     Reports the session's configuration, whether it still holds Phase-A
-    state, how many banks it has attached, and how many of the sessions
-    and banks any probe in this worker saw are still alive.
+    state, whether it holds a bank, and how many of the sessions and
+    banks any probe in this worker saw are still alive.
     """
     import os
     import weakref
 
-    from repro.core import local, sharedbank
+    from repro.core import local
 
     rendezvous, n_workers = task
     Path(rendezvous, str(os.getpid())).touch()
@@ -399,7 +399,8 @@ def _worker_probe(task):
             raise TimeoutError("not every pool worker took a probe")
         time.sleep(0.01)
     fq = local._SESSION
-    for kind, obj in [("session", fq)] + [("bank", b) for b in sharedbank._ATTACHED.values()]:
+    bank = None if fq is None else fq._gf_bank
+    for kind, obj in (("session", fq), ("bank", bank)):
         if obj is not None and not any(ref() is obj for _, ref in _SEEN):
             _SEEN.append((kind, weakref.ref(obj)))
     alive = [kind for kind, ref in _SEEN if ref() is not None]
@@ -407,7 +408,7 @@ def _worker_probe(task):
         os.getpid(),
         None if fq is None else fq.params,
         fq is not None and fq._distances is None and fq._generator is None,
-        len(sharedbank._ATTACHED),
+        int(bank is not None),
         alive.count("session"),
         alive.count("bank"),
     )
@@ -450,9 +451,10 @@ def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
     """A worker's session keeps its distance matrices and generator
     between Phase-A chunks, holds a K-L cache only while a chunk runs,
     and drops its Phase-A state when it takes a Phase-C chunk, whose
-    rows carry the sequential run's PGDs."""
+    rows carry the sequential run's PGDs. The session attaches the bank
+    at its first Phase-C chunk and keeps that one mapping."""
     from repro.core import local
-    from repro.core.sharedbank import detach_shared_banks, publish_shared_bank
+    from repro.core.sharedbank import publish_shared_bank
 
     monkeypatch.setattr(local, "_SESSION", None)
     params = local._fakequakes_for(pooled_a_config).params
@@ -465,12 +467,15 @@ def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
     fq = local._fakequakes_for(pooled_a_config)
     handle, segments = publish_shared_bank(fq.phase_b_greens_functions(), "phase-a-end")
     try:
-        rows = local._run_c_chunk((handle, params, ruptures, None))
+        rows = local._run_c_chunk((handle, params, ruptures[:2], None))
         assert local._SESSION is session
         assert session._distances is None and session._generator is None
+        bank = session._gf_bank
+        assert not bank.statics.flags.writeable  # the shared-memory view
+        rows += local._run_c_chunk((handle, params, ruptures[2:], None))
+        assert session._gf_bank is bank
     finally:
         monkeypatch.setattr(local, "_SESSION", None)
-        detach_shared_banks()
         for shm in segments:
             shm.close()
             shm.unlink()

@@ -9,6 +9,12 @@ from repro.core.phases import chunk_bounds, count_jobs, gf_archive_mb, plan_phas
 from repro.errors import ConfigError
 
 
+def all_specs(plan):
+    """Every job spec of a plan in phase order."""
+    dist = [plan.dist_job] if plan.dist_job is not None else []
+    return [*dist, *plan.a_jobs, plan.b_job, *plan.c_jobs]
+
+
 def test_chunk_bounds_exact_division():
     assert chunk_bounds(8, 4) == [(0, 4), (4, 4)]
 
@@ -71,7 +77,7 @@ def test_count_jobs_matches_the_plan(recycle, chunk_a, chunk_c, n_waveforms):
         recycle_distances=recycle,
     )
     plan = plan_phases(config)
-    assert count_jobs(config) == len(plan.all_specs()) == plan.n_jobs
+    assert count_jobs(config) == len(all_specs(plan)) == plan.n_jobs
 
 
 def test_payloads_carry_station_count():
@@ -126,7 +132,7 @@ def test_a_jobs_stage_distance_matrices():
 
 def test_all_specs_order():
     plan = plan_phases(FdwConfig(n_waveforms=8, recycle_distances=False, name="w"))
-    specs = plan.all_specs()
+    specs = all_specs(plan)
     assert specs[0].payload.phase == "dist"
     assert specs[1].payload.phase == "A"
     assert specs[-1].payload.phase == "C"
@@ -136,7 +142,7 @@ def test_all_specs_order():
 def test_requests_match_paper_resources():
     plan = plan_phases(FdwConfig(n_waveforms=8))
     # "4 CPU cores ... up to 16GB" (paper section 3).
-    assert all(j.request_cpus == 4 for j in plan.all_specs())
+    assert all(j.request_cpus == 4 for j in all_specs(plan))
     assert plan.b_job.request_memory_mb == 16384
 
 

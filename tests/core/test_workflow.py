@@ -19,7 +19,7 @@ def test_structure_counts(dag):
 
 
 def test_a_jobs_are_roots_when_recycled(dag):
-    roots = [n for n in dag.node_names if dag.n_parents(n) == 0]
+    roots = [n for n in dag.node_names if not dag.parents(n)]
     assert sorted(roots) == ["w_A_00000", "w_A_00001"]
 
 
@@ -35,7 +35,7 @@ def test_c_depends_on_b(dag):
 
 def test_bootstrap_is_root_when_not_recycled():
     dag = build_fdw_dag(FdwConfig(n_waveforms=32, recycle_distances=False, name="w"))
-    assert [n for n in dag.node_names if dag.n_parents(n) == 0] == ["w_dist"]
+    assert [n for n in dag.node_names if not dag.parents(n)] == ["w_dist"]
     assert dag.children("w_dist") == ["w_A_00000", "w_A_00001"]
 
 

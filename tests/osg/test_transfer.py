@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.condor.jobs import JobSpec
 from repro.errors import SimulationError
 from repro.osg.transfer import SINGULARITY_IMAGE_MB, StashCache, TransferConfig
+from tests.oracles.stash_lru import CappedTransferConfig, LruStashCache
 
 
 def spec(files=None):
@@ -94,53 +95,23 @@ def test_cold_transfer_slower_than_warm():
     assert cfg.origin_mb_per_s < cfg.cache_mb_per_s
 
 
-def test_lru_eviction_refetches_from_origin():
-    cache = one_site_cache(
-        origin_mb_per_s=10.0, cache_mb_per_s=100.0,
-        include_image=False, max_entries_per_site=2,
-    )
-    cache.transfer_time(spec({"f1": 100.0, "f2": 100.0}), 0)
-    assert cache.n_evictions == 0
-    # f3 exceeds the cap: f1 (least recently used) is evicted.
-    cache.transfer_time(spec({"f3": 100.0}), 0)
-    assert cache.n_evictions == 1
-    assert not cache.is_warm("f1", 0)
-    assert cache.is_warm("f2", 0)
-    assert cache.is_warm("f3", 0)
-    # f1 now pays origin bandwidth again.
-    t = cache.transfer_time(spec({"f1": 100.0}), 0)
-    assert t == pytest.approx(10.0)
-
-
-def test_lru_recency_updated_on_warm_hit():
-    cache = one_site_cache(include_image=False, max_entries_per_site=2)
-    cache.transfer_time(spec({"f1": 1.0}), 0)
-    cache.transfer_time(spec({"f2": 1.0}), 0)
-    cache.transfer_time(spec({"f1": 1.0}), 0)  # touch f1: f2 becomes LRU
-    cache.transfer_time(spec({"f3": 1.0}), 0)
-    assert cache.is_warm("f1", 0)
-    assert not cache.is_warm("f2", 0)
-    assert cache.is_warm("f3", 0)
-
-
 def test_no_cap_means_no_evictions():
     cache = one_site_cache(include_image=False)
     for i in range(50):
         cache.transfer_time(spec({f"f{i}": 1.0}), 0)
-    assert cache.n_evictions == 0
     assert all(cache.is_warm(f"f{i}", 0) for i in range(50))
 
 
 def test_default_config_transfer_times_unchanged_by_lru_code():
-    # max_entries_per_site=None must be bit-identical to the pre-LRU cache.
+    # The default cache must be bit-identical to the pre-LRU cache.
     files = {"a": 123.0, "b": 7.5, "c": 900.0}
     times_default = []
     times_huge_cap = []
-    for cfg_kw, out in (
-        (dict(), times_default),
-        (dict(max_entries_per_site=10_000), times_huge_cap),
+    for cache, out in (
+        (StashCache(TransferConfig(n_cache_sites=3)), times_default),
+        (LruStashCache(CappedTransferConfig(n_cache_sites=3, max_entries_per_site=10_000)),
+         times_huge_cap),
     ):
-        cache = StashCache(TransferConfig(n_cache_sites=3, **cfg_kw))
         rng = np.random.default_rng(5)
         for _ in range(30):
             out.append(cache.transfer_time(spec(dict(files)), int(rng.integers(3))))
@@ -175,9 +146,11 @@ def test_uncapped_staging_matches_a_cap_above_every_file_count(jobs, include_ima
     caches = [
         StashCache(TransferConfig(
             n_cache_sites=4, setup_overhead_s=setup, include_image=include_image,
-            max_entries_per_site=cap,
-        ))
-        for cap in (None, len(_FILE_NAMES) + 1)
+        )),
+        LruStashCache(CappedTransferConfig(
+            n_cache_sites=4, setup_overhead_s=setup, include_image=include_image,
+            max_entries_per_site=len(_FILE_NAMES) + 1,
+        )),
     ]
     times = [
         [cache.transfer_time(spec(dict(files)), site).hex() for files, site in jobs]
@@ -185,7 +158,7 @@ def test_uncapped_staging_matches_a_cap_above_every_file_count(jobs, include_ima
     ]
     assert times[0] == times[1]
     counters = [
-        (c.n_cold_transfers, c.n_warm_transfers, c.n_evictions,
+        (c.n_cold_transfers, c.n_warm_transfers,
          c.cold_mb_total.hex(), c.warm_mb_total.hex(), c.total_transfer_seconds.hex())
         for c in caches
     ]
@@ -196,24 +169,6 @@ def test_uncapped_staging_matches_a_cap_above_every_file_count(jobs, include_ima
         for c in caches
     ]
     assert warm[0] == warm[1]
-
-
-def test_reset_clears_evictions():
-    cache = one_site_cache(include_image=False, max_entries_per_site=1)
-    cache.transfer_time(spec({"f1": 1.0, "f2": 1.0}), 0)
-    assert cache.n_evictions == 1
-    cache.reset()
-    assert cache.n_evictions == 0
-    assert not cache.is_warm("f2", 0)
-
-
-def test_max_entries_validation():
-    with pytest.raises(SimulationError):
-        TransferConfig(max_entries_per_site=0)
-    with pytest.raises(SimulationError):
-        TransferConfig(max_entries_per_site=-3)
-    assert TransferConfig(max_entries_per_site=None).max_entries_per_site is None
-    assert TransferConfig(max_entries_per_site=1).max_entries_per_site == 1
 
 
 # -- injected transfer faults and the retry path -------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.seismo.geo import (
     EARTH_RADIUS_KM,
     LocalProjection,
-    distance_3d_km,
     haversine_km,
 )
 
@@ -50,17 +49,6 @@ def test_haversine_symmetry(lon1, lat1, lon2, lat2):
 def test_haversine_bounded_by_half_circumference(lon1, lat1, lon2, lat2):
     d = haversine_km(lon1, lat1, lon2, lat2)
     assert 0.0 <= d <= np.pi * EARTH_RADIUS_KM + 1e-6
-
-
-def test_distance_3d_includes_depth():
-    d = distance_3d_km(-71.0, -30.0, 0.0, -71.0, -30.0, 30.0)
-    assert d == pytest.approx(30.0)
-
-
-def test_distance_3d_pythagorean():
-    horiz = haversine_km(-71.0, -30.0, -71.5, -30.0)
-    d = distance_3d_km(-71.0, -30.0, 0.0, -71.5, -30.0, 40.0)
-    assert d == pytest.approx(np.hypot(horiz, 40.0), rel=1e-9)
 
 
 def test_projection_origin_maps_to_zero():

@@ -67,13 +67,6 @@ def test_travel_time_matches_velocity(small_geometry, small_network):
     np.testing.assert_allclose(bank.travel_time_s, 2.0 * bank2.travel_time_s)
 
 
-def test_station_index(small_gf_bank, small_network):
-    name = small_network.names[3]
-    assert small_gf_bank.station_index(name) == 3
-    with pytest.raises(GreensFunctionError):
-        small_gf_bank.station_index("ZZZZ")
-
-
 def test_save_load_roundtrip(tmp_path, small_gf_bank):
     path = small_gf_bank.save(tmp_path / "gf.npz")
     back = GreensFunctionBank.load(path)

@@ -101,6 +101,21 @@ def test_archive_path_of_unknown(tmp_path):
         archive.path_of("k", "missing")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"archive": "x"}', '["entries"]', '{"archive": "x", "entries": [{"kind": "k"}]}'],
+    ids=["not-json", "no-entries", "list", "bad-entry"],
+)
+def test_malformed_manifest_is_an_archive_error(tmp_path, text):
+    """The manifest is outside input: reopening an archive whose
+    manifest is not one raises ArchiveError naming it."""
+    root = tmp_path / "arch"
+    root.mkdir()
+    (root / "manifest.json").write_text(text)
+    with pytest.raises(ArchiveError, match="manifest.json"):
+        ProductArchive(root)
+
+
 def test_archive_find_by_metadata_subset(tmp_path):
     archive = ProductArchive(tmp_path / "arch")
     archive.add_file(_touch(tmp_path, "a.bin"), kind="wf", label="a", metadata={"mw": 8.0})

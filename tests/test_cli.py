@@ -172,6 +172,15 @@ def test_run_local_checkpoint_and_resume(config_path, tmp_path, capsys):
     assert "phase archive" in out
 
 
+def test_run_local_malformed_manifest_is_an_error(config_path, tmp_path, capsys):
+    arch = tmp_path / "arch"
+    arch.mkdir()
+    (arch / "manifest.json").write_text('{"archive": "x"}')
+    assert main(["run", str(config_path), "--local", "--archive-dir", str(arch)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json" in err
+
+
 def test_recover_resubmits_remainder(config_path, tmp_path, capsys):
     from repro.core.config import FdwConfig
     from repro.core.workflow import build_fdw_dag

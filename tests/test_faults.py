@@ -251,16 +251,6 @@ def test_transfer_faults_validation_and_draws():
     assert [model.draw() for _ in range(50)] == draws
 
 
-def test_transfer_fault_error_is_retryable():
-    from repro.errors import TransferError
-    from repro.faults import TransferFaults
-    from repro.resilience import is_retryable
-
-    exc = TransferFaults().fail_now("stash glitch")
-    assert isinstance(exc, TransferError)
-    assert is_retryable(exc)
-
-
 def test_site_outage_window():
     from repro.faults import SiteOutage
 

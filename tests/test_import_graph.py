@@ -13,10 +13,14 @@ stay bound at its import, so they live in modules that load no seismic
 code. The harness itself must still find every entry point it wraps:
 a moved method or import breaks each traced benchmark run, and the
 harness's own tests are outside this suite.
+
+Every module under ``src/repro`` is also part of a program: the CLI, or
+a module that a benchmark or an example imports, loads it.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -27,6 +31,7 @@ import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = str(_ROOT / "src")
+_PACKAGE = _ROOT / "src" / "repro"
 _LAYERS = str(_ROOT / "benchmarks" / "e2e" / "layers.py")
 
 _LOADED = """
@@ -115,3 +120,42 @@ def test_e2e_harness_wraps_every_target():
     and in every module that looks it up, and ``uninstall`` restores
     them all."""
     assert int(_run(_WRAPPERS, _LAYERS)) > 0
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(_PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path, modules: set[str]) -> set[str]:
+    """The ``repro`` modules ``path`` imports anywhere in its body,
+    inside functions too, with the packages that hold them."""
+    names: list[str] = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    found = set()
+    for name in names:
+        parts = name.split(".")
+        found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return found & modules
+
+
+def test_every_module_is_reachable_from_a_program():
+    """No module under ``src/repro`` is orphaned: each is in the static
+    import closure of ``repro.cli`` or of a module that a file under
+    ``benchmarks/`` or ``examples/`` imports."""
+    files = {_module_name(path): path for path in _PACKAGE.rglob("*.py")}
+    modules = set(files)
+    todo = {"repro.cli"}
+    for top in ("benchmarks", "examples"):
+        for path in (_ROOT / top).rglob("*.py"):
+            todo |= _imports(path, modules)
+    reached: set[str] = set()
+    while todo:
+        module = todo.pop()
+        reached.add(module)
+        todo |= _imports(files[module], modules) - reached
+    assert sorted(modules - reached) == []

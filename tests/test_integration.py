@@ -116,8 +116,8 @@ class TestPartitionedBatches:
             len(
                 {
                     r.node_name
-                    for r in result.metrics.phase_records("C", dagman=p.name)
-                    if r.success
+                    for r in result.metrics.for_dagman(p.name)
+                    if r.phase == "C" and r.success
                 }
             )
             for p in parts

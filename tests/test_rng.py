@@ -39,17 +39,6 @@ def test_generators_independent_streams():
     assert not np.allclose(a, b)
 
 
-def test_spawn_matches_child_seed():
-    f = RngFactory(9)
-    child = f.spawn("sub")
-    assert child.seed == f.child_seed("sub")
-    # Keys under the spawned factory match a full path from the root.
-    np.testing.assert_array_equal(
-        child.generator("k").random(3),
-        RngFactory(f.child_seed("sub")).generator("k").random(3),
-    )
-
-
 def test_generators_list():
     gens = RngFactory(1).generators("worker", 4)
     assert len(gens) == 4

@@ -34,7 +34,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ObsError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -571,17 +571,27 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
 
     from repro.obs.export import render_summary
 
+    def read(path: Path) -> str:
+        try:
+            return path.read_text()
+        except OSError as exc:
+            raise ObsError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ObsError(f"{path}: not UTF-8 text: {exc}") from exc
+
     trace_doc = None
     if args.trace_json is not None:
-        trace_doc = json.loads(args.trace_json.read_text())
+        text = read(args.trace_json)
+        try:
+            trace_doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ObsError(f"{args.trace_json}: invalid JSON: {exc}") from exc
     metrics_path = args.metrics
     if metrics_path is None and args.trace_json is not None:
         sibling = args.trace_json.with_suffix(".prom")
         if sibling.exists():
             metrics_path = sibling
-    metrics_text = (
-        metrics_path.read_text() if metrics_path is not None else None
-    )
+    metrics_text = read(metrics_path) if metrics_path is not None else None
     print(render_summary(trace_doc, metrics_text), end="")
     return 0
 

@@ -158,12 +158,6 @@ class DagmanEngine:
         """Nodes currently eligible for submission."""
         return len(self._ready_fifo)
 
-    def retries_left(self, name: str) -> int:
-        """Remaining DAG-level retries for a node."""
-        self.status(name)  # validates the name
-        left = self._retries_left.get(name)
-        return self.nodes[name].retries if left is None else left
-
     # -- driving ------------------------------------------------------------
 
     def pull_submissions(self, current_idle: int) -> list[str]:

@@ -10,10 +10,12 @@ are exercised by *injected* failures, reproducibly. A
 * :class:`ChunkFlake` — fail the first ``times`` *attempts* of one
   chunk with a retryable :class:`TransientFault` (a flaky execute
   point), exercising the runner's retry/backoff path instead of its
-  crash-recovery path;
-* :class:`PoolFault` — at a fixed simulation time, evict or hold
-  running jobs or kill a whole DAGMan on an
-  :class:`~repro.osg.pool.OSPoolSimulator` via its injection hooks.
+  crash-recovery path.
+
+The pool has no injected faults: its recovery paths are driven by the
+model itself — preemption on every capacity drop, per-attempt job
+failures, DAG retries, and a rescue file when a DAGMan dies (see
+:mod:`repro.osg.pool`).
 
 The chaos campaign (PR 8) adds three infrastructure fault models:
 
@@ -23,15 +25,14 @@ The chaos campaign (PR 8) adds three infrastructure fault models:
 * :class:`TransferFaults` — per-attempt Stash/OSDF transfer failures
   and slow transfers, drawn from the fault model's *own* seeded
   generator so injecting faults never perturbs the simulator's other
-  RNG streams (site selection, runtimes);
+  RNG streams (site selection, runtimes); the Stash cache counts each
+  failed attempt and backs off from it, without raising;
 * :class:`SiteOutage` — a ``[start_s, end_s)`` window during which a
   federated storage site rejects every retrieval, driving the per-site
   circuit breakers of :class:`~repro.vdc.storage.FederatedStorage`.
 
-Plans are plain data plus a little runtime state; :meth:`FaultPlan.seeded`
-derives crash points from a seed through the package's
-:class:`~repro.rng.RngFactory`, so a test's fault schedule is as
-reproducible as the workload it perturbs.
+A plan is plain data plus a little runtime state, so a test's fault
+schedule is as reproducible as the workload it perturbs.
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ __all__ = [
     "TransientFault",
     "ChunkCrash",
     "ChunkFlake",
-    "PoolFault",
     "StorageFault",
     "TransferFaults",
     "SiteOutage",
     "FaultPlan",
 ]
-
-_POOL_ACTIONS = ("evict", "hold", "kill-dagman")
 
 
 class FaultInjected(ReproError):
@@ -109,31 +107,6 @@ class ChunkFlake:
             raise ReproError(f"times must be >= 1, got {self.times}")
 
 
-@dataclass(frozen=True)
-class PoolFault:
-    """One scheduled pool fault.
-
-    ``action`` is ``"evict"`` / ``"hold"`` (force-evict or force-hold
-    the ``count`` newest running jobs) or ``"kill-dagman"`` (abort the
-    named DAGMan); ``at_s`` is the simulation time it fires.
-    """
-
-    action: str
-    at_s: float
-    dagman: str | None = None
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.action not in _POOL_ACTIONS:
-            raise ReproError(f"unknown pool fault action {self.action!r}")
-        if self.at_s < 0:
-            raise ReproError(f"at_s must be >= 0, got {self.at_s}")
-        if self.count < 1:
-            raise ReproError(f"count must be >= 1, got {self.count}")
-        if self.action == "kill-dagman" and self.dagman is None:
-            raise ReproError("kill-dagman requires a dagman name")
-
-
 _STORAGE_FAULT_KINDS = ("bitflip", "truncate")
 
 
@@ -179,8 +152,12 @@ class TransferFaults:
     Attributes
     ----------
     failure_prob:
-        Probability one transfer attempt fails outright
-        (:class:`~repro.errors.TransferError`, retryable).
+        Probability one transfer attempt fails. :meth:`draw` reports
+        the failure as ``fails``; nothing is raised.
+        :meth:`~repro.osg.transfer.StashCache.transfer_time` counts the
+        failed attempt, charges its elapsed time and a backoff delay,
+        and tries again, degrading to an origin pull once its retries
+        run out.
     slow_prob, slow_factor:
         Probability an attempt is degraded, and the multiplier applied
         to its elapsed time when it is.
@@ -263,32 +240,9 @@ class FaultPlan:
 
     crashes: tuple[ChunkCrash, ...] = ()
     flakes: tuple[ChunkFlake, ...] = ()
-    pool_faults: tuple[PoolFault, ...] = ()
     _chunk_counts: dict[str, int] = field(default_factory=dict, repr=False)
     _fired: set[ChunkCrash] = field(default_factory=set, repr=False)
     _attempts: dict[tuple[str, int], int] = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_a_chunks: int = 0,
-        n_c_chunks: int = 0,
-    ) -> "FaultPlan":
-        """Derive crash points from a seed.
-
-        For each phase with more than one chunk, the crash lands
-        uniformly in ``[1, n_chunks - 1]`` — always mid-phase, so a
-        resume has both completed chunks to skip and pending chunks to
-        run.
-        """
-        rng = RngFactory(seed).generator("faults")
-        crashes: list[ChunkCrash] = []
-        if n_a_chunks > 1:
-            crashes.append(ChunkCrash("A", int(rng.integers(1, n_a_chunks))))
-        if n_c_chunks > 1:
-            crashes.append(ChunkCrash("C", int(rng.integers(1, n_c_chunks))))
-        return cls(crashes=tuple(crashes))
 
     def chunk_completed(self, phase: str) -> None:
         """Notify the plan that one chunk of ``phase`` completed.
@@ -325,41 +279,4 @@ class FaultPlan:
                 raise TransientFault(
                     f"injected flake: {phase} chunk {index}, attempt {n} "
                     f"of {flake.times} doomed"
-                )
-
-    def install(self, pool) -> None:
-        """Schedule the plan's pool faults on an ``OSPoolSimulator``.
-
-        Call after submissions, before ``pool.run()``. Like an evict or
-        hold that finds no running job, a kill whose DAGMan has already
-        finished when it fires does nothing.
-
-        Raises
-        ------
-        ReproError
-            If a fault names a DAGMan that was not submitted.
-        """
-        runs = pool.dagman_runs
-        for fault in self.pool_faults:
-            if fault.dagman is not None and fault.dagman not in runs:
-                raise ReproError(
-                    f"{fault.action} fault at {fault.at_s}s names unknown "
-                    f"DAGMan {fault.dagman!r}"
-                )
-        for fault in self.pool_faults:
-            if fault.action == "evict":
-                pool.sim.schedule_at(
-                    fault.at_s, lambda f=fault: pool.inject_eviction(f.count)
-                )
-            elif fault.action == "hold":
-                pool.sim.schedule_at(
-                    fault.at_s,
-                    lambda f=fault: pool.inject_hold(f.count, dagman=f.dagman),
-                )
-            else:  # kill-dagman
-                pool.sim.schedule_at(
-                    fault.at_s,
-                    lambda run=runs[fault.dagman]: (
-                        run.finished or pool.kill_dagman(run.name)
-                    ),
                 )

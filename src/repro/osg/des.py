@@ -95,7 +95,6 @@ class Simulator:
         self,
         until: float | None = None,
         stop_when: Callable[[], bool] | None = None,
-        max_events: int | None = None,
     ) -> None:
         """Process events in order.
 
@@ -106,18 +105,15 @@ class Simulator:
             clock is left at ``until``).
         stop_when:
             Predicate checked after every event; truthy stops the run.
-        max_events:
-            Safety valve against runaway self-rescheduling loops.
 
         Raises
         ------
         SimulationError
-            On re-entrant ``run`` calls or when ``max_events`` trips.
+            On re-entrant ``run`` calls.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
-        processed = 0
         heap = self._heap
         heappop = heapq.heappop
         try:
@@ -128,11 +124,6 @@ class Simulator:
                 time, _, callback = heappop(heap)
                 self._now = time
                 callback()
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway event loop?"
-                    )
                 if stop_when is not None and stop_when():
                     return
             if until is not None:

@@ -3,7 +3,7 @@
 :class:`JobTable` is the program's only dynamic job record: one row per
 job attempt, stored columnwise — typed :class:`array.array` columns for
 state, submit and start times, evictions and cluster id, plus a Python
-list of specs. Queues, the running set and held lists carry row ints,
+list of specs. Queues and the running set carry row ints,
 and the pool reads and transitions rows here directly. The columns hold
 the widths numpy columns would, but a row read returns a Python ``int``
 or ``float``, so the pool's per-job path never touches a numpy scalar.

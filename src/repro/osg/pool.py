@@ -9,7 +9,7 @@ more DAGMan engines to completion, producing:
   pipeline of :mod:`repro.core.monitor`).
 
 Mechanisms modelled (each is load-bearing for a figure — see DESIGN.md):
-time-varying capacity with optional preemption, negotiation cycles with
+time-varying capacity with preemption, negotiation cycles with
 fair round-robin across DAGMans and a per-cycle match limit, DAGMan
 submit cycles with idle throttling, cold/warm input staging, lognormal
 execution times, and rare job failure with DAG-level retries.
@@ -32,7 +32,7 @@ from repro.condor.jobs import JobState
 from repro.condor.rescue import apply_rescue, read_rescue_file, rescue_path, write_rescue_file
 from repro.osg.capacity import CapacityProcess, default_ospool_capacity
 from repro.osg.des import Simulator
-from repro.osg.jobtable import STATES, JobTable
+from repro.osg.jobtable import JobTable
 from repro.osg.metrics import DagmanSummary, JobRecord, PoolMetrics
 from repro.osg.negotiator import NegotiatorConfig, negotiate_vectorized
 from repro.osg.runtimes import RuntimeModel
@@ -53,8 +53,6 @@ _IDLE = JobState.IDLE
 _RUNNING = JobState.RUNNING
 _COMPLETED = JobState.COMPLETED
 _FAILED = JobState.FAILED
-_HELD = JobState.HELD
-_REMOVED = JobState.REMOVED
 _EXECUTE = JobEventType.EXECUTE
 _TERMINATED = JobEventType.TERMINATED
 
@@ -76,17 +74,6 @@ class OSPoolConfig:
     success_prob:
         Per-attempt success probability (OSG jobs do occasionally fail;
         DAG retries absorb them).
-    preemption:
-        Evict the newest running jobs when capacity drops below the
-        running count (glidein churn).
-    max_job_holds:
-        When > 0, a job failure that would exhaust the node's DAG-level
-        retries is instead put on HOLD (up to this many times per node)
-        and released after ``hold_release_s`` — HTCondor's last line of
-        defence before the DAG fails terminally. 0 (default) disables
-        holds, preserving the pre-hold simulator behaviour exactly.
-    hold_release_s:
-        Seconds a held job waits before automatic release back to IDLE.
     max_sim_time_s:
         Hard guard against deadlocked configurations.
     """
@@ -96,9 +83,6 @@ class OSPoolConfig:
     transfer: TransferConfig = field(default_factory=TransferConfig)
     runtime: RuntimeModel = field(default_factory=RuntimeModel)
     success_prob: float = 0.985
-    preemption: bool = True
-    max_job_holds: int = 0
-    hold_release_s: float = 300.0
     max_sim_time_s: float = 30.0 * 86400.0
 
     def __post_init__(self) -> None:
@@ -106,10 +90,6 @@ class OSPoolConfig:
             raise SimulationError("dagman_cycle_s must be positive")
         if not (0.0 < self.success_prob <= 1.0):
             raise SimulationError(f"success_prob must be in (0, 1], got {self.success_prob}")
-        if self.max_job_holds < 0:
-            raise SimulationError(f"max_job_holds must be >= 0, got {self.max_job_holds}")
-        if self.hold_release_s <= 0:
-            raise SimulationError("hold_release_s must be positive")
         if self.max_sim_time_s <= 0:
             raise SimulationError("max_sim_time_s must be positive")
 
@@ -126,8 +106,8 @@ class _OpenCount:
 class DagmanRun:
     """Live state of one submitted DAGMan.
 
-    ``end_time`` is set once, when the DAG completes, fails terminally
-    or is killed, by whichever code ends the run. Setting it takes the
+    ``end_time`` is set once, when the DAG completes or fails
+    terminally, by whichever code ends the run. Setting it takes the
     run off its pool's count of unfinished DAGMans, so the pool's done
     check after every event reads one integer instead of scanning its
     runs.
@@ -135,7 +115,7 @@ class DagmanRun:
 
     __slots__ = (
         "name", "engine", "queue", "user_log", "submit_time", "dead",
-        "rescue_file", "holds", "held", "_end_time", "_open",
+        "rescue_file", "_end_time", "_open",
     )
 
     def __init__(
@@ -154,8 +134,6 @@ class DagmanRun:
         self.submit_time = submit_time
         self.dead = False  # terminal failure (retries exhausted)
         self.rescue_file: Path | None = None
-        self.holds: dict[str, int] = {}  # node -> times held
-        self.held: list[tuple[str, int]] = []  # (node, job-table row)
         self._end_time: float | None = None
         self._open = open_count
         open_count.n += 1
@@ -210,9 +188,8 @@ class OSPoolSimulator:
     rescue_dir:
         When set, the simulator writes a rescue file (DONE-node
         snapshot, see :mod:`repro.condor.rescue`) whenever a DAGMan
-        dies terminally, is killed with :meth:`kill_dagman`, or is left
-        unfinished by a bounded ``run(until=...)`` — the recovery input
-        for :func:`resubmit_with_rescue`.
+        dies terminally — the recovery input for
+        :func:`resubmit_with_rescue`.
     transfer_faults:
         Optional :class:`~repro.faults.TransferFaults` chaos model for
         the Stash delivery path; see :class:`~repro.osg.transfer.StashCache`.
@@ -416,12 +393,12 @@ class OSPoolSimulator:
         """Finish a coalesced batch of jobs sharing one finish time.
 
         Each member runs the whole completion protocol in turn —
-        running-set removal, claim reuse, failure draw,
-        hold-or-terminate, record, POST/report — so the event order and
-        RNG streams are those of one event per job. A token no longer in
-        the running map belongs to a job evicted/held/removed after this
-        event was scheduled: stale members are skipped, which is how the
-        pool "cancels" completions without touching the heap.
+        running-set removal, claim reuse, failure draw, terminate,
+        record, POST/report — so the event order and RNG streams are
+        those of one event per job. A token no longer in the running map
+        belongs to a job evicted after this event was scheduled: stale
+        members are skipped, which is how the pool "cancels" completions
+        without touching the heap.
         """
         # Coalesced members are rare (a cycle's finish times are mostly
         # distinct, and a reused claim's completion is its own event), so
@@ -445,19 +422,6 @@ class OSPoolSimulator:
                 finish, next_token = self._claim(run, next_node, next_row, now)
                 self.sim.schedule_at(finish, partial(self._complete_batch, [next_token]))
             success = next(self._failure_draws) < config.success_prob
-            if (
-                not success
-                and config.max_job_holds > 0
-                and run.engine.retries_left(node_name) == 0
-                and run.holds.get(node_name, 0) < config.max_job_holds
-            ):
-                # The failure would exhaust the node's DAG retries: hold
-                # the job instead of failing the DAG (HTCondor's
-                # ON_EXIT_HOLD / periodic-release pattern). No TERMINATED
-                # event, no record — like an eviction, the attempt is not
-                # terminal.
-                self._hold_job(run, node_name, row)
-                continue
             table.transition(row, _COMPLETED if success else _FAILED, now)
             cluster = table.cluster_id[row]
             run.user_log.record(_TERMINATED, cluster, now, "", 0 if success else 1)
@@ -507,29 +471,6 @@ class OSPoolSimulator:
             del self._running[token]
         return [entry for _, entry in items]
 
-    def _hold_job(self, run: DagmanRun, node_name: str, row: int) -> None:
-        """Put a job on HOLD; it auto-releases after ``hold_release_s``."""
-        now = self.sim.now
-        table = self._table
-        table.transition(row, _HELD, now)
-        run.user_log.record(JobEventType.HELD, table.cluster_id[row], now)
-        run.holds[node_name] = run.holds.get(node_name, 0) + 1
-        run.held.append((node_name, row))
-        self.sim.schedule(
-            self.config.hold_release_s, partial(self._release_job, run, node_name, row)
-        )
-
-    def _release_job(self, run: DagmanRun, node_name: str, row: int) -> None:
-        """Release a held job back to IDLE (front of its queue)."""
-        table = self._table
-        if run.finished or STATES[table.state[row]] is not _HELD:
-            return  # the DAGMan ended (e.g. killed) while the job was held
-        now = self.sim.now
-        run.held.remove((node_name, row))
-        table.transition(row, _IDLE, now)
-        run.user_log.record(JobEventType.RELEASED, table.cluster_id[row], now)
-        run.queue.enqueue(node_name, row, front=True)
-
     def _report_result(self, run: DagmanRun, node_name: str, success: bool) -> None:
         """Deliver a node's final result to its DAGMan engine."""
         if run._end_time is not None:  # finished
@@ -544,20 +485,19 @@ class OSPoolSimulator:
             self._write_rescue(run)
 
     def _no_inflight(self, run: DagmanRun) -> bool:
-        if run.queue.n_idle > 0 or run.engine.n_ready > 0 or run.held:
+        if run.queue.n_idle > 0 or run.engine.n_ready > 0:
             return False
         return all(entry[0] is not run for entry in self._running.values())
 
-    def _write_rescue(self, run: DagmanRun) -> Path | None:
+    def _write_rescue(self, run: DagmanRun) -> None:
         """Snapshot a DAGMan's DONE nodes into the next free rescue file."""
         if self.rescue_dir is None:
-            return None
+            return
         base = self.rescue_dir / f"{run.name}.dag"
         attempt = 1
         while rescue_path(base, attempt).exists():
             attempt += 1
         run.rescue_file = write_rescue_file(run.engine, rescue_path(base, attempt), attempt)
-        return run.rescue_file
 
     def _capacity_step(self, first: bool = False) -> None:
         if first:
@@ -567,8 +507,7 @@ class OSPoolSimulator:
 
         def change() -> None:
             self._capacity = new_capacity
-            if self.config.preemption:
-                self._preempt_to_capacity()
+            self._preempt_to_capacity()
             self._capacity_step()
 
         self.sim.schedule(dwell, change)
@@ -579,79 +518,10 @@ class OSPoolSimulator:
         if overflow > 0:
             self._evict_entries(self._pop_newest(overflow))
 
-    # -- fault injection ---------------------------------------------------------
-
-    def inject_eviction(self, count: int = 1) -> int:
-        """Forcibly evict the ``count`` newest running jobs.
-
-        Fault-injection hook (used by :mod:`repro.faults`): behaves
-        exactly like a capacity-drop preemption, independent of the
-        capacity process. Returns how many jobs were actually evicted.
-        """
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        victims = self._pop_newest(count)
-        self._evict_entries(victims)
-        return len(victims)
-
-    def inject_hold(self, count: int = 1, dagman: str | None = None) -> int:
-        """Forcibly put the ``count`` newest running jobs on HOLD.
-
-        Fault-injection hook: the jobs release automatically after
-        ``hold_release_s`` like any held job. Returns how many jobs
-        were actually held.
-        """
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        items = [
-            (token, entry)
-            for token, entry in self._running.items()
-            if dagman is None or entry[0].name == dagman
-        ]
-        victims = items[-count:]
-        for token, (run, node_name, row) in victims:
-            del self._running[token]
-            self._hold_job(run, node_name, row)
-        return len(victims)
-
-    def kill_dagman(self, name: str) -> Path | None:
-        """Abort a DAGMan mid-flight (``condor_rm`` of the DAGMan job).
-
-        Running jobs are cancelled and REMOVED (ABORTED in the user
-        log), idle and held jobs likewise; the run is marked dead and —
-        when a ``rescue_dir`` is configured — a rescue file snapshotting
-        the DONE nodes is written and returned.
-
-        Raises
-        ------
-        SimulationError
-            If no DAGMan has that name, or it has already finished.
-        """
-        run = self._dagmans.get(name)
-        if run is None:
-            raise SimulationError(f"unknown DAGMan {name!r}")
-        if run.finished:
-            raise SimulationError(f"DAGMan {name!r} already finished")
-        now = self.sim.now
-        # Running jobs in start order, then idle ones in queue order, then held.
-        tokens = [token for token, entry in self._running.items() if entry[0] is run]
-        rows = [self._running.pop(token)[2] for token in tokens]
-        while run.queue.n_idle:
-            rows.append(run.queue.pop()[1])
-        rows.extend(row for _, row in run.held)
-        run.held.clear()
-        table = self._table
-        for row in rows:
-            table.transition(row, _REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, table.cluster_id[row], now)
-        run.end_time = now
-        run.dead = True
-        return self._write_rescue(run)
-
     # -- running -----------------------------------------------------------------
 
-    def run(self, until: float | None = None) -> PoolMetrics:
-        """Run to completion (or ``until``); returns the metrics.
+    def run(self) -> PoolMetrics:
+        """Run to completion; returns the metrics.
 
         Raises
         ------
@@ -666,7 +536,7 @@ class OSPoolSimulator:
         self._started = True
         self._capacity_step(first=True)
         self.sim.schedule_at(0.0, self._negotiator_cycle)
-        horizon = until if until is not None else self.config.max_sim_time_s
+        horizon = self.config.max_sim_time_s
         try:
             self.sim.run(until=horizon, stop_when=self._all_done)
         finally:
@@ -676,24 +546,18 @@ class OSPoolSimulator:
             # finished pool instead of leaving it to a full collection.
             self.sim.clear()
         if not self._all_done():
-            if until is None:
-                unfinished = [n for n, d in self._dagmans.items() if not d.finished]
-                raise SimulationError(
-                    f"simulation hit the {horizon}s guard with unfinished "
-                    f"DAGMans: {unfinished}"
-                )
-            # Bounded run interrupted mid-flight: snapshot each unfinished
-            # DAGMan's progress so a later attempt can resume from it.
-            for d in self._dagmans.values():
-                if not d.finished:
-                    self._write_rescue(d)
+            unfinished = [n for n, d in self._dagmans.items() if not d.finished]
+            raise SimulationError(
+                f"simulation hit the {horizon}s guard with unfinished "
+                f"DAGMans: {unfinished}"
+            )
         metrics = PoolMetrics(
             records=list(self._records),
             dagmans={
                 name: DagmanSummary(
                     name=name,
                     submit_time=d.submit_time,
-                    end_time=d.end_time if d.end_time is not None else self.sim.now,
+                    end_time=d.end_time,
                     n_jobs=d.n_jobs,
                 )
                 for name, d in self._dagmans.items()

@@ -144,23 +144,18 @@ class CategoryCloudModel:
         return bursting_cost_usd(cloud_seconds / 60.0, self.usd_per_minute)
 
     @classmethod
-    def from_trace(
-        cls, trace: BatchTrace, *, speedup: float = 1.0
-    ) -> "CategoryCloudModel":
+    def from_trace(cls, trace: BatchTrace) -> "CategoryCloudModel":
         """Derive per-category durations from a traced batch.
 
-        Each category's cloud time is its mean traced execution time
-        divided by ``speedup`` (1.0 models a cloud node on par with the
-        mean OSG node; bursting still shortens the makespan by absorbing
-        queue waits and stragglers).
+        Each category's cloud time is its mean traced execution time: a
+        cloud node on par with the mean OSG node (bursting still
+        shortens the makespan by absorbing queue waits and stragglers).
         """
-        if speedup <= 0:
-            raise PolicyError(f"speedup must be positive, got {speedup}")
         sums: dict[str, list[float]] = {}
         for job in trace.jobs:
             sums.setdefault(job.phase, []).append(job.exec_s)
         durations = {
-            phase: max(1.0, float(np.mean(values)) / speedup)
+            phase: max(1.0, float(np.mean(values)))
             for phase, values in sorted(sums.items())
         }
         return cls(durations_s=durations)
@@ -339,7 +334,6 @@ def replay_bursting(
     cloud: CloudJobModel | CategoryCloudModel | None = None,
     *,
     max_burst_fraction: float | None = None,
-    cloud_speedup: float = 1.0,
 ) -> dict[str, BurstingResult]:
     """Run the bursting policies over every DAGMan of a replay.
 
@@ -358,7 +352,7 @@ def replay_bursting(
         elif {j.phase for j in trace.jobs} <= _FDW_PHASES:
             batch_cloud = CloudJobModel()
         else:
-            batch_cloud = CategoryCloudModel.from_trace(trace, speedup=cloud_speedup)
+            batch_cloud = CategoryCloudModel.from_trace(trace)
         sim = BurstingSimulator(
             trace,
             policies=policies if policies is not None else _default_policies(),

@@ -13,6 +13,7 @@ from repro.core.local import LocalRunner
 from repro.errors import CheckpointError, ConfigError
 from repro.faults import ChunkCrash, FaultInjected, FaultPlan, StorageFault
 from repro.integrity import digest_path, write_digest
+from tests.seeded_faults import seeded_plan
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +224,7 @@ def test_pooled_crash_resume_matches_sequential(tmp_path, ckpt_config):
     uninterrupted archive."""
     plain = LocalRunner().run(ckpt_config, archive_dir=tmp_path / "plain")
     crash_dir = tmp_path / "pooled"
-    plan = FaultPlan.seeded(11, n_a_chunks=3, n_c_chunks=3)
+    plan = seeded_plan(11, n_a_chunks=3, n_c_chunks=3)
     assert [c.phase for c in plan.crashes] == ["A", "C"]
 
     with LocalRunner(n_workers=2) as runner:

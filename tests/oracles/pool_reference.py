@@ -4,9 +4,9 @@
 it shipped while the pool carried two engines, frozen here so the
 equivalence tests can hold the product engine to it bit for bit. Each
 job is a full :class:`Job`, every start schedules its own completion
-event, the running set is a list rebuilt on each completion, and
-evictions, holds and kills cancel the victim's completion through the
-handle the slab loop returns. It runs on the frozen slab loop of
+event, the running set is a list rebuilt on each completion, and an
+eviction cancels the victim's completion through the handle the slab
+loop returns. It runs on the frozen slab loop of
 :mod:`tests.oracles.des_slab`, so it shares no event-loop code with the
 product.
 
@@ -17,10 +17,12 @@ engine is its only user, and the job-table tests hold
 
 The handlers below are the reference handlers verbatim, plus the
 reference halves of the methods that used to branch on the engine
-(``_no_inflight``, ``_preempt_to_capacity``, ``inject_eviction``,
-``inject_hold``, ``kill_dagman``) and of the hold and release the two
-engines shared (``_hold_job``, ``_release_job``) as they ran on
-``Job``-like records. Everything else — submission, capacity steps,
+(``_no_inflight``, ``_preempt_to_capacity``) as they ran on
+``Job``-like records. The product's job holds and injected evictions,
+holds and DAGMan kills are gone, and their halves went with them: the
+hold branch of ``_finish_job``, the held-job test of ``_no_inflight``,
+``_hold_job``, ``_release_job``, ``inject_eviction``, ``inject_hold``
+and ``kill_dagman``. Everything else — submission, capacity steps,
 node results, rescue files, ``run`` and telemetry — is inherited from
 the product class, exactly as the two engines shared it. Because the
 product's handlers carry the same names (``_dagman_cycle``,
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ from repro import obs
 from repro.condor.events import JobEventType
 from repro.condor.jobs import _TRANSITIONS, JobSpec, JobState
 from repro.core import submit_osg
-from repro.errors import JobStateError, SimulationError
+from repro.errors import JobStateError
 from repro.osg import pool as pool_module
 from repro.osg.metrics import JobRecord
 from repro.osg.negotiator import negotiate
@@ -232,18 +233,6 @@ class ReferencePoolSimulator(OSPoolSimulator):
             next_node, next_job = run.queue.pop()
             self._start_job(run, next_node, next_job)
         success = bool(self._rng_failure.random() < self.config.success_prob)
-        if (
-            not success
-            and self.config.max_job_holds > 0
-            and run.engine.retries_left(node_name) == 0
-            and run.holds.get(node_name, 0) < self.config.max_job_holds
-        ):
-            # The failure would exhaust the node's DAG retries: hold the
-            # job instead of failing the DAG (HTCondor's ON_EXIT_HOLD /
-            # periodic-release pattern). No TERMINATED event, no record —
-            # like an eviction, the attempt is not terminal.
-            self._hold_job(run, node_name, job)
-            return
         job.transition(JobState.COMPLETED if success else JobState.FAILED, now)
         run.user_log.record(
             JobEventType.TERMINATED,
@@ -276,30 +265,8 @@ class ReferencePoolSimulator(OSPoolSimulator):
         else:
             self._report_result(run, node_name, success)
 
-    def _hold_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
-        """Put a job on HOLD; it auto-releases after ``hold_release_s``."""
-        now = self.sim.now
-        job.transition(JobState.HELD, now)
-        run.user_log.record(JobEventType.HELD, job.cluster_id, now)
-        run.holds[node_name] = run.holds.get(node_name, 0) + 1
-        run.held.append((node_name, job))
-        self.sim.schedule(
-            self.config.hold_release_s,
-            lambda: self._release_job(run, node_name, job),
-        )
-
-    def _release_job(self, run: DagmanRun, node_name: str, job: Job) -> None:
-        """Release a held job back to IDLE (front of its queue)."""
-        if run.finished or job.state is not JobState.HELD:
-            return  # the DAGMan ended (e.g. killed) while the job was held
-        now = self.sim.now
-        run.held.remove((node_name, job))
-        job.transition(JobState.IDLE, now)
-        run.user_log.record(JobEventType.RELEASED, job.cluster_id, now)
-        run.queue.enqueue(node_name, job, front=True)
-
     def _no_inflight(self, run: DagmanRun) -> bool:
-        if run.queue.n_idle > 0 or run.engine.n_ready > 0 or run.held:
+        if run.queue.n_idle > 0 or run.engine.n_ready > 0:
             return False
         return all(entry[1] is not run for entry in self._running)
 
@@ -323,56 +290,6 @@ class ReferencePoolSimulator(OSPoolSimulator):
         victims = self._running[-overflow:]
         del self._running[-overflow:]
         self._evict_entries(victims)
-
-    def inject_eviction(self, count: int = 1) -> int:
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        self._running.sort(key=lambda entry: entry[0])
-        victims = self._running[-count:]
-        del self._running[len(self._running) - len(victims):]
-        self._evict_entries(victims)
-        return len(victims)
-
-    def inject_hold(self, count: int = 1, dagman: str | None = None) -> int:
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        candidates = [
-            entry for entry in self._running
-            if dagman is None or entry[1].name == dagman
-        ]
-        candidates.sort(key=lambda entry: entry[0])
-        victims = candidates[-count:]
-        for entry in victims:
-            self._running.remove(entry)
-            _, run, node_name, job, handle = entry
-            Simulator.cancel(handle)
-            self._hold_job(run, node_name, job)
-        return len(victims)
-
-    def kill_dagman(self, name: str) -> Path | None:
-        run = self._dagmans.get(name)
-        if run is None:
-            raise SimulationError(f"unknown DAGMan {name!r}")
-        if run.finished:
-            raise SimulationError(f"DAGMan {name!r} already finished")
-        now = self.sim.now
-        victims = [entry for entry in self._running if entry[1] is run]
-        self._running = [entry for entry in self._running if entry[1] is not run]
-        for _, _, _, job, handle in victims:
-            Simulator.cancel(handle)
-            job.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
-        while run.queue.n_idle:
-            _, job = run.queue.pop()
-            job.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
-        for _, job in run.held:
-            job.transition(JobState.REMOVED, now)
-            run.user_log.record(JobEventType.ABORTED, job.cluster_id, now)
-        run.held.clear()
-        run.end_time = now
-        run.dead = True
-        return self._write_rescue(run)
 
 
 def on_reference_pool(entry, *args, **kwargs):

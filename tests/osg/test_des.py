@@ -74,17 +74,6 @@ def test_stop_when():
     assert fired == [0, 1]
 
 
-def test_max_events_guard():
-    sim = Simulator()
-
-    def loop():
-        sim.schedule(0.0, loop)
-
-    sim.schedule(0.0, loop)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
-
-
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)

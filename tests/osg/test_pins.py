@@ -6,7 +6,9 @@ done check, so the pool equivalence properties pass whatever those do.
 These tests pin what they produce instead. The digests and stop points
 were recorded on the commit before the pool's per-job path was cut
 down (job records built in one step, an O(1) done check, SUBMIT rows
-appended per batch, execute slots logged as numbers).
+appended per batch, execute slots logged as numbers), and recorded again
+without job holds and DAGMan kills on the commit before those were
+deleted.
 """
 
 import hashlib
@@ -32,29 +34,29 @@ def _sha256(text: str) -> str:
 
 
 def test_user_log_pinned(tmp_path):
-    """The rendered user logs of a seeded replay with evictions, failed
-    attempts and holds, the events read back in process, the monitor's
+    """The rendered user logs of a seeded replay with evictions and
+    failed attempts, the events read back in process, the monitor's
     statistics and the written file, byte for byte."""
     result = replay_instance(
         FDW64,
         seed=4,
         runtime="model",
-        config=OSPoolConfig(success_prob=0.4, max_job_holds=2, hold_release_s=120.0),
+        config=OSPoolConfig(success_prob=0.4),
         capacity=MarkovModulatedCapacity(levels=[8, 2], mean_dwell_s=[300.0, 300.0]),
     )
     (name, log), = result.user_logs.items()
     text = log.render()
     kinds = {line[:3] for line in text.splitlines() if line[:3].isdigit()}
-    # submit, execute, evicted, terminated, held, released
-    assert kinds == {"000", "001", "004", "005", "012", "013"}
-    assert _sha256(text) == "a7040ed17a6951f137870372f0535f60a7c3785f2d505b7984e34e23b2660797"
+    # submit, execute, evicted, terminated
+    assert kinds == {"000", "001", "004", "005"}
+    assert _sha256(text) == "276e7b894f4eb638ab325a619abd0ad836a421c309949c1ab20f7c7d1181f4a8"
     assert _sha256(repr(log.events())) == (
-        "dbf2046bff814940fcd98ebe9038bad6173dcf347a7d323eb6fac6ee43b2ada7"
+        "bc600e47adb7e50d53ec49cfc2c8d01e0376b20d382d5fd57d1b74fe700207d0"
     )
     stats = DagmanStats.from_user_log(log)
     assert stats == DagmanStats.from_log_text(text)
     assert _sha256(repr(stats)) == (
-        "a00d7857975099e08d89c02d653c658f6316ae5e21df8f33d2614895f17ee3e8"
+        "6116649e1751dcce8c0f3d833fbca27d567b7c05cae6b0d129badd52898af077"
     )
     path = log.write(tmp_path / f"{name}.log")
     assert path.read_text() == text
@@ -77,8 +79,8 @@ def _chain(name: str, n: int, pre_fails_at: int | None = None) -> DagDescription
 
 
 def _done_check_pool(pool_cls):
-    """Four DAGMans that end four ways: completion, terminal failure,
-    ``kill_dagman`` mid-flight, and full rescue at submit."""
+    """Four DAGMans that end three ways: completion, terminal failure
+    and full rescue at submit. The long chain ends last."""
     pool = pool_cls(
         config=OSPoolConfig(
             transfer=TransferConfig(setup_overhead_s=1.0, include_image=False),
@@ -89,20 +91,19 @@ def _done_check_pool(pool_cls):
     )
     pool.submit_dagman(_chain("ok", 6))
     pool.submit_dagman(_chain("fails", 5, pre_fails_at=2), at_time=40.0)
-    pool.submit_dagman(_chain("killed", 60), at_time=10.0)
+    pool.submit_dagman(_chain("long", 60), at_time=10.0)
     rescued = DagmanEngine(_chain("rescued", 4))
     for i in range(4):
         rescued.mark_done(f"rescued_{i}")
     pool.submit_engine(rescued, name="rescued", at_time=25.0)
-    pool.sim.schedule_at(1500.0, lambda: pool.kill_dagman("killed"))
     return pool
 
 
 @pytest.mark.parametrize(
     "pool_cls, stop",
     [
-        (OSPoolSimulator, ("0x1.7700000000000p+10", 138)),
-        (ReferencePoolSimulator, ("0x1.7700000000000p+10", 138)),
+        (OSPoolSimulator, ("0x1.04fbb60e9072ap+12", 316)),
+        (ReferencePoolSimulator, ("0x1.04fbb60e9072ap+12", 316)),
     ],
     ids=["pool", "reference"],
 )
@@ -114,13 +115,13 @@ def test_done_check_stops_where_it_did(pool_cls, stop):
     n_events = 0
     run_loop = pool.sim.run
 
-    def counting_run(until=None, stop_when=None, max_events=None):
+    def counting_run(until=None, stop_when=None):
         def counted():
             nonlocal n_events
             n_events += 1
             return stop_when()
 
-        return run_loop(until=until, stop_when=counted, max_events=max_events)
+        return run_loop(until=until, stop_when=counted)
 
     pool.sim.run = counting_run
     pool.run()
@@ -129,6 +130,6 @@ def test_done_check_stops_where_it_did(pool_cls, stop):
     assert {name: (run.end_time.hex(), run.dead) for name, run in runs.items()} == {
         "ok": ("0x1.b6505778de144p+8", False),
         "fails": ("0x1.c200000000000p+7", True),
-        "killed": ("0x1.7700000000000p+10", True),
+        "long": ("0x1.04fbb60e9072ap+12", False),
         "rescued": ("0x1.9000000000000p+4", False),
     }

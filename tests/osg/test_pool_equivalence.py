@@ -22,8 +22,6 @@ from repro import rng as rng_module
 from repro.condor.dagfile import DagDescription, ScriptSpec
 from repro.condor.dagman import DagmanOptions
 from repro.condor.jobs import JobPayload, JobSpec
-from repro.condor.rescue import read_rescue_file
-from repro.faults import FaultPlan, PoolFault
 from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator, resubmit_with_rescue
 from repro.osg.runtimes import RuntimeModel
@@ -58,24 +56,20 @@ def flat_dag(n_jobs=10, retries=2, name="e"):
     return dag
 
 
-def pool_outputs(pool, dags, until=None, pre_run=None):
+def pool_outputs(pool, dags):
     for dag in dags:
         pool.submit_dagman(dag)
-    if pre_run is not None:
-        pre_run(pool)
-    metrics = pool.run(until=until)
+    metrics = pool.run()
     return metrics, {
         name: run.user_log.render() for name, run in pool.dagman_runs.items()
     }
 
 
-def assert_same_outputs(make_pool, dags_factory, until=None, pre_run=None):
+def assert_same_outputs(make_pool, dags_factory):
     """Run the scenario under both engines and diff every observable."""
     results = {}
     for engine in ENGINES:
-        results[engine] = pool_outputs(
-            make_pool(engine), dags_factory(), until=until, pre_run=pre_run
-        )
+        results[engine] = pool_outputs(make_pool(engine), dags_factory())
     (ref_metrics, ref_logs), (vec_metrics, vec_logs) = (
         results["reference"],
         results["vector"],
@@ -147,62 +141,18 @@ def test_preemption_under_markov_capacity_identical():
     assert any(r.n_evictions > 0 for r in metrics.records)  # scenario bites
 
 
-def test_injected_evictions_identical():
-    def pre_run(pool):
-        for t in (30.0, 60.0, 90.0):
-            pool.sim.schedule_at(t, lambda: pool.inject_eviction(2))
-
-    assert_same_outputs(
-        lambda engine: POOLS[engine](
-            config=quiet_config(), capacity=FixedCapacity(4), seed=4
-        ),
-        lambda: [flat_dag(16, retries=3)],
-        pre_run=pre_run,
-    )
-
-
-def test_holds_identical():
-    assert_same_outputs(
-        lambda engine: POOLS[engine](
-            config=quiet_config(
-                success_prob=0.5, max_job_holds=2, hold_release_s=40.0
-            ),
-            capacity=FixedCapacity(3),
-            seed=3,
-        ),
-        lambda: [flat_dag(10, retries=0)],
-    )
-
-
-def test_injected_holds_identical():
-    assert_same_outputs(
-        lambda engine: POOLS[engine](
-            config=quiet_config(hold_release_s=25.0),
-            capacity=FixedCapacity(4),
-            seed=6,
-        ),
-        lambda: [flat_dag(12, retries=1)],
-        pre_run=lambda pool: pool.sim.schedule_at(
-            20.0, lambda: pool.inject_hold(2)
-        ),
-    )
-
-
-def test_kill_and_rescue_identical(tmp_path):
+def test_terminal_failure_and_rescue_identical(tmp_path):
     dag_factory = lambda: [flat_dag(24, retries=1, name="k")]
     rescue_files = {}
     for engine in ENGINES:
         pool = POOLS[engine](
-            config=quiet_config(),
+            config=quiet_config(success_prob=0.7),
             capacity=FixedCapacity(2),
             seed=7,
             rescue_dir=tmp_path / engine,
         )
-        metrics, logs = pool_outputs(
-            pool,
-            dag_factory(),
-            pre_run=lambda p: p.sim.schedule_at(150.0, lambda: p.kill_dagman("k")),
-        )
+        metrics, logs = pool_outputs(pool, dag_factory())
+        assert pool.dagman_runs["k"].dead  # scenario bites
         rescue_files[engine] = pool.dagman_runs["k"].rescue_file
         if engine == "reference":
             ref = (metrics.records, metrics.dagmans, logs)
@@ -279,10 +229,7 @@ def test_fixed_scenarios_identical_across_block_refills(block, monkeypatch, tmp_
     test_failures_and_retries_identical()
     test_concurrent_dagmans_identical()
     test_preemption_under_markov_capacity_identical()
-    test_injected_evictions_identical()
-    test_holds_identical()
-    test_injected_holds_identical()
-    test_kill_and_rescue_identical(tmp_path)
+    test_terminal_failure_and_rescue_identical(tmp_path)
     for runtime in ("trace", "model"):
         test_fdw64_replay_identical(runtime)
     test_fdw64_partition_study_identical()
@@ -293,7 +240,7 @@ def test_fixed_scenarios_identical_across_block_refills(block, monkeypatch, tmp_
 
 @st.composite
 def scenarios(draw):
-    """A random pool run: DAGs, pool model, and a fault plan."""
+    """A random pool run: DAGs and pool model."""
     n_dagmans = draw(st.integers(1, 3))
     dags = []
     for d in range(n_dagmans):
@@ -337,31 +284,12 @@ def scenarios(draw):
             sigma_log=draw(st.sampled_from([0.0, 0.18])),  # 0: shared finishes
         ),
         success_prob=draw(st.sampled_from([1.0, 0.9, 0.6])),
-        max_job_holds=draw(st.integers(0, 2)),
-        hold_release_s=draw(st.sampled_from([25.0, 90.0])),
     )
-    names = [dag.name for dag in dags]
-    faults = []
-    for _ in range(draw(st.integers(0, 4))):
-        action = draw(st.sampled_from(["evict", "hold", "kill-dagman"]))
-        if action == "kill-dagman":
-            dagman = draw(st.sampled_from(names))
-        elif action == "hold":
-            dagman = draw(st.one_of(st.none(), st.sampled_from(names)))
-        else:
-            dagman = None
-        faults.append(PoolFault(
-            action,
-            draw(st.floats(0.0, 600.0)),
-            dagman=dagman,
-            count=draw(st.integers(1, 3)),
-        ))
     return dict(
         dags=dags,
         capacity=capacity,
         config=config,
         options=DagmanOptions(max_idle=draw(st.sampled_from([0, 2, 5]))),
-        plan=FaultPlan(pool_faults=tuple(faults)),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -369,12 +297,9 @@ def scenarios(draw):
 @given(scenario=scenarios())
 @settings(max_examples=25, deadline=None)
 def test_random_scenarios_identical(scenario):
-    """Both engines agree on every observable of a random scenario.
-
-    The fault plan's evictions and holds may find nothing running, and
-    its kills may target DAGMans that already finished; both engines
-    must treat those alike too.
-    """
+    """Both engines agree on every observable of a random scenario:
+    preemption on capacity drops, failed attempts, DAG retries, PRE and
+    POST scripts, and the rescue files of DAGMans that die."""
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for engine in ENGINES:
@@ -386,7 +311,6 @@ def test_random_scenarios_identical(scenario):
             )
             for dag in scenario["dags"]:
                 pool.submit_dagman(dag, scenario["options"])
-            scenario["plan"].install(pool)
             metrics = pool.run()
             runs = pool.dagman_runs
             outputs[engine] = (

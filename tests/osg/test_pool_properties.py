@@ -163,25 +163,6 @@ class TestFailureInjection:
         for r in evicted:
             assert r.wait_s >= 0
 
-    def test_preemption_disabled_lets_jobs_finish(self):
-        capacity = MarkovModulatedCapacity(
-            levels=[6, 1], mean_dwell_s=[120.0, 120.0], jitter=0.0
-        )
-        dag = DagDescription("nopreempt")
-        for i in range(8):
-            dag.add_job(
-                f"n{i}",
-                JobSpec(name=f"n{i}", payload=JobPayload(phase="A", n_items=30)),
-            )
-        pool = OSPoolSimulator(
-            config=quiet_config(preemption=False),
-            capacity=capacity,
-            seed=5,
-        )
-        pool.submit_dagman(dag)
-        metrics = pool.run()
-        assert all(r.n_evictions == 0 for r in metrics.records)
-
     def test_throttled_engine_equivalent_results(self):
         """max_idle changes scheduling but never the set of completed
         work."""

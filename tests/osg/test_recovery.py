@@ -1,19 +1,23 @@
-"""Failure recovery: rescue files, resubmission, HELD/RELEASED, and
-fault injection on the OSPool simulator."""
+"""Failure recovery on the OSPool simulator: rescue files of dead
+DAGMans, resubmission, and preemption's eviction accounting."""
 
 import pytest
 
+from repro.cli import main
 from repro.condor.dagfile import DagDescription, DagNode
+from repro.condor.dagman import DagmanOptions
 from repro.condor.events import JobEventType, parse_user_log
 from repro.condor.jobs import JobPayload, JobSpec
 from repro.condor.rescue import read_rescue_file
 from repro.core.config import FdwConfig
 from repro.core.monitor import DagmanStats
+from repro.core.submit_osg import run_fdw_batch
 from repro.core.workflow import build_fdw_dag
 from repro.errors import SimulationError
-from repro.osg.capacity import FixedCapacity
+from repro.osg.capacity import FixedCapacity, MarkovModulatedCapacity
 from repro.osg.metrics import PoolMetrics
 from repro.osg.pool import OSPoolConfig, OSPoolSimulator, resubmit_with_rescue
+from repro.osg.runtimes import RuntimeModel
 from repro.osg.transfer import TransferConfig
 from tests.osg.exactly_once import verify_exactly_once
 
@@ -112,29 +116,6 @@ def test_rescue_roundtrip_exactly_once(tmp_path):
     assert stats2.n_failed == 0
 
 
-def test_run_until_interrupt_writes_rescue_and_resumes(tmp_path):
-    dag = flat_dag(40)
-    pool1 = make_pool(tmp_path, seed=1, slots=2)
-    pool1.submit_dagman(dag)
-    metrics1 = pool1.run(until=400.0)
-    run1 = pool1.dagman_runs["r"]
-    assert not run1.engine.is_complete
-    assert run1.rescue_file is not None
-    done1 = set(read_rescue_file(run1.rescue_file))
-    assert done1  # partial progress was snapshotted
-
-    pool2, run2 = resubmit_with_rescue(
-        dag,
-        run1.rescue_file,
-        config=pool_config(),
-        capacity=FixedCapacity(4),
-        seed=2,
-    )
-    metrics2 = pool2.run()
-    assert run2.engine.is_complete
-    verify_exactly_once(dag, PoolMetrics.merged([metrics1, metrics2]))
-
-
 def test_rescue_attempt_numbers_increment(tmp_path):
     for seed in (3, 4):
         pool = make_pool(tmp_path, seed=seed, success_prob=0.5)
@@ -157,146 +138,89 @@ def test_verify_exactly_once_rejects_rerun_and_loss(tmp_path):
         verify_exactly_once(dag, PoolMetrics(records=[], dagmans=dict(metrics.dagmans)))
 
 
-# -- kill_dagman ---------------------------------------------------------------
+# -- FDW batches and the CLI ------------------------------------------------------
 
 
-def test_kill_dagman_mid_flight(tmp_path):
-    config = FdwConfig(n_waveforms=8, n_stations=2, mesh=(8, 5), name="fdw")
+def test_fdw_batch_rescue_then_recover(tmp_path, capsys):
+    """A 64-waveform FDW without retries dies at pool seed 1 after four
+    completed nodes. ``run_fdw_batch`` returns its rescue file, and a
+    resubmission from it completes the DAG with every node run exactly
+    once; the CLI's ``run`` exits 1 naming the rescue file, and
+    ``recover`` from it exits 0."""
+    cfg = tmp_path / "fdw.cfg"
+    assert main(["init", str(cfg), "--waveforms", "64"]) == 0
+    text = cfg.read_text()
+    assert "retries = 3\n" in text
+    cfg.write_text(text.replace("retries = 3\n", "retries = 0\n"))
+    config = FdwConfig.read(cfg)
+    assert (config.name, config.retries) == ("fdw", 0)
     dag = build_fdw_dag(config)
-    pool1 = make_pool(tmp_path, slots=2)
-    pool1.submit_dagman(dag, name="fdw")
-    pool1.sim.schedule_at(300.0, lambda: pool1.kill_dagman("fdw"))
-    metrics1 = pool1.run()
-    run1 = pool1.dagman_runs["fdw"]
-    assert run1.dead and run1.finished
-    assert run1.rescue_file is not None
-    done1 = set(read_rescue_file(run1.rescue_file))
-    assert 0 < len(done1) < len(dag)
-    # Killed jobs show up as ABORTED in the user log.
-    events = parse_user_log(run1.user_log.render())
-    assert any(e.event_type is JobEventType.ABORTED for e in events)
 
-    pool2, run2 = resubmit_with_rescue(
-        dag, run1.rescue_file, name="fdw", config=pool_config(), capacity=FixedCapacity(4)
+    batch = run_fdw_batch(config, seed=1, rescue_dir=tmp_path / "lib")
+    rescue = tmp_path / "lib" / "fdw.dag.rescue001"
+    assert batch.rescue_files == {"fdw": rescue}
+    assert len(read_rescue_file(rescue)) == 4
+    pool, run = resubmit_with_rescue(
+        dag, rescue, options=DagmanOptions(max_idle=config.max_idle), name="fdw", seed=0
     )
-    metrics2 = pool2.run()
-    assert run2.engine.is_complete
-    verify_exactly_once(dag, PoolMetrics.merged([metrics1, metrics2]))
-
-
-def test_kill_dagman_validates(tmp_path):
-    pool = make_pool(tmp_path)
-    pool.submit_dagman(flat_dag(4))
-    with pytest.raises(SimulationError, match="unknown"):
-        pool.kill_dagman("nope")
-    pool.run()
-    with pytest.raises(SimulationError, match="finished"):
-        pool.kill_dagman("r")
-
-
-# -- HELD / RELEASED -----------------------------------------------------------
-
-
-def test_holds_exhaust_then_fail(tmp_path):
-    """A job that keeps failing is held max_job_holds times (HELD then
-    RELEASED in the log), then fails terminally."""
-    pool = make_pool(tmp_path, success_prob=1e-9, max_job_holds=2)
-    pool.submit_dagman(flat_dag(1))
     metrics = pool.run()
-    run = pool.dagman_runs["r"]
-    assert run.dead
-    stats = DagmanStats.from_log_text(run.user_log.render())
-    job = next(iter(stats.jobs.values()))
-    assert job.n_holds == 2
-    assert job.failed
-    events = parse_user_log(run.user_log.render())
-    kinds = [e.event_type for e in events]
-    assert kinds.count(JobEventType.HELD) == 2
-    assert kinds.count(JobEventType.RELEASED) == 2
-    assert kinds.count(JobEventType.EXECUTE) == 3  # initial + 2 releases
-    assert kinds.count(JobEventType.TERMINATED) == 1
-    # Exactly one terminal record despite three attempts.
-    assert len(metrics.records) == 1
-    assert not metrics.records[0].success
+    assert run.engine.is_complete and not run.dead
+    verify_exactly_once(dag, PoolMetrics.merged([batch.metrics, metrics]))
+
+    capsys.readouterr()
+    cli_dir = tmp_path / "cli"
+    assert main(["run", str(cfg), "--seed", "1", "--rescue-dir", str(cli_dir)]) == 1
+    cli_rescue = cli_dir / "fdw.dag.rescue001"
+    assert f"DAGMan fdw failed; rescue file: {cli_rescue}" in capsys.readouterr().out
+    assert cli_rescue.read_text() == rescue.read_text()
+    assert main(["recover", str(cfg), str(cli_rescue), "--seed", "0"]) == 0
+    assert "rescued 4 completed node(s)" in capsys.readouterr().out
 
 
-def test_holds_absorb_transient_failures(tmp_path):
-    """With a hold budget, a retry-less DAG survives transient failures
-    that would otherwise kill it."""
-    dag = flat_dag(8)
-    dead_pool = make_pool(tmp_path, seed=3, success_prob=0.5)
-    dead_pool.submit_dagman(dag)
-    dead_pool.run()
-    assert dead_pool.dagman_runs["r"].dead  # without holds: terminal failure
-
-    held_pool = make_pool(tmp_path, seed=3, success_prob=0.5, max_job_holds=20)
-    held_pool.submit_dagman(flat_dag(8))
-    metrics = held_pool.run()
-    run = held_pool.dagman_runs["r"]
-    assert run.engine.is_complete
-    stats = DagmanStats.from_log_text(run.user_log.render())
-    assert sum(j.n_holds for j in stats.jobs.values()) >= 1
-    assert stats.n_completed == 8
-    verify_exactly_once(flat_dag(8), metrics)
+# -- preemption and user-log events ---------------------------------------------
 
 
-def test_default_config_emits_no_holds(tmp_path):
-    """max_job_holds=0 (default) preserves the hold-free behaviour."""
-    pool = make_pool(tmp_path, seed=3, success_prob=0.5)
-    pool.submit_dagman(flat_dag(8))
-    pool.run()
-    events = parse_user_log(pool.dagman_runs["r"].user_log.render())
-    assert not any(
-        e.event_type in (JobEventType.HELD, JobEventType.RELEASED) for e in events
-    )
-
-
-# -- fault injection hooks -----------------------------------------------------
-
-
-def test_inject_eviction_reconciles_counts(tmp_path):
-    """Forced evictions: every node still yields exactly one terminal
-    record, and eviction counts agree between PoolMetrics and the
-    parsed user log."""
+def test_preemption_eviction_counts_reconcile():
+    """Capacity-drop evictions: every node still yields exactly one
+    terminal record, and eviction counts agree between PoolMetrics and
+    the parsed user log."""
     dag = flat_dag(10)
-    pool = make_pool(tmp_path, slots=4)
+    pool = OSPoolSimulator(
+        config=pool_config(
+            runtime=RuntimeModel(a_base_s=300.0, a_per_rupture_s=0.0, sigma_log=0.0)
+        ),
+        capacity=MarkovModulatedCapacity(
+            levels=[6, 1], mean_dwell_s=[150.0, 150.0], jitter=0.0
+        ),
+        seed=2,
+    )
     pool.submit_dagman(dag)
-    evicted = []
-    pool.sim.schedule_at(30.0, lambda: evicted.append(pool.inject_eviction(2)))
-    pool.sim.schedule_at(60.0, lambda: evicted.append(pool.inject_eviction(1)))
     metrics = pool.run()
-    assert evicted == [2, 1]
     verify_exactly_once(dag, metrics)
     # One terminal record per node, none duplicated or lost.
     assert sorted(r.node_name for r in metrics.records) == sorted(dag.node_names)
     # Eviction counts reconcile with the log.
     stats = DagmanStats.from_log_text(pool.dagman_runs["r"].user_log.render())
-    assert sum(j.n_evictions for j in stats.jobs.values()) == 3
+    n_evictions = sum(j.n_evictions for j in stats.jobs.values())
+    assert n_evictions > 0  # capacity drops preempted running jobs
+    assert n_evictions == sum(r.n_evictions for r in metrics.records)
     by_cluster = {r.cluster_id: r.n_evictions for r in metrics.records}
     for cluster_id, timing in stats.jobs.items():
         assert by_cluster[cluster_id] == timing.n_evictions
 
 
-def test_inject_hold_releases_and_completes(tmp_path):
-    dag = flat_dag(6)
-    pool = make_pool(tmp_path, slots=3, hold_release_s=20.0)
-    pool.submit_dagman(dag)
-    held = []
-    pool.sim.schedule_at(10.0, lambda: held.append(pool.inject_hold(2)))
-    metrics = pool.run()
-    assert held == [2]
-    assert pool.dagman_runs["r"].engine.is_complete
-    verify_exactly_once(dag, metrics)
-    stats = DagmanStats.from_log_text(pool.dagman_runs["r"].user_log.render())
-    assert sum(j.n_holds for j in stats.jobs.values()) == 2
-
-
-def test_injection_validates_count(tmp_path):
-    pool = make_pool(tmp_path)
-    with pytest.raises(SimulationError):
-        pool.inject_eviction(0)
-    with pytest.raises(SimulationError):
-        pool.inject_hold(0)
+def test_default_config_emits_no_holds(tmp_path):
+    """The pool models no holds or removals: a run whose failed attempts
+    end its DAGMan logs no HELD, RELEASED or ABORTED event."""
+    pool = make_pool(tmp_path, seed=3, success_prob=0.5)
+    pool.submit_dagman(flat_dag(8))
+    pool.run()
+    assert pool.dagman_runs["r"].dead
+    events = parse_user_log(pool.dagman_runs["r"].user_log.render())
+    assert not any(
+        e.event_type in (JobEventType.HELD, JobEventType.RELEASED, JobEventType.ABORTED)
+        for e in events
+    )
 
 
 # -- merged metrics ------------------------------------------------------------

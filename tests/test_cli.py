@@ -206,6 +206,25 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert main(["burst", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, name, message",
+    [
+        ([], "missing.json", "cannot read"),
+        (["--metrics"], "missing.prom", "cannot read"),
+        ([], "bad.json", "invalid JSON"),
+    ],
+    ids=["missing-trace", "missing-metrics", "invalid-json"],
+)
+def test_obs_summary_bad_input_is_an_error(tmp_path, capsys, args, name, message):
+    """A missing or unparseable input is an error naming the file, not a
+    traceback."""
+    path = tmp_path / name
+    if name == "bad.json":
+        path.write_text("{not valid json")
+    assert main(["obs", "summary", *args, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}:")
+
+
 class TestWfCommands:
     def test_wf_export_import_round_trip(self, config_path, tmp_path, capsys):
         instance_json = tmp_path / "run.json"

@@ -19,10 +19,11 @@ from repro.condor.dagman import DagmanOptions
 from repro.core.config import FdwConfig
 from repro.core.submit_osg import run_fdw_batch
 from repro.core.workflow import build_fdw_dag
+from repro.errors import SimulationError
 from repro.gcpause import collector_paused
 from repro.osg import des
 from repro.osg.capacity import FixedCapacity
-from repro.osg.pool import OSPoolSimulator
+from repro.osg.pool import OSPoolConfig, OSPoolSimulator
 from repro.wf import generate_instance, import_instance, load_instance, replay_instance
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "examples" / "fdw64_wfformat.json"
@@ -160,9 +161,14 @@ class TestDesScope:
         assert pool.sim.pending == 0
 
     def test_bounded_pool_run_drops_pending_events(self):
-        pool = OSPoolSimulator(capacity=FixedCapacity(16), seed=4)
+        """A run stopped by the ``max_sim_time_s`` guard drops its
+        pending events too."""
+        pool = OSPoolSimulator(
+            OSPoolConfig(max_sim_time_s=600.0), capacity=FixedCapacity(16), seed=4
+        )
         pool.submit_dagman(build_fdw_dag(fdw_config()))
-        pool.run(until=600.0)
+        with pytest.raises(SimulationError, match="600.0s guard"):
+            pool.run()
         assert pool.sim.pending == 0
         assert pool.sim.now == 600.0
 

@@ -8,7 +8,9 @@ waveform synthesis — the costs that anchor the OSG runtime model via
 The ``gf-cache`` and ``phase-c-pool`` groups track the GF reuse
 subsystem: cold vs. warm :class:`~repro.core.gfcache.GFCache` lookups
 and the seed pool path (every worker rebuilds the bank per chunk)
-against the shared-memory pool. ``phase-c-batch`` times the span
+against the shared-memory pool, whose arm publishes
+``parent_bank_bytes``, the bytes the bank builders leave live in the
+pool's parent after a cold pooled run. ``phase-c-batch`` times the span
 synthesis kernel against the frozen dense per-station loop
 (``tests/oracles/synthesis_dense.py``; products compared bit for bit,
 speedup in ``extra_info``) and the float32 bank, whose error budget lands in
@@ -54,6 +56,8 @@ from repro.core.config import FdwConfig
 from repro.core.gfcache import GFCache
 from repro.core.local import LocalRunner, _fakequakes_for
 from repro.core.phases import chunk_bounds
+import repro.seismo.greens as greens_mod
+import repro.seismo.okada as okada_mod
 import repro.seismo.ruptures as ruptures_mod
 from repro.seismo.distance import DistanceMatrices
 from repro.seismo.geometry import build_chile_slab
@@ -438,11 +442,36 @@ def test_phase_c_pool_seed_path(benchmark, pool_config):
     assert len(maxima) == pool_config.n_waveforms
 
 
+def _parent_bank_bytes(config: FdwConfig, cache_dir) -> int:
+    """Live traced bytes the bank builders (``seismo/greens.py``,
+    ``seismo/okada.py``) allocated in this process, the pool's parent,
+    over one cold pooled run: 0 while Phase B runs in a worker."""
+    tracemalloc.start()
+    try:
+        with LocalRunner(
+            n_workers=POOL_WORKERS, gf_cache=GFCache(cache_dir=cache_dir)
+        ) as runner:
+            runner.run(config)
+            snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    builders = snapshot.filter_traces(
+        [tracemalloc.Filter(True, greens_mod.__file__),
+         tracemalloc.Filter(True, okada_mod.__file__)]
+    )
+    return sum(stat.size for stat in builders.statistics("filename"))
+
+
 @pytest.mark.benchmark(group="phase-c-pool")
 def test_phase_c_pool_shared_bank(benchmark, pool_config, tmp_path):
     """Persistent pool + shared-memory bank + warm GF cache (full run:
-    the dist/A/B phases it still performs are cache hits / parent-side
-    work shared with the seed arm)."""
+    its dist/A phases are the work shared with the seed arm, and it
+    skips Phase B, whose bank the first run published). A cold pooled
+    run on a pool of its own publishes ``parent_bank_bytes`` in
+    ``extra_info`` (see :func:`_parent_bank_bytes`)."""
+    benchmark.extra_info["parent_bank_bytes"] = _parent_bank_bytes(
+        pool_config, tmp_path / "cold"
+    )
     with LocalRunner(
         n_workers=POOL_WORKERS, gf_cache=GFCache(cache_dir=tmp_path / "gf")
     ) as runner:

@@ -24,9 +24,16 @@ the same lever for in-process execution:
   :mod:`repro.core.sharedbank`, which does not load the seismic stack,
   and are re-exported here.
 
-:class:`repro.core.local.LocalRunner` and the VDC layer
-(:mod:`repro.vdc.storage`, :mod:`repro.vdc.prefetch`) both route through
-this one implementation.
+:meth:`GFCache.get_or_compute` can deliver the bank into arrays the
+caller gives (``out``): a miss is built in them, a hit copied into them.
+A pooled :class:`repro.core.local.LocalRunner` run so publishes its
+bank the way the paper's Phase-B job does: a pool worker gets the bank
+through a cache over the runner's disk store and writes it straight
+into shared-memory segments the runner owns, and the runner's own
+cache contributes only that disk store (its memory level stays empty).
+A sequential run, and the VDC layer (:mod:`repro.vdc.storage`,
+:mod:`repro.vdc.prefetch`), use the cache in process. All of them route
+through this one implementation.
 """
 
 from __future__ import annotations
@@ -159,12 +166,19 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
         shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
         min_distance_km: float = 1.0,
         dtype: str = "float64",
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> GreensFunctionBank:
         """Return the bank for these inputs, computing it at most once.
 
         The bank is stored under the content-addressed key of the
         inputs. ``dtype`` is part of that key, so float32 and float64
         banks of the same physics occupy distinct entries.
+
+        ``out``, a ``(statics, travel_time_s)`` pair of arrays of the
+        bank's shapes and dtype, receives the bank: a miss is built in
+        it (the stored bank holds these arrays), a hit is copied into
+        it. A pooled run's Phase-B task passes the shared-memory
+        segments it fills (:func:`~repro.core.sharedbank.open_shared_bank`).
         """
         key = gf_bank_key(
             geometry,
@@ -177,11 +191,14 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
         )
         bank = self.get(key)
         if bank is not None:
+            if out is not None:
+                out[0][...] = bank.statics
+                out[1][...] = bank.travel_time_s
             return bank
         if gf_method == "okada":
             from repro.seismo.okada import compute_okada_gf_bank
 
-            bank = compute_okada_gf_bank(geometry, network, dtype=dtype)
+            bank = compute_okada_gf_bank(geometry, network, dtype=dtype, out=out)
         else:
             bank = compute_gf_bank(
                 geometry,
@@ -190,6 +207,7 @@ class GFCache(ArtifactCache[GreensFunctionBank]):
                 shear_velocity_kms=shear_velocity_kms,
                 min_distance_km=min_distance_km,
                 dtype=dtype,
+                out=out,
             )
         self.put(key, bank)
         return bank

@@ -15,16 +15,21 @@ plays that role two ways:
   56.8 % headline).
 
 The pool path shares one Green's-function bank across all workers
-through :mod:`repro.core.gfcache` and :mod:`repro.core.sharedbank`: the
-parent computes (or cache-loads) the bank once, publishes its arrays
-into ``multiprocessing`` shared-memory segments, and ships workers only
-a small picklable
-:class:`~repro.core.sharedbank.SharedBankHandle` plus the pre-generated
-rupture chunk. Each worker keeps one FakeQuakes session, for the
-configuration it is running; a task for another configuration replaces
-it. A session's first Phase-C chunk attaches the bank into it, and the
-session keeps that mapping until it is replaced. Phase-C chunks run
-the same
+through :mod:`repro.core.gfcache` and :mod:`repro.core.sharedbank`.
+When Phase C goes to the pool, Phase B is one pool task too, as it is
+its own job in the paper: the parent creates (and owns) the bank's
+``multiprocessing`` shared-memory segments and queues the task behind
+the Phase-A chunks; the worker that takes it gets the bank through a
+cache over the runner's disk store, building it straight into the
+segments on a miss or copying a verified hit, writes the cache entry
+and returns a small picklable
+:class:`~repro.core.sharedbank.SharedBankHandle`. The parent never
+holds a bank: it waits for the handle only when it is about to submit
+Phase-C chunks, which carry it with their pre-generated rupture chunk.
+Each worker keeps one FakeQuakes session, for the configuration it is
+running; a task for another configuration replaces it. A session's
+first Phase-C chunk attaches the bank into it, and the session keeps
+that mapping until it is replaced. Phase-C chunks run the same
 :meth:`~repro.seismo.fakequakes.FakeQuakes.phase_c_waveforms` as an
 inline chunk. Phase-C workers never recompute distances, ruptures, or
 the bank — the in-process equivalent of every Phase-C job pulling the
@@ -33,11 +38,12 @@ Pooled Phase-A workers build the distance matrices in their own
 sessions, so the parent builds them only when it generates ruptures
 itself. Every process ends Phase A
 (:meth:`~repro.seismo.fakequakes.FakeQuakes.end_phase_a`) before it
-synthesizes: the parent when its own Phase A returns, a worker when it
-takes a Phase-C chunk. So no process carries the distance matrices,
-their lag table or the rupture generator through Phase C, and a
-repeated pooled run of one configuration rebuilds the matrices in each
-worker that runs one of its Phase-A chunks.
+builds a bank or synthesizes: the parent when its own Phase A returns,
+a worker when it takes the Phase-B task or a Phase-C chunk. So no
+process carries the distance matrices, their lag table or the rupture
+generator through Phases B and C, and a repeated pooled run of one
+configuration rebuilds the matrices in each worker that runs one of
+its Phase-A chunks.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from repro.core.phases import chunk_bounds, plan_phases
 from repro.core.sharedbank import (
     SharedBankHandle,
     attach_shared_bank,
+    open_shared_bank,
     publish_shared_bank,
 )
 from repro.osg.runtimes import RuntimeModel
@@ -85,6 +92,10 @@ if TYPE_CHECKING:
 
     #: Pool task for one Phase-A chunk: (parameters, start, count, K-L dir).
     _AChunkTask = tuple[FakeQuakesParameters, int, int, "str | None"]
+
+    #: Pool task for Phase B: (handle of the segments to fill,
+    #: parameters, GF dir).
+    _BTask = tuple[SharedBankHandle, FakeQuakesParameters, "str | None"]
 
     #: Pool task for one Phase-C chunk: (shared-bank handle, parameters,
     #: rupture chunk, spool dir).
@@ -185,6 +196,32 @@ def _run_a_chunk(task: _AChunkTask) -> list[Rupture]:
         fq.kl_cache = None
 
 
+def _run_b_task(task: _BTask) -> SharedBankHandle:
+    """Worker: Phase B, straight into the segments the parent published.
+
+    The worker's session ends its Phase A, then gets the bank through a
+    cache over ``gf_dir``, the runner's disk store, bound to this call
+    only (as :func:`_run_a_chunk` binds its K-L cache): a miss is built
+    in the segments a station block at a time and stored, a verified
+    hit is copied into them. The session keeps no bank, and this call's
+    writable mapping closes when it returns; each Phase-C chunk's
+    session attaches the filled segments read-only.
+    """
+    from repro.core.gfcache import GFCache
+
+    handle, params, gf_dir = task
+    fq = _session(params)
+    fq.end_phase_a()
+    GFCache(cache_dir=gf_dir).get_or_compute(
+        fq.geometry,
+        fq.network,
+        gf_method=params.gf_method,
+        dtype=params.gf_dtype,
+        out=open_shared_bank(handle),
+    )
+    return handle
+
+
 #: Subdirectory of the archive where products wait to be renamed in.
 _SPOOL = "_spool"
 
@@ -276,19 +313,25 @@ def _assemble_archive(
     shutil.rmtree(spool, ignore_errors=True)
 
 
+def _unlink(segments: list) -> None:
+    """Close and unlink shared-memory segments this process created."""
+    for shm in segments:
+        try:
+            shm.close()
+            shm.unlink()
+        except (FileNotFoundError, OSError):  # pragma: no cover - double free
+            pass
+
+
 def _release_state(state: dict) -> None:
     """Tear down a runner's pool and unlink its shared-memory segments."""
     pool = state.get("pool")
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
         state["pool"] = None
-    for shm in state.get("segments", ()):
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - double free
-            pass
-    state["segments"] = []
+    for segments in state.get("segments", {}).values():
+        _unlink(segments)
+    state["segments"] = {}
 
 
 def _no_hook(*_args: object) -> None:
@@ -370,13 +413,16 @@ class _ChunkExecutor:
         inline: Callable[[int], object],
         worker: Callable[[object], object],
         task: Callable[[int], object],
+        then: Callable[[], None] | None = None,
     ) -> list:
         """Execute one phase's pending chunks; return all results by index.
 
         ``restored`` is what :meth:`restore` returned for the phase.
         ``inline(i)`` computes chunk ``i`` in this process and
         ``worker(task(i))`` computes it in a pool worker, as
-        :meth:`pools` decides.
+        :meth:`pools` decides. When they run in the pool, ``then()``
+        runs once they are queued, before the first result is awaited:
+        a pooled Phase B queues behind Phase A this way.
         """
         store = None
         if self.ckpt is not None:
@@ -397,6 +443,8 @@ class _ChunkExecutor:
                 submit(i)
             compute, resubmit = (lambda i: futures[i].result()), submit
         try:
+            if futures and then is not None:
+                then()
             for i in pending:
                 results[i] = self._attempt(phase, i, compute, resubmit)
                 if store is not None:
@@ -475,13 +523,16 @@ class LocalRunner:
         fans each phase's pending chunks out over a persistent process
         pool when there is more than one: A chunks to workers caching
         their Phase-A session, C chunks to workers reading one
-        shared-memory copy of the GF bank (see module docstring). Both
-        pooled phases are bit-identical to sequential.
+        shared-memory copy of the GF bank, which one more pool task
+        builds as Phase B (see module docstring). Every pooled phase is
+        bit-identical to sequential.
     gf_cache:
         The :class:`~repro.core.gfcache.GFCache` Phase B routes
         through. ``None`` builds a private cache (which still honours
         ``REPRO_GF_CACHE_DIR``); pass a shared instance to reuse banks
-        across runners.
+        across runners. A pooled Phase B uses only its disk store: the
+        worker that builds the bank reads and writes the entry there,
+        and this cache's memory level is not filled.
     kl_cache:
         The :class:`~repro.seismo.klcache.KLCache` the *parent-side*
         Phase A routes through (sequential runs and the single-chunk
@@ -496,9 +547,10 @@ class LocalRunner:
     and drop them when they take a Phase-C chunk; a parent copy made
     before the pool forks would sit in every worker beside it.
 
-    The pool and the published shared-memory segments persist across
-    :meth:`run` calls — repeated runs of the same configuration skip
-    Phase B entirely and re-dispatch against the already-published
+    The runner creates and owns the shared-memory segments; a pool
+    worker fills them. The pool and the published segments persist
+    across :meth:`run` calls — repeated runs of the same configuration
+    skip Phase B entirely and re-dispatch against the already-published
     bank, though each run's pooled Phase A builds the distance matrices
     again. A worker keeps one session: a run of another configuration
     replaces it and lets go of the old bank's mapping. Call
@@ -526,8 +578,10 @@ class LocalRunner:
         #: schedules derive from the run config's seed, so they are as
         #: reproducible as the catalog itself.
         self.retry_policy = retry_policy or RetryPolicy()
-        self._published: dict[str, SharedBankHandle] = {}
-        self._state: dict = {"pool": None, "segments": []}
+        #: Bank key -> the Phase-B task publishing it (its handle).
+        self._published: dict[str, Future] = {}
+        #: The pool, and the segments of each published key.
+        self._state: dict = {"pool": None, "segments": {}}
         self._finalizer = weakref.finalize(self, _release_state, self._state)
 
     # -- pool / shared-bank lifecycle ----------------------------------------
@@ -541,14 +595,40 @@ class LocalRunner:
             self._state["pool"] = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._state["pool"]
 
-    def _shared_handle(self, key: str, fq: FakeQuakes) -> SharedBankHandle:
-        """Publish the bank for ``key`` once; reuse the handle afterwards."""
-        handle = self._published.get(key)
-        if handle is None:
-            handle, segments = publish_shared_bank(fq.phase_b_greens_functions(), key)
-            self._published[key] = handle
-            self._state["segments"].extend(segments)
-        return handle
+    def _publish(self, key: str, fq: FakeQuakes) -> Future:
+        """Queue Phase B for bank ``key`` on the pool, once per runner.
+
+        This process creates the bank's segments, which it owns from
+        then on, and never maps them; the task (:func:`_run_b_task`)
+        fills them in a worker and returns their handle.
+        """
+        future = self._published.get(key)
+        if future is None:
+            handle, segments = publish_shared_bank(
+                key,
+                (len(fq.network), fq.geometry.n_subfaults),
+                fq.params.gf_dtype,
+                fq.network.names,
+                fq.geometry.name,
+            )
+            self._state["segments"][key] = segments
+            gf_dir = self.gf_cache.cache_dir
+            future = self._published[key] = self._ensure_pool().submit(
+                _run_b_task, (handle, fq.params, None if gf_dir is None else str(gf_dir))
+            )
+        return future
+
+    def _bank_handle(self, key: str, fq: FakeQuakes) -> SharedBankHandle:
+        """The handle of the published bank ``key``, once its Phase-B
+        task has filled it (queued now if Phase A did not queue it). A
+        failed task is forgotten, and its segments unlinked, before its
+        error propagates, so the next run publishes the bank afresh."""
+        try:
+            return self._publish(key, fq).result()
+        except Exception:
+            self._published.pop(key, None)
+            _unlink(self._state["segments"].pop(key, []))
+            raise
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared-memory segments.
@@ -644,10 +724,21 @@ class LocalRunner:
         # pool workers build their own in their sessions, and a parent
         # copy would only be forked into each of them.
         restored_a = chunks.restore("A", len(a_chunks))
+        restored_c = chunks.restore("C", len(c_chunks))
         pending_a = restored_a[1]
         with _phase(phase_seconds, "dist"):
             if pending_a and not chunks.pools(pending_a):
                 fq.phase_a_distances()
+
+        # A pooled Phase C reads the bank from shared memory. Unless this
+        # runner published it already, Phase B is a pool task queued
+        # behind the pooled Phase-A chunks, or after an inline Phase A
+        # (_publish), so this process never holds a bank.
+        bank_key: str | None = None
+        if chunks.pools(restored_c[1]):
+            bank_key = gf_bank_key(
+                fq.geometry, fq.network, gf_method=fq.params.gf_method, dtype=fq.params.gf_dtype
+            )
 
         # Pool workers share the runner's disk K-L store when one is
         # configured, and build their Phase-A sessions from the params.
@@ -661,19 +752,20 @@ class LocalRunner:
                 inline=lambda i: fq.phase_a_ruptures(*a_chunks[i]),
                 worker=_run_a_chunk,
                 task=lambda i: (fq.params, *a_chunks[i], kl_dir),
+                then=None if bank_key is None else lambda: self._publish(bank_key, fq),
             )
             ruptures: list[Rupture] = [r for chunk in chunks_a for r in chunk]
             fq.end_phase_a()
 
+        # A pooled Phase B is the wait for the bank's handle.
+        handle: SharedBankHandle | None = None
         with _phase(phase_seconds, "B"):
-            fq.phase_b_greens_functions()
+            if bank_key is None:
+                fq.phase_b_greens_functions()
+            else:
+                handle = self._bank_handle(bank_key, fq)
 
-        # Pooled C chunks read the bank from shared memory, published
-        # once per bank key when the first task is built.
         with _phase(phase_seconds, "C", chunks):
-            bank_key = gf_bank_key(
-                fq.geometry, fq.network, gf_method=fq.params.gf_method, dtype=fq.params.gf_dtype
-            )
 
             def c_slice(i: int) -> list[Rupture]:
                 start, count = c_chunks[i]
@@ -681,10 +773,10 @@ class LocalRunner:
 
             rows_by_chunk: list[list[CRow]] = chunks.run(
                 "C",
-                chunks.restore("C", len(c_chunks)),
+                restored_c,
                 inline=lambda i: _spool_rows(fq.phase_c_waveforms(c_slice(i)), spool),
                 worker=_run_c_chunk,
-                task=lambda i: (self._shared_handle(bank_key, fq), fq.params, c_slice(i), spool),
+                task=lambda i: (handle, fq.params, c_slice(i), spool),
             )
             pgd: dict[str, float] = {}
             n_sets = 0

@@ -1,13 +1,24 @@
 """Zero-copy sharing of a Green's-function bank across worker processes.
 
-:func:`publish_shared_bank` copies a bank's two large arrays into
-``multiprocessing.shared_memory`` segments and returns a small picklable
-:class:`SharedBankHandle`; :func:`attach_shared_bank` maps them in a
-worker as read-only arrays. A process pool synthesizing Phase-C chunks
-so reads one physical copy instead of rebuilding
+The bank of a pooled run lives in two ``multiprocessing.shared_memory``
+segments, its statics and its travel times, written by one process and
+read by every other:
+
+* :func:`publish_shared_bank` creates the segments, unfilled, and
+  returns a small picklable :class:`SharedBankHandle` naming them. The
+  process that calls it owns the segments and unlinks them when its
+  pool is done (:class:`repro.core.local.LocalRunner`, the pool's
+  parent, which never maps a bank itself).
+* :func:`open_shared_bank` maps them writable in the one process that
+  fills them: the pool worker running Phase B builds the bank, or
+  copies a cached one, straight into these arrays.
+* :func:`attach_shared_bank` maps them read-only in every Phase-C
+  worker once the filler has returned.
+
+A Phase-C chunk so reads one physical copy instead of rebuilding
 O(n_stations x n_subfaults) arrays per worker per chunk. A mapped
-segment is closed once no array views it, so whoever holds the
-attached bank decides how long the mapping lives.
+segment is closed once no array views it, so whoever holds the mapped
+arrays decides how long the mapping lives.
 
 The module needs numpy and the standard library only (the bank class
 is imported where a worker builds one), so :mod:`repro.core.local`
@@ -18,6 +29,7 @@ binds these names at import without loading the seismic stack.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
@@ -32,6 +44,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SharedBankHandle",
     "publish_shared_bank",
+    "open_shared_bank",
     "attach_shared_bank",
 ]
 
@@ -55,54 +68,58 @@ class SharedBankHandle:
 
 
 def publish_shared_bank(
-    bank: GreensFunctionBank, key: str
+    key: str,
+    shape: tuple[int, int],
+    dtype: str,
+    station_names: Sequence[str],
+    fault_name: str,
 ) -> tuple[SharedBankHandle, list[shared_memory.SharedMemory]]:
-    """Copy a bank's arrays into shared-memory segments.
+    """Create the unfilled segments of the bank ``key`` names.
 
-    Returns the picklable handle plus the segment objects; the caller
-    owns the segments and must ``close()``/``unlink()`` them when the
-    pool is done (:class:`repro.core.local.LocalRunner` does this).
+    ``shape`` is ``(n_stations, n_subfaults)``; the segments hold the
+    ``(n_stations, n_subfaults, 3)`` statics and the travel times in
+    ``dtype``. Creating them touches no page: memory is taken as the
+    filler writes (:func:`open_shared_bank`), and readers attach only
+    after it has returned. Returns the picklable handle plus the
+    segment objects; the caller owns the segments and must
+    ``close()``/``unlink()`` them when the pool is done.
     """
+    n_stations, n_subfaults = shape
+    itemsize = np.dtype(dtype).itemsize
     segments: list[shared_memory.SharedMemory] = []
-
-    def _publish(arr: np.ndarray) -> shared_memory.SharedMemory:
-        src = np.ascontiguousarray(arr)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, src.nbytes))
-        dst = np.ndarray(src.shape, dtype=src.dtype, buffer=shm.buf)
-        dst[...] = src
-        segments.append(shm)
-        return shm
-
-    if bank.statics.dtype != bank.travel_time_s.dtype:
-        raise CacheError(
-            "statics and travel times must share a dtype to be published, "
-            f"got {bank.statics.dtype} / {bank.travel_time_s.dtype}"
-        )
-    statics_shm = _publish(bank.statics)
-    travel_shm = _publish(bank.travel_time_s)
+    try:
+        for n_values in (n_stations * n_subfaults * 3, n_stations * n_subfaults):
+            segments.append(
+                shared_memory.SharedMemory(create=True, size=max(1, n_values * itemsize))
+            )
+    except OSError:
+        for shm in segments:
+            shm.close()
+            shm.unlink()
+        raise
+    statics_shm, travel_shm = segments
     handle = SharedBankHandle(
         key=key,
         statics_name=statics_shm.name,
         travel_name=travel_shm.name,
-        statics_shape=tuple(bank.statics.shape),  # type: ignore[arg-type]
-        travel_shape=tuple(bank.travel_time_s.shape),  # type: ignore[arg-type]
-        dtype=str(bank.statics.dtype),
-        station_names=tuple(bank.station_names),
-        fault_name=bank.fault_name,
+        statics_shape=(n_stations, n_subfaults, 3),
+        travel_shape=(n_stations, n_subfaults),
+        dtype=str(np.dtype(dtype)),
+        station_names=tuple(station_names),
+        fault_name=fault_name,
     )
     return handle, segments
 
 
 def _view(shm: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """A read-only array over a segment that closes the segment once no
-    array views it.
+    """An array over a segment that closes the segment once no array
+    views it.
 
     Every view of the array keeps the array as its base, so the
     finalizer runs only after the last view is gone: closing under a
     live view would unmap memory the view still reads.
     """
     arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-    arr.flags.writeable = False
     weakref.finalize(arr, _close, shm).atexit = False
     return arr
 
@@ -114,8 +131,30 @@ def _close(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
+def open_shared_bank(handle: SharedBankHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Map a published bank writable, for the one process that fills it.
+
+    Returns the ``(statics, travel_time_s)`` arrays, shaped and typed as
+    the handle says, for a bank builder's ``out`` (see
+    :meth:`repro.core.gfcache.GFCache.get_or_compute`). The mapping
+    closes once both arrays and every view of them are gone.
+    """
+    try:
+        statics_shm = shared_memory.SharedMemory(name=handle.statics_name)
+        travel_shm = shared_memory.SharedMemory(name=handle.travel_name)
+    except FileNotFoundError as exc:
+        raise CacheError(
+            f"shared GF bank {handle.key[:12]} is gone (segments unlinked?)"
+        ) from exc
+    dtype = np.dtype(handle.dtype)
+    return (
+        _view(statics_shm, handle.statics_shape, dtype),
+        _view(travel_shm, handle.travel_shape, dtype),
+    )
+
+
 def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
-    """Map a published bank in this process.
+    """Map a filled bank in this process.
 
     The returned bank's arrays are **read-only views** over the shared
     segments — concurrent readers cannot corrupt them, and no copy of
@@ -125,17 +164,11 @@ def attach_shared_bank(handle: SharedBankHandle) -> GreensFunctionBank:
     """
     from repro.seismo.greens import GreensFunctionBank
 
-    try:
-        statics_shm = shared_memory.SharedMemory(name=handle.statics_name)
-        travel_shm = shared_memory.SharedMemory(name=handle.travel_name)
-    except FileNotFoundError as exc:
-        raise CacheError(
-            f"shared GF bank {handle.key[:12]} is gone (segments unlinked?)"
-        ) from exc
-    dtype = np.dtype(handle.dtype)
+    statics, travel = open_shared_bank(handle)
+    statics.flags.writeable = travel.flags.writeable = False
     return GreensFunctionBank(
-        statics=_view(statics_shm, handle.statics_shape, dtype),
-        travel_time_s=_view(travel_shm, handle.travel_shape, dtype),
+        statics=statics,
+        travel_time_s=travel,
         station_names=handle.station_names,
         fault_name=handle.fault_name,
     )

@@ -126,6 +126,14 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
     unsupported the temp is renamed over ``path`` instead. The temp
     never outlives the call. The digest is streamed from the temp a
     block at a time, so publishing holds no second copy of the payload.
+
+    A writer that loses the race checks the winner: when the winner's
+    sidecar is already written and records another digest than the
+    loser's bytes hash to, the published artifact is quarantined
+    (:func:`quarantine_artifact`, a ``.reason`` naming both digests),
+    so the next lookup misses and recomputes. Writers of one key are
+    meant to produce the same bytes; a winner whose sidecar is not yet
+    written is left alone. Only a losing writer pays for the check.
     """
     tmp = _temp_path(path, ".tmp" + path.suffix)
     try:
@@ -136,12 +144,32 @@ def publish_artifact(path: Path, write: Callable[[Path], object]) -> None:
         try:
             os.link(tmp, path)
         except FileExistsError:
+            _check_winner(path, digest)
             return
         except OSError:
             os.replace(tmp, path)
         write_digest(path, digest)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _check_winner(path: Path, digest: str) -> None:
+    """Quarantine the published ``path`` if its sidecar records another
+    digest than ``digest``, the one a losing writer's bytes hash to."""
+    try:
+        winner = read_digest(path)
+    except IntegrityError as exc:
+        winner = f"unreadable ({exc})"
+    if winner is None or winner == digest:
+        return
+    try:
+        quarantine_artifact(
+            path,
+            reason=f"published digest {winner} differs from a concurrent "
+            f"writer's {digest}",
+        )
+    except FileNotFoundError:  # another loser moved it first
+        pass
 
 
 def write_artifact(path: str | Path, data: bytes) -> Path:

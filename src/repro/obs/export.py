@@ -116,6 +116,9 @@ def validate_chrome_trace(doc: object) -> int:
         for field in ("name", "ph", "pid", "tid"):
             if field not in ev:
                 raise ObsError(f"event {i}: missing {field!r}")
+        for field in ("name", "cat"):
+            if field in ev and not isinstance(ev[field], str):
+                raise ObsError(f"event {i}: {field!r} must be a string")
         if ev["ph"] not in _VALID_PHASES:
             raise ObsError(f"event {i}: unknown phase {ev['ph']!r}")
         if ev["ph"] in ("X", "i") and not isinstance(

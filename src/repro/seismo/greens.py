@@ -212,6 +212,30 @@ def _bank_dtype(dtype: str | np.dtype) -> np.dtype:
     return out
 
 
+def _bank_arrays(
+    shape: tuple[int, int],
+    dtype: np.dtype,
+    out: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(statics, travel_time_s)`` arrays a builder fills: ``out``
+    when given, once its shapes and dtype match the bank's, else new
+    ones."""
+    if out is None:
+        return np.empty((*shape, 3), dtype=dtype), np.empty(shape, dtype=dtype)
+    statics, travel = out
+    if (
+        statics.shape != (*shape, 3)
+        or travel.shape != shape
+        or statics.dtype != dtype
+        or travel.dtype != dtype
+    ):
+        raise GreensFunctionError(
+            f"out arrays {statics.shape} {statics.dtype} / {travel.shape} "
+            f"{travel.dtype} do not fit a {shape} {dtype} bank"
+        )
+    return statics, travel
+
+
 def station_blocks(n_stations: int, n_subfaults: int, block_pairs: int) -> Iterator[slice]:
     """The station slices a bank builder fills in turn.
 
@@ -236,6 +260,7 @@ def compute_gf_bank(
     shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
     min_distance_km: float = 1.0,
     dtype: str | np.dtype = "float64",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GreensFunctionBank:
     """Compute the static GF bank for every (station, subfault) pair.
 
@@ -262,18 +287,21 @@ def compute_gf_bank(
     dtype:
         Output dtype of the bank arrays; the computation itself always
         runs in float64 and ``"float32"`` casts each finished block.
+    out:
+        ``(statics, travel_time_s)`` arrays of the bank's shapes and
+        ``dtype`` to fill instead of new ones; the bank holds them (a
+        pooled run's Phase B passes its shared-memory segments).
     """
     if min_distance_km <= 0:
         raise GreensFunctionError(f"min_distance_km must be positive, got {min_distance_km}")
     if shear_velocity_kms <= 0:
         raise GreensFunctionError("shear velocity must be positive")
-    out = _bank_dtype(dtype)
+    out_dtype = _bank_dtype(dtype)
 
     east_f, north_f, depth_f = geometry.enu()
     east_s, north_s = geometry.projection.to_enu(network.lons, network.lats)
     n_sta, n_sub = len(east_s), len(east_f)
-    statics = np.empty((n_sta, n_sub, 3), dtype=out)
-    travel = np.empty((n_sta, n_sub), dtype=out)
+    statics, travel = _bank_arrays((n_sta, n_sub), out_dtype, out)
     for block in station_blocks(n_sta, n_sub, _BLOCK_PAIRS):
         r, ue, un, uz = _point_source_block(
             geometry, east_s[block], north_s[block], east_f, north_f, depth_f,

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import GreensFunctionError
 from repro.seismo.geometry import FaultGeometry
-from repro.seismo.greens import GreensFunctionBank, _bank_dtype, station_blocks
+from repro.seismo.greens import GreensFunctionBank, _bank_arrays, _bank_dtype, station_blocks
 from repro.seismo.kinematics import DEFAULT_SHEAR_VELOCITY_KMS
 from repro.seismo.stations import StationNetwork
 
@@ -276,6 +276,7 @@ def compute_okada_gf_bank(
     rake_deg: float = 90.0,
     shear_velocity_kms: float = DEFAULT_SHEAR_VELOCITY_KMS,
     dtype: str | np.dtype = "float64",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GreensFunctionBank:
     """Finite-fault static GF bank via Okada's solution.
 
@@ -290,6 +291,8 @@ def compute_okada_gf_bank(
     and every subfault at once (see :data:`_BLOCK_PAIRS`), always in
     float64; ``dtype="float32"`` casts each finished block for half-size
     storage/transfer (see DESIGN.md for the measured error budget).
+    ``out`` takes preallocated ``(statics, travel_time_s)`` arrays to
+    fill, as :func:`~repro.seismo.greens.compute_gf_bank` does.
     """
     out_dtype = _bank_dtype(dtype)
 
@@ -297,9 +300,7 @@ def compute_okada_gf_bank(
     ss = float(np.cos(rake))  # strike-slip component of unit slip
     ds = float(np.sin(rake))  # dip-slip component
 
-    shape = (len(network), geometry.n_subfaults)
-    statics = np.empty((*shape, 3), dtype=out_dtype)
-    travel = np.empty(shape, dtype=out_dtype)
+    statics, travel = _bank_arrays((len(network), geometry.n_subfaults), out_dtype, out)
     _fill_bank(geometry, network, ss, ds, shear_velocity_kms, statics, travel)
 
     return GreensFunctionBank(

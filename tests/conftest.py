@@ -46,6 +46,36 @@ def small_gf_bank(
     return compute_gf_bank(small_geometry, small_network)
 
 
+@pytest.fixture
+def share_bank():
+    """Publish a bank into shared memory as a pooled Phase B does: the
+    test owns the segments (:func:`publish_shared_bank`) and fills them
+    through :func:`open_shared_bank`. Returns ``share(bank, key) ->
+    (handle, segments)``; segments still linked at teardown are
+    unlinked."""
+    from repro.core.sharedbank import open_shared_bank, publish_shared_bank
+
+    made = []
+
+    def share(bank: GreensFunctionBank, key: str):
+        handle, segments = publish_shared_bank(
+            key, bank.statics.shape[:2], bank.dtype, bank.station_names, bank.fault_name
+        )
+        made.extend(segments)
+        statics, travel = open_shared_bank(handle)
+        statics[...] = bank.statics
+        travel[...] = bank.travel_time_s
+        return handle, segments
+
+    yield share
+    for shm in made:
+        shm.close()
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+
+
 @pytest.fixture(scope="session")
 def rupture_generator(
     small_geometry: FaultGeometry, small_distances: DistanceMatrices

@@ -11,7 +11,6 @@ from repro.core.gfcache import (
     GFCache,
     attach_shared_bank,
     gf_bank_key,
-    publish_shared_bank,
 )
 from repro.errors import CacheError
 from repro.seismo.geometry import build_chile_slab
@@ -139,52 +138,78 @@ def _reader_checksum(handle):
     )
 
 
-def test_publish_attach_roundtrip(small_gf_bank, small_geometry, small_network):
+def test_publish_attach_roundtrip(small_gf_bank, small_geometry, small_network, share_bank):
     key = gf_bank_key(small_geometry, small_network)
-    handle, segments = publish_shared_bank(small_gf_bank, key)
-    try:
-        attached = attach_shared_bank(handle)
-        assert np.array_equal(attached.statics, small_gf_bank.statics)
-        assert np.array_equal(attached.travel_time_s, small_gf_bank.travel_time_s)
-        assert attached.station_names == small_gf_bank.station_names
-        assert not attached.statics.flags.writeable
-        assert not attached.travel_time_s.flags.writeable
-    finally:
-        for shm in segments:
-            shm.close()
-            shm.unlink()
+    handle, _segments = share_bank(small_gf_bank, key)
+    attached = attach_shared_bank(handle)
+    assert np.array_equal(attached.statics, small_gf_bank.statics)
+    assert np.array_equal(attached.travel_time_s, small_gf_bank.travel_time_s)
+    assert attached.station_names == small_gf_bank.station_names
+    assert not attached.statics.flags.writeable
+    assert not attached.travel_time_s.flags.writeable
 
 
-def test_concurrent_readers_see_identical_bytes(small_gf_bank):
+def test_concurrent_readers_see_identical_bytes(small_gf_bank, share_bank):
     """Many processes reading the same segments observe the same data —
     read-only views cannot corrupt the shared bank."""
-    handle, segments = publish_shared_bank(small_gf_bank, "concurrent-test")
+    handle, _segments = share_bank(small_gf_bank, "concurrent-test")
     expected = (
         float(np.sum(small_gf_bank.statics)),
         float(np.sum(small_gf_bank.travel_time_s)),
     )
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=4, mp_context=ctx) as pool:
-            results = list(pool.map(_reader_checksum, [handle] * 12))
-        for statics_sum, travel_sum, writeable in results:
-            assert (statics_sum, travel_sum) == expected
-            assert not writeable
-        # The parent's copy is untouched after all that reading.
-        assert float(np.sum(small_gf_bank.statics)) == expected[0]
-    finally:
-        for shm in segments:
-            shm.close()
-            shm.unlink()
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=4, mp_context=ctx) as pool:
+        results = list(pool.map(_reader_checksum, [handle] * 12))
+    for statics_sum, travel_sum, writeable in results:
+        assert (statics_sum, travel_sum) == expected
+        assert not writeable
+    # The parent's copy is untouched after all that reading.
+    assert float(np.sum(small_gf_bank.statics)) == expected[0]
 
 
-def test_attach_after_unlink_raises(small_gf_bank):
-    handle, segments = publish_shared_bank(small_gf_bank, "gone-test")
+def test_attach_after_unlink_raises(small_gf_bank, share_bank):
+    handle, segments = share_bank(small_gf_bank, "gone-test")
     for shm in segments:
         shm.close()
         shm.unlink()
     with pytest.raises(CacheError):
         attach_shared_bank(handle)
+
+
+@pytest.mark.parametrize("gf_method", ["point", "okada"])
+@pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+def test_get_or_compute_fills_given_arrays(tmp_path, small_geometry, small_network,
+                                           gf_method, warm):
+    """``out`` receives the bank bit for bit: a miss is built in it and
+    the stored entry equals an in-memory build's, a hit is copied in."""
+    reference = GFCache(cache_dir=tmp_path / "ref").get_or_compute(
+        small_geometry, small_network, gf_method=gf_method
+    )
+    cache = GFCache(cache_dir=tmp_path / "ref" if warm else tmp_path / "out")
+    out = (np.full_like(reference.statics, np.nan), np.full_like(reference.travel_time_s, np.nan))
+    bank = cache.get_or_compute(small_geometry, small_network, gf_method=gf_method, out=out)
+    assert out[0].tobytes() == reference.statics.tobytes()
+    assert out[1].tobytes() == reference.travel_time_s.tobytes()
+    assert cache.stats.disk_hits == int(warm) and cache.stats.misses == int(not warm)
+    if not warm:
+        assert bank.statics is out[0] and bank.travel_time_s is out[1]
+        (written,) = (tmp_path / "out").glob("gf_*.npz")
+        (expected,) = (tmp_path / "ref").glob("gf_*.npz")
+        assert written.read_bytes() == expected.read_bytes()
+
+
+def test_builders_reject_out_arrays_that_do_not_fit(small_geometry, small_network):
+    from repro.errors import GreensFunctionError
+    from repro.seismo.okada import compute_okada_gf_bank
+
+    shape = (len(small_network), small_geometry.n_subfaults)
+    for out in (
+        (np.empty((*shape, 3), dtype=np.float32), np.empty(shape, dtype=np.float32)),
+        (np.empty((*shape, 3)), np.empty((shape[0] + 1, shape[1]))),
+    ):
+        for build in (compute_gf_bank, compute_okada_gf_bank):
+            with pytest.raises(GreensFunctionError):
+                build(small_geometry, small_network, out=out)
 
 
 # -- dtype keying (no silent cross-dtype hits) --------------------------------
@@ -217,17 +242,12 @@ def test_get_or_compute_okada_dtype(small_geometry, small_network):
     assert bank.dtype == np.float32
 
 
-def test_publish_attach_float32_roundtrip(small_gf_bank):
+def test_publish_attach_float32_roundtrip(small_gf_bank, share_bank):
     half = small_gf_bank.astype("float32")
-    handle, segments = publish_shared_bank(half, "f32key")
-    try:
-        attached = attach_shared_bank(handle)
-        assert attached.dtype == np.float32
-        assert np.array_equal(attached.statics, half.statics)
-    finally:
-        for shm in segments:
-            shm.close()
-            shm.unlink()
+    handle, _segments = share_bank(half, "f32key")
+    attached = attach_shared_bank(handle)
+    assert attached.dtype == np.float32
+    assert np.array_equal(attached.statics, half.statics)
 
 
 # -- integrity: corrupt disk entries degrade to a recompute -------------------

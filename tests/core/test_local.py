@@ -179,15 +179,30 @@ def test_archived_products_decode_to_synthesized_arrays(run_result, tiny_config)
         assert back.data.tobytes() == ws.data.tobytes()
 
 
-def test_pool_reuses_published_bank(tiny_config):
+def test_pool_reuses_published_bank(tiny_config, monkeypatch):
+    """A repeat pooled run of one configuration skips Phase B entirely:
+    it queues no Phase-B task and looks nothing up, and its Phase-C
+    chunks read the bank the first run published."""
+    from repro.core import local
+
     with LocalRunner(n_workers=2) as runner:
         first = runner.run(tiny_config)
-        assert len(runner._published) == 1
+        (published,) = runner._published.values()
+        pool = runner._state["pool"]
+        submitted = []
+        submit = pool.submit
+
+        def spy(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "submit", spy)
         second = runner.run(tiny_config)
-        assert len(runner._published) == 1  # same key, no republish
+        assert list(runner._published.values()) == [published]  # no republish
+        assert local._run_b_task not in submitted
+        assert set(submitted) == {local._run_a_chunk, local._run_c_chunk}
         assert first.pgd_by_rupture == second.pgd_by_rupture
-        # Warm cache: the second run's Phase B is a pure lookup.
-        assert runner.gf_cache.stats.hits >= 1
+        assert runner.gf_cache.stats.lookups == 0
 
 
 def test_close_is_idempotent(tiny_config):
@@ -209,8 +224,8 @@ def test_close_releases_a_reused_runner(tiny_config):
     runner.run(tiny_config)
     names = [
         name
-        for handle in runner._published.values()
-        for name in (handle.statics_name, handle.travel_name)
+        for published in runner._published.values()
+        for name in (published.result().statics_name, published.result().travel_name)
     ]
     assert len(names) == 2
     runner.close()
@@ -229,6 +244,129 @@ def test_runners_share_gf_cache(tiny_config):
     LocalRunner(gf_cache=cache).run(tiny_config)
     assert cache.stats.misses == 1  # second runner hits the shared cache
     assert cache.stats.memory_hits >= 1
+
+
+# -- pooled Phase B -----------------------------------------------------------
+
+
+@pytest.fixture(params=["point", "okada"])
+def gf_method(request, monkeypatch):
+    """The GF method runs build their banks with. ``FdwConfig`` has no
+    such field (runs use the point source), so the Okada case sets it in
+    the parameters every phase and pool task receives."""
+    import dataclasses
+
+    from repro.core import local
+
+    if request.param == "okada":
+        build = local._fakequakes_for
+
+        def okada(config, **caches):
+            fq = build(config, **caches)
+            fq.params = dataclasses.replace(fq.params, gf_method="okada")
+            return fq
+
+        monkeypatch.setattr(local, "_fakequakes_for", okada)
+    return request.param
+
+
+def test_pooled_phase_b_matches_sequential_for_every_cache(tmp_path, monkeypatch, gf_method):
+    """Archives are byte-identical across n_workers {1, 2} x GF cache
+    {cold directory, directory primed by a sequential run, memory-only};
+    a pooled cold run writes the sequential run's GF entry and sidecar
+    byte for byte, and fills no GF memory level in the parent."""
+    from repro.core.gfcache import GFCache
+
+    monkeypatch.delenv("REPRO_GF_CACHE_DIR", raising=False)
+    config = FdwConfig(
+        n_waveforms=4, n_stations=5, mesh=(8, 5), chunk_a=2, chunk_c=2,
+        name="phase_b", seed=5,
+    )
+    primed = tmp_path / "primed"
+    LocalRunner(gf_cache=GFCache(primed)).run(config)
+    digests = {}
+    for n_workers in (1, 2):
+        for cache, cache_dir in (("cold", tmp_path / f"cold{n_workers}"),
+                                 ("primed", primed), ("memory", None)):
+            gf_cache = GFCache(cache_dir)
+            archive = tmp_path / f"archive-{n_workers}-{cache}"
+            with LocalRunner(n_workers=n_workers, gf_cache=gf_cache) as runner:
+                runner.run(config, archive_dir=archive)
+            digests[n_workers, cache] = _archive_digest(archive)
+            assert len(gf_cache.memory_keys()) == (1 if n_workers == 1 else 0)
+    assert len(set(digests.values())) == 1, digests
+    entries = {n: sorted((tmp_path / f"cold{n}").iterdir()) for n in (1, 2)}
+    assert [p.name for p in entries[1]] == [p.name for p in entries[2]]
+    assert {p.suffix for p in entries[1]} == {".npz", ".sha256"}
+    for sequential, pooled in zip(entries[1], entries[2]):
+        assert pooled.read_bytes() == sequential.read_bytes()
+    assert sorted(p.name for p in primed.iterdir()) == [p.name for p in entries[1]]
+
+
+def test_pooled_parent_holds_no_bank(tmp_path):
+    """After a cold pooled run at 121 stations the parent holds no bank:
+    no live allocation traced to a bank builder, and nothing in its GF
+    cache's memory level; the worker wrote the cache entry."""
+    import tracemalloc
+
+    from repro.core.gfcache import GFCache
+    from repro.seismo import greens, okada
+
+    config = FdwConfig(
+        n_waveforms=4, n_stations=121, mesh=(8, 5), chunk_a=2, chunk_c=2, name="no_bank"
+    )
+    gf_cache = GFCache(tmp_path / "gf")
+    tracemalloc.start()
+    try:
+        with LocalRunner(n_workers=2, gf_cache=gf_cache) as runner:
+            result = runner.run(config)
+            snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    builders = snapshot.filter_traces(
+        [tracemalloc.Filter(True, greens.__file__), tracemalloc.Filter(True, okada.__file__)]
+    )
+    assert sum(stat.size for stat in builders.statistics("filename")) == 0
+    assert gf_cache.memory_keys() == []
+    assert len(gf_cache.disk_keys()) == 1
+    assert result.n_waveform_sets == config.n_waveforms
+
+
+def test_failed_phase_b_task_raises_and_leaks_no_segment(tiny_config, tmp_path, monkeypatch):
+    """A Phase-B task that cannot write its cache entry fails the run
+    with the CacheError a run that builds the bank in process raises,
+    and close() leaves none of the bank's segments behind."""
+    from multiprocessing import shared_memory
+
+    from repro.core import local
+    from repro.core.gfcache import GFCache
+    from repro.errors import CacheError
+
+    not_a_dir = tmp_path / "not-a-dir"
+    not_a_dir.write_text("")
+    with pytest.raises(CacheError, match="cannot write GF bank") as inline:
+        LocalRunner(gf_cache=GFCache(not_a_dir)).run(tiny_config)
+    handles = []
+    publish = local.publish_shared_bank
+
+    def spy(*args):
+        handle, segments = publish(*args)
+        handles.append(handle)
+        return handle, segments
+
+    monkeypatch.setattr(local, "publish_shared_bank", spy)
+    runner = LocalRunner(n_workers=2, gf_cache=GFCache(not_a_dir))
+    try:
+        with pytest.raises(CacheError) as pooled:
+            runner.run(tiny_config)
+        assert str(pooled.value) == str(inline.value)
+        assert runner._published == {}
+    finally:
+        runner.close()
+    (handle,) = handles
+    for name in (handle.statics_name, handle.travel_name):
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 # -- pooled Phase A -----------------------------------------------------------
@@ -447,14 +585,13 @@ def test_pool_worker_keeps_one_session(tmp_path):
         )
 
 
-def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
+def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch, share_bank):
     """A worker's session keeps its distance matrices and generator
     between Phase-A chunks, holds a K-L cache only while a chunk runs,
     and drops its Phase-A state when it takes a Phase-C chunk, whose
     rows carry the sequential run's PGDs. The session attaches the bank
     at its first Phase-C chunk and keeps that one mapping."""
     from repro.core import local
-    from repro.core.sharedbank import publish_shared_bank
 
     monkeypatch.setattr(local, "_SESSION", None)
     params = local._fakequakes_for(pooled_a_config).params
@@ -465,7 +602,7 @@ def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
     assert local._SESSION is session and session._distances is distances
     assert session.kl_cache is None and session._generator is not None
     fq = local._fakequakes_for(pooled_a_config)
-    handle, segments = publish_shared_bank(fq.phase_b_greens_functions(), "phase-a-end")
+    handle, _segments = share_bank(fq.phase_b_greens_functions(), "phase-a-end")
     try:
         rows = local._run_c_chunk((handle, params, ruptures[:2], None))
         assert local._SESSION is session
@@ -476,9 +613,6 @@ def test_worker_ends_phase_a_at_its_phase_c_chunk(pooled_a_config, monkeypatch):
         assert session._gf_bank is bank
     finally:
         monkeypatch.setattr(local, "_SESSION", None)
-        for shm in segments:
-            shm.close()
-            shm.unlink()
     sequential = LocalRunner().run(pooled_a_config)
     assert {rid: pgd for rid, pgd, *_ in rows} == {
         r.rupture_id: sequential.pgd_by_rupture[r.rupture_id] for r in ruptures

@@ -225,6 +225,21 @@ def test_obs_summary_bad_input_is_an_error(tmp_path, capsys, args, name, message
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}:")
 
 
+@pytest.mark.parametrize("field", ["name", "cat"])
+def test_obs_summary_rejects_a_non_string_name_or_category(tmp_path, capsys, field):
+    """An event whose name or category is not a string is an error
+    naming the event and the field, not a traceback."""
+    import json
+
+    event = {"name": "span", "cat": "repro", "ph": "X", "pid": 1, "tid": 1,
+             "ts": 0, "dur": 1}
+    event[field] = ["x"]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"traceEvents": [event]}))
+    assert main(["obs", "summary", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: event 0: {field!r} must be a string\n"
+
+
 class TestWfCommands:
     def test_wf_export_import_round_trip(self, config_path, tmp_path, capsys):
         instance_json = tmp_path / "run.json"

@@ -214,3 +214,38 @@ def test_publish_artifact_streams_its_digest(tmp_path):
     data = read_verified(path)
     assert data == payload.tobytes()
     assert read_digest(path) == sha256_bytes(data)
+
+
+@pytest.mark.parametrize("winner", ["same-bytes", "no-sidecar-yet"])
+def test_publish_artifact_loser_leaves_a_consistent_winner(tmp_path, winner):
+    """A writer that loses the race to a winner with its own bytes, or to
+    one whose sidecar is not written yet, quarantines nothing."""
+    from repro.integrity import publish_artifact
+
+    path = tmp_path / "entry.npz"
+    if winner == "same-bytes":
+        publish_artifact(path, lambda tmp: tmp.write_bytes(b"entry bytes"))
+    else:
+        path.write_bytes(b"other bytes")
+    publish_artifact(path, lambda tmp: tmp.write_bytes(b"entry bytes"))
+    assert not (tmp_path / "quarantine").exists()
+    assert path.exists()
+    assert read_digest(path) == (sha256_bytes(b"entry bytes") if winner == "same-bytes" else None)
+
+
+def test_publish_artifact_loser_quarantines_a_mismatched_winner(tmp_path):
+    """A writer that loses the race to a winner whose sidecar records
+    other bytes quarantines the published artifact, with a reason naming
+    both digests, so the next lookup misses and recomputes."""
+    from repro.integrity import publish_artifact
+
+    path = tmp_path / "entry.npz"
+    publish_artifact(path, lambda tmp: tmp.write_bytes(b"winner bytes"))
+    publish_artifact(path, lambda tmp: tmp.write_bytes(b"loser bytes"))
+    assert not path.exists() and not digest_path(path).exists()
+    quarantine = tmp_path / "quarantine"
+    assert (quarantine / "entry.npz").read_bytes() == b"winner bytes"
+    reason = (quarantine / "entry.npz.reason").read_text()
+    assert sha256_bytes(b"winner bytes") in reason
+    assert sha256_bytes(b"loser bytes") in reason
+    assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
